@@ -10,6 +10,7 @@ floats); regenerate them only when an intentional output change lands,
 and commit the diff together with the change that caused it.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -26,10 +27,15 @@ RUNS = [
 
 
 def main() -> int:
+    # run the checkout's own package, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
     for (argv,) in RUNS:
         cmd = [sys.executable, "-m", "sturmspec.cli"] + argv
         print("+", " ".join(argv))
-        subprocess.run(cmd, check=True, cwd=ROOT)
+        subprocess.run(cmd, check=True, cwd=ROOT, env=env)
     return 0
 
 

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from typing import Optional
@@ -405,11 +406,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _glue_negative_lists(argv: list) -> list:
+    """Join ``--energies -1.9,0.5`` into ``--energies=-1.9,0.5``.
+
+    argparse reads a token that starts with '-' as an option unless it is
+    a single plain number, so a comma list led by a negative energy would
+    otherwise be a usage error.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--energies" and re.match(r"-[0-9.]", tok):
+            out[-1] = "--energies=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv=None) -> int:
     """Parse arguments and run one subcommand; returns the exit code."""
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_negative_lists(argv))
     except SystemExit as exc:
         # argparse prints its own message; map usage errors to exit 1
         code = exc.code if isinstance(exc.code, int) else 0

@@ -3,7 +3,9 @@ the sparse-potential spectral checks.
 
 The level-k approximant is the set {E : |h_k(E)| <= 2}; its bands are
 located on an energy grid and the endpoints refined by bisection of
-|h_k| - 2.  Half-line operators are truncated to symmetric tridiagonal
+|h_k| - 2.  All edges, and then all tangency candidates, are refined
+together as numpy lanes: one trace evaluation per step covers every lane
+still moving.  Half-line operators are truncated to symmetric tridiagonal
 matrices whose eigenvalues come from Sturm-count bisection.
 """
 
@@ -112,25 +114,59 @@ class BandSet:
         }
 
 
-def _bisect_edge(g: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Root of g between lo (g>0) and hi (g<0), to |g| <= 10*tol at the result."""
-    glo, ghi = g(lo), g(hi)
-    if glo < 0 or ghi > 0:
-        # grid bracketing was approximate; fall back to the closer endpoint
-        return lo if abs(glo) < abs(ghi) else hi
+def _bisect_edges(g, lo, hi, tol: float) -> np.ndarray:
+    """Roots of g, one per lane, between lo (g > 0) and hi (g <= 0).
+
+    Every lane still moving advances one bisection step per call of ``g``
+    on the array of their midpoints.  A lane stops at its midpoint x once
+    |g(x)| <= 10*tol, once |hi - lo| <= max(|x|, 1) * 1e-17, or after 200
+    steps.
+    """
+    lo = np.array(lo, dtype=np.float64)
+    hi = np.array(hi, dtype=np.float64)
     x = 0.5 * (lo + hi)
+    live = np.arange(lo.size)
     for _ in range(200):
-        x = 0.5 * (lo + hi)
-        gx = g(x)
-        if abs(gx) <= 10.0 * tol:
-            return x
-        if gx > 0:
-            lo = x
-        else:
-            hi = x
-        if abs(hi - lo) <= max(abs(x), 1.0) * 1e-17:
+        if live.size == 0:
             break
+        a, b = lo[live], hi[live]
+        m = 0.5 * (a + b)
+        x[live] = m
+        gm = g(m)
+        hit = np.abs(gm) <= 10.0 * tol
+        a = np.where(gm > 0, m, a)
+        b = np.where(gm > 0, b, m)
+        lo[live], hi[live] = a, b
+        narrow = np.abs(b - a) <= np.maximum(np.abs(m), 1.0) * 1e-17
+        live = live[~(hit | narrow)]
     return x
+
+
+def _tangencies(g, a, b, tol: float) -> np.ndarray:
+    """Ternary-search minima of g on [a, b] per lane; those with |g| <= 10*tol.
+
+    Every lane still moving advances one step per call of ``g`` on its two
+    probe points; a lane stops once b - a < tol, or after 120 steps.
+    """
+    a = np.array(a, dtype=np.float64)
+    b = np.array(b, dtype=np.float64)
+    live = np.arange(a.size)
+    for _ in range(120):
+        if live.size == 0:
+            break
+        al, bl = a[live], b[live]
+        m1 = al + (bl - al) / 3
+        m2 = bl - (bl - al) / 3
+        gm = g(np.concatenate([m1, m2]))
+        keep_left = gm[: live.size] <= gm[live.size :]
+        al = np.where(keep_left, al, m1)
+        bl = np.where(keep_left, m2, bl)
+        a[live], b[live] = al, bl
+        live = live[~(bl - al < tol)]
+    x = 0.5 * (a + b)
+    if x.size == 0:
+        return x
+    return x[np.abs(g(x)) <= 10.0 * tol]
 
 
 def band_set_from_trace(
@@ -142,9 +178,13 @@ def band_set_from_trace(
 ) -> BandSet:
     """Locate {E : |h(E)| <= 2} by grid scan plus endpoint bisection.
 
-    Bands narrower than the grid step can be missed; isolated tangencies
-    are picked up by refining interior local minima of |h| - 2 that come
-    close to zero from above.
+    Runs of grid points with |h| <= 2 give the bands.  Their edges are
+    bracketed by the grid points on either side and refined together as
+    numpy lanes, so each bisection step is one ``trace_fn`` call for all
+    edges.  Bands narrower than the grid step can be missed; isolated
+    tangencies are picked up by refining interior local minima of
+    |h| - 2 that come close to zero from above, again all minima per
+    ``trace_fn`` call.  ``trace_fn`` must act on each energy alone.
     """
     if grid < 1000:
         raise ValidationError("grid must use at least 1000 points")
@@ -153,25 +193,27 @@ def band_set_from_trace(
     h = np.asarray(trace_fn(es), dtype=np.float64)
     g = np.abs(h) - 2.0
 
-    def g_scalar(x):
-        return abs(float(trace_fn(np.array([x]))[0])) - 2.0
+    def g_lanes(xs):
+        return np.abs(np.asarray(trace_fn(xs), dtype=np.float64)) - 2.0
 
     inside = g <= 0.0
-    intervals = []
-    i = 0
-    while i < grid:
-        if not inside[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < grid and inside[j + 1]:
-            j += 1
-        left = es[i] if i == 0 else _bisect_edge(g_scalar, es[i - 1], es[i], tol)
-        right = es[j] if j == grid - 1 else _bisect_edge(
-            lambda x: g_scalar(x), es[j + 1], es[j], tol
-        )
-        intervals.append((left, right))
-        i = j + 1
+    change = np.diff(inside.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(change == 1)
+    ends = np.flatnonzero(change == -1) - 1
+    # the grid brackets each edge: g > 0 just outside a run, g <= 0 inside it
+    cut_l = starts[starts > 0]
+    cut_r = ends[ends < grid - 1]
+    roots = _bisect_edges(
+        g_lanes,
+        np.concatenate([es[cut_l - 1], es[cut_r + 1]]),
+        np.concatenate([es[cut_l], es[cut_r]]),
+        tol,
+    )
+    left = es[starts]
+    left[starts > 0] = roots[: cut_l.size]
+    right = es[ends]
+    right[ends < grid - 1] = roots[cut_l.size :]
+    intervals = list(zip(left.tolist(), right.tolist()))
 
     # tangency pass: strict local minima of g above zero but within reach
     step = (hi - lo) / (grid - 1)
@@ -181,20 +223,9 @@ def band_set_from_trace(
         & (g[1:-1] <= g[2:])
         & (g[1:-1] < 4.0 * step * np.maximum(np.abs(h[1:-1]), 1.0))
     )
-    for idx in interior + 1:
-        a, b = es[idx - 1], es[idx + 1]
-        for _ in range(120):
-            m1 = a + (b - a) / 3
-            m2 = b - (b - a) / 3
-            if g_scalar(m1) <= g_scalar(m2):
-                b = m2
-            else:
-                a = m1
-            if b - a < tol:
-                break
-        x = 0.5 * (a + b)
-        if abs(g_scalar(x)) <= 10.0 * tol:
-            intervals.append((x, x))
+    idx = interior + 1
+    touch = _tangencies(g_lanes, es[idx - 1], es[idx + 1], tol)
+    intervals.extend((x, x) for x in touch.tolist())
 
     intervals.sort()
     merged = []
@@ -260,6 +291,17 @@ def band_approximant(
     return a.union(b)
 
 
+def _held(bands: BandSet, es: np.ndarray, slack: float) -> np.ndarray:
+    """Mask of the energies es lying in some interval of bands, +- slack."""
+    if not bands.intervals:
+        return np.zeros(es.shape, dtype=bool)
+    iv = np.array(bands.intervals)
+    # intervals are sorted and disjoint: if the last one with a - slack <= e
+    # misses e, every earlier one ends further left and misses it too
+    idx = np.searchsorted(iv[:, 0] - slack, es, side="right") - 1
+    return (idx >= 0) & (es <= iv[idx, 1] + slack)
+
+
 def grid_containment(
     inner: BandSet, outer: BandSet, e_range, grid: int
 ) -> tuple:
@@ -270,14 +312,9 @@ def grid_containment(
     """
     es = np.linspace(float(e_range[0]), float(e_range[1]), grid)
     step = (es[-1] - es[0]) / (grid - 1)
-    checked = 0
-    violations = []
-    for e in es:
-        if inner.contains(float(e)):
-            checked += 1
-            if not outer.contains(float(e), slack=step):
-                violations.append(float(e))
-    return violations, checked
+    es = es[_held(inner, es, 0.0)]
+    missing = es[~_held(outer, es, step)]
+    return missing.tolist(), es.size
 
 
 # ---------------------------------------------------------------------------

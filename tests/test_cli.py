@@ -122,6 +122,20 @@ def test_lyapunov_csv(tmp_path):
     assert float(rows[1][1]) > 0.5  # E = 5 is far outside the hull
 
 
+def test_lyapunov_negative_energy_list(tmp_path):
+    outs = []
+    for flag in (["--energies", "-1.9,0.5"], ["--energies=-1.9,0.5"]):
+        out = tmp_path / ("l%d.csv" % len(outs))
+        code = run_cli(
+            ["lyapunov", "--spec", CONFIGS / "simple3.cfg"] + flag
+            + ["--n-steps", "2000", "--out", out]
+        )
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert b"\n-1.8999999999999999," in outs[0]
+
+
 def test_sparse_check_json(tmp_path):
     out = tmp_path / "sc.json"
     code = run_cli(

@@ -106,6 +106,150 @@ def test_bandset_validation():
 
 
 # ---------------------------------------------------------------------------
+# Lane-wise refinement and containment against scalar references
+# ---------------------------------------------------------------------------
+
+
+def scalar_bisect_edge(g, lo, hi, tol):
+    """One edge at a time: the reference the lane-wise refiner reproduces."""
+    glo, ghi = g(lo), g(hi)
+    assert glo > 0 >= ghi, "grid points must bracket the edge"
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        x = 0.5 * (lo + hi)
+        gx = g(x)
+        if abs(gx) <= 10.0 * tol:
+            return x
+        if gx > 0:
+            lo = x
+        else:
+            hi = x
+        if abs(hi - lo) <= max(abs(x), 1.0) * 1e-17:
+            break
+    return x
+
+
+def scalar_band_set(trace_fn, e_range, grid, tol, level=None):
+    """Grid scan with one trace call per bisection or ternary step per edge."""
+    lo, hi = float(e_range[0]), float(e_range[1])
+    es = np.linspace(lo, hi, grid)
+    h = np.asarray(trace_fn(es), dtype=np.float64)
+    g = np.abs(h) - 2.0
+
+    def g_scalar(x):
+        return abs(float(trace_fn(np.array([x]))[0])) - 2.0
+
+    inside = g <= 0.0
+    intervals = []
+    i = 0
+    while i < grid:
+        if not inside[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < grid and inside[j + 1]:
+            j += 1
+        left = es[i] if i == 0 else scalar_bisect_edge(g_scalar, es[i - 1], es[i], tol)
+        right = (
+            es[j] if j == grid - 1
+            else scalar_bisect_edge(g_scalar, es[j + 1], es[j], tol)
+        )
+        intervals.append((left, right))
+        i = j + 1
+
+    step = (hi - lo) / (grid - 1)
+    interior = np.flatnonzero(
+        (g[1:-1] > 0)
+        & (g[1:-1] <= g[:-2])
+        & (g[1:-1] <= g[2:])
+        & (g[1:-1] < 4.0 * step * np.maximum(np.abs(h[1:-1]), 1.0))
+    )
+    for idx in interior + 1:
+        a, b = es[idx - 1], es[idx + 1]
+        for _ in range(120):
+            m1 = a + (b - a) / 3
+            m2 = b - (b - a) / 3
+            if g_scalar(m1) <= g_scalar(m2):
+                b = m2
+            else:
+                a = m1
+            if b - a < tol:
+                break
+        x = 0.5 * (a + b)
+        if abs(g_scalar(x)) <= 10.0 * tol:
+            intervals.append((x, x))
+
+    intervals.sort()
+    merged = []
+    for a, b in intervals:
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return sp.BandSet(tuple((a, b) for a, b in merged), level, tol)
+
+
+def loop_containment(inner, outer, e_range, grid):
+    """Per-point membership test over every interval."""
+    es = np.linspace(float(e_range[0]), float(e_range[1]), grid)
+    step = (es[-1] - es[0]) / (grid - 1)
+    checked = 0
+    violations = []
+    for e in es:
+        if inner.contains(float(e)):
+            checked += 1
+            if not outer.contains(float(e), slack=step):
+                violations.append(float(e))
+    return violations, checked
+
+
+@pytest.mark.parametrize("k, grid", [(4, 20_001), (5, 20_001), (7, 2000), (8, 2000)])
+def test_lane_refinement_matches_scalar_reference(k, grid):
+    spec = simple_spec()
+    calls = []
+
+    def fn(es):
+        calls.append(np.size(es))
+        return cc.trace_recursion_f64(spec, max(k, 2), es)[k]
+
+    lanes = sp.band_set_from_trace(fn, (-2.5, 3.5), grid, 1e-10, level=k)
+    assert lanes.intervals == sp.sigma_n(spec, k, grid=grid, tol=1e-10).intervals
+    # grid scan, at most 200 bisection and 120 ternary steps, tangency test
+    assert len(calls) <= 1 + 200 + 120 + 1
+    ref = scalar_band_set(fn, (-2.5, 3.5), grid, 1e-10, level=k)
+    assert lanes.intervals == ref.intervals
+
+
+def test_lane_refinement_matches_scalar_on_free_laplacian():
+    # a trace_fn that is a per-energy matrix product, not the recursion
+    for m in (1, 4, 9):
+
+        def fn(es, m=m):
+            return np.array([np.trace(cc.word_matrix([0.0] * m, e)) for e in es])
+
+        lanes = sp.band_set_from_trace(fn, (-3.0, 3.0), 4001, 1e-10, level=m)
+        ref = scalar_band_set(fn, (-3.0, 3.0), 4001, 1e-10, level=m)
+        assert lanes.intervals == ref.intervals
+
+
+def test_containment_matches_loop_reference():
+    spec = simple_spec()
+    sig = {k: sp.sigma_n(spec, k, grid=100_000) for k in (3, 4, 5)}
+    empty = sp.BandSet((), level=None, refinement_tol=1e-10)
+    e_range = (-2.5, 3.5)
+    nested = sp.grid_containment(sig[5], sig[3].union(sig[4]), e_range, 100_000)
+    assert nested == loop_containment(sig[5], sig[3].union(sig[4]), e_range, 100_000)
+    assert nested[0] == [] and nested[1] > 10_000
+    crossed = sp.grid_containment(sig[3], sig[5], e_range, 100_000)
+    assert crossed == loop_containment(sig[3], sig[5], e_range, 100_000)
+    assert 0 < len(crossed[0]) < crossed[1]
+    assert sp.grid_containment(empty, sig[3], e_range, 100_000) == ([], 0)
+    lost = sp.grid_containment(sig[3], empty, e_range, 100_000)
+    assert lost == loop_containment(sig[3], empty, e_range, 100_000)
+    assert len(lost[0]) == lost[1] > 0
+
+
+# ---------------------------------------------------------------------------
 # Sparse essential spectrum and truncations
 # ---------------------------------------------------------------------------
 
