@@ -150,13 +150,14 @@ def _cmd_generate(args) -> int:
     window = _make_window(spec, args.start, args.len)
     flat = _resolved_config(cfg, args, ("start", "len"))
     vals = window.values()
+    symbols = window.symbols  # a property that rebuilds the tuple per read
     rows = [
-        (window.start + i, window.symbols[i], float(vals[i]))
+        (window.start + i, symbols[i], float(vals[i]))
         for i in range(len(window))
     ]
     result = {
         "start": window.start,
-        "symbols": list(window.symbols),
+        "symbols": list(symbols),
         "values": [float(v) for v in vals],
     }
     _emit(

@@ -23,7 +23,6 @@ __all__ = [
     "transfer_matrix",
     "word_matrix",
     "matrix_norm2",
-    "det_drift",
     "cheb_eval",
     "TraceTable",
     "trace_table",
@@ -83,11 +82,6 @@ def matrix_norm2(m: np.ndarray) -> float:
     det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
     inner = max(fro2 * fro2 - 4.0 * det * det, 0.0)
     return math.sqrt(max((fro2 + math.sqrt(inner)) / 2.0, 0.0))
-
-
-def det_drift(m: np.ndarray) -> float:
-    """|det(m) - 1|, the monitored unit-determinant drift."""
-    return abs(float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) - 1.0)
 
 
 def cheb_eval(n: int, x):

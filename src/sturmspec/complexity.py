@@ -2,17 +2,19 @@
 windows, plus the complexity-based classification tests.
 
 Both estimators are lower bounds for the infinite-word quantities: a
-finite window can only miss patterns, never invent them.  Counting packs
-sampled symbol tuples into integer keys and deduplicates with
-``np.unique``; when the key range would overflow, rows fall back to a
-byte-view comparison.
+finite window can only miss patterns, never invent them.  The tuple a
+template samples at a position depends only on the length-(t_max+1)
+factor starting there, so counting runs over a table of the window's
+distinct factors, not over positions.  Sampled tuples pack into integer
+keys, sorted per template; when the key range would overflow, rows fall
+back to a byte-view comparison.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -66,19 +68,42 @@ class PatternTemplate:
         return self.offsets[-1]
 
 
-def _distinct_count(codes: np.ndarray, offsets: Sequence[int], radix: int) -> int:
-    span = offsets[-1]
-    m = len(codes) - span
-    if m <= 0:
-        return 0
-    if radix ** len(offsets) < 2**62:
-        key = np.zeros(m, dtype=np.int64)
-        for t in offsets:
-            key *= radix
-            key += codes[t : t + m]
-        return len(np.unique(key))
-    cols = np.stack([codes[t : t + m] for t in offsets], axis=1).astype(np.int16)
-    return len(np.unique(cols.view([("", np.int16)] * cols.shape[1])))
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d code array, as int16, in byte order."""
+    rows = np.ascontiguousarray(rows, dtype=np.int16)
+    width = rows.shape[1]
+    keys = rows.view(np.dtype((np.void, 2 * width))).ravel()
+    return np.unique(keys).view(np.int16).reshape(-1, width)
+
+
+def _factor_table(codes: np.ndarray, t_max: int) -> np.ndarray:
+    """Distinct length-(t_max+1) rows read from every window position.
+
+    Codes past the window end read as -1, so a row holds a template of
+    span s exactly when ``row[s] >= 0``: each template keeps its own
+    maximal position range, and rows that repeat count once.
+    """
+    padded = np.full(len(codes) + t_max, -1, dtype=np.int16)
+    padded[: len(codes)] = codes
+    return _distinct_rows(np.lib.stride_tricks.sliding_window_view(padded, t_max + 1))
+
+
+def _distinct_count(table: np.ndarray, offsets, radix: int) -> np.ndarray:
+    """Distinct sampled tuples of each template (a row of ``offsets``, all of
+    one length) over the table rows that hold its span."""
+    offsets = np.asarray(offsets)
+    held = table[:, offsets[:, -1]] >= 0  # (rows, templates)
+    if radix ** offsets.shape[1] >= 2**62:
+        return np.array([
+            len(_distinct_rows(table[held[:, i]][:, offs]))
+            for i, offs in enumerate(offsets)
+        ])
+    key = np.zeros(held.shape, dtype=np.int64)
+    for col in offsets.T:
+        key = key * radix + table[:, col]
+    key[~held] = -1
+    key.sort(axis=0)  # -1 never counts: it is prepended as the first value
+    return (np.diff(key, axis=0, prepend=-1) != 0).sum(axis=0)
 
 
 def block_complexity(window: Window, n: int) -> int:
@@ -89,61 +114,44 @@ def block_complexity(window: Window, n: int) -> int:
         raise ValidationError(
             "factor length %d exceeds window length %d" % (n, len(window))
         )
-    return _distinct_count(window.codes, tuple(range(n)), len(window.alphabet))
+    rows = np.lib.stride_tricks.sliding_window_view(window.codes, n)
+    return len(_distinct_rows(rows))
 
 
-def _class_ids(codes: np.ndarray, offsets, radix: int, m: int) -> np.ndarray:
-    """Integer ids of the sampled patterns at positions 0..m-1."""
-    if radix ** len(offsets) < 2**62:
-        key = np.zeros(m, dtype=np.int64)
-        for t in offsets:
-            key *= radix
-            key += codes[t : t + m]
-    else:
-        cols = np.stack([codes[t : t + m] for t in offsets], axis=1).astype(np.int16)
-        key = cols.view([("", np.int16)] * cols.shape[1]).ravel()
-    _, ids = np.unique(key, return_inverse=True)
-    return ids.astype(np.int64)
-
-
-def _beam_profile(codes, radix: int, n_max: int, t_max: int, beam_width: int):
+def _beam_profile(table, radix: int, n_max: int, t_max: int, beam_width: int):
     """Best (count, offsets) per pattern length 2..n_max in one growth pass.
 
-    Partial templates carry dense integer ids of their sampled patterns
-    over the common position range; an extension's distinct count is then
-    a bincount over ids*radix + shifted symbols, vectorized across all
-    admissible extension offsets at once.
+    Counts run over the table rows that hold the full span t_max.  Partial
+    templates carry dense ids of their sampled patterns; an extension's
+    count is a bincount over ids*radix + the new offset's symbols, for all
+    offsets at once.  Candidates rank by count, then lexicographically.
     """
-    m = len(codes) - t_max
-    windows = np.lib.stride_tricks.sliding_window_view(codes, m)  # row t = codes[t:t+m]
-    ids0 = _class_ids(codes, (0,), radix, m)
+    cols = table[table[:, t_max] >= 0].T.astype(np.int64)  # cols[t]: symbols at offset t
+    _, ids0 = np.unique(cols[0], return_inverse=True)
     beam = [((0,), ids0, int(ids0.max()) + 1)]
     best = {}
     for level in range(2, n_max + 1):
-        candidates = []
-        for offs, ids, u in beam:
-            lo = offs[-1] + 1
-            if lo > t_max:
-                continue
-            K = u * radix
-            keys = ids * np.int64(radix) + windows[lo : t_max + 1]
-            T = keys.shape[0]
-            keys = keys + (np.arange(T, dtype=np.int64) * K)[:, None]
-            bc = np.bincount(keys.ravel(), minlength=T * K)
-            counts = (bc.reshape(T, K) > 0).sum(axis=1)
-            for i in range(T):
-                candidates.append((int(counts[i]), offs + (lo + i,), offs, lo + i))
-        if not candidates:
+        # candidates are generated in lexicographic order, so a stable sort
+        # by count alone breaks ties lexicographically
+        beam.sort(key=lambda b: b[0])
+        counts, parents, ts = [], [], []
+        for j, (offs, ids, u) in enumerate(beam):
+            t = np.arange(offs[-1] + 1, t_max + 1)
+            keys = ids * radix + cols[t] + (np.arange(len(t)) * (u * radix))[:, None]
+            bc = np.bincount(keys.ravel(), minlength=len(t) * u * radix)
+            counts.append((bc.reshape(len(t), u * radix) > 0).sum(axis=1))
+            parents.append(np.full(len(t), j))
+            ts.append(t)
+        counts, parents, ts = (np.concatenate(x) for x in (counts, parents, ts))
+        if not len(counts):
             break
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        best[level] = (candidates[0][0], candidates[0][1])
+        order = np.argsort(-counts, kind="stable")[:beam_width]
         new_beam = []
-        by_parent = {offs: (ids, u) for offs, ids, u in beam}
-        for cnt, offs, parent, t in candidates[:beam_width]:
-            ids, u = by_parent[parent]
-            key = ids * np.int64(radix) + codes[t : t + m]
-            _, new_ids = np.unique(key, return_inverse=True)
-            new_beam.append((offs, new_ids.astype(np.int64), cnt))
+        for c in order:
+            offs, ids, _ = beam[parents[c]]
+            _, new_ids = np.unique(ids * radix + cols[ts[c]], return_inverse=True)
+            new_beam.append((offs + (int(ts[c]),), new_ids, int(counts[c])))
+        best[level] = new_beam[0][2], new_beam[0][0]
         beam = new_beam
     return best
 
@@ -192,9 +200,9 @@ def pstar_profile(
             % (len(window), t_max),
             required=t_max + 1,
         )
-    codes = window.codes
+    table = _factor_table(window.codes, t_max)
     radix = len(window.alphabet)
-    out = [( _distinct_count(codes, (0,), radix), PatternTemplate((0,)) )]
+    out = [(int(_distinct_count(table, [(0,)], radix)[0]), PatternTemplate((0,)))]
     if n_max == 1:
         return out
 
@@ -209,26 +217,29 @@ def pstar_profile(
                     "exhaustive search over %d templates exceeds the budget %d; "
                     "use mode='beam'" % (total, template_budget)
                 )
+            # lexicographic order in slabs of ~2**16 table cells; keeping
+            # the first maximum breaks ties lexicographically
+            rests = combinations(range(1, t_max + 1), n - 1)
+            step = max(1, (1 << 16) // len(table))
             best, best_offs = -1, None
-            for rest in combinations(range(1, t_max + 1), n - 1):
-                offs = (0,) + rest
-                cnt = _distinct_count(codes, offs, radix)
-                if cnt > best or (cnt == best and offs < best_offs):
-                    best, best_offs = cnt, offs
+            while slab := [(0,) + rest for rest in islice(rests, step)]:
+                counts = _distinct_count(table, slab, radix)
+                i = int(np.argmax(counts))
+                if counts[i] > best:
+                    best, best_offs = int(counts[i]), slab[i]
             out.append((best, PatternTemplate(best_offs)))
         return out
 
-    found = _beam_profile(codes, radix, n_max, t_max, beam_width)
+    found = _beam_profile(table, radix, n_max, t_max, beam_width)
     for n in range(2, n_max + 1):
-        _, offs = found.get(n, (-1, None))
+        contiguous = tuple(range(n))
+        _, offs = found.get(n, (-1, contiguous))
         # re-count the winner over its own maximal position range, so
         # counts are comparable with the contiguous (block) estimate
-        cnt = -1 if offs is None else _distinct_count(codes, offs, radix)
-        contiguous = tuple(range(n))
-        cnt_c = _distinct_count(codes, contiguous, radix)
+        cnt, cnt_c = _distinct_count(table, [offs, contiguous], radix)
         if cnt_c > cnt:
             cnt, offs = cnt_c, contiguous
-        out.append((cnt, PatternTemplate(offs)))
+        out.append((int(cnt), PatternTemplate(offs)))
     return out
 
 
@@ -287,17 +298,11 @@ def complexity_report(
 ) -> ComplexityReport:
     ns = tuple(range(1, n_max + 1))
     profile = pstar_profile(window, n_max, t_max, beam_width=beam_width, mode=mode)
-    ps, stars, temps = [], [], []
-    for n in ns:
-        ps.append(block_complexity(window, n))
-        cnt, tpl = profile[n - 1]
-        stars.append(cnt)
-        temps.append(tpl)
     return ComplexityReport(
         n_range=ns,
-        p_values=tuple(ps),
-        pstar_values=tuple(stars),
-        templates=tuple(temps),
+        p_values=tuple(block_complexity(window, n) for n in ns),
+        pstar_values=tuple(cnt for cnt, _ in profile),
+        templates=tuple(tpl for _, tpl in profile),
         window_len=len(window),
         window_start=window.start,
         t_max=t_max,
@@ -344,22 +349,15 @@ def periodicity_test(window: Window, n_max: int, t_max: Optional[int] = None) ->
             required=4 * n_max,
         )
     t_max = t_max if t_max is not None else min(2 * n_max, len(window) // 4)
-    ps = []
-    witness = None
-    for n in range(1, n_max + 1):
-        p = block_complexity(window, n)
-        ps.append(p)
-        if witness is None and p <= n:
-            witness = n
-    cap_ok = True
-    for n in range(1, n_max + 1):
-        cnt, _ = max_pattern_complexity(window, n, t_max)
-        if cnt < 2 * n:
-            cap_ok = False
-            break
+    ps = tuple(block_complexity(window, n) for n in range(1, n_max + 1))
+    witness = next((n for n, p in enumerate(ps, 1) if p <= n), None)
+    cap_ok = all(
+        max_pattern_complexity(window, n, t_max)[0] >= 2 * n
+        for n in range(1, n_max + 1)
+    )
     if witness is not None:
-        return PeriodicityVerdict("periodic-evidence", witness, tuple(ps), cap_ok)
-    return PeriodicityVerdict("aperiodic-evidence", None, tuple(ps), cap_ok)
+        return PeriodicityVerdict("periodic-evidence", witness, ps, cap_ok)
+    return PeriodicityVerdict("aperiodic-evidence", None, ps, cap_ok)
 
 
 @dataclass(frozen=True)

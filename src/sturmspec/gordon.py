@@ -707,7 +707,9 @@ def gordon_sweep(
     window is sized so partitions and norms exist up to ``max_scale``
     (default energy_level + 2); the rare origin whose climb would pass
     that scale surfaces as a reported candidate, never silently.  Every
-    (energy, origin) pair must classify and its bound must hold.
+    (energy, origin) pair must classify and its bound must hold; a pair
+    that raises ``ValidationError`` is reported as a falsification, and
+    any other exception is a defect and propagates.
     """
     from .spectrum import band_approximant
 
@@ -760,7 +762,7 @@ def gordon_sweep(
                 else:
                     offs = (m, 2 * m) if not lab.reflected else (-m, -2 * m)
                 needed_offsets.update(offs)
-            except Exception as exc:  # noqa: BLE001 - falsification reporting
+            except ValidationError as exc:
                 falsifications.append(
                     {"energy": float(e), "origin": int(o),
                      "stage": "classify", "error": repr(exc)}
@@ -778,7 +780,7 @@ def gordon_sweep(
         o = int(origins[io])
         try:
             _verify_structural(window, spec, lab, o, parts)
-        except Exception as exc:  # noqa: BLE001
+        except ValidationError as exc:
             falsifications.append(
                 {"energy": float(e), "origin": o, "stage": "structure",
                  "error": repr(exc)}

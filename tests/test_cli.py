@@ -1,5 +1,6 @@
 """Command-line surface: formats, determinism, exit codes, golden output."""
 
+import csv
 import json
 import pathlib
 import subprocess
@@ -64,6 +65,24 @@ def test_generate_writes_csv_rows(tmp_path):
     assert data[0] == "index,symbol,value"
     assert len(data) == 51
     assert any(l.startswith("# spec.beta = 377/610") for l in lines)
+
+
+def test_generate_rows_match_library_window(tmp_path):
+    out = tmp_path / "w.csv"
+    start, length = 1234, 3000
+    code = run_cli(
+        ["generate", "--spec", CONFIGS / "fib.cfg", "--start", start,
+         "--len", length, "--out", out]
+    )
+    assert code == 0
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    rows = [(int(i), s, float(v)) for i, s, v in csv.reader(data[1:])]
+    spec = cfgmod.build_spec(cfgmod.parse_config(str(CONFIGS / "fib.cfg")))
+    window = spec.window(start, length, allow_periodic=True)
+    assert rows == [
+        (start + i, s, float(v))
+        for i, (s, v) in enumerate(zip(window.symbols, window.values()))
+    ]
 
 
 def test_trace_table_columns_agree(tmp_path):

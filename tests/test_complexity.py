@@ -1,6 +1,7 @@
 """Complexity estimators and the classification tests built on them."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -140,6 +141,171 @@ def test_complexity_report_invariants_and_export():
     assert d["n"] == [1, 2, 3, 4, 5]
     assert len(rep.rows()) == 5
     assert rep.position_range[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# Factor table against the position-based reference
+# ---------------------------------------------------------------------------
+# The reference counts sampled tuples at every window position, as the
+# estimators did before counting moved to the distinct-factor table.
+
+
+def ref_distinct_count(codes, offsets, radix):
+    m = len(codes) - offsets[-1]
+    key = np.zeros(m, dtype=np.int64)
+    for t in offsets:
+        key = key * radix + codes[t : t + m]
+    return len(np.unique(key))
+
+
+def ref_beam_profile(codes, radix, n_max, t_max, beam_width):
+    m = len(codes) - t_max
+    windows = np.lib.stride_tricks.sliding_window_view(codes, m)
+    ids0 = np.unique(codes[:m], return_inverse=True)[1].astype(np.int64)
+    beam = [((0,), ids0, int(ids0.max()) + 1)]
+    best = {}
+    for level in range(2, n_max + 1):
+        candidates = []
+        for offs, ids, u in beam:
+            lo = offs[-1] + 1
+            if lo > t_max:
+                continue
+            K = u * radix
+            keys = ids * np.int64(radix) + windows[lo : t_max + 1]
+            T = keys.shape[0]
+            keys = keys + (np.arange(T, dtype=np.int64) * K)[:, None]
+            bc = np.bincount(keys.ravel(), minlength=T * K)
+            counts = (bc.reshape(T, K) > 0).sum(axis=1)
+            for i in range(T):
+                candidates.append((int(counts[i]), offs + (lo + i,), offs, lo + i))
+        if not candidates:
+            break
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        best[level] = (candidates[0][0], candidates[0][1])
+        by_parent = {offs: ids for offs, ids, _ in beam}
+        beam = []
+        for cnt, offs, parent, t in candidates[:beam_width]:
+            key = by_parent[parent] * np.int64(radix) + codes[t : t + m]
+            beam.append((offs, np.unique(key, return_inverse=True)[1], cnt))
+    return best
+
+
+def ref_pstar_profile(window, n_max, t_max, mode, beam_width=cx.DEFAULT_BEAM):
+    codes, radix = window.codes, len(window.alphabet)
+    out = [(ref_distinct_count(codes, (0,), radix), (0,))]
+    if mode == "exhaustive":
+        for n in range(2, n_max + 1):
+            best, best_offs = -1, None
+            for rest in combinations(range(1, t_max + 1), n - 1):
+                cnt = ref_distinct_count(codes, (0,) + rest, radix)
+                if cnt > best:  # lexicographic order: the first maximum wins
+                    best, best_offs = cnt, (0,) + rest
+            out.append((best, best_offs))
+        return out
+    found = ref_beam_profile(codes, radix, n_max, t_max, beam_width)
+    for n in range(2, n_max + 1):
+        contiguous = tuple(range(n))
+        cnt, offs = -1, None
+        if n in found:
+            offs = found[n][1]
+            cnt = ref_distinct_count(codes, offs, radix)
+        cnt_c = ref_distinct_count(codes, contiguous, radix)
+        if cnt_c > cnt:
+            cnt, offs = cnt_c, contiguous
+        out.append((cnt, offs))
+    return out
+
+
+def random_window(rng, length, radix):
+    letters = "abcd"[:radix]
+    ab = sq.Alphabet(tuple(letters), tuple(float(i) for i in range(radix)))
+    return sq.Window(0, rng.integers(0, radix, length).astype(np.int16), ab)
+
+
+SIMPLE3 = sq.ToeplitzSpec(AB, sq.CodingTriple((), 1, 0), ("a", "b"), (3, 3), (0, 0))
+SPARSE3 = sq.SparseSpec(v=2.0, rule=("power", 3))
+
+
+def reference_words():
+    rng = np.random.default_rng(11)
+    yield "fib", fib_window(1500, start=123)
+    yield "simple3", SIMPLE3.window(1, 1500)
+    yield "sparse3", SPARSE3.window(1, 1500)
+    for radix in (2, 3, 4):
+        yield "random%d" % radix, random_window(rng, 300, radix)
+
+
+def test_factor_table_counts_match_python_set_oracle():
+    rng = np.random.default_rng(3)
+    for radix in (2, 3, 4):
+        for length in (40, 97):
+            w = random_window(rng, length, radix)
+            codes = [int(c) for c in w.codes]
+            t_max = length - 1
+            table = cx._factor_table(w.codes, t_max)
+            # spans near t_max = len - 1 leave only the last few tail rows
+            spans = [1, 2, t_max // 2, t_max - 3, t_max - 1, t_max]
+            for span in spans:
+                for size in (1, 2, 3, 5, 36):  # 4**36 keys take the wide path
+                    size = min(size, span + 1)
+                    inner = rng.choice(np.arange(1, span), size - 2, replace=False) \
+                        if size > 2 else []
+                    offs = tuple(sorted({0, span, *map(int, inner)}))
+                    oracle = {tuple(codes[p + t] for t in offs)
+                              for p in range(length - span)}
+                    got = cx._distinct_count(table, [offs], radix)
+                    assert got.tolist() == [len(oracle)], (radix, length, offs)
+
+
+def test_block_complexity_matches_python_set_oracle_at_any_length():
+    for _, w in reference_words():
+        for n in (1, 2, 7, 31, len(w) // 2, len(w)):
+            oracle = {bytes(w.codes[p : p + n]) for p in range(len(w) - n + 1)}
+            assert cx.block_complexity(w, n) == len(oracle)
+
+
+@pytest.mark.parametrize(
+    "n_max,t_max,mode,beam_width",
+    [(3, 30, "exhaustive", None), (4, 20, "exhaustive", None),
+     (8, 80, "beam", cx.DEFAULT_BEAM), (6, 40, "beam", 3)],
+)
+def test_pstar_profile_matches_position_reference(n_max, t_max, mode, beam_width):
+    kw = {} if beam_width is None else {"beam_width": beam_width}
+    for name, w in reference_words():
+        got = [(c, t.offsets) for c, t in cx.pstar_profile(w, n_max, t_max, mode=mode, **kw)]
+        assert got == ref_pstar_profile(w, n_max, t_max, mode, **kw), name
+        assert all(type(c) is int for c, _ in got)
+
+
+def test_criterion_one_pstar_values_unchanged():
+    # the acceptance-test-01 words at (n_max, t_max) = (12, 200), pinned
+    # from the position-based estimator
+    words = {
+        "circle beta=alpha": fib_window(5000),
+        "circle beta=2/5": fib_window(5000, beta=Fraction(2, 5)),
+        "sparse 3^k": SPARSE3.window(1, 5000),
+    }
+    pins = {
+        "circle beta=alpha": [tuple(range(0, 2 * n, 2)) for n in range(1, 13)],
+        "circle beta=2/5": [tuple(range(n)) for n in range(1, 13)],
+        "sparse 3^k": [
+            (0,), (0, 6), (0, 6, 18), (0, 6, 18, 54), (0, 6, 18, 54, 60),
+            (0, 6, 18, 54, 60, 162), (0, 6, 18, 54, 60, 162, 168),
+            (0, 6, 18, 54, 60, 162, 168, 180), (0, 1, 6, 7, 18, 19, 54, 55, 60),
+            (0, 1, 6, 7, 18, 19, 54, 55, 60, 61),
+            (0, 1, 6, 7, 18, 19, 54, 55, 60, 61, 162),
+            (0, 1, 6, 7, 18, 19, 54, 55, 60, 61, 162, 163),
+        ],
+    }
+    counts = {
+        "circle beta=alpha": [2 * n for n in range(1, 13)],
+        "circle beta=2/5": [2 * n for n in range(1, 13)],
+        "sparse 3^k": [2, 4, 6, 8, 10, 12, 14, 16, 17, 19, 21, 23],
+    }
+    for name, w in words.items():
+        profile = cx.pstar_profile(w, 12, 200)
+        assert [c for c, _ in profile] == counts[name], name
+        assert [t.offsets for _, t in profile] == pins[name], name
 
 
 # ---------------------------------------------------------------------------

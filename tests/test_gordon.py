@@ -250,6 +250,25 @@ def test_nondecay_probe_validation():
         gd.nondecay_scan(SPEC, E_IN, 100, probes=[200])
 
 
+@pytest.mark.parametrize("stage,target", [("classify", "classify_case"),
+                                          ("structure", "_verify_structural")])
+def test_sweep_reports_only_validation_errors_as_falsifications(monkeypatch, stage, target):
+    def invalid(*args, **kwargs):
+        raise sq.ValidationError("no certificate")
+
+    def defect(*args, **kwargs):
+        raise RuntimeError("defect")
+
+    sweep = dict(entry_k=2, n_energies=2, n_origins=3, energy_level=3, grid=2000)
+    monkeypatch.setattr(gd, target, invalid)
+    rep = gd.gordon_sweep(SPEC, **sweep)
+    assert not rep.passed
+    assert [f["stage"] for f in rep.falsifications] == [stage] * 6
+    monkeypatch.setattr(gd, target, defect)
+    with pytest.raises(RuntimeError, match="defect"):
+        gd.gordon_sweep(SPEC, **sweep)
+
+
 def test_small_sweep_has_no_falsifications():
     rep = gd.gordon_sweep(
         SPEC, entry_k=2, n_energies=5, n_origins=25,
