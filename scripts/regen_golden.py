@@ -17,11 +17,20 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+# (argv, expected exit code); the gordon sweep at seed 1 reports
+# falsified pairs, so it exits 2 by design
 RUNS = [
     (
         ["spectrum", "--spec", "configs/simple3.cfg", "--level", "4",
          "--grid", "20001", "--tol", "1e-10", "--format", "json",
          "--out", "tests/golden/spectrum_simple3_level4.json"],
+        0,
+    ),
+    (
+        ["gordon-scan", "--spec", "configs/simple3.cfg", "--level", "2",
+         "--energies", "40", "--origins", "500", "--grid", "2000",
+         "--seed", "1", "--out", "tests/golden/gordon_simple3_level2.json"],
+        2,
     ),
 ]
 
@@ -32,10 +41,12 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    for (argv,) in RUNS:
+    for argv, expected in RUNS:
         cmd = [sys.executable, "-m", "sturmspec.cli"] + argv
         print("+", " ".join(argv))
-        subprocess.run(cmd, check=True, cwd=ROOT, env=env)
+        code = subprocess.run(cmd, cwd=ROOT, env=env).returncode
+        if code != expected:
+            raise subprocess.CalledProcessError(code, cmd)
     return 0
 
 

@@ -351,10 +351,13 @@ def periodicity_test(window: Window, n_max: int, t_max: Optional[int] = None) ->
     t_max = t_max if t_max is not None else min(2 * n_max, len(window) // 4)
     ps = tuple(block_complexity(window, n) for n in range(1, n_max + 1))
     witness = next((n for n, p in enumerate(ps, 1) if p <= n), None)
-    cap_ok = all(
-        max_pattern_complexity(window, n, t_max)[0] >= 2 * n
-        for n in range(1, n_max + 1)
-    )
+    # the search "auto" picks per n: exhaustive for n <= EXHAUSTIVE_N when
+    # t_max allows, beam otherwise (beam levels do not depend on n_max)
+    n_ex = min(n_max, EXHAUSTIVE_N) if t_max <= EXHAUSTIVE_TMAX else 0
+    profile = pstar_profile(window, n_ex, t_max, mode="exhaustive") if n_ex else []
+    if n_max > n_ex:
+        profile += pstar_profile(window, n_max, t_max, mode="beam")[n_ex:]
+    cap_ok = all(cnt >= 2 * n for n, (cnt, _) in enumerate(profile, 1))
     if witness is not None:
         return PeriodicityVerdict("periodic-evidence", witness, ps, cap_ok)
     return PeriodicityVerdict("aperiodic-evidence", None, ps, cap_ok)

@@ -1,9 +1,11 @@
-"""Run configuration: INI-style files with a spec section, analysis
-parameters, and output options.
+"""Run configuration: INI-style files with a spec section and output
+options.
 
-A config declares exactly one sequence kind.  Fractions are written as
-"p/q" strings so circle-map parameters stay exact.  Configs round-trip:
-parse -> emit -> parse yields an identical RunConfig.
+A config declares exactly one sequence kind; unknown sections and keys
+are rejected, so a misspelt key fails instead of being ignored.
+Fractions are written as "p/q" strings so circle-map parameters stay
+exact.  Configs round-trip: parse -> emit -> parse yields an identical
+RunConfig.
 """
 
 from __future__ import annotations
@@ -25,6 +27,15 @@ __all__ = ["RunConfig", "parse_config", "parse_config_text", "emit_config", "bui
 
 SPEC_KINDS = ("circle_map", "toeplitz", "sparse")
 
+#: the keys each section may hold
+_KEYS = {
+    "circle_map": ("p", "q", "beta", "theta", "lambda"),
+    "toeplitz": ("values", "tail", "cycle", "prefix_pattern", "prefix_period",
+                 "prefix_offset", "extension_letter"),
+    "sparse": ("v", "rule", "positions", "left_fill"),
+    "output": ("seed",),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -32,7 +43,6 @@ class RunConfig:
 
     kind: str
     spec: dict
-    analysis: dict
     output: dict
 
     def __post_init__(self):
@@ -53,6 +63,12 @@ def _fraction(text: str) -> Fraction:
 def parse_config_text(text: str) -> RunConfig:
     cp = configparser.ConfigParser()
     cp.read_string(text)
+    for name in cp.sections():
+        if name not in _KEYS:
+            raise ValidationError("unknown config section [%s]" % name)
+        typos = [key for key in cp[name] if key not in _KEYS[name]]
+        if typos:
+            raise ValidationError("unknown key(s) in [%s]: %s" % (name, ", ".join(typos)))
     kinds = [k for k in SPEC_KINDS if cp.has_section(k)]
     if len(kinds) != 1:
         raise ValidationError(
@@ -60,9 +76,8 @@ def parse_config_text(text: str) -> RunConfig:
         )
     kind = kinds[0]
     spec = dict(cp.items(kind))
-    analysis = dict(cp.items("analysis")) if cp.has_section("analysis") else {}
     output = dict(cp.items("output")) if cp.has_section("output") else {}
-    return RunConfig(kind=kind, spec=spec, analysis=analysis, output=output)
+    return RunConfig(kind=kind, spec=spec, output=output)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -73,8 +88,6 @@ def parse_config(path: str) -> RunConfig:
 def emit_config(cfg: RunConfig) -> str:
     cp = configparser.ConfigParser()
     cp[cfg.kind] = dict(cfg.spec)
-    if cfg.analysis:
-        cp["analysis"] = dict(cfg.analysis)
     if cfg.output:
         cp["output"] = dict(cfg.output)
     buf = io.StringIO()

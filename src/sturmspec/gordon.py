@@ -9,11 +9,26 @@ and returns which certificate applies at which scale; the verifier
 re-checks the structural hypothesis symbol by symbol before evaluating
 the bound, so a classifier defect surfaces as an error rather than a
 wrong margin.
+
+The four certificates are the rows of ``_CERTIFICATES``, keyed by
+(kind, reflected), in units of m = ``label.m`` around the origin:
+
+    key                periodic [a*m, b*m)   rotation at   norm offsets
+    cube, direct       [-1, 1)               -             -1, 1, 2
+    cube, reflected    [-2, 0)               -             1, -1, -2
+    square, direct     [0, 1)                0             1, 2
+    square, reflected  [-2, -1)              -1            -1, -2
+
+omega_i == omega_{i+m} must hold on the periodic range, and for a square
+the m sites from the rotation anchor must be a cyclic rotation of s_n,
+n = ``trace_level``.  A cube bounds the max of ||Phi|| at its offsets; a
+square bounds max(|h_n| N1, N2), with N1, N2 the norms at its offsets.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -261,26 +276,11 @@ def classify_case(
                 "origin sits at the rightmost site of %s at level %d" % (what, level)
             )
 
-    def cube_label(case_id: str, level: int, reflected: bool) -> CaseLabel:
+    def make_label(case_id: str, level: int, kind: str, reflected: bool) -> CaseLabel:
         return CaseLabel(
-            case_id=case_id,
-            scale=level,
-            kind="cube",
-            reflected=reflected,
+            case_id=case_id, scale=level, kind=kind, reflected=reflected,
             m=spec.block_length(level),
-            trace_level=None,
-            path=tuple(path),
-        )
-
-    def square_label(case_id: str, level: int, reflected: bool) -> CaseLabel:
-        return CaseLabel(
-            case_id=case_id,
-            scale=level,
-            kind="square",
-            reflected=reflected,
-            m=spec.block_length(level),
-            trace_level=level,
-            path=tuple(path),
+            trace_level=level if kind == "square" else None, path=tuple(path),
         )
 
     def resolve_s_run(level: int, anchor: int, entry: bool) -> CaseLabel:
@@ -303,8 +303,8 @@ def classify_case(
                 not_rightmost(start, level, "the hat block")
             if right == "s":
                 path.append("cube@%d" % level)
-                return cube_label(
-                    "1.1" if entry and climb == 0 else "1.2.1.2.2", level, False
+                return make_label(
+                    "1.1" if entry and climb == 0 else "1.2.1.2.2", level, "cube", False
                 )
             leftleft = part.label(idx - 2)
             if leftleft is None:
@@ -314,8 +314,8 @@ def classify_case(
                 )
             if leftleft == "s":
                 path.append("cube-left@%d" % level)
-                return cube_label(
-                    "2" if entry and climb == 0 else "1.2.1.2.1", level, True
+                return make_label(
+                    "2" if entry and climb == 0 else "1.2.1.2.1", level, "cube", True
                 )
             path.append("climb@%d" % level)
             anchor = anchor_after(start)
@@ -329,16 +329,14 @@ def classify_case(
         """Hat s-block preceded by t: square now, or escalate one level."""
         if need_h(level) <= 2.0:
             path.append("square@%d" % level)
-            return square_label(entry_id if entry_id else "1.2", level, False)
+            return make_label(entry_id, level, "square", False)
         if need_h(level + 1) > 2.0:
             raise ValidationError(
                 "|h_%d| and |h_%d| both exceed 2: energy escaped the "
                 "approximant at the levels the classifier needs" % (level, level + 1)
             )
-        part = parts.at(level)
-        start, _, _, _, _ = _neighbors(part, anchor)
-        up = parts.at(level + 1)
-        up_start, up_lab, up_left, _, _ = _neighbors(up, anchor)
+        start = _neighbors(parts.at(level), anchor)[0]
+        up_start, up_lab, up_left, _, _ = _neighbors(parts.at(level + 1), anchor)
         if up_start != start:
             raise GordonStructureError(
                 "level-%d block should open where the hat block does" % (level + 1)
@@ -351,9 +349,20 @@ def classify_case(
         nxt = anchor_after(up_start)
         if up_lab == "t":
             path.append("square-left@%d" % (level + 1))
-            return square_label("1.2.1.1", level + 1, True)
+            return make_label("1.2.1.1", level + 1, "square", True)
         path.append("1.2.2")
         return resolve_s_run(level + 1, nxt, entry=False)
+
+    def case3(level: int, anchor: int) -> CaseLabel:
+        """t s-hat t: only possible below the period-3 normalization, but the
+        escalation it prescribes is implemented for completeness."""
+        path.append("3")
+        up_start, up_lab, up_left, _, _ = _neighbors(parts.at(level + 1), anchor)
+        if up_lab != "s" or up_left != "s":
+            raise GordonStructureError(
+                "isolated s between t-blocks must open an s-run one level up"
+            )
+        return resolve_s_run(level + 1, anchor_after(up_start), entry=False)
 
     # --- entry switch ------------------------------------------------------
     level = k
@@ -361,8 +370,7 @@ def classify_case(
     start, lab, left, right, idx = _neighbors(part, origin)
     if lab == "t":
         path.append("4")
-        up = parts.at(level + 1)
-        up_start, up_lab, up_left, up_right, _ = _neighbors(up, origin)
+        up_start, up_lab, up_left, up_right, _ = _neighbors(parts.at(level + 1), origin)
         if up_lab != "s":
             raise GordonStructureError(
                 "a t-block must close an s-block one level up"
@@ -373,35 +381,21 @@ def classify_case(
         if right == "s":
             if left == "s":
                 path.append("cube@%d" % level)
-                return cube_label("4", level, False)
+                return make_label("4", level, "cube", False)
             return trace_split(level, anchor, "4")
         if left == "s":
             return resolve_s_run(level, anchor, entry=False)
-        path.append("3")
-        return _case3(parts, spec, level, anchor, origin, path, resolve_s_run, anchor_after)
+        return case3(level, anchor)
     if right == "s":
         if left == "s":
             path.append("1.1")
-            return cube_label("1.1", level, False)
+            return make_label("1.1", level, "cube", False)
         path.append("1.2")
         return trace_split(level, origin, "1.2")
     if left == "s":
         path.append("2")
         return resolve_s_run(level, origin, entry=True)
-    path.append("3")
-    return _case3(parts, spec, level, origin, origin, path, resolve_s_run, anchor_after)
-
-
-def _case3(parts, spec, level, anchor, origin, path, resolve_s_run, anchor_after):
-    """t s-hat t: only possible below the period-3 normalization, but the
-    escalation it prescribes is implemented for completeness."""
-    up = parts.at(level + 1)
-    up_start, up_lab, up_left, _, _ = _neighbors(up, anchor)
-    if up_lab != "s" or up_left != "s":
-        raise GordonStructureError(
-            "isolated s between t-blocks must open an s-run one level up"
-        )
-    return resolve_s_run(level + 1, anchor_after(up_start), entry=False)
+    return case3(level, origin)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +418,16 @@ class BoundReport:
     @property
     def holds(self) -> bool:
         return self.margin >= -BOUND_SLACK
+
+
+#: (kind, reflected) -> certificate geometry, as in the module docstring
+_Certificate = namedtuple("_Certificate", "periodic rotation offsets")
+_CERTIFICATES = {
+    ("cube", False): _Certificate((-1, 1), None, (-1, 1, 2)),
+    ("cube", True): _Certificate((-2, 0), None, (1, -1, -2)),
+    ("square", False): _Certificate((0, 1), 0, (1, 2)),
+    ("square", True): _Certificate((-2, -1), -1, (-1, -2)),
+}
 
 
 def _check_periodic(window: Window, lo: int, hi: int, m: int):
@@ -458,57 +462,60 @@ def _check_rotation(window: Window, lo: int, spec: ToeplitzSpec, level: int, par
         )
 
 
+def _offsets(label: CaseLabel) -> tuple:
+    """The label's norm offsets, in the order its bound reads them."""
+    return tuple(t * label.m for t in _CERTIFICATES[label.kind, label.reflected].offsets)
+
+
+def _bound_value(kind: str, norms, hn=None):
+    """Cubes: the max of the norms; squares: max(hn * N1, N2)."""
+    if kind == "cube":
+        return max(norms)
+    return max(hn * norms[0], norms[1])
+
+
 def verify_bound(track: SolutionTrack, label: CaseLabel, trace_table, spec: Optional[ToeplitzSpec] = None,
                  partition: Optional[PartitionView] = None) -> BoundReport:
     """Re-check the certificate hypothesis and evaluate its norm bound.
 
-    Cube, direct: the window repeats with period m across
-    [origin-m, origin+2m); then max of ||Phi|| at -m, m, 2m is >= 1/2.
-    Cube, reflected: period m across [origin-2m, origin+m); max at
-    m, -m, -2m.  Square, direct: [origin, origin+2m) is a cyclic square
-    of the level-n s-block; max(|h_n| ||Phi(m)||, ||Phi(2m)||) >= 1/2.
-    Square, reflected: the square sits on [origin-2m, origin); max over
-    -m, -2m.  A failed structural re-check raises
-    :class:`GordonStructureError` (classifier bug surfaced).
+    Hypothesis, offsets and bound are the label's ``_CERTIFICATES`` row;
+    squares also report ``weak_value``, the bound with |h_n| set to 2.
+    A failed structural re-check raises :class:`GordonStructureError`
+    (classifier bug surfaced).
     """
-    w = track.window
-    o = track.origin
-    m = label.m
     h = _h_values(trace_table)
-    if label.kind == "cube":
-        if not label.reflected:
-            _check_periodic(w, o - m, o + m, m)
-            comps = {r: track.norm_at(r) for r in (-m, m, 2 * m)}
-        else:
-            _check_periodic(w, o - 2 * m, o, m)
-            comps = {r: track.norm_at(r) for r in (m, -m, -2 * m)}
-        value = max(comps.values())
-        return BoundReport(label, track.energy, value, 0.5, comps)
-    # square
-    n = label.trace_level
-    if n is None or n >= len(h):
-        raise ValidationError("square certificate needs h at level %r" % n)
-    hn = abs(h[n])
-    if spec is None or partition is None:
-        raise ValidationError(
-            "square verification needs the spec and the level-%d partition" % n
-        )
-    if not label.reflected:
-        _check_periodic(w, o, o + m, m)
-        _check_rotation(w, o, spec, n, partition)
-        comps = {m: track.norm_at(m), 2 * m: track.norm_at(2 * m)}
-        value = max(hn * comps[m], comps[2 * m])
-        weak = max(2.0 * comps[m], comps[2 * m])
-    else:
-        _check_periodic(w, o - 2 * m, o - m, m)
-        _check_rotation(w, o - m, spec, n, partition)
-        comps = {-m: track.norm_at(-m), -2 * m: track.norm_at(-2 * m)}
-        value = max(hn * comps[-m], comps[-2 * m])
-        weak = max(2.0 * comps[-m], comps[-2 * m])
-    # with |h_n| <= 2 the weakened max(2||Phi(m)||, ||Phi(2m)||) >= 1/2
-    # follows from the sharp bound; report it alongside
-    comps["weak_value"] = weak
+    hn = None
+    if label.kind == "square":
+        n = label.trace_level
+        if n is None or n >= len(h):
+            raise ValidationError("square certificate needs h at level %r" % n)
+        hn = abs(h[n])
+        if spec is None or partition is None:
+            raise ValidationError(
+                "square verification needs the spec and the level-%d partition" % n
+            )
+    w = track.window
+    _verify_structural(w, spec, label, track.origin,
+                       _Partitions(w, spec, {label.trace_level: partition}))
+    offs = _offsets(label)
+    norms = [track.norm_at(r) for r in offs]
+    comps = dict(zip(offs, norms))
+    value = _bound_value(label.kind, norms, hn)
+    if label.kind == "square":
+        # with |h_n| <= 2 the weakened bound follows from the sharp one
+        comps["weak_value"] = _bound_value("square", norms, 2.0)
     return BoundReport(label, track.energy, value, 0.5, comps)
+
+
+def _verify_structural(window, spec, lab: CaseLabel, origin: int, parts: _Partitions):
+    """Literal symbol re-check of a label's hypothesis (no norms)."""
+    cert = _CERTIFICATES[lab.kind, lab.reflected]
+    m = lab.m
+    part = parts.at(lab.trace_level) if cert.rotation is not None else None
+    a, b = cert.periodic
+    _check_periodic(window, origin + a * m, origin + b * m, m)
+    if part is not None:
+        _check_rotation(window, origin + cert.rotation * m, spec, lab.trace_level, part)
 
 
 # ---------------------------------------------------------------------------
@@ -677,13 +684,11 @@ def _norm_slabs(window: Window, energies, origins, offsets, basis):
     cur = np.full((e.size, o.shape[1]), pm1)  # phi(site) at origin-1
     bot = min(bwd) if bwd else 0
     for rel in range(-1, bot - 1, -1):
-        # cur = phi(origin+rel), prev = phi(origin+rel+1)
-        if rel in offsets:
-            nexts = vals[(o + rel) - base]
-            down = (e - nexts) * cur - prev
-            out[rel] = np.hypot(cur, down)
+        # after the step: prev = phi(origin+rel), cur = phi(origin+rel-1)
         v = vals[(o + rel) - base]
         prev, cur = cur, (e - v) * cur - prev
+        if rel in offsets:
+            out[rel] = np.hypot(prev, cur)
     return out
 
 
@@ -756,12 +761,7 @@ def gordon_sweep(
                     max_climb=climb_cap,
                 )
                 labels[(ie, io)] = lab
-                m = lab.m
-                if lab.kind == "cube":
-                    offs = (-m, m, 2 * m) if not lab.reflected else (m, -m, -2 * m)
-                else:
-                    offs = (m, 2 * m) if not lab.reflected else (-m, -2 * m)
-                needed_offsets.update(offs)
+                needed_offsets.update(_offsets(lab))
             except ValidationError as exc:
                 falsifications.append(
                     {"energy": float(e), "origin": int(o),
@@ -787,16 +787,9 @@ def gordon_sweep(
             )
             continue
         hn = abs(htab[lab.trace_level, ie]) if lab.trace_level is not None else None
-        for basis in slabs:
-            nb = slabs[basis]
-            m = lab.m
-            if lab.kind == "cube":
-                offs = (-m, m, 2 * m) if not lab.reflected else (m, -m, -2 * m)
-                value = max(nb[t][ie, io] for t in offs)
-            elif not lab.reflected:
-                value = max(hn * nb[m][ie, io], nb[2 * m][ie, io])
-            else:
-                value = max(hn * nb[-m][ie, io], nb[-2 * m][ie, io])
+        offs = _offsets(lab)
+        for basis, nb in slabs.items():
+            value = _bound_value(lab.kind, [nb[t][ie, io] for t in offs], hn)
             margin = float(value - 0.5)
             margins.append(margin)
             if margin < -BOUND_SLACK:
@@ -813,21 +806,3 @@ def gordon_sweep(
         energies=tuple(float(x) for x in energies),
         origins=tuple(int(x) for x in origins),
     )
-
-
-def _verify_structural(window, spec, lab: CaseLabel, origin: int, parts: _Partitions):
-    """Literal symbol re-check of a label's hypothesis (no norms)."""
-    m = lab.m
-    if lab.kind == "cube":
-        if not lab.reflected:
-            _check_periodic(window, origin - m, origin + m, m)
-        else:
-            _check_periodic(window, origin - 2 * m, origin, m)
-    else:
-        part = parts.at(lab.trace_level)
-        if not lab.reflected:
-            _check_periodic(window, origin, origin + m, m)
-            _check_rotation(window, origin, spec, lab.trace_level, part)
-        else:
-            _check_periodic(window, origin - 2 * m, origin - m, m)
-            _check_rotation(window, origin - m, spec, lab.trace_level, part)

@@ -199,10 +199,6 @@ class Window:
             raise ValidationError("slice [%d, %d) outside window" % (lo, hi))
         return Window(lo, self.codes[lo - self.start : hi - self.start], self.alphabet)
 
-    def reflected(self) -> "Window":
-        """The window read backwards around site 0: entry at n becomes entry at -n."""
-        return Window(-(self.end - 1), self.codes[::-1], self.alphabet)
-
 
 # ---------------------------------------------------------------------------
 # Partial words and composition
@@ -268,9 +264,6 @@ class PartialWord:
         """Code at absolute position x (periodic); -1 for the hole class."""
         return int(self.codes[x % self.period])
 
-    def is_determined(self) -> bool:
-        return self.hole_offset is None
-
 
 def compose(outer: PartialWord, inner: PartialWord) -> PartialWord:
     """Fill the undetermined residue class of ``outer`` with ``inner``.
@@ -325,13 +318,6 @@ class CodingTriple:
         for i, sym in enumerate(self.pattern, start=1):
             codes[(self.offset + i) % self.period] = alphabet.code(sym)
         return PartialWord(self.period, codes, alphabet, self.offset)
-
-    def constant_letter(self) -> Optional[str]:
-        """The single letter of a constant pattern, if any (period >= 2)."""
-        letters = set(self.pattern)
-        if len(letters) == 1:
-            return next(iter(letters))
-        return None
 
 
 def compose_triples(first: CodingTriple, second: CodingTriple) -> CodingTriple:

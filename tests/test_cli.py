@@ -39,6 +39,18 @@ def test_config_requires_exactly_one_spec_kind():
         cfgmod.parse_config_text("[analysis]\nlevel=2\n")
 
 
+@pytest.mark.parametrize("text,named", [
+    ("[toeplitz]\ntail = a:3:0,b:3:0\nprefix_perod = 2\n", "prefix_perod"),
+    ("[circle_map]\np = 1\nq = 2\nbeta = 1/2\nthet = 0\n", "thet"),
+    ("[sparse]\nv = 2.0\nrule = power:3\n[analysis]\nlevel = 2\n", "analysis"),
+    ("[sparse]\nv = 2.0\n[outptu]\nseed = 1\n", "outptu"),
+    ("[sparse]\nv = 2.0\n[output]\nsede = 1\n", "sede"),
+])
+def test_config_rejects_unknown_sections_and_keys(text, named):
+    with pytest.raises(cfgmod.ValidationError, match=named):
+        cfgmod.parse_config_text(text)
+
+
 def test_build_spec_from_configs():
     fib = cfgmod.build_spec(cfgmod.parse_config(str(CONFIGS / "fib.cfg")))
     assert fib.q == 610
@@ -110,6 +122,20 @@ def test_spectrum_matches_golden_file(tmp_path):
     assert code == 0
     golden = (ROOT / "tests/golden/spectrum_simple3_level4.json").read_bytes()
     assert out.read_bytes() == golden
+
+
+def test_gordon_scan_matches_golden_file(tmp_path):
+    # the certify shape: seed 1 falsifies 44 pairs, so the scan exits 2
+    out = tmp_path / "g.json"
+    code = run_cli(
+        ["gordon-scan", "--spec", CONFIGS / "simple3.cfg", "--level", "2",
+         "--energies", "40", "--origins", "500", "--grid", "2000",
+         "--seed", "1", "--out", out]
+    )
+    assert code == 2
+    golden = (ROOT / "tests/golden/gordon_simple3_level2.json").read_bytes()
+    assert out.read_bytes() == golden
+    assert len(json.loads(golden)["result"]["falsifications"]) == 44
 
 
 def test_identical_runs_are_byte_identical(tmp_path):

@@ -328,6 +328,43 @@ def test_periodicity_on_aperiodic_words():
     assert all(p == n + 1 for n, p in enumerate(verdict.p_values, start=1))
 
 
+def ref_periodicity_test(window, n_max, t_max=None):
+    """The per-n verdict: one ``max_pattern_complexity`` query per n."""
+    if len(window) < 4 * n_max:
+        raise sq.WindowTooShortError("short", required=4 * n_max)
+    t_max = t_max if t_max is not None else min(2 * n_max, len(window) // 4)
+    ps = tuple(cx.block_complexity(window, n) for n in range(1, n_max + 1))
+    witness = next((n for n, p in enumerate(ps, 1) if p <= n), None)
+    cap_ok = all(
+        cx.max_pattern_complexity(window, n, t_max)[0] >= 2 * n
+        for n in range(1, n_max + 1)
+    )
+    kind = "periodic-evidence" if witness is not None else "aperiodic-evidence"
+    return cx.PeriodicityVerdict(kind, witness, ps, cap_ok)
+
+
+@pytest.mark.parametrize("name,n_max,t_max", [
+    ("abb", 8, None), ("aabab", 6, 40), ("fib", 10, None), ("fib", 4, None),
+    ("fib", 8, 80), ("fib", 6, 61), ("toeplitz", 10, None), ("toeplitz", 7, 90),
+    ("sparse", 9, None), ("random", 6, 30), ("period17", 9, None),
+])
+def test_periodicity_matches_per_n_reference(name, n_max, t_max):
+    spec = sq.ToeplitzSpec(AB, sq.CodingTriple((), 1, 0), ("a", "b"), (3, 3), (0, 0))
+    rng = np.random.default_rng(5)
+    words = {
+        "abb": lambda: word_window("abb" * 50),
+        "aabab": lambda: word_window("aabab" * 60),
+        "fib": lambda: fib_window(2000),
+        "toeplitz": lambda: spec.window(1, 3000),
+        "sparse": lambda: sq.SparseSpec(v=2.0, rule=("power", 3)).window(1, 1500),
+        "random": lambda: word_window("".join(rng.choice(list("ab"), 400))),
+        # p*(n) = 2n up to n = 8, then 17 < 18: the cap fails at n_max only
+        "period17": lambda: word_window("bbbaaaaaabbbbbbbb" * 30),
+    }
+    w = words[name]()
+    assert cx.periodicity_test(w, n_max, t_max) == ref_periodicity_test(w, n_max, t_max)
+
+
 def test_periodicity_on_toeplitz_word():
     spec = sq.ToeplitzSpec(
         AB, sq.CodingTriple((), 1, 0), ("a", "b"), (3, 3), (0, 0)

@@ -194,6 +194,143 @@ def test_wrong_scale_bound_can_numerically_fail():
     assert fell_below
 
 
+# The certificate geometry written out case by case, as it stood before
+# the table in gordon; kept as the reference the table must reproduce.
+
+
+def ref_verify_bound(track, label, trace_table, spec=None, partition=None):
+    w = track.window
+    o = track.origin
+    m = label.m
+    h = gd._h_values(trace_table)
+    if label.kind == "cube":
+        if not label.reflected:
+            gd._check_periodic(w, o - m, o + m, m)
+            comps = {r: track.norm_at(r) for r in (-m, m, 2 * m)}
+        else:
+            gd._check_periodic(w, o - 2 * m, o, m)
+            comps = {r: track.norm_at(r) for r in (m, -m, -2 * m)}
+        value = max(comps.values())
+        return gd.BoundReport(label, track.energy, value, 0.5, comps)
+    n = label.trace_level
+    if n is None or n >= len(h):
+        raise sq.ValidationError("square certificate needs h at level %r" % n)
+    hn = abs(h[n])
+    if spec is None or partition is None:
+        raise sq.ValidationError(
+            "square verification needs the spec and the level-%d partition" % n
+        )
+    if not label.reflected:
+        gd._check_periodic(w, o, o + m, m)
+        gd._check_rotation(w, o, spec, n, partition)
+        comps = {m: track.norm_at(m), 2 * m: track.norm_at(2 * m)}
+        value = max(hn * comps[m], comps[2 * m])
+        weak = max(2.0 * comps[m], comps[2 * m])
+    else:
+        gd._check_periodic(w, o - 2 * m, o - m, m)
+        gd._check_rotation(w, o - m, spec, n, partition)
+        comps = {-m: track.norm_at(-m), -2 * m: track.norm_at(-2 * m)}
+        value = max(hn * comps[-m], comps[-2 * m])
+        weak = max(2.0 * comps[-m], comps[-2 * m])
+    comps["weak_value"] = weak
+    return gd.BoundReport(label, track.energy, value, 0.5, comps)
+
+
+def ref_verify_structural(window, spec, lab, origin, parts):
+    m = lab.m
+    if lab.kind == "cube":
+        if not lab.reflected:
+            gd._check_periodic(window, origin - m, origin + m, m)
+        else:
+            gd._check_periodic(window, origin - 2 * m, origin, m)
+    else:
+        part = parts.at(lab.trace_level)
+        if not lab.reflected:
+            gd._check_periodic(window, origin, origin + m, m)
+            gd._check_rotation(window, origin, spec, lab.trace_level, part)
+        else:
+            gd._check_periodic(window, origin - 2 * m, origin - m, m)
+            gd._check_rotation(window, origin - m, spec, lab.trace_level, part)
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's result, or the class and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except sq.ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def _table_cases(h):
+    """Classifier labels of every family, plus relabelled variants.
+
+    Each origin's own label is kept, together with the other three
+    families at the same scale and the label's m shifted by -1, +1 and
+    one level up, so hypotheses that fail are compared too.
+    """
+    store = {}
+    per_family = {}
+    for o in range(20_000, 60_000, 7):
+        try:
+            lab = gd.classify_case(WINDOW, SPEC, 2, h, origin=o, partitions=store)
+        except sq.ValidationError:
+            continue  # the climb left the window
+        key = (lab.kind, lab.reflected)
+        if lab.m <= 243 and len(per_family.setdefault(key, [])) < 6:
+            per_family[key].append((o, lab))
+    cases = []
+    for found in per_family.values():
+        for o, lab in found:
+            for kind in ("cube", "square"):
+                for refl in (False, True):
+                    for m in (lab.m, lab.m - 1, lab.m + 1, 3 * lab.m):
+                        cases.append((o, gd.CaseLabel(
+                            case_id=lab.case_id, scale=lab.scale, kind=kind,
+                            reflected=refl, m=m,
+                            trace_level=lab.scale if kind == "square" else None,
+                            path=lab.path,
+                        )))
+    return per_family, cases
+
+
+def test_certificate_table_reproduces_written_out_checks():
+    parts = gd._Partitions(WINDOW, SPEC, {})
+    families = set()
+    reports = failures = 0
+    # the first energy has reflected squares near the origins, E_IN has none
+    for e in (BAND5.sample_energies()[2], E_IN):
+        h = list(cc.trace_recursion_f64(SPEC, 10, np.array([e]))[:, 0])
+        per_family, cases = _table_cases(h)
+        families.update(per_family)
+        for o, lab in cases:
+            part = parts.at(lab.trace_level) if lab.trace_level is not None else None
+            reach = 2 * lab.m + 2
+            for basis in ((0.0, 1.0), (1.0, 0.0)):
+                tr = gd.propagate(WINDOW, e, phi_init=basis, origin=o,
+                                  lo=o - reach, hi=o + reach)
+                got = _outcome(gd.verify_bound, tr, lab, h, spec=SPEC, partition=part)
+                want = _outcome(ref_verify_bound, tr, lab, h, spec=SPEC, partition=part)
+                assert got == want, (o, lab)
+                if isinstance(got, gd.BoundReport):
+                    assert list(got.components) == list(want.components)
+                    reports += 1
+                else:
+                    failures += 1
+            assert (_outcome(gd._verify_structural, WINDOW, SPEC, lab, o, parts)
+                    == _outcome(ref_verify_structural, WINDOW, SPEC, lab, o, parts))
+    assert families == {("cube", False), ("cube", True),
+                        ("square", False), ("square", True)}
+    # both outcomes occur often: the comparison is not one-sided
+    assert reports >= 96 and failures >= 96
+    # a square without a usable trace level, spec or partition
+    o, lab = per_family[("square", False)][0]
+    tr = gd.propagate(WINDOW, E_IN, origin=o, lo=o - 3 * lab.m, hi=o + 3 * lab.m)
+    for kwargs in ({}, {"spec": SPEC}, {"spec": SPEC, "partition": parts.at(lab.scale)}):
+        for h in (HVALS[: lab.scale], HVALS):
+            assert (_outcome(gd.verify_bound, tr, lab, h, **kwargs)
+                    == _outcome(ref_verify_bound, tr, lab, h, **kwargs))
+
+
 def test_reflection_symmetry_of_norms():
     o = 30_011
     refl = gd.reflect_about(WINDOW, o)
