@@ -32,6 +32,29 @@ RUNS = [
          "--seed", "1", "--out", "tests/golden/gordon_simple3_level2.json"],
         2,
     ),
+    (
+        ["lyapunov", "--spec", "configs/simple3.cfg", "--energies=-1.9,0.3,2.9",
+         "--n-steps", "20000", "--format", "json",
+         "--out", "tests/golden/lyapunov_simple3.json"],
+        0,
+    ),
+    (
+        ["lyapunov", "--spec", "configs/fib.cfg", "--energies=-1.9,0.3,2.9",
+         "--n-steps", "20000", "--format", "json",
+         "--out", "tests/golden/lyapunov_fib.json"],
+        0,
+    ),
+    (
+        ["trace-table", "--spec", "configs/simple3.cfg", "--energy", "0.3",
+         "--k", "9", "--format", "json",
+         "--out", "tests/golden/trace_simple3_k9.json"],
+        0,
+    ),
+    (
+        ["sparse-check", "--spec", "configs/sparse3.cfg", "--energy=0.3",
+         "--n", "2048", "--eigs", "8", "--out", "tests/golden/sparse3_n2048.json"],
+        0,
+    ),
 ]
 
 

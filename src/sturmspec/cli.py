@@ -208,7 +208,7 @@ def _cmd_lyapunov(args) -> int:
     energies = [float(x) for x in args.energies.split(",")]
     source = spec
     if isinstance(spec, CircleMapSpec):
-        total = args.n_steps + 4 * 1013 + 8
+        total = args.n_steps + (args.samples - 1) * cocycle.SAMPLE_STRIDE
         source = spec.window(args.start, total, allow_periodic=True)
     gam, spread = cocycle.lyapunov_scan(
         source, energies, n_steps=args.n_steps, samples=args.samples,

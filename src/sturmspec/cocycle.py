@@ -6,13 +6,21 @@ A site with coupling a contributes the unit-determinant matrix
 right-to-left, so the first letter acts first.  Traces over the level-k
 building blocks obey a closed scalar recursion through the second-kind
 recurrence polynomials S_n, which is checked against literal products.
+
+Every product over sites goes through one kernel, :func:`transfer_run`,
+which steps phi(n+1) = c_n phi(n) - phi(n-1) with c_n = E - V(n) on
+floats, numpy lanes or mpmath numbers.  Column convention: the state is
+(cur, prev) = (phi(n), phi(n-1)), so a run from (1, 0) ends at the first
+column (a, c) of the product [[a, b], [c, d]] and a run from (0, 1) at
+the second column (b, d).  Backward propagation is the same run over the
+reversed coefficients, started from (phi(o-1), phi(o)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import mpmath as mp
 import numpy as np
@@ -27,7 +35,6 @@ __all__ = [
     "TraceTable",
     "trace_table",
     "trace_recursion_f64",
-    "trace_seeds_f64",
     "lyapunov",
     "lyapunov_scan",
     "free_hyperbolic_rate",
@@ -54,34 +61,43 @@ def _values_of(word, alphabet: Optional[Alphabet]):
     return [float(v) for v in word]
 
 
+def transfer_run(coeffs, cur, prev, trail=None):
+    """Apply phi(n+1) = c_n phi(n) - phi(n-1) for each c_n = E - V(n) in coeffs.
+
+    cur, prev are phi(n), phi(n-1): floats, numpy lanes or mpmath numbers.
+    With a list as trail, cur is appended after every step.  Returns (cur, prev).
+    """
+    for c in coeffs:
+        cur, prev = c * cur - prev, cur
+        if trail is not None:
+            trail.append(cur)
+    return cur, prev
+
+
 def word_matrix(word, energy: float, alphabet: Optional[Alphabet] = None) -> np.ndarray:
     """Product of site matrices over a word, first letter applied first.
 
     Accepts a Window, a sequence of symbol labels (with an alphabet), or a
     sequence of coupling values.  The empty word gives the identity.
     """
-    m = np.eye(2)
-    for v in _values_of(word, alphabet):
-        m = transfer_matrix(v, energy) @ m
-    return m
+    coeffs = [energy - v for v in _values_of(word, alphabet)]
+    a, c = transfer_run(coeffs, 1.0, 0.0)
+    b, d = transfer_run(coeffs, 0.0, 1.0)
+    return np.array([[a, b], [c, d]], dtype=np.float64)
 
 
-def word_matrix_mp(values: Iterable, energy) -> list:
-    """Exact-range variant of :func:`word_matrix` on mpmath numbers."""
-    e = mp.mpf(energy)
-    a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
-    for v in values:
-        ev = e - v
-        a, b, c, d = ev * a - c, ev * b - d, a, b
-    return [a, b, c, d]
+def matrix_norm2(m):
+    """Operator 2-norm of a 2x2 matrix ((a, b), (c, d)), in closed form.
 
-
-def matrix_norm2(m: np.ndarray) -> float:
-    """Operator 2-norm of a 2x2 matrix, in closed form."""
-    fro2 = float(np.sum(m * m))
-    det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    inner = max(fro2 * fro2 - 4.0 * det * det, 0.0)
-    return math.sqrt(max((fro2 + math.sqrt(inner)) / 2.0, 0.0))
+    The entries may be numpy lanes of one shape; the result then has that
+    shape, and a float otherwise.
+    """
+    (a, b), (c, d) = m
+    fro2 = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    inner = np.maximum(fro2 * fro2 - 4.0 * det * det, 0.0)
+    norm = np.sqrt(np.maximum((fro2 + np.sqrt(inner)) / 2.0, 0.0))
+    return float(norm) if np.ndim(norm) == 0 else norm
 
 
 def cheb_eval(n: int, x):
@@ -107,10 +123,17 @@ def cheb_eval(n: int, x):
 # ---------------------------------------------------------------------------
 
 
-def _block_values(spec: ToeplitzSpec, k: int):
-    s, t = blocks(spec, k)
-    table = spec.alphabet.value_table()
-    return table[s], table[t]
+def block_trace(spec: ToeplitzSpec, k: int, energy):
+    """tr of the level-k block matrix, by two column runs over one word.
+
+    ``energy`` is an mpmath number (exact-range tables) or an array of
+    float64 energy lanes.
+    """
+    s, _ = blocks(spec, k)
+    coeffs = [energy - v for v in spec.alphabet.value_table()[s]]
+    a, _ = transfer_run(coeffs, 1.0, 0.0)
+    _, d = transfer_run(coeffs, 0.0, 1.0)
+    return a + d
 
 
 def _recursion_step(h_prev, h_cur, n_mid: int, n_top: int):
@@ -205,10 +228,8 @@ def trace_table(
         for k in range(K + 1):
             if spec.block_length(k) > product_budget:
                 direct.append(None)
-                continue
-            sv, _ = _block_values(spec, k)
-            m = word_matrix_mp(sv, e)
-            direct.append(m[0] + m[3])
+            else:
+                direct.append(block_trace(spec, k, e))
         if direct[0] is None or direct[1] is None:
             raise ValidationError("product budget too small for the h_0/h_1 seeds")
         rec = [direct[0], direct[1]]
@@ -226,25 +247,6 @@ def trace_table(
     )
 
 
-def trace_seeds_f64(spec: ToeplitzSpec, e_grid: np.ndarray):
-    """(h_0, h_1) on an energy grid by short vectorized word products."""
-    e = np.asarray(e_grid, dtype=np.float64)
-
-    def fold(values):
-        a = np.ones_like(e)
-        b = np.zeros_like(e)
-        c = np.zeros_like(e)
-        d = np.ones_like(e)
-        for v in values:
-            ev = e - v
-            a, b, c, d = ev * a - c, ev * b - d, a, b
-        return a + d
-
-    s0, _ = _block_values(spec, 0)
-    s1, _ = _block_values(spec, 1)
-    return fold(s0), fold(s1)
-
-
 def trace_recursion_f64(spec: ToeplitzSpec, K: int, e_grid: np.ndarray) -> np.ndarray:
     """h_0..h_K on an energy grid, float64 with saturation.
 
@@ -253,9 +255,8 @@ def trace_recursion_f64(spec: ToeplitzSpec, K: int, e_grid: np.ndarray) -> np.nd
     further recursion steps (no inf - inf).  Returns shape (K+1, len(grid)).
     """
     e = np.atleast_1d(np.asarray(e_grid, dtype=np.float64))
-    h0, h1 = trace_seeds_f64(spec, e)
     out = np.empty((K + 1, e.size))
-    out[0], out[1] = h0, h1
+    out[0], out[1] = block_trace(spec, 0, e), block_trace(spec, 1, e)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K - 1):
             nxt = _recursion_step(
@@ -267,16 +268,13 @@ def trace_recursion_f64(spec: ToeplitzSpec, K: int, e_grid: np.ndarray) -> np.nd
     return out
 
 
-def trace_at(spec: ToeplitzSpec, k: int, energy: float) -> float:
-    """Scalar h_k(E) via the float64 recursion (saturating)."""
-    return float(trace_recursion_f64(spec, max(k, 2), np.array([energy]))[k, 0])
-
-
 # ---------------------------------------------------------------------------
 # Lyapunov exponents
 # ---------------------------------------------------------------------------
 
 RESCALE_EVERY = 32
+#: sites between the start points of consecutive Lyapunov samples
+SAMPLE_STRIDE = 1013
 
 
 def _window_values(source, start: int, length: int) -> np.ndarray:
@@ -293,57 +291,44 @@ def lyapunov_scan(
     n_steps: int = 100_000,
     samples: int = 4,
     start: int = 1,
-    stride: int = 1013,
 ):
     """Finite-horizon Lyapunov estimates for several energies at once.
 
-    For each energy and each of ``samples`` start points, accumulates
-    log ||A(n, x)|| over ``n_steps`` sites with rescaling every 32
-    multiplications.  Returns (gamma, spread): the per-energy mean over
-    samples and the max-min spread, a uniformity diagnostic.
+    For each energy and each of ``samples`` start points, SAMPLE_STRIDE
+    sites apart, accumulates log ||A(n, x)|| over ``n_steps`` sites with
+    rescaling every 32 multiplications.  Returns (gamma, spread): the
+    per-energy mean over samples and the max-min spread, a uniformity
+    diagnostic.
     """
     if n_steps < 1000:
         raise ValidationError("n_steps must be >= 1000")
     if samples < 1:
         raise ValidationError("need at least one sample start point")
     e = np.atleast_1d(np.asarray(energies, dtype=np.float64))
-    total = n_steps + (samples - 1) * stride
+    total = n_steps + (samples - 1) * SAMPLE_STRIDE
     vals = _window_values(window_source, start, total)
-    # columns: (energy, sample) pairs; rows advance through the word
+    # lanes: (energy, sample) pairs; rows of cur/prev: the columns
+    # (a, c) and (b, d) of the product, started from (1, 0) and (0, 1)
     ecol = np.repeat(e, samples)
-    offs = np.tile(np.arange(samples) * stride, e.size)
-    a = np.ones_like(ecol)
-    b = np.zeros_like(ecol)
-    c = np.zeros_like(ecol)
-    d = np.ones_like(ecol)
+    offs = np.tile(np.arange(samples) * SAMPLE_STRIDE, e.size)
+    cur = np.zeros((2, ecol.size))
+    prev = np.zeros((2, ecol.size))
+    cur[0] = prev[1] = 1.0
     logacc = np.zeros_like(ecol)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            ev = ecol - vals[offs + i]
-            a, b, c, d = ev * a - c, ev * b - d, a, b
-            if (i + 1) % RESCALE_EVERY == 0:
-                scale = np.maximum.reduce([np.abs(a), np.abs(b), np.abs(c), np.abs(d)])
+        for i0 in range(0, n_steps, RESCALE_EVERY):
+            rows = np.arange(i0, min(i0 + RESCALE_EVERY, n_steps))
+            cur, prev = transfer_run(ecol - vals[offs + rows[:, None]], cur, prev)
+            if rows.size == RESCALE_EVERY:
+                scale = np.maximum(np.abs(cur).max(axis=0), np.abs(prev).max(axis=0))
                 if not np.all(np.isfinite(scale)) or np.any(scale == 0):
                     raise ValidationError(
                         "cocycle product overflowed despite rescaling; "
                         "energy magnitude is pathological"
                     )
                 logacc += np.log(scale)
-                a, b, c, d = a / scale, b / scale, c / scale, d / scale
-    norms = np.sqrt(
-        np.maximum(
-            (a * a + b * b + c * c + d * d) / 2
-            + np.sqrt(
-                np.maximum(
-                    ((a * a + b * b + c * c + d * d) / 2) ** 2
-                    - (a * d - b * c) ** 2,
-                    0.0,
-                )
-            ),
-            1e-300,
-        )
-    )
-    gam = (logacc + np.log(norms)) / n_steps
+                cur, prev = cur / scale, prev / scale
+    gam = (logacc + np.log(matrix_norm2((cur, prev)))) / n_steps
     gam = gam.reshape(e.size, samples)
     return gam.mean(axis=1), gam.max(axis=1) - gam.min(axis=1)
 

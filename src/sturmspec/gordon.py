@@ -43,7 +43,7 @@ from .sequences import (
     blocks,
     k_partition,
 )
-from .cocycle import TraceTable, trace_recursion_f64
+from .cocycle import TraceTable, trace_recursion_f64, transfer_run
 
 __all__ = [
     "GordonStructureError",
@@ -134,23 +134,15 @@ def propagate(
         raise ValidationError(
             "need window cover of [lo, hi] around the origin with lo <= origin-1"
         )
+    e = float(energy)
     vals = window.values()
     base = window.start
-    phi = np.zeros(hi - lo + 1)
-    phi[origin - 1 - lo] = pm1
-    phi[origin - lo] = p0
-    e = float(energy)
     # off-spectrum tails may overflow to inf far from the origin; norms
     # then saturate, which keeps >= comparisons meaningful
-    with np.errstate(over="ignore", invalid="ignore"):
-        for site in range(origin, hi):
-            phi[site + 1 - lo] = (
-                (e - vals[site - base]) * phi[site - lo] - phi[site - 1 - lo]
-            )
-        for site in range(origin - 1, lo, -1):
-            phi[site - 1 - lo] = (
-                (e - vals[site - base]) * phi[site - lo] - phi[site + 1 - lo]
-            )
+    ahead, behind = [], []
+    transfer_run((e - vals[origin - base : hi - base]).tolist(), p0, pm1, ahead)
+    transfer_run((e - vals[lo + 1 - base : origin - base])[::-1].tolist(), pm1, p0, behind)
+    phi = np.array(behind[::-1] + [pm1, p0] + ahead)
     return SolutionTrack(window=window, energy=e, origin=origin, lo=lo, phi=phi)
 
 
@@ -668,27 +660,26 @@ def _norm_slabs(window: Window, energies, origins, offsets, basis):
     if bwd and (np.min(o) + min(bwd) - 1 < window.start):
         raise WindowTooShortError("window too short for backward propagation",
                                   required=None)
-    # forward
-    prev = np.full((e.size, o.shape[1]), pm1)
+
+    def slab(rel):
+        return e - vals[(o + rel) - base]
+
+    # forward: (cur, prev) = (phi(origin+rel), phi(origin+rel-1))
     cur = np.full((e.size, o.shape[1]), p0)
-    if 0 in offsets:
-        out[0] = np.hypot(cur, prev)
-    top = max(fwd) if fwd else 0
-    for rel in range(0, top):
-        v = vals[(o + rel) - base]
-        prev, cur = cur, (e - v) * cur - prev
-        if (rel + 1) in offsets:
-            out[rel + 1] = np.hypot(cur, prev)
-    # backward
-    prev = np.full((e.size, o.shape[1]), p0)  # phi(site+1) going down
-    cur = np.full((e.size, o.shape[1]), pm1)  # phi(site) at origin-1
-    bot = min(bwd) if bwd else 0
-    for rel in range(-1, bot - 1, -1):
-        # after the step: prev = phi(origin+rel), cur = phi(origin+rel-1)
-        v = vals[(o + rel) - base]
-        prev, cur = cur, (e - v) * cur - prev
-        if rel in offsets:
-            out[rel] = np.hypot(prev, cur)
+    prev = np.full((e.size, o.shape[1]), pm1)
+    rel = 0
+    for t in fwd:
+        cur, prev = transfer_run(map(slab, range(rel, t)), cur, prev)
+        rel = t
+        out[t] = np.hypot(cur, prev)
+    # backward: (cur, prev) = (phi(origin+rel-1), phi(origin+rel))
+    cur = np.full((e.size, o.shape[1]), pm1)
+    prev = np.full((e.size, o.shape[1]), p0)
+    rel = -1
+    for t in reversed(bwd):
+        cur, prev = transfer_run(map(slab, range(rel, t - 1, -1)), cur, prev)
+        rel = t - 1
+        out[t] = np.hypot(prev, cur)
     return out
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .sequences import SparseSpec, ToeplitzSpec, ValidationError, Window
-from .cocycle import matrix_norm2, trace_recursion_f64
+from .cocycle import matrix_norm2, trace_recursion_f64, transfer_matrix, transfer_run
 
 __all__ = [
     "BandSet",
@@ -449,18 +449,19 @@ def sampled_power_sup(energy: float, j_max: int = 10_000) -> float:
     """max_{j <= j_max} ||F^j|| by literal iteration."""
     if abs(energy) >= 2.0:
         raise ValidationError("|E| >= 2: free powers are unbounded")
-    f = np.array([[energy, -1.0], [1.0, 0.0]])
-    m = np.eye(2)
-    best = 1.0
-    for _ in range(j_max):
-        m = f @ m
-        best = max(best, matrix_norm2(m))
-    return best
+    # (a[j], b[j]) is the top row of F^j, and its bottom row is that of F^(j-1)
+    coeffs = [float(energy)] * j_max
+    a, b = [1.0], [0.0]
+    transfer_run(coeffs, 1.0, 0.0, a)
+    transfer_run(coeffs, 0.0, 1.0, b)
+    a, b = np.asarray(a), np.asarray(b)
+    norms = matrix_norm2(((a[1:], b[1:]), (a[:-1], b[:-1])))
+    return float(np.max(norms, initial=1.0))
 
 
 def barrier_matrix_norm(energy: float, v: float) -> float:
     """||[[E - v, -1], [1, 0]]||, the single-barrier factor."""
-    return matrix_norm2(np.array([[energy - v, -1.0], [1.0, 0.0]]))
+    return matrix_norm2(transfer_matrix(v, energy))
 
 
 def no_eigenvalue_series(gaps: Sequence[int], v: float, energy: float):

@@ -1,6 +1,7 @@
 """Command-line surface: formats, determinism, exit codes, golden output."""
 
 import csv
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from sturmspec import __version__
+from sturmspec import cocycle as cc
 from sturmspec import config as cfgmod
 from sturmspec.cli import run
 
@@ -113,28 +115,35 @@ def test_trace_table_columns_agree(tmp_path):
         assert float(diff) <= 1e-8 * max(1.0, abs(float(hd)))
 
 
-def test_spectrum_matches_golden_file(tmp_path):
-    out = tmp_path / "s.json"
-    code = run_cli(
-        ["spectrum", "--spec", CONFIGS / "simple3.cfg", "--level", "4",
-         "--grid", "20001", "--tol", "1e-10", "--format", "json", "--out", out]
+def _golden_runs():
+    spec = importlib.util.spec_from_file_location(
+        "regen_golden", ROOT / "scripts" / "regen_golden.py"
     )
-    assert code == 0
-    golden = (ROOT / "tests/golden/spectrum_simple3_level4.json").read_bytes()
-    assert out.read_bytes() == golden
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.RUNS
 
 
-def test_gordon_scan_matches_golden_file(tmp_path):
+GOLDEN_RUNS = _golden_runs()
+
+
+@pytest.mark.parametrize(
+    "argv, expected", GOLDEN_RUNS,
+    ids=[pathlib.Path(argv[argv.index("--out") + 1]).name for argv, _ in GOLDEN_RUNS],
+)
+def test_cli_output_matches_golden_file(argv, expected, tmp_path, monkeypatch):
+    # every run of scripts/regen_golden.py, byte for byte and with its exit code
+    monkeypatch.chdir(ROOT)
+    at = argv.index("--out") + 1
+    out = tmp_path / "out"
+    code = run_cli(argv[:at] + [out] + argv[at + 1 :])
+    assert code == expected
+    assert out.read_bytes() == (ROOT / argv[at]).read_bytes()
+
+
+def test_gordon_golden_scan_has_44_falsifications():
     # the certify shape: seed 1 falsifies 44 pairs, so the scan exits 2
-    out = tmp_path / "g.json"
-    code = run_cli(
-        ["gordon-scan", "--spec", CONFIGS / "simple3.cfg", "--level", "2",
-         "--energies", "40", "--origins", "500", "--grid", "2000",
-         "--seed", "1", "--out", out]
-    )
-    assert code == 2
     golden = (ROOT / "tests/golden/gordon_simple3_level2.json").read_bytes()
-    assert out.read_bytes() == golden
     assert len(json.loads(golden)["result"]["falsifications"]) == 44
 
 
@@ -179,6 +188,22 @@ def test_lyapunov_negative_energy_list(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert b"\n-1.8999999999999999," in outs[0]
+
+
+def test_lyapunov_samples_on_circle_map_window(tmp_path):
+    # the circle-map window must cover every sample start, whatever --samples
+    out = tmp_path / "l.json"
+    code = run_cli(
+        ["lyapunov", "--spec", CONFIGS / "fib.cfg", "--energies=0.5",
+         "--n-steps", "1000", "--samples", "6", "--format", "json", "--out", out]
+    )
+    assert code == 0
+    spec = cfgmod.build_spec(cfgmod.parse_config(str(CONFIGS / "fib.cfg")))
+    window = spec.window(1, 1000 + 5 * cc.SAMPLE_STRIDE, allow_periodic=True)
+    gamma, spread = cc.lyapunov_scan(window, [0.5], n_steps=1000, samples=6)
+    result = json.loads(out.read_text())["result"]
+    assert result["gamma"] == [float(gamma[0])]
+    assert result["spread"] == [float(spread[0])]
 
 
 def test_sparse_check_json(tmp_path):

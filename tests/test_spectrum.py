@@ -48,7 +48,7 @@ def test_sigma_endpoints_satisfy_trace_condition():
     spec = simple_spec()
     band = sp.sigma_n(spec, 4, grid=20_000, tol=1e-10)
     worst = max(
-        abs(abs(cc.trace_at(spec, 4, e)) - 2.0)
+        abs(abs(float(cc.trace_recursion_f64(spec, 4, np.array([e]))[4, 0])) - 2.0)
         for iv in band.intervals
         for e in iv
     )

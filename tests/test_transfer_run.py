@@ -1,0 +1,314 @@
+"""The transfer-recurrence kernel and its callers.
+
+Each caller of ``cocycle.transfer_run`` is compared with ``==`` against
+the site-by-site loop it replaced, kept below as ``ref_*``.  The
+references write the recurrence out by hand, so none of them shares the
+kernel.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from sturmspec import cocycle as cc
+from sturmspec import gordon as gd
+from sturmspec import sequences as sq
+from sturmspec import spectrum as sp
+
+AB = sq.Alphabet(("a", "b"), (0.0, 1.0))
+
+
+def simple_spec(periods=(3, 3)):
+    n = len(periods)
+    return sq.ToeplitzSpec(
+        AB, sq.CodingTriple((), 1, 0),
+        tuple("ab"[i % 2] for i in range(n)), tuple(periods), (0,) * n,
+    )
+
+
+SIMPLE3 = simple_spec()
+
+
+# ---------------------------------------------------------------------------
+# The replaced loops
+# ---------------------------------------------------------------------------
+
+
+def ref_word_matrix(values, energy):
+    m = np.eye(2)
+    for v in values:
+        m = np.array([[energy - v, -1.0], [1.0, 0.0]]) @ m
+    return m
+
+
+def ref_word_matrix_mp(values, energy):
+    e = mp.mpf(energy)
+    a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
+    for v in values:
+        ev = e - v
+        a, b, c, d = ev * a - c, ev * b - d, a, b
+    return [a, b, c, d]
+
+
+def ref_trace_seeds_f64(spec, e_grid):
+    e = np.asarray(e_grid, dtype=np.float64)
+
+    def fold(values):
+        a = np.ones_like(e)
+        b = np.zeros_like(e)
+        c = np.zeros_like(e)
+        d = np.ones_like(e)
+        for v in values:
+            ev = e - v
+            a, b, c, d = ev * a - c, ev * b - d, a, b
+        return a + d
+
+    table = spec.alphabet.value_table()
+    return tuple(fold(table[sq.blocks(spec, k)[0]]) for k in (0, 1))
+
+
+def ref_lyapunov_scan(vals, energies, n_steps, samples, stride=1013):
+    e = np.atleast_1d(np.asarray(energies, dtype=np.float64))
+    ecol = np.repeat(e, samples)
+    offs = np.tile(np.arange(samples) * stride, e.size)
+    a = np.ones_like(ecol)
+    b = np.zeros_like(ecol)
+    c = np.zeros_like(ecol)
+    d = np.ones_like(ecol)
+    logacc = np.zeros_like(ecol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            ev = ecol - vals[offs + i]
+            a, b, c, d = ev * a - c, ev * b - d, a, b
+            if (i + 1) % 32 == 0:
+                scale = np.maximum.reduce([np.abs(a), np.abs(b), np.abs(c), np.abs(d)])
+                logacc += np.log(scale)
+                a, b, c, d = a / scale, b / scale, c / scale, d / scale
+    norms = np.sqrt(
+        np.maximum(
+            (a * a + b * b + c * c + d * d) / 2
+            + np.sqrt(
+                np.maximum(
+                    ((a * a + b * b + c * c + d * d) / 2) ** 2 - (a * d - b * c) ** 2,
+                    0.0,
+                )
+            ),
+            1e-300,
+        )
+    )
+    gam = ((logacc + np.log(norms)) / n_steps).reshape(e.size, samples)
+    return gam.mean(axis=1), gam.max(axis=1) - gam.min(axis=1)
+
+
+def ref_propagate(window, energy, phi_init, origin, lo, hi):
+    pm1, p0 = phi_init
+    vals = window.values()
+    base = window.start
+    phi = np.zeros(hi - lo + 1)
+    phi[origin - 1 - lo] = pm1
+    phi[origin - lo] = p0
+    e = float(energy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for site in range(origin, hi):
+            phi[site + 1 - lo] = (
+                (e - vals[site - base]) * phi[site - lo] - phi[site - 1 - lo]
+            )
+        for site in range(origin - 1, lo, -1):
+            phi[site - 1 - lo] = (
+                (e - vals[site - base]) * phi[site - lo] - phi[site + 1 - lo]
+            )
+    return phi
+
+
+def ref_norm_slabs(window, energies, origins, offsets, basis):
+    e = np.asarray(energies, dtype=np.float64)[:, None]
+    o = np.asarray(origins, dtype=np.int64)[None, :]
+    vals = window.values()
+    base = window.start
+    offsets = sorted(set(offsets))
+    out = {}
+    pm1, p0 = basis
+    fwd = [t for t in offsets if t >= 0]
+    bwd = [t for t in offsets if t < 0]
+    prev = np.full((e.size, o.shape[1]), pm1)
+    cur = np.full((e.size, o.shape[1]), p0)
+    if 0 in offsets:
+        out[0] = np.hypot(cur, prev)
+    for rel in range(0, max(fwd) if fwd else 0):
+        v = vals[(o + rel) - base]
+        prev, cur = cur, (e - v) * cur - prev
+        if (rel + 1) in offsets:
+            out[rel + 1] = np.hypot(cur, prev)
+    prev = np.full((e.size, o.shape[1]), p0)
+    cur = np.full((e.size, o.shape[1]), pm1)
+    for rel in range(-1, (min(bwd) if bwd else 0) - 1, -1):
+        v = vals[(o + rel) - base]
+        prev, cur = cur, (e - v) * cur - prev
+        if rel in offsets:
+            out[rel] = np.hypot(prev, cur)
+    return out
+
+
+def ref_matrix_norm2(m):
+    fro2 = float(np.sum(m * m))
+    det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    inner = max(fro2 * fro2 - 4.0 * det * det, 0.0)
+    return math.sqrt(max((fro2 + math.sqrt(inner)) / 2.0, 0.0))
+
+
+def ref_sampled_power_sup(energy, j_max):
+    f = np.array([[energy, -1.0], [1.0, 0.0]])
+    m = np.eye(2)
+    best = 1.0
+    for _ in range(j_max):
+        m = f @ m
+        best = max(best, ref_matrix_norm2(m))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# The kernel
+# ---------------------------------------------------------------------------
+
+
+def test_transfer_run_steps_and_trail():
+    trail = []
+    cur, prev = cc.transfer_run([2.0, 3.0, -1.0], 1.0, 0.5, trail)
+    # 2*1 - 0.5 = 1.5; 3*1.5 - 1 = 3.5; -1*3.5 - 1.5 = -5
+    assert trail == [1.5, 3.5, -5.0]
+    assert (cur, prev) == (-5.0, 3.5)
+    assert cc.transfer_run([], 0.25, 0.75) == (0.25, 0.75)
+    assert cc.transfer_run(iter([2.0, 3.0, -1.0]), 1.0, 0.5) == (-5.0, 3.5)
+
+
+def test_transfer_run_backward_is_the_reversed_run():
+    coeffs = np.random.default_rng(3).uniform(-2, 2, size=40).tolist()
+    fwd = [0.6, 0.8]
+    cur, prev = cc.transfer_run(coeffs, 0.8, 0.6, fwd)
+    back = []
+    cur2, prev2 = cc.transfer_run(coeffs[::-1], prev, cur, back)
+    assert abs(cur2 - 0.6) < 1e-9 and abs(prev2 - 0.8) < 1e-9
+    assert np.allclose(back[::-1], fwd[:-2], rtol=1e-9, atol=1e-9)
+
+
+def test_transfer_run_on_lanes_and_mp():
+    lanes = np.array([0.5, -1.5, 3.0])
+    cur, prev = cc.transfer_run([lanes, lanes], 1.0, 0.0)
+    assert np.array_equal(cur, lanes * lanes - 1.0) and np.array_equal(prev, lanes)
+    with mp.workdps(50):
+        c = mp.mpf(1) / 3
+        cur, _ = cc.transfer_run([c, c], mp.mpf(1), mp.mpf(0))
+        assert cur == c * c - 1
+
+
+# ---------------------------------------------------------------------------
+# Callers against the replaced loops
+# ---------------------------------------------------------------------------
+
+
+def test_word_matrix_matches_matmul_reference():
+    vals = SIMPLE3.window(1, 300).values()
+    for e in (-1.7, 0.3, 2.95):
+        assert np.array_equal(cc.word_matrix(vals, e), ref_word_matrix(vals, e))
+        assert np.array_equal(
+            cc.word_matrix(vals.tolist(), e), ref_word_matrix(vals, e)
+        )
+
+
+def test_block_trace_matches_mp_products():
+    with mp.workdps(50):
+        for energy in (-1.9, 0.0, 0.3, 2.9):
+            e = mp.mpf(energy)
+            for k in range(9):
+                sv = SIMPLE3.alphabet.value_table()[sq.blocks(SIMPLE3, k)[0]]
+                m = ref_word_matrix_mp(sv, e)
+                assert cc.block_trace(SIMPLE3, k, e) == m[0] + m[3]
+
+
+@pytest.mark.parametrize("lanes", [200, 1001, 100_000])
+def test_block_trace_lanes_match_seed_reference(lanes):
+    grid = np.linspace(-3.0, 4.0, lanes)
+    h0, h1 = ref_trace_seeds_f64(SIMPLE3, grid)
+    assert np.array_equal(cc.block_trace(SIMPLE3, 0, grid), h0)
+    assert np.array_equal(cc.block_trace(SIMPLE3, 1, grid), h1)
+    h = cc.trace_recursion_f64(SIMPLE3, 2, grid)
+    assert np.array_equal(h[0], h0) and np.array_equal(h[1], h1)
+
+
+@pytest.mark.parametrize("n_steps", [1000, 1001, 2017, 100_000])
+def test_lyapunov_scan_matches_reference(n_steps):
+    energies = [-1.9, 0.0, 0.3, 2.9, 40.0]
+    samples = 4
+    window = SIMPLE3.window(1, n_steps + (samples - 1) * 1013)
+    gam, spread = cc.lyapunov_scan(window, energies, n_steps=n_steps, samples=samples)
+    ref_gam, ref_spread = ref_lyapunov_scan(window.values(), energies, n_steps, samples)
+    assert np.array_equal(gam, ref_gam)
+    assert np.array_equal(spread, ref_spread)
+
+
+@pytest.mark.parametrize("energy", [0.3, 2.95, 4.0])
+@pytest.mark.parametrize("basis", [(0.0, 1.0), (1.0, 0.0)])
+def test_propagate_matches_reference(energy, basis):
+    window = SIMPLE3.window(1, 50_000)
+    origin = 20_000
+    track = gd.propagate(window, energy, phi_init=basis, origin=origin)
+    ref = ref_propagate(window, energy, basis, origin, window.start, window.end - 1)
+    assert np.array_equal(track.phi, ref, equal_nan=True)
+    if energy == 4.0:
+        assert not np.all(np.isfinite(track.phi))  # the tails overflow
+    # the shortest range: no step either way
+    short = gd.propagate(window, energy, phi_init=basis, origin=origin,
+                         lo=origin - 1, hi=origin)
+    assert short.phi.tolist() == list(basis)
+
+
+def test_norm_slabs_match_reference_on_certify_sweep(monkeypatch):
+    calls = []
+    new = gd._norm_slabs
+
+    def checked(window, energies, origins, offsets, basis):
+        got = new(window, energies, origins, offsets, basis)
+        want = ref_norm_slabs(window, energies, origins, offsets, basis)
+        assert sorted(got) == sorted(want)
+        for t in want:
+            assert np.array_equal(got[t], want[t])
+        calls.append(basis)
+        return got
+
+    monkeypatch.setattr(gd, "_norm_slabs", checked)
+    report = gd.gordon_sweep(SIMPLE3, 2, 40, 500, grid=2000, seed=1)
+    assert calls == [(0.0, 1.0), (1.0, 0.0)]
+    assert len(report.falsifications) == 44
+
+
+def test_norm_slabs_sparse_offsets():
+    window = SIMPLE3.window(1, 5000)
+    origins = [1200, 2500, 3100]
+    offsets = [-700, -9, -1, 0, 3, 4, 333]
+    for basis in ((0.0, 1.0), (1.0, 0.0)):
+        got = gd._norm_slabs(window, [0.3, 2.95], origins, offsets, basis)
+        want = ref_norm_slabs(window, [0.3, 2.95], origins, offsets, basis)
+        assert sorted(got) == sorted(want)
+        for t in want:
+            assert np.array_equal(got[t], want[t])
+
+
+@pytest.mark.parametrize("energy", [0.0, 0.3, -1.7, 1.99])
+def test_sampled_power_sup_matches_reference(energy):
+    assert sp.sampled_power_sup(energy, 10_000) == ref_sampled_power_sup(energy, 10_000)
+    assert sp.sampled_power_sup(energy, 0) == 1.0
+
+
+def test_matrix_norm2_lanes_match_scalar():
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(2, 2, 50))
+    lanes = cc.matrix_norm2(m)
+    for j in range(50):
+        assert lanes[j] == ref_matrix_norm2(m[:, :, j])
+        assert cc.matrix_norm2(m[:, :, j]) == ref_matrix_norm2(m[:, :, j])
+    for e, v in ((0.3, 2.0), (-1.1, 0.0)):
+        assert sp.barrier_matrix_norm(e, v) == ref_matrix_norm2(
+            np.array([[e - v, -1.0], [1.0, 0.0]])
+        )
