@@ -21,6 +21,7 @@ import sys
 import tempfile
 from typing import Optional
 
+import mpmath as mp
 import numpy as np
 
 from . import __version__
@@ -234,21 +235,18 @@ def _cmd_trace_table(args) -> int:
         raise ValidationError("trace tables need a toeplitz spec")
     table = cocycle.trace_table(spec, args.energy, args.k, product_budget=args.budget)
     flat = _resolved_config(cfg, args, ("energy", "k", "budget"))
-    rows = []
-    for k, hd, hr, diff in table.rows():
-        rows.append(
-            (
-                k,
-                "" if hd is None else str(hd),
-                str(hr),
-                "" if diff is None else str(diff),
-            )
-        )
+
+    def digits(x, absent=None):
+        """An mpmath number at 17 significant digits, like the floats."""
+        return absent if x is None else mp.nstr(x, 17)
+
+    rows = [(k, digits(hd, ""), digits(hr), digits(diff, ""))
+            for k, hd, hr, diff in table.rows()]
     result = {
         "energy": table.energy,
         "n_list": list(table.n_list),
-        "h_direct": [None if h is None else str(h) for h in table.h_direct],
-        "h_recursion": [str(h) for h in table.h_recursion],
+        "h_direct": [digits(h) for h in table.h_direct],
+        "h_recursion": [digits(h) for h in table.h_recursion],
         "max_rel_diff": table.max_rel_diff(),
     }
     _emit(

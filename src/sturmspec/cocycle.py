@@ -5,7 +5,10 @@ A site with coupling a contributes the unit-determinant matrix
 ``A_a = [[E - a, -1], [1, 0]]``; the matrix of a word multiplies
 right-to-left, so the first letter acts first.  Traces over the level-k
 building blocks obey a closed scalar recursion through the second-kind
-recurrence polynomials S_n, which is checked against literal products.
+recurrence polynomials S_n, which is checked against the block matrices.
+Only the level-0 words are stepped site by site; every higher block matrix
+is composed through the substitution s_k = s_{k-1}^{n_k - 1} t_{k-1},
+t_k = s_{k-1}^{n_k}, so K levels cost O(n_1 + ... + n_K) 2x2 products.
 
 Every product over sites goes through one kernel, :func:`transfer_run`,
 which steps phi(n+1) = c_n phi(n) - phi(n-1) with c_n = E - V(n) on
@@ -43,6 +46,9 @@ __all__ = [
 #: saturation bound for float64 trace recursions; values beyond it only
 #: ever feed |h| > 2 comparisons, never band endpoints.
 TRACE_CAP = 1e150
+#: energy lanes per trace_recursion_f64 pass: the composed seeds hold ~20
+#: lane arrays at once, and on 1e5 lanes fresh pages cost more than the math
+LANE_CHUNK = 16384
 
 
 def transfer_matrix(value: float, energy: float) -> np.ndarray:
@@ -74,6 +80,13 @@ def transfer_run(coeffs, cur, prev, trail=None):
     return cur, prev
 
 
+def _run_matrix(coeffs):
+    """((a, b), (c, d)), the product over coeffs, by two column runs."""
+    a, c = transfer_run(coeffs, 1.0, 0.0)
+    b, d = transfer_run(coeffs, 0.0, 1.0)
+    return (a, b), (c, d)
+
+
 def word_matrix(word, energy: float, alphabet: Optional[Alphabet] = None) -> np.ndarray:
     """Product of site matrices over a word, first letter applied first.
 
@@ -81,9 +94,7 @@ def word_matrix(word, energy: float, alphabet: Optional[Alphabet] = None) -> np.
     sequence of coupling values.  The empty word gives the identity.
     """
     coeffs = [energy - v for v in _values_of(word, alphabet)]
-    a, c = transfer_run(coeffs, 1.0, 0.0)
-    b, d = transfer_run(coeffs, 0.0, 1.0)
-    return np.array([[a, b], [c, d]], dtype=np.float64)
+    return np.array(_run_matrix(coeffs), dtype=np.float64)
 
 
 def matrix_norm2(m):
@@ -123,17 +134,34 @@ def cheb_eval(n: int, x):
 # ---------------------------------------------------------------------------
 
 
-def block_trace(spec: ToeplitzSpec, k: int, energy):
-    """tr of the level-k block matrix, by two column runs over one word.
+def _mat_mul(m, n):
+    """m . n for 2x2 matrices ((a, b), (c, d)) of floats, lanes or mpmath numbers."""
+    (a, b), (c, d) = m
+    (e, f), (g, h) = n
+    return (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
 
-    ``energy`` is an mpmath number (exact-range tables) or an array of
-    float64 energy lanes.
+
+def block_matrices(spec: ToeplitzSpec, K: int, energy):
+    """[(M(s_k), M(t_k)) for k = 0..K], the level-k block matrices.
+
+    Level 0 is two column runs over each word; level k composes
+    M(s_k) = M(t_{k-1}) M(s_{k-1})^(n_k - 1) and M(t_k) = M(s_{k-1})^n_k.
+    ``energy`` is a float, an mpmath number or an array of float64 lanes.
     """
-    s, _ = blocks(spec, k)
-    coeffs = [energy - v for v in spec.alphabet.value_table()[s]]
-    a, _ = transfer_run(coeffs, 1.0, 0.0)
-    _, d = transfer_run(coeffs, 0.0, 1.0)
-    return a + d
+    values = spec.alphabet.value_table()
+    out = [tuple(_run_matrix([energy - v for v in values[w]]) for w in blocks(spec, 0))]
+    for k in range(1, K + 1):
+        ms, mt = out[-1]
+        power = ms
+        for _ in range(spec.tail_period(k) - 2):
+            power = _mat_mul(ms, power)
+        out.append((_mat_mul(mt, power), _mat_mul(ms, power)))
+    return out
+
+
+def block_traces(spec: ToeplitzSpec, K: int, energy) -> list:
+    """[tr M(s_k) for k = 0..K], from one composition pass."""
+    return [ms[0][0] + ms[1][1] for ms, _ in block_matrices(spec, K, energy)]
 
 
 def _recursion_step(h_prev, h_cur, n_mid: int, n_top: int):
@@ -146,10 +174,11 @@ def _recursion_step(h_prev, h_cur, n_mid: int, n_top: int):
 class TraceTable:
     """Traces h_0..h_K of the level-k block matrices at one energy.
 
-    ``h_direct`` comes from literal site-by-site products (None past the
-    product-length budget); ``h_recursion`` from the scalar recursion
-    seeded by the two shortest products.  Both are mpmath numbers so that
-    super-exponential growth stays representable.
+    ``h_direct`` holds the traces of the block matrices composed through
+    the substitution (None past the product-length budget);
+    ``h_recursion`` the scalar recursion seeded by h_0, h_1 of that route.
+    Both are mpmath numbers so that super-exponential growth stays
+    representable.
     """
 
     energy: float
@@ -210,10 +239,11 @@ def trace_table(
 ) -> TraceTable:
     """Compute h_0..h_K by both routes.
 
-    The direct route multiplies the literal block word and is skipped
-    (entry None) once the block length exceeds ``product_budget``; the
-    recursion route has no such limit.  Seeds h_0, h_1 always come from
-    the two shortest direct products.
+    The direct route is :func:`block_traces`, one composition pass whose
+    cost grows with K, not with the block length; ``product_budget`` only
+    marks which levels get a direct entry (None once the block length
+    exceeds it).  The recursion route has no such limit and is seeded by
+    the direct h_0, h_1.
     """
     if K < 2:
         raise ValidationError("trace tables need K >= 2")
@@ -224,14 +254,11 @@ def trace_table(
     with mp.workdps(dps):
         e = mp.mpf(energy)
         n_list = tuple(spec.tail_period(k) for k in range(1, K + 1))
-        direct = []
-        for k in range(K + 1):
-            if spec.block_length(k) > product_budget:
-                direct.append(None)
-            else:
-                direct.append(block_trace(spec, k, e))
-        if direct[0] is None or direct[1] is None:
+        # block lengths grow with k: the budget keeps levels 0..top
+        top = sum(spec.block_length(k) <= product_budget for k in range(K + 1)) - 1
+        if top < 1:
             raise ValidationError("product budget too small for the h_0/h_1 seeds")
+        direct = block_traces(spec, top, e) + [None] * (K - top)
         rec = [direct[0], direct[1]]
         for k in range(K - 1):
             rec.append(
@@ -256,15 +283,17 @@ def trace_recursion_f64(spec: ToeplitzSpec, K: int, e_grid: np.ndarray) -> np.nd
     """
     e = np.atleast_1d(np.asarray(e_grid, dtype=np.float64))
     out = np.empty((K + 1, e.size))
-    out[0], out[1] = block_trace(spec, 0, e), block_trace(spec, 1, e)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K - 1):
-            nxt = _recursion_step(
-                out[k], out[k + 1], spec.tail_period(k + 1), spec.tail_period(k + 2)
-            )
-            np.nan_to_num(nxt, copy=False, nan=TRACE_CAP, posinf=TRACE_CAP, neginf=-TRACE_CAP)
-            np.clip(nxt, -TRACE_CAP, TRACE_CAP, out=nxt)
-            out[k + 2] = nxt
+    for i in range(0, e.size, LANE_CHUNK):
+        lanes, h = e[i : i + LANE_CHUNK], out[:, i : i + LANE_CHUNK]
+        h[0], h[1] = block_traces(spec, 1, lanes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(K - 1):
+                nxt = _recursion_step(
+                    h[k], h[k + 1], spec.tail_period(k + 1), spec.tail_period(k + 2)
+                )
+                np.nan_to_num(nxt, copy=False, nan=TRACE_CAP, posinf=TRACE_CAP, neginf=-TRACE_CAP)
+                np.clip(nxt, -TRACE_CAP, TRACE_CAP, out=nxt)
+                h[k + 2] = nxt
     return out
 
 

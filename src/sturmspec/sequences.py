@@ -410,13 +410,14 @@ def circle_map_window(
     bnum, bden = spec.beta.numerator, spec.beta.denominator
     tnum, tden = spec.theta.numerator, spec.theta.denominator
     # residue of n*alpha + theta as a fraction over D = q*tden; the arc test
-    # r >= 1 - beta becomes r_num * bden >= D * (bden - bnum) in integers.
+    # r >= 1 - beta becomes r_num * bden >= D * (bden - bnum) in integers,
+    # in int64 when every product stays below 2**63, else object integers.
     D = spec.q * tden
     thresh = D * (bden - bnum)
-    n = np.arange(start, start + length, dtype=object)
+    fits = D * (abs(start) + length + 1) < 2**63 and D * bden < 2**63
+    n = np.arange(start, start + length, dtype=np.int64 if fits else object)
     rnum = (n * (spec.p * tden) + tnum * spec.q) % D
-    inside = np.array([int(r) * bden >= thresh for r in rnum], dtype=bool)
-    codes = inside.astype(np.int16)
+    codes = (rnum * bden >= thresh).astype(np.int16)
     return Window(start, codes, spec.alphabet)
 
 

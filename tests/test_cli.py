@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
 
 from sturmspec import __version__
@@ -113,6 +114,24 @@ def test_trace_table_columns_agree(tmp_path):
     assert len(rows) == 7
     for _, hd, hr, diff in rows:
         assert float(diff) <= 1e-8 * max(1.0, abs(float(hd)))
+
+
+@pytest.mark.parametrize("energy", [0.3, -1.9, 5.5])
+def test_trace_table_prints_17_digits(energy, tmp_path):
+    # 5.5 escapes: h_9 is about 6e13810, past the float range
+    out = tmp_path / "t.json"
+    code = run_cli(
+        ["trace-table", "--spec", CONFIGS / "simple3.cfg", "--energy=%r" % energy,
+         "--k", "9", "--format", "json", "--out", out]
+    )
+    assert code == 0
+    printed = json.loads(out.read_text())["result"]["h_recursion"]
+    spec = cfgmod.build_spec(cfgmod.parse_config(str(CONFIGS / "simple3.cfg")))
+    table = cc.trace_table(spec, energy, 9)
+    assert len(printed) == 10
+    with mp.workdps(50):
+        for text, h in zip(printed, table.h_recursion):
+            assert abs(mp.mpf(text) - h) <= 1e-16 * abs(h)
 
 
 def _golden_runs():

@@ -180,6 +180,14 @@ def test_trace_routes_agree_with_prefix():
         assert tt.max_rel_diff() <= 1e-8
 
 
+def test_trace_direct_route_reaches_level_12():
+    # 531441 sites per block: composed through the substitution, not stepped
+    for e in (-2.4, -1.1, 0.3, 1.7, 3.2):
+        tt = cc.trace_table(simple_spec(), e, 12, product_budget=10**6)
+        assert all(h is not None for h in tt.h_direct)
+        assert tt.max_rel_diff() <= 1e-40
+
+
 def test_trace_escape_property_numeric():
     spec = simple_spec()
     grid = np.linspace(-3, 4, 60)
@@ -198,6 +206,13 @@ def test_trace_budget_marks_direct_entries_absent():
     assert tt.h_direct[5] is None  # block length 243 > 100
     assert all(h is not None for h in tt.h_recursion)
     assert tt.max_rel_diff() <= 1e-8  # on the computed overlap
+
+
+def test_trace_budget_is_inclusive():
+    tt = cc.trace_table(simple_spec(), 0.5, 6, product_budget=81)
+    assert [h is None for h in tt.h_direct] == [False] * 5 + [True] * 2
+    with pytest.raises(sq.ValidationError):
+        cc.trace_table(simple_spec(), 0.5, 6, product_budget=2)
 
 
 def test_trace_table_validation():

@@ -1,6 +1,7 @@
 """Sequence generators: exact arithmetic, composition algebra, partitions."""
 
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmspec import sequences as sq
+from sturmspec.config import build_spec, parse_config
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 AB = sq.Alphabet(("a", "b"), (0.0, 1.0))
 
@@ -108,6 +112,34 @@ def test_circle_map_denominator_guard():
         spec.window(0, 200)
     assert err.value.required == 201
     assert "q > 200" in str(err.value)
+
+
+def ref_circle_map_codes(spec, start, length):
+    """The object-integer residue loop that windows used before int64."""
+    bnum, bden = spec.beta.numerator, spec.beta.denominator
+    tnum, tden = spec.theta.numerator, spec.theta.denominator
+    D = spec.q * tden
+    n = np.arange(start, start + length, dtype=object)
+    rnum = (n * (spec.p * tden) + tnum * spec.q) % D
+    return [int(int(r) * bden >= D * (bden - bnum)) for r in rnum]
+
+
+def test_circle_map_int64_and_object_paths_match_reference():
+    fib = build_spec(parse_config(str(CONFIGS / "fib.cfg")))
+    for start, length in ((1, 600), (-300, 200), (0, 5000), (-40_000, 20_000)):
+        w = fib.window(start, length, allow_periodic=True)
+        assert w.codes.dtype == np.int16
+        assert w.codes.tolist() == ref_circle_map_codes(fib, start, length)
+    # q = F_80: D = 3q is ~7e16, so D * 1301 overflows int64 and the
+    # window below takes the object path; a 50-site window still fits
+    big = sq.CircleMapSpec(14472334024676221, 23416728348467685,
+                           Fraction(1, 2), Fraction(1, 3), 1.0)
+    for start, length in ((1000, 300), (0, 50)):
+        codes = big.window(start, length).codes
+        assert codes.dtype == np.int16
+        assert codes.tolist() == ref_circle_map_codes(big, start, length)
+        assert codes.tolist() == brute_circle(big.p, big.q, big.beta, big.theta,
+                                              start, length)
 
 
 # ---------------------------------------------------------------------------

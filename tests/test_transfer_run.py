@@ -3,7 +3,9 @@
 Each caller of ``cocycle.transfer_run`` is compared with ``==`` against
 the site-by-site loop it replaced, kept below as ``ref_*``.  The
 references write the recurrence out by hand, so none of them shares the
-kernel.
+kernel.  The block matrices composed through the substitution are the
+one exception: above level 0 their products associate differently, so
+they match the literal mpmath products to a relative 1e-40.
 """
 
 import math
@@ -217,22 +219,77 @@ def test_word_matrix_matches_matmul_reference():
         )
 
 
+def assert_close_mp(got, want, rel=1e-40):
+    for x, y in zip(got, want):
+        assert abs(x - y) <= rel * max(1, abs(y))
+
+
 def test_block_trace_matches_mp_products():
+    # composed through the substitution, so associated differently from
+    # the literal product: equal to 1e-40, not bit for bit
     with mp.workdps(50):
         for energy in (-1.9, 0.0, 0.3, 2.9):
             e = mp.mpf(energy)
+            traces = cc.block_traces(SIMPLE3, 8, e)
             for k in range(9):
                 sv = SIMPLE3.alphabet.value_table()[sq.blocks(SIMPLE3, k)[0]]
                 m = ref_word_matrix_mp(sv, e)
-                assert cc.block_trace(SIMPLE3, k, e) == m[0] + m[3]
+                assert_close_mp([traces[k]], [m[0] + m[3]])
+
+
+def ref_block_matrices_mp(spec, k, e):
+    """[a, b, c, d] of M(s_k) and M(t_k) by literal site-by-site products.
+
+    The two words differ only in their last site, so one run covers the
+    shared part.
+    """
+    s, t = (spec.alphabet.value_table()[w] for w in sq.blocks(spec, k))
+    a, b, c, d = ref_word_matrix_mp(s[:-1], e)
+    return [[(e - v) * a - c, (e - v) * b - d, a, b] for v in (s[-1], t[-1])]
+
+
+def varying_period_specs():
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        periods = tuple(int(p) for p in rng.integers(3, 6, size=8))
+        offsets = tuple(int(rng.integers(0, p)) for p in periods)
+        yield sq.ToeplitzSpec(AB, sq.CodingTriple((), 1, 0), ("a", "b") * 4,
+                              periods, offsets, cycle=False)
+
+
+PREFIX_SPEC = sq.ToeplitzSpec(
+    AB, sq.CodingTriple(("b", "a"), 3, 1), ("a", "b"), (4, 3), (1, 2)
+)
+
+
+@pytest.mark.parametrize(
+    "spec, K, energies",
+    [(SIMPLE3, 9, (-2.6, 0.3, 1.05, 3.1))]
+    + [(spec, 6, (-1.2, 0.3, 2.9)) for spec in varying_period_specs()]
+    + [(PREFIX_SPEC, 6, (-1.2, 0.3, 2.9))],
+    ids=["simple3", "varying0", "varying1", "varying2", "prefix"],
+)
+def test_block_matrices_match_literal_products(spec, K, energies):
+    with mp.workdps(50):
+        for energy in energies:
+            e = mp.mpf(energy)
+            mats = cc.block_matrices(spec, K, e)
+            assert len(mats) == K + 1
+            for k, pair in enumerate(mats):
+                want = ref_block_matrices_mp(spec, k, e)
+                got = [[m[0][0], m[0][1], m[1][0], m[1][1]] for m in pair]
+                if k == 0:
+                    assert got == want
+                for g, w in zip(got, want):
+                    assert_close_mp(g, w)
 
 
 @pytest.mark.parametrize("lanes", [200, 1001, 100_000])
 def test_block_trace_lanes_match_seed_reference(lanes):
     grid = np.linspace(-3.0, 4.0, lanes)
     h0, h1 = ref_trace_seeds_f64(SIMPLE3, grid)
-    assert np.array_equal(cc.block_trace(SIMPLE3, 0, grid), h0)
-    assert np.array_equal(cc.block_trace(SIMPLE3, 1, grid), h1)
+    traces = cc.block_traces(SIMPLE3, 1, grid)
+    assert np.array_equal(traces[0], h0) and np.array_equal(traces[1], h1)
     h = cc.trace_recursion_f64(SIMPLE3, 2, grid)
     assert np.array_equal(h[0], h0) and np.array_equal(h[1], h1)
 
