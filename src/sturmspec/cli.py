@@ -2,8 +2,11 @@
 
 Subcommands: generate, complexity, spectrum, lyapunov, trace-table,
 gordon-scan, sparse-check.  Every output embeds the tool version and the
-fully resolved configuration; floats in JSON are printed at 17
-significant digits so identical runs produce byte-identical files.
+fully resolved configuration: the spec and the analysis parameters the
+run reads.  Only gordon-scan draws random numbers, so only it takes
+``--seed`` (default: the config's ``[output] seed``) and records it.
+Floats in JSON are printed at 17 significant digits so identical runs
+produce byte-identical files.
 Outputs are written atomically (temp file + rename).
 
 Exit codes: 0 success, 1 validation or usage error, 2 internal
@@ -34,8 +37,6 @@ from .sequences import (
 )
 from .config import RunConfig, build_spec, parse_config
 from . import cocycle, complexity, gordon, spectrum
-
-THREADS_ENV = "STURMSPEC_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +122,6 @@ def _resolved_config(cfg: RunConfig, args: argparse.Namespace, keys) -> dict:
         flat["spec.%s" % k] = v
     for key in keys:
         flat[key] = getattr(args, key.replace("-", "_"))
-    flat["seed"] = cfg.seed if getattr(args, "seed", None) is None else args.seed
-    flat["threads"] = os.environ.get(THREADS_ENV, "1")
     return flat
 
 
@@ -273,6 +272,7 @@ def _cmd_gordon_scan(args) -> int:
     flat = _resolved_config(
         cfg, args, ("level", "energies", "origins", "energy_level", "grid")
     )
+    flat["seed"] = seed
     _emit(_payload(flat, report.as_dict()), "json", args.out)
     return 0 if report.passed else 2
 
@@ -316,7 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, fmt=True):
         p.add_argument("--spec", required=True, help="config file with a spec section")
         p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-        p.add_argument("--seed", type=int, default=None)
         if fmt:
             p.add_argument("--format", choices=("json", "csv"), default="csv")
 
@@ -388,6 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--origins", type=int, default=50)
     p.add_argument("--energy-level", type=int, default=None)
     p.add_argument("--grid", type=int, default=20_000)
+    p.add_argument("--seed", type=int, default=None, help="default: [output] seed")
     p.set_defaults(func=_cmd_gordon_scan)
 
     p = sub.add_parser(

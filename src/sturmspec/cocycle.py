@@ -49,6 +49,8 @@ TRACE_CAP = 1e150
 #: energy lanes per trace_recursion_f64 pass: the composed seeds hold ~20
 #: lane arrays at once, and on 1e5 lanes fresh pages cost more than the math
 LANE_CHUNK = 16384
+#: mpmath working precision of trace tables, in decimal digits
+TRACE_DPS = 50
 
 
 def transfer_matrix(value: float, energy: float) -> np.ndarray:
@@ -111,6 +113,11 @@ def matrix_norm2(m):
     return float(norm) if np.ndim(norm) == 0 else norm
 
 
+def _cheb_pair(n: int, x):
+    """(S_n(x), S_{n-1}(x)) for n >= 1: n - 1 steps of the kernel from (S_1, S_0)."""
+    return transfer_run([x] * (n - 1), x * 0 + 1, x * 0)
+
+
 def cheb_eval(n: int, x):
     """S_n(x) by the forward three-term recurrence.
 
@@ -120,13 +127,9 @@ def cheb_eval(n: int, x):
     """
     if n < 0:
         raise ValidationError("cheb_eval needs n >= 0")
-    s_prev = x * 0
     if n == 0:
-        return s_prev
-    s_cur = x * 0 + 1
-    for _ in range(n - 1):
-        s_prev, s_cur = s_cur, x * s_cur - s_prev
-    return s_cur
+        return x * 0
+    return _cheb_pair(n, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +169,10 @@ def block_traces(spec: ToeplitzSpec, K: int, energy) -> list:
 
 def _recursion_step(h_prev, h_cur, n_mid: int, n_top: int):
     """h at level k+2 from (h_k, h_{k+1}) and periods (n_{k+1}, n_{k+2})."""
-    inner = cheb_eval(n_mid, h_prev) * h_prev - 2 * cheb_eval(n_mid - 1, h_prev)
-    return cheb_eval(n_top, h_cur) * inner - 2 * cheb_eval(n_top - 1, h_cur)
+    s, s_below = _cheb_pair(n_mid, h_prev)
+    inner = s * h_prev - 2 * s_below
+    s, s_below = _cheb_pair(n_top, h_cur)
+    return s * inner - 2 * s_below
 
 
 @dataclass(frozen=True)
@@ -235,9 +240,8 @@ def trace_table(
     energy: float,
     K: int,
     product_budget: int = 20000,
-    dps: int = 50,
 ) -> TraceTable:
-    """Compute h_0..h_K by both routes.
+    """Compute h_0..h_K by both routes, in mpmath at TRACE_DPS digits.
 
     The direct route is :func:`block_traces`, one composition pass whose
     cost grows with K, not with the block length; ``product_budget`` only
@@ -251,7 +255,7 @@ def trace_table(
         raise ValidationError(
             "trace level %d needs tail periods up to level %d" % (K, K + 1)
         )
-    with mp.workdps(dps):
+    with mp.workdps(TRACE_DPS):
         e = mp.mpf(energy)
         n_list = tuple(spec.tail_period(k) for k in range(1, K + 1))
         # block lengths grow with k: the budget keeps levels 0..top

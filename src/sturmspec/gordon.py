@@ -234,26 +234,19 @@ def classify_case(
     trace_table,
     origin: int = 0,
     partitions: Optional[dict] = None,
-    reentry: str = "same-origin",
     max_climb: int = 8,
 ) -> CaseLabel:
     """Walk the repetition decision tree around the origin.
 
     The walk starts in the level-k partition at the block containing the
     origin and escalates one level at a time where the tree prescribes
-    it; trace conditions |h_j| <= 2 are read from ``trace_table`` (a
-    TraceTable or a plain sequence of floats).  ``reentry`` picks the
-    anchor used after an escalation: the same origin (default) or the
-    start of the current block.
+    it, always reading the block that contains the origin; trace
+    conditions |h_j| <= 2 are read from ``trace_table`` (a TraceTable or
+    a plain sequence of floats).
     """
-    if reentry not in ("same-origin", "block-start"):
-        raise ValidationError("reentry must be 'same-origin' or 'block-start'")
     h = _h_values(trace_table)
     parts = _Partitions(window, spec, partitions)
     path = []
-
-    def anchor_after(level_start: int) -> int:
-        return origin if reentry == "same-origin" else level_start
 
     def need_h(level: int) -> float:
         if level >= len(h):
@@ -275,7 +268,7 @@ def classify_case(
             trace_level=level if kind == "square" else None, path=tuple(path),
         )
 
-    def resolve_s_run(level: int, anchor: int, entry: bool) -> CaseLabel:
+    def resolve_s_run(level: int, entry: bool) -> CaseLabel:
         """Hat is an s-block preceded by an s-block; climb until a cube fits.
 
         Terminals: right neighbor s gives the centered cube, a second
@@ -286,7 +279,7 @@ def classify_case(
         """
         for climb in range(max_climb):
             part = parts.at(level)
-            start, lab, left, right, idx = _neighbors(part, anchor)
+            start, lab, left, right, idx = _neighbors(part, origin)
             if lab != "s" or left != "s":
                 raise GordonStructureError(
                     "expected s-block preceded by s at level %d" % level
@@ -310,14 +303,13 @@ def classify_case(
                     "2" if entry and climb == 0 else "1.2.1.2.1", level, "cube", True
                 )
             path.append("climb@%d" % level)
-            anchor = anchor_after(start)
             level += 1
         raise ValidationError(
             "no cube found within %d climb levels; enlarge the window "
             "and trace table" % max_climb
         )
 
-    def trace_split(level: int, anchor: int, entry_id: str) -> CaseLabel:
+    def trace_split(level: int, entry_id: str) -> CaseLabel:
         """Hat s-block preceded by t: square now, or escalate one level."""
         if need_h(level) <= 2.0:
             path.append("square@%d" % level)
@@ -327,8 +319,8 @@ def classify_case(
                 "|h_%d| and |h_%d| both exceed 2: energy escaped the "
                 "approximant at the levels the classifier needs" % (level, level + 1)
             )
-        start = _neighbors(parts.at(level), anchor)[0]
-        up_start, up_lab, up_left, _, _ = _neighbors(parts.at(level + 1), anchor)
+        start = _neighbors(parts.at(level), origin)[0]
+        up_start, up_lab, up_left, _, _ = _neighbors(parts.at(level + 1), origin)
         if up_start != start:
             raise GordonStructureError(
                 "level-%d block should open where the hat block does" % (level + 1)
@@ -338,56 +330,52 @@ def classify_case(
             raise GordonStructureError(
                 "block before the escalated hat must be an s-block"
             )
-        nxt = anchor_after(up_start)
         if up_lab == "t":
             path.append("square-left@%d" % (level + 1))
             return make_label("1.2.1.1", level + 1, "square", True)
         path.append("1.2.2")
-        return resolve_s_run(level + 1, nxt, entry=False)
+        return resolve_s_run(level + 1, entry=False)
 
-    def case3(level: int, anchor: int) -> CaseLabel:
+    def case3(level: int) -> CaseLabel:
         """t s-hat t: only possible below the period-3 normalization, but the
         escalation it prescribes is implemented for completeness."""
         path.append("3")
-        up_start, up_lab, up_left, _, _ = _neighbors(parts.at(level + 1), anchor)
+        _, up_lab, up_left, _, _ = _neighbors(parts.at(level + 1), origin)
         if up_lab != "s" or up_left != "s":
             raise GordonStructureError(
                 "isolated s between t-blocks must open an s-run one level up"
             )
-        return resolve_s_run(level + 1, anchor_after(up_start), entry=False)
+        return resolve_s_run(level + 1, entry=False)
 
     # --- entry switch ------------------------------------------------------
     level = k
-    part = parts.at(level)
-    start, lab, left, right, idx = _neighbors(part, origin)
+    _, lab, left, right, _ = _neighbors(parts.at(level), origin)
     if lab == "t":
         path.append("4")
-        up_start, up_lab, up_left, up_right, _ = _neighbors(parts.at(level + 1), origin)
-        if up_lab != "s":
+        _, lab, left, right, _ = _neighbors(parts.at(level + 1), origin)
+        if lab != "s":
             raise GordonStructureError(
                 "a t-block must close an s-block one level up"
             )
-        anchor = anchor_after(up_start)
         level += 1
-        start, lab, left, right = up_start, up_lab, up_left, up_right
         if right == "s":
             if left == "s":
                 path.append("cube@%d" % level)
                 return make_label("4", level, "cube", False)
-            return trace_split(level, anchor, "4")
+            return trace_split(level, "4")
         if left == "s":
-            return resolve_s_run(level, anchor, entry=False)
-        return case3(level, anchor)
+            return resolve_s_run(level, entry=False)
+        return case3(level)
     if right == "s":
         if left == "s":
             path.append("1.1")
             return make_label("1.1", level, "cube", False)
         path.append("1.2")
-        return trace_split(level, origin, "1.2")
+        return trace_split(level, "1.2")
     if left == "s":
         path.append("2")
-        return resolve_s_run(level, origin, entry=True)
-    return case3(level, origin)
+        return resolve_s_run(level, entry=True)
+    return case3(level)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +520,6 @@ def nondecay_scan(
     energy: float,
     n_target: int,
     probes: Optional[Sequence[int]] = None,
-    slack: float = NONDECAY_SLACK,
 ) -> NondecayReport:
     """Exhibit |m| >= n with ||Phi(m)|| >= 1/4 for each probed n.
 
@@ -566,7 +553,9 @@ def nondecay_scan(
     for tr in tracks:
         a = tr.phi
         prev = np.roll(a, 1)
-        nn = np.hypot(a, prev)
+        # propagate's off-spectrum tails saturate to inf by design
+        with np.errstate(over="ignore"):
+            nn = np.hypot(a, prev)
         nn[0] = nn[1]
         norms.append(nn)
     witnesses, failures = [], []
@@ -578,7 +567,7 @@ def nondecay_scan(
                 for sgn in (1, -1):
                     site = origin + sgn * m
                     val = nn[site - tr.lo]
-                    if val >= 0.25 - slack:
+                    if val >= 0.25 - NONDECAY_SLACK:
                         found = (sgn * m, float(val))
                         break
                 if found:
@@ -692,14 +681,14 @@ def gordon_sweep(
     max_scale: Optional[int] = None,
     seed: int = 0,
     grid: int = 20_000,
-    reentry: str = "same-origin",
 ) -> SweepReport:
     """Classify and verify across a grid of band energies and origins.
 
     Energies are band midpoints (plus interior samples) of the
     approximant at ``energy_level`` (default entry_k + 5, deep enough
     that every trace condition the classifier can reach is guaranteed);
-    origins are seeded-random sites away from the window edges.  The
+    origins are random sites away from the window edges.  One generator
+    seeded by ``seed`` draws the energies first, then the origins.  The
     window is sized so partitions and norms exist up to ``max_scale``
     (default energy_level + 2); the rare origin whose climb would pass
     that scale surfaces as a reported candidate, never silently.  Every
@@ -748,8 +737,7 @@ def gordon_sweep(
             try:
                 lab = classify_case(
                     window, spec, entry_k, h, origin=int(o),
-                    partitions=parts_store, reentry=reentry,
-                    max_climb=climb_cap,
+                    partitions=parts_store, max_climb=climb_cap,
                 )
                 labels[(ie, io)] = lab
                 needed_offsets.update(_offsets(lab))

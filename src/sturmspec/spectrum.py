@@ -81,15 +81,8 @@ class BandSet:
         return False
 
     def union(self, other: "BandSet") -> "BandSet":
-        merged = sorted(list(self.intervals) + list(other.intervals))
-        out = []
-        for a, b in merged:
-            if out and a <= out[-1][1]:
-                out[-1][1] = max(out[-1][1], b)
-            else:
-                out.append([a, b])
         return BandSet(
-            intervals=tuple((a, b) for a, b in out),
+            intervals=_merge(self.intervals + other.intervals),
             level=(self.level, other.level),
             refinement_tol=max(self.refinement_tol, other.refinement_tol),
         )
@@ -112,6 +105,17 @@ class BandSet:
             "measure": self.measure,
             "intervals": [[a, b] for a, b in self.intervals],
         }
+
+
+def _merge(intervals) -> tuple:
+    """Sorted union of closed intervals; overlapping or touching ones join."""
+    out = []
+    for a, b in sorted(intervals):
+        if out and a <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], b)
+        else:
+            out.append([a, b])
+    return tuple((a, b) for a, b in out)
 
 
 def _bisect_edges(g, lo, hi, tol: float) -> np.ndarray:
@@ -226,16 +230,8 @@ def band_set_from_trace(
     idx = interior + 1
     touch = _tangencies(g_lanes, es[idx - 1], es[idx + 1], tol)
     intervals.extend((x, x) for x in touch.tolist())
-
-    intervals.sort()
-    merged = []
-    for a, b in intervals:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
     return BandSet(
-        intervals=tuple((a, b) for a, b in merged),
+        intervals=_merge(intervals),
         level=level,
         refinement_tol=tol,
     )
@@ -508,9 +504,12 @@ class CertificateReport:
         }
 
 
-def certificate_from_gaps(
-    gaps: Sequence[int], v: float, energy: float, sample_powers: int = 10_000
-) -> CertificateReport:
+def certificate_from_gaps(gaps: Sequence[int], v: float, energy: float) -> CertificateReport:
+    """Exclusion-series verdict from the barrier gaps; see :class:`CertificateReport`.
+
+    ``c_sampled`` is :func:`sampled_power_sup` at its default 10^4 powers,
+    a check on the closed-form C_E.
+    """
     terms = no_eigenvalue_series(gaps, v, energy)
     sums = list(np.cumsum(terms))
     tail = terms[-6:] if len(terms) >= 6 else terms
@@ -525,7 +524,7 @@ def certificate_from_gaps(
         energy=float(energy),
         v=float(v),
         c_closed=free_power_norm_bound(energy),
-        c_sampled=sampled_power_sup(energy, sample_powers),
+        c_sampled=sampled_power_sup(energy),
         o_norm=barrier_matrix_norm(energy, v),
         terms=tuple(terms),
         partial_sums=tuple(float(s) for s in sums),
@@ -534,18 +533,19 @@ def certificate_from_gaps(
 
 
 def sparse_no_eigenvalue_certificate(
-    spec: SparseSpec, energy: float, k_max: int = 15, sample_powers: int = 10_000
+    spec: SparseSpec, energy: float, k_max: int = 15
 ) -> CertificateReport:
     """Eigenvalue-exclusion check at an energy inside (-2, 2).
 
-    Computes the free-power bound C_E, the barrier norm O_{E,v}, and the
-    partial sums of sum_k gap_k / (C_E O_{E,v})^(2k); growing partial
-    sums certify that the energy is not an eigenvalue for any boundary
-    condition.
+    Computes the free-power bound C_E (in closed form, and sampled over
+    10^4 powers), the barrier norm O_{E,v}, and the partial sums of
+    sum_k gap_k / (C_E O_{E,v})^(2k) over the first ``k_max`` gaps;
+    growing partial sums certify that the energy is not an eigenvalue
+    for any boundary condition.
     """
     if abs(energy) >= 2.0:
         raise ValidationError(
             "certificate requires |E| < 2 (free powers unbounded otherwise)"
         )
     gaps = spec.gaps(k_max)
-    return certificate_from_gaps(gaps, spec.v, energy, sample_powers=sample_powers)
+    return certificate_from_gaps(gaps, spec.v, energy)

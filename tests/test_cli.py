@@ -151,13 +151,19 @@ GOLDEN_RUNS = _golden_runs()
     ids=[pathlib.Path(argv[argv.index("--out") + 1]).name for argv, _ in GOLDEN_RUNS],
 )
 def test_cli_output_matches_golden_file(argv, expected, tmp_path, monkeypatch):
-    # every run of scripts/regen_golden.py, byte for byte and with its exit code
+    # every run of scripts/regen_golden.py, byte for byte and with its exit code;
+    # no environment variable reaches the output
     monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("STURMSPEC_THREADS", "4")
     at = argv.index("--out") + 1
     out = tmp_path / "out"
     code = run_cli(argv[:at] + [out] + argv[at + 1 :])
     assert code == expected
     assert out.read_bytes() == (ROOT / argv[at]).read_bytes()
+    # the config records what the run reads: a seed only where one is drawn
+    keys = json.loads(out.read_bytes())["config"]
+    assert "threads" not in keys
+    assert ("seed" in keys) == (argv[0] == "gordon-scan")
 
 
 def test_gordon_golden_scan_has_44_falsifications():
@@ -266,6 +272,9 @@ def test_unknown_subcommand_exits_one(capsys):
 
 def test_unknown_flag_exits_one(capsys):
     assert run_cli(["generate", "--spec", "x", "--len", "5", "--wat"]) == 1
+    # only gordon-scan draws random numbers, so only it takes a seed
+    assert run_cli(["spectrum", "--spec", CONFIGS / "simple3.cfg", "--level", "2",
+                    "--seed", "1"]) == 1
     capsys.readouterr()
 
 

@@ -1,6 +1,7 @@
 """Solution propagation, case classification, norm bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,17 +122,6 @@ def test_classifier_rejects_foreign_window():
     bad = sq.Window(0, codes, AB)
     with pytest.raises(sq.PartitionError):
         gd.classify_case(bad, SPEC, 1, HVALS, origin=1500)
-
-
-def test_classifier_reentry_flag_accepts_both_modes():
-    store = {}
-    for mode in ("same-origin", "block-start"):
-        lab = gd.classify_case(
-            WINDOW, SPEC, 2, HVALS, origin=7777, partitions={}, reentry=mode
-        )
-        assert lab.kind in ("cube", "square")
-    with pytest.raises(sq.ValidationError):
-        gd.classify_case(WINDOW, SPEC, 2, HVALS, origin=7777, reentry="elsewhere")
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +377,14 @@ def test_nondecay_scan_finds_witnesses():
 
 def test_nondecay_trivial_off_spectrum():
     rep = gd.nondecay_scan(SPEC, 4.5, 100)
+    assert rep.passed
+
+
+def test_nondecay_saturated_tails_raise_no_warning():
+    # at 1.05 the propagated tails overflow to inf, and their norms with them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = gd.nondecay_scan(SPEC, 1.05, 2000)
     assert rep.passed
 
 

@@ -160,6 +160,21 @@ def ref_matrix_norm2(m):
     return math.sqrt(max((fro2 + math.sqrt(inner)) / 2.0, 0.0))
 
 
+def ref_cheb_eval(n, x):
+    s_prev = x * 0
+    if n == 0:
+        return s_prev
+    s_cur = x * 0 + 1
+    for _ in range(n - 1):
+        s_prev, s_cur = s_cur, x * s_cur - s_prev
+    return s_cur
+
+
+def ref_recursion_step(h_prev, h_cur, n_mid, n_top):
+    inner = ref_cheb_eval(n_mid, h_prev) * h_prev - 2 * ref_cheb_eval(n_mid - 1, h_prev)
+    return ref_cheb_eval(n_top, h_cur) * inner - 2 * ref_cheb_eval(n_top - 1, h_cur)
+
+
 def ref_sampled_power_sup(energy, j_max):
     f = np.array([[energy, -1.0], [1.0, 0.0]])
     m = np.eye(2)
@@ -292,6 +307,32 @@ def test_block_trace_lanes_match_seed_reference(lanes):
     assert np.array_equal(traces[0], h0) and np.array_equal(traces[1], h1)
     h = cc.trace_recursion_f64(SIMPLE3, 2, grid)
     assert np.array_equal(h[0], h0) and np.array_equal(h[1], h1)
+
+
+def test_cheb_eval_matches_reference():
+    lanes = np.linspace(-3.0, 3.0, 101)
+    with mp.workdps(50):
+        xm = mp.mpf(7) / 3
+        for n in range(13):
+            assert np.array_equal(cc.cheb_eval(n, lanes), ref_cheb_eval(n, lanes))
+            assert cc.cheb_eval(n, 1.7) == ref_cheb_eval(n, 1.7)
+            assert cc.cheb_eval(n, xm) == ref_cheb_eval(n, xm)
+    with pytest.raises(sq.ValidationError):
+        cc.cheb_eval(-1, 0.5)
+
+
+def test_trace_recursion_matches_reference_step(monkeypatch):
+    grid = np.linspace(-3.0, 4.0, 100_000)
+    got = cc.trace_recursion_f64(SIMPLE3, 8, grid)
+    monkeypatch.setattr(cc, "_recursion_step", ref_recursion_step)
+    assert np.array_equal(got, cc.trace_recursion_f64(SIMPLE3, 8, grid))
+
+
+@pytest.mark.parametrize("energy,K", [(0.3, 12), (-2.6, 9), (1.05, 9), (3.1, 9), (5.5, 9)])
+def test_trace_table_recursion_matches_reference_step(monkeypatch, energy, K):
+    got = cc.trace_table(SIMPLE3, energy, K).h_recursion
+    monkeypatch.setattr(cc, "_recursion_step", ref_recursion_step)
+    assert got == cc.trace_table(SIMPLE3, energy, K).h_recursion
 
 
 @pytest.mark.parametrize("n_steps", [1000, 1001, 2017, 100_000])
