@@ -251,6 +251,8 @@ def trace_table(
     """
     if K < 2:
         raise ValidationError("trace tables need K >= 2")
+    if not math.isfinite(energy):
+        raise ValidationError("energy %r is not finite" % energy)
     if spec.max_level() < K + 1:
         raise ValidationError(
             "trace level %d needs tail periods up to level %d" % (K, K + 1)
@@ -338,6 +340,9 @@ def lyapunov_scan(
     if samples < 1:
         raise ValidationError("need at least one sample start point")
     e = np.atleast_1d(np.asarray(energies, dtype=np.float64))
+    bad = e[~np.isfinite(e)]
+    if bad.size:
+        raise ValidationError("energy %r is not finite" % float(bad[0]))
     total = n_steps + (samples - 1) * SAMPLE_STRIDE
     vals = _window_values(window_source, start, total)
     # lanes: (energy, sample) pairs; rows of cur/prev: the columns

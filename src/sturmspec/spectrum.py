@@ -6,7 +6,12 @@ located on an energy grid and the endpoints refined by bisection of
 |h_k| - 2.  All edges, and then all tangency candidates, are refined
 together as numpy lanes: one trace evaluation per step covers every lane
 still moving.  Half-line operators are truncated to symmetric tridiagonal
-matrices whose eigenvalues come from Sturm-count bisection.
+matrices whose eigenvalues come from Sturm-count bisection.  The count
+loop steps all lanes in place through chunks of coefficient rows, two
+ufuncs per site, and recounts only lanes that met a tiny pivot with the
+per-site nudge.  Each count call is a multisection: it covers the next
+few levels of every lane's bisection tree, deeper when fewer eigenvalues
+are asked for, and gives the same floats as one-step bisection.
 """
 
 from __future__ import annotations
@@ -370,20 +375,61 @@ class HalfLineOperator:
         return d
 
 
+#: pivots smaller than this are nudged to -PIVMIN before counting
+PIVMIN = 1e-30
+#: sites whose coefficient rows the count loop builds at once
+STURM_CHUNK = 64
+#: count lanes per multisection call; fixes the tree depth from ``count``
+LANE_BUDGET = 512
+#: bisection steps per eigenvalue at most
+MAX_STEPS = 80
+
+
+def _nudged_count(d: list, x: float) -> int:
+    """Sturm count at one x with each vanishing pivot nudged to -PIVMIN."""
+    count, q = 0, math.inf
+    for di in d:
+        q = (di - x) - 1.0 / q
+        if abs(q) < PIVMIN:
+            q = -PIVMIN
+        count += q < 0
+    return count
+
+
 def _sturm_counts(d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues of tridiag(d, offdiag=1) below each x.
+    """Number of eigenvalues of tridiag(d, offdiag=1) below each x in a 1-D x.
 
     Standard Sturm-sequence pivot count; vanishing pivots are nudged
     negative before counting (an exact hit counts as below), which keeps
     the count monotone in x up to the isolated hit itself.
+
+    The pivots q_i = (d_i - x) - 1/q_{i-1} start from q = inf, so site 0
+    needs no branch.  Coefficient rows d_i - x are built STURM_CHUNK
+    sites at a time and stepped in place, two ufuncs per site.  A lane
+    whose pivots never fall below PIVMIN in magnitude is never nudged, so
+    its count is read from the chunk; the few lanes with a tiny pivot are
+    recounted with the per-site nudge, once for each distinct x.
     """
-    pivmin = 1e-30
-    count = np.zeros(np.shape(x), dtype=np.int64)
-    q = np.ones_like(x)
-    for i in range(d.size):
-        q = (d[i] - x) - (1.0 / q if i > 0 else 0.0)
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count += q < 0
+    count = np.zeros(x.shape, dtype=np.int64)
+    tiny = np.zeros(x.shape, dtype=bool)
+    q = np.full(x.shape, np.inf)
+    inv = np.empty_like(q)
+    # a zero pivot divides by zero; its lane is recounted below
+    with np.errstate(divide="ignore"):
+        for s in range(0, d.size, STURM_CHUNK):
+            rows = d[s : s + STURM_CHUNK, None] - x
+            for q_next in rows:
+                np.divide(1.0, q, out=inv)
+                np.subtract(q_next, inv, out=q_next)
+                q = q_next
+            count += np.count_nonzero(rows < 0, axis=0)
+            tiny |= (np.abs(rows) < PIVMIN).any(axis=0)
+    if tiny.any():
+        # tiny pivots come from exact hits, at few distinct x (0.0 and -0.0
+        # give the same count: a signed zero pivot is nudged either way)
+        xs, at = np.unique(x[tiny], return_inverse=True)
+        dl = d.tolist()
+        count[tiny] = np.array([_nudged_count(dl, v) for v in xs.tolist()])[at]
     return count
 
 
@@ -393,6 +439,14 @@ def halfline_eigs(op: HalfLineOperator, count: Optional[int] = None) -> list:
     Returns the ``count`` largest (all of them when count is None),
     sorted ascending.  Off-diagonal entries are all 1, so the counts
     need no squaring of couplings.
+
+    Each lane bisects [min d - 2, max d + 2] until every interval is
+    narrower than 1e-14 of that scale, or MAX_STEPS steps.  Each count
+    call is a multisection: it evaluates the next ``depth`` levels of
+    every lane's bisection tree, 2^depth - 1 midpoints per lane with
+    about LANE_BUDGET lanes in all, and the walk down the tree then takes
+    one bisection step per level.  The midpoints, the steps and the stop
+    are those of one-step bisection, so the result is the same floats.
     """
     d = op.diagonal()
     n = d.size
@@ -401,18 +455,32 @@ def halfline_eigs(op: HalfLineOperator, count: Optional[int] = None) -> list:
         raise ValidationError("count must be >= 1")
     lo = float(d.min() - 2.0)
     hi = float(d.max() + 2.0)
+    tol = 1e-14 * max(abs(lo), abs(hi), 1.0)
     targets = np.arange(n - count, n)  # eigenvalue indices, ascending
     los = np.full(count, lo)
     his = np.full(count, hi)
-    for _ in range(80):
-        mids = 0.5 * (los + his)
-        c = _sturm_counts(d, mids)
-        below = c <= targets  # true eigenvalue index >= target: go right
-        los = np.where(below, mids, los)
-        his = np.where(below, his, mids)
-        if np.max(his - los) < 1e-14 * max(abs(lo), abs(hi), 1.0):
-            break
-    return [float(x) for x in 0.5 * (los + his)]
+    lanes = np.arange(count)
+    depth = max(1, (LANE_BUDGET // count + 1).bit_length() - 1)
+    steps = 0
+    while True:
+        # tree nodes in heap order: level l holds rows 2^l - 1 .. 2^(l+1) - 2
+        levels, a, b = [], los[None], his[None]
+        for _ in range(min(depth, MAX_STEPS - steps)):
+            m = 0.5 * (a + b)
+            levels.append(m)
+            a = np.stack((a, m), axis=1).reshape(-1, count)
+            b = np.stack((m, b), axis=1).reshape(-1, count)
+        mids = np.concatenate(levels)
+        c = _sturm_counts(d, mids.ravel()).reshape(mids.shape)
+        node = np.zeros(count, dtype=np.intp)
+        for _ in levels:
+            below = c[node, lanes] <= targets  # true index >= target: go right
+            los = np.where(below, mids[node, lanes], los)
+            his = np.where(below, his, mids[node, lanes])
+            node = 2 * node + 1 + below
+            steps += 1
+            if steps == MAX_STEPS or np.max(his - los) < tol:
+                return [float(x) for x in 0.5 * (los + his)]
 
 
 def free_halfline_eigs(n: int) -> np.ndarray:
@@ -436,15 +504,15 @@ def free_power_norm_bound(energy: float) -> float:
     value, so it is an upper bound there (and exact at E = 0).
     """
     a = abs(energy)
-    if a >= 2.0:
-        raise ValidationError("|E| >= 2: free powers are unbounded")
+    if not a < 2.0:
+        raise ValidationError("free powers are unbounded unless |E| < 2, got E=%r" % energy)
     return math.sqrt((2.0 + a) / (2.0 - a))
 
 
 def sampled_power_sup(energy: float, j_max: int = 10_000) -> float:
     """max_{j <= j_max} ||F^j|| by literal iteration."""
-    if abs(energy) >= 2.0:
-        raise ValidationError("|E| >= 2: free powers are unbounded")
+    if not abs(energy) < 2.0:
+        raise ValidationError("free powers are unbounded unless |E| < 2, got E=%r" % energy)
     # (a[j], b[j]) is the top row of F^j, and its bottom row is that of F^(j-1)
     coeffs = [float(energy)] * j_max
     a, b = [1.0], [0.0]
@@ -543,9 +611,10 @@ def sparse_no_eigenvalue_certificate(
     growing partial sums certify that the energy is not an eigenvalue
     for any boundary condition.
     """
-    if abs(energy) >= 2.0:
+    if not abs(energy) < 2.0:
         raise ValidationError(
-            "certificate requires |E| < 2 (free powers unbounded otherwise)"
+            "certificate requires |E| < 2 (free powers unbounded otherwise), got E=%r"
+            % energy
         )
     gaps = spec.gaps(k_max)
     return certificate_from_gaps(gaps, spec.v, energy)

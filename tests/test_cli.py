@@ -290,6 +290,19 @@ def test_out_of_range_parameter_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sparse-check", "--spec", CONFIGS / "sparse3.cfg", "--energy", "nan"],
+    ["trace-table", "--spec", CONFIGS / "simple3.cfg", "--energy", "nan", "--k", "4"],
+    ["lyapunov", "--spec", CONFIGS / "simple3.cfg", "--energies", "nan,0.5",
+     "--n-steps", "2000"],
+], ids=["sparse-check", "trace-table", "lyapunov"])
+def test_non_finite_energy_exits_one(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", out]) == 1
+    assert "nan" in capsys.readouterr().err  # the error names the energy
+    assert not out.exists()
+
+
 def test_console_script_is_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "sturmspec.cli", "--version"],

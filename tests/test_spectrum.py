@@ -322,6 +322,102 @@ def test_halfline_validation():
         sp.HalfLineOperator(128, zero_window(100))  # window too short
 
 
+def ref_sturm_counts(d, x):
+    """The per-site count loop with the pivot nudge at every site."""
+    pivmin = 1e-30
+    count = np.zeros(np.shape(x), dtype=np.int64)
+    q = np.ones_like(x)
+    for i in range(d.size):
+        q = (d[i] - x) - (1.0 / q if i > 0 else 0.0)
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        count += q < 0
+    return count
+
+
+def ref_halfline_eigs(op, count=None):
+    """One-step Sturm bisection: one count call per step for all lanes."""
+    d = op.diagonal()
+    n = d.size
+    count = n if count is None else min(int(count), n)
+    lo = float(d.min() - 2.0)
+    hi = float(d.max() + 2.0)
+    targets = np.arange(n - count, n)
+    los = np.full(count, lo)
+    his = np.full(count, hi)
+    for _ in range(80):
+        mids = 0.5 * (los + his)
+        c = ref_sturm_counts(d, mids)
+        below = c <= targets
+        los = np.where(below, mids, los)
+        his = np.where(below, his, mids)
+        if np.max(his - los) < 1e-14 * max(abs(lo), abs(hi), 1.0):
+            break
+    return [float(x) for x in 0.5 * (los + his)]
+
+
+SPARSE3 = sq.SparseSpec(v=2.0, rule=("power", 3))
+RANDOM128 = np.random.default_rng(0).uniform(-1, 1, 128)
+
+
+def random_window():
+    alpha = sq.Alphabet(tuple("s%d" % i for i in range(128)), tuple(RANDOM128))
+    return sq.Window(1, np.arange(128, dtype=np.int16), alpha)
+
+
+@pytest.mark.parametrize("name", ["sparse3", "random", "zero"])
+def test_sturm_counts_equal_reference(name):
+    d = {
+        "sparse3": SPARSE3.window(1, 1500).values().astype(np.float64),
+        "random": RANDOM128,
+        "zero": np.zeros(401),
+    }[name]
+    rng = np.random.default_rng(7)
+    # exact hits take the recount path: q = 0 at x = 0 on the zero
+    # potential, free eigenvalues, and x equal to a diagonal entry.  An
+    # un-nudged zero pivot only moves the count when it is the last one:
+    # x = 0 is an exact eigenvalue of the 401 zero sites.
+    x = np.concatenate([
+        rng.uniform(d.min() - 2.5, d.max() + 2.5, 2000),
+        [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5],
+        2.0 * np.cos(np.pi * np.arange(1, d.size + 1) / (d.size + 1)),
+        np.unique(d),
+    ])
+    assert np.array_equal(sp._sturm_counts(d, x), ref_sturm_counts(d, x))
+
+
+HALFLINE_CASES = [
+    pytest.param(sp.HalfLineOperator(4096, SPARSE3.window(1, 4200)), 16, id="sparse3-4096-16"),
+    pytest.param(sp.HalfLineOperator(2048, SPARSE3.window(1, 2100)), 16, id="sparse3-2048-16"),
+    pytest.param(sp.HalfLineOperator(256, SPARSE3.window(1, 300)), None, id="sparse3-256-all"),
+    pytest.param(sp.HalfLineOperator(512, zero_window(600)), None, id="free-512-all"),
+] + [
+    pytest.param(sp.HalfLineOperator(128, random_window(), boundary_phi=phi), None,
+                 id="random-128-phi%.2f" % phi)
+    for phi in (math.pi / 2, 1.0, 2.2)
+]
+
+
+@pytest.mark.parametrize("op, count", HALFLINE_CASES)
+def test_halfline_eigs_equal_reference(op, count):
+    assert sp.halfline_eigs(op, count=count) == ref_halfline_eigs(op, count=count)
+
+
+def test_halfline_multisection_call_count(monkeypatch):
+    # depth 5 for 16 lanes: about 48 bisection steps in 10 count calls
+    calls = []
+    counts = sp._sturm_counts
+
+    def counted(d, x):
+        calls.append(x.size)
+        return counts(d, x)
+
+    monkeypatch.setattr(sp, "_sturm_counts", counted)
+    op = sp.HalfLineOperator(4096, SPARSE3.window(1, 4200))
+    sp.halfline_eigs(op, count=16)
+    assert len(calls) <= 12
+    assert max(calls) <= sp.LANE_BUDGET
+
+
 # ---------------------------------------------------------------------------
 # Eigenvalue-exclusion certificates
 # ---------------------------------------------------------------------------
@@ -346,6 +442,13 @@ def test_certificate_requires_interior_energy():
         sp.sparse_no_eigenvalue_certificate(spec, 2.0)
     with pytest.raises(sq.ValidationError):
         sp.free_power_norm_bound(-2.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(sq.ValidationError, match=repr(bad)):
+            sp.sparse_no_eigenvalue_certificate(spec, bad)
+        with pytest.raises(sq.ValidationError):
+            sp.free_power_norm_bound(bad)
+        with pytest.raises(sq.ValidationError):
+            sp.sampled_power_sup(bad)
 
 
 def test_certificate_diverges_for_factorial_gaps():
