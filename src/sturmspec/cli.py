@@ -203,9 +203,20 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _energy_list(text: str) -> list:
+    """The floats of a comma-separated ``--energies`` list; a bad token raises."""
+    out = []
+    for tok in text.split(","):
+        try:
+            out.append(float(tok))
+        except ValueError:
+            raise ValidationError("--energies: %r is not a number" % tok) from None
+    return out
+
+
 def _cmd_lyapunov(args) -> int:
     cfg, spec = _load(args)
-    energies = [float(x) for x in args.energies.split(",")]
+    energies = _energy_list(args.energies)
     source = spec
     if isinstance(spec, CircleMapSpec):
         total = args.n_steps + (args.samples - 1) * cocycle.SAMPLE_STRIDE

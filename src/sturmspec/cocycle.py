@@ -10,7 +10,11 @@ Only the level-0 words are stepped site by site; every higher block matrix
 is composed through the substitution s_k = s_{k-1}^{n_k - 1} t_{k-1},
 t_k = s_{k-1}^{n_k}, so K levels cost O(n_1 + ... + n_K) 2x2 products.
 
-Every product over sites goes through one kernel, :func:`transfer_run`,
+Lyapunov scans multiply words, not sites: each distinct RESCALE_EVERY-site
+word of the samples is stepped once per energy, then the word matrices are
+composed in extended precision (see :func:`lyapunov_scan`).
+
+Every recurrence over sites goes through one kernel, :func:`transfer_run`,
 which steps phi(n+1) = c_n phi(n) - phi(n-1) with c_n = E - V(n) on
 floats, numpy lanes or mpmath numbers.  Column convention: the state is
 (cur, prev) = (phi(n), phi(n-1)), so a run from (1, 0) ends at the first
@@ -307,17 +311,109 @@ def trace_recursion_f64(spec: ToeplitzSpec, K: int, e_grid: np.ndarray) -> np.nd
 # Lyapunov exponents
 # ---------------------------------------------------------------------------
 
+#: sites per word of the Lyapunov products: each word matrix is rescaled
+#: on its own, so a word that overflows float64 marks a pathological energy
 RESCALE_EVERY = 32
 #: sites between the start points of consecutive Lyapunov samples
 SAMPLE_STRIDE = 1013
+#: pairing levels above the words: blocks of RESCALE_EVERY * 2**TREE_LEVELS
+#: sites.  Deeper blocks lose accuracy: a product of two long blocks whose
+#: growth cancels keeps only the rounding of their contracting directions.
+TREE_LEVELS = 3
+#: blocks multiplied into a sample's product between its rescalings; the
+#: blocks' entries are below 1 in magnitude, so the product's stay below
+#: 2**FOLD_RESCALE
+FOLD_RESCALE = 8
+#: cap on tree nodes x energies per pass of lyapunov_scan, so its tables
+#: stay a few hundred KB whatever the number of energies
+WORD_LANES = 1 << 12
 
 
-def _window_values(source, start: int, length: int) -> np.ndarray:
+def _window_codes(source, start: int, length: int):
+    """(codes, value table) of the sites [start, start + length)."""
     if isinstance(source, Window):
         if not (source.start <= start and start + length <= source.end):
             raise ValidationError("window too short for the requested Lyapunov run")
-        return source.values()[start - source.start : start - source.start + length]
-    return source.window(start, length).values()
+        lo = start - source.start
+        return source.codes[lo : lo + length], source.alphabet.value_table()
+    window = source.window(start, length)
+    return window.codes, window.alphabet.value_table()
+
+
+def _distinct_rows(rows: np.ndarray):
+    """(distinct rows, inverse) of a 2-d code array, keyed on each row's bytes."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    uniq, inv = np.unique(keys, return_inverse=True)
+    return uniq.view(rows.dtype).reshape(-1, rows.shape[1]), inv.ravel()
+
+
+def _distinct_words(parts: list):
+    """(distinct rows, [inverse of each part]) over code arrays of one width.
+
+    Each part is deduplicated on its own first, so the sort copies stay the
+    size of one sample's words.
+    """
+    per = [_distinct_rows(part) for part in parts]
+    distinct, inv = _distinct_rows(np.concatenate([d for d, _ in per]))
+    bounds = np.cumsum([0] + [len(d) for d, _ in per])
+    return distinct, [inv[lo + i] for lo, (_, i) in zip(bounds, per)]
+
+
+def _product_plan(codes: np.ndarray, n_steps: int, samples: int):
+    """The energy-independent plan of the Lyapunov products.
+
+    Returns (words, words_seq, levels, seq).  Each sample's sites are cut
+    into RESCALE_EVERY-site words and a short final word.  Node 0 of every
+    level is the identity.  Level 0 holds the distinct words, one code
+    array per word length, and words_seq[s] lists sample s's words in site
+    order.  Each of the TREE_LEVELS levels above holds the distinct adjacent
+    pairs of the nodes below, as (left, right) index arrays, an odd row
+    padded with the identity; seq[s] lists sample s's top-level nodes.
+    """
+    n_full = n_steps // RESCALE_EVERY * RESCALE_EVERY
+    starts = range(0, samples * SAMPLE_STRIDE, SAMPLE_STRIDE)
+    words, seq, n_nodes = [], [], 1
+    for lo, hi in ((0, n_full), (n_full, n_steps)):
+        if hi > lo:
+            width = min(hi - lo, RESCALE_EVERY)
+            parts = [codes[s + lo : s + hi].reshape(-1, width) for s in starts]
+            distinct, inv = _distinct_words(parts)
+            words.append(distinct)
+            seq.append(np.stack(inv) + n_nodes)
+            n_nodes += len(distinct)
+    words_seq = seq = np.hstack(seq)
+    levels = []
+    while len(levels) < TREE_LEVELS and seq.shape[1] > 1:
+        if seq.shape[1] % 2:
+            seq = np.hstack([seq, np.zeros((samples, 1), dtype=seq.dtype)])
+        keys = np.concatenate([[0], (seq[:, 0::2] * n_nodes + seq[:, 1::2]).ravel()])
+        uniq, inv = np.unique(keys, return_inverse=True)
+        levels.append(np.divmod(uniq, n_nodes))
+        seq, n_nodes = inv[1:].reshape(samples, -1), len(uniq)
+    return words, words_seq, levels, seq
+
+
+def _word_matrices(words: np.ndarray, values: np.ndarray, energies: np.ndarray):
+    """Matrices of the code rows ``words`` at each energy, shape (words, energies, 2, 2).
+
+    One run steps both columns: cur and prev start as the rows (1, 0) and
+    (0, 1) and end as (a, b) and (c, d).
+    """
+    coeffs = energies - values[:, None]
+    cur, prev = np.zeros((2, 2, len(words), energies.size), energies.dtype)
+    cur[0] = prev[1] = 1
+    cur, prev = transfer_run((coeffs[col] for col in words.T), cur, prev)
+    return np.moveaxis(np.array([cur, prev]), (0, 1), (2, 3))
+
+
+def _rescaled(m: np.ndarray):
+    """(m / 2**x, x) for 2x2 lanes m of shape (..., 2, 2), 2**x just above the max-abs entry.
+
+    Scaling by a power of two is exact, so only the products round.
+    """
+    _, x = np.frexp(np.abs(m).max(axis=(-2, -1)))
+    return m * np.ldexp(m.dtype.type(1), -x)[..., None, None], x
 
 
 def lyapunov_scan(
@@ -330,10 +426,23 @@ def lyapunov_scan(
     """Finite-horizon Lyapunov estimates for several energies at once.
 
     For each energy and each of ``samples`` start points, SAMPLE_STRIDE
-    sites apart, accumulates log ||A(n, x)|| over ``n_steps`` sites with
-    rescaling every 32 multiplications.  Returns (gamma, spread): the
-    per-energy mean over samples and the max-min spread, a uniformity
-    diagnostic.
+    sites apart, estimates log ||A(n, x)|| / n over ``n_steps`` sites.
+    Returns (gamma, spread): the per-energy mean over samples and the
+    max-min spread, a uniformity diagnostic.
+
+    The product runs over words, and a pattern Sturmian window holds only a
+    few dozen distinct ones (p(n) <= 2n).  Each sample is cut into
+    RESCALE_EVERY-site words and a short final word.  Each distinct word's
+    matrix is stepped once per energy by :func:`transfer_run`, then equal
+    adjacent pairs are multiplied once, TREE_LEVELS times over, and each
+    sample multiplies its blocks in site order.  Every matrix is divided by
+    a power of two after each product, and the exponents add up (the
+    log-scale channel).  The matrices are held in extended precision
+    (``np.longdouble``), which keeps the products as accurate as a site-by-
+    site float64 loop near parabolic energies such as E = 2 on a sparse
+    window; a word whose max-abs entry exceeds float64 still raises, as the
+    site-by-site loop overflowed there.  Energies go in chunks of at most
+    WORD_LANES tree nodes x energies.
     """
     if n_steps < 1000:
         raise ValidationError("n_steps must be >= 1000")
@@ -343,31 +452,42 @@ def lyapunov_scan(
     bad = e[~np.isfinite(e)]
     if bad.size:
         raise ValidationError("energy %r is not finite" % float(bad[0]))
-    total = n_steps + (samples - 1) * SAMPLE_STRIDE
-    vals = _window_values(window_source, start, total)
-    # lanes: (energy, sample) pairs; rows of cur/prev: the columns
-    # (a, c) and (b, d) of the product, started from (1, 0) and (0, 1)
-    ecol = np.repeat(e, samples)
-    offs = np.tile(np.arange(samples) * SAMPLE_STRIDE, e.size)
-    cur = np.zeros((2, ecol.size))
-    prev = np.zeros((2, ecol.size))
-    cur[0] = prev[1] = 1.0
-    logacc = np.zeros_like(ecol)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, n_steps, RESCALE_EVERY):
-            rows = np.arange(i0, min(i0 + RESCALE_EVERY, n_steps))
-            cur, prev = transfer_run(ecol - vals[offs + rows[:, None]], cur, prev)
-            if rows.size == RESCALE_EVERY:
-                scale = np.maximum(np.abs(cur).max(axis=0), np.abs(prev).max(axis=0))
-                if not np.all(np.isfinite(scale)) or np.any(scale == 0):
-                    raise ValidationError(
-                        "cocycle product overflowed despite rescaling; "
-                        "energy magnitude is pathological"
-                    )
-                logacc += np.log(scale)
-                cur, prev = cur / scale, prev / scale
-    gam = (logacc + np.log(matrix_norm2((cur, prev)))) / n_steps
-    gam = gam.reshape(e.size, samples)
+    codes, values = _window_codes(
+        window_source, start, n_steps + (samples - 1) * SAMPLE_STRIDE
+    )
+    words, words_seq, levels, seq = _product_plan(codes, n_steps, samples)
+    values = values.astype(np.longdouble)
+    widest = max([1 + sum(map(len, words))] + [len(left) for left, _ in levels])
+    chunk = max(1, WORD_LANES // widest)
+    gam = np.empty((e.size, samples))
+    for i in range(0, e.size, chunk):
+        lanes = e[i : i + chunk].astype(np.longdouble)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = np.concatenate(
+                [np.broadcast_to(np.eye(2, dtype=lanes.dtype), (1, lanes.size, 2, 2))]
+                + [_word_matrices(w, values, lanes) for w in words]
+            )
+        over = ~(np.abs(table).max(axis=(2, 3)) <= np.finfo(np.float64).max)
+        if over.any():
+            k = np.flatnonzero(over.any(axis=0))[0]
+            s = np.isin(words_seq, np.flatnonzero(over[:, k])).any(axis=1).argmax()
+            raise ValidationError(
+                "cocycle product overflowed despite rescaling at energy %g "
+                "(sample starting at site %d); energy magnitude is pathological"
+                % (float(lanes[k]), start + s * SAMPLE_STRIDE)
+            )
+        table, exps = _rescaled(table)
+        for left, right in levels:
+            table, x = _rescaled(table[right] @ table[left])
+            exps = exps[left] + exps[right] + x
+        prod, acc = table[seq[:, 0]], exps[seq].sum(axis=1)
+        for j, col in enumerate(seq.T[1:], 1):
+            prod = table[col] @ prod
+            if j % FOLD_RESCALE == 0:
+                prod, x = _rescaled(prod)
+                acc += x
+        norm = np.log(matrix_norm2(np.moveaxis(prod, (2, 3), (0, 1)))).astype(np.float64)
+        gam[i : i + chunk] = ((acc * math.log(2.0) + norm) / n_steps).T
     return gam.mean(axis=1), gam.max(axis=1) - gam.min(axis=1)
 
 

@@ -310,3 +310,21 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
+
+
+@pytest.mark.parametrize("energies,bad", [
+    ("0.3,,0.5", "''"), ("", "''"), ("0.3,abc", "'abc'"),
+])
+def test_malformed_energy_list_exits_one(energies, bad, capsys):
+    argv = ["lyapunov", "--spec", CONFIGS / "simple3.cfg", "--energies=" + energies]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad in err
+
+
+def test_lyapunov_overflow_names_the_energy(capsys):
+    argv = ["lyapunov", "--spec", CONFIGS / "simple3.cfg", "--energies=0.3,1e11",
+            "--n-steps", "2000"]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert "overflowed" in err and "1e+11" in err and "site 1)" in err

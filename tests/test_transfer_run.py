@@ -1,20 +1,25 @@
 """The transfer-recurrence kernel and its callers.
 
-Each caller of ``cocycle.transfer_run`` is compared with ``==`` against
-the site-by-site loop it replaced, kept below as ``ref_*``.  The
-references write the recurrence out by hand, so none of them shares the
-kernel.  The block matrices composed through the substitution are the
-one exception: above level 0 their products associate differently, so
-they match the literal mpmath products to a relative 1e-40.
+Each caller of ``cocycle.transfer_run`` is compared against the
+site-by-site loop it replaced, kept below as ``ref_*``.  The references
+write the recurrence out by hand, so none of them shares the kernel.  Most
+callers match with ``==``.  Two associate their products differently:
+the block matrices composed through the substitution match the literal
+mpmath products to a relative 1e-40, and ``lyapunov_scan``, which
+multiplies word matrices, matches ``ref_lyapunov_scan`` to
+1e-12 max(1, |gamma|) and the literal mpmath product near E = +-2.
 """
 
 import math
+import pathlib
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from sturmspec import cocycle as cc
+from sturmspec import config as cfg
 from sturmspec import gordon as gd
 from sturmspec import sequences as sq
 from sturmspec import spectrum as sp
@@ -31,6 +36,11 @@ def simple_spec(periods=(3, 3)):
 
 
 SIMPLE3 = simple_spec()
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def config_spec(name):
+    return cfg.build_spec(cfg.parse_config(str(CONFIGS / ("%s.cfg" % name))))
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +345,99 @@ def test_trace_table_recursion_matches_reference_step(monkeypatch, energy, K):
     assert got == cc.trace_table(SIMPLE3, energy, K).h_recursion
 
 
+def lyapunov_windows(total):
+    """The Lyapunov oracle's windows: three shipped configs and a random one."""
+    rng = np.random.default_rng(11)
+    abc = sq.Alphabet(("a", "b", "c"), (0.0, 1.0, -0.7))
+    return {
+        "simple3": SIMPLE3.window(1, total),
+        "fib": config_spec("fib").window(1, total, allow_periodic=True),
+        "sparse3": config_spec("sparse3").window(1, total),
+        # nearly every 32-site word distinct: no sharing to exploit
+        "random": sq.Window(1, rng.integers(0, 3, total), abc),
+    }
+
+
+def assert_lyapunov_close(got, want):
+    """|dgamma| and |dspread| <= 1e-12 max(1, |gamma|): the word products
+    associate differently from the site-by-site loop."""
+    (gam, spread), (ref_gam, ref_spread) = got, want
+    tol = 1e-12 * np.maximum(1.0, np.abs(ref_gam))
+    assert np.all(np.abs(gam - ref_gam) <= tol)
+    assert np.all(np.abs(spread - ref_spread) <= tol)
+
+
 @pytest.mark.parametrize("n_steps", [1000, 1001, 2017, 100_000])
 def test_lyapunov_scan_matches_reference(n_steps):
-    energies = [-1.9, 0.0, 0.3, 2.9, 40.0]
-    samples = 4
-    window = SIMPLE3.window(1, n_steps + (samples - 1) * 1013)
-    gam, spread = cc.lyapunov_scan(window, energies, n_steps=n_steps, samples=samples)
-    ref_gam, ref_spread = ref_lyapunov_scan(window.values(), energies, n_steps, samples)
-    assert np.array_equal(gam, ref_gam)
-    assert np.array_equal(spread, ref_spread)
+    energies = [-2.0, -1.9, 0.0, 0.3, 2.0, 2.9, 40.0, 1e6]
+    for samples in (1, 4, 6) if n_steps < 10_000 else (6,):
+        windows = lyapunov_windows(n_steps + (samples - 1) * 1013)
+        for window in windows.values():
+            got = cc.lyapunov_scan(window, energies, n_steps=n_steps, samples=samples)
+            want = ref_lyapunov_scan(window.values(), energies, n_steps, samples)
+            assert_lyapunov_close(got, want)
+
+
+@pytest.mark.parametrize("n_energies", [1, 20, 80])
+def test_lyapunov_scan_energy_chunks(monkeypatch, n_energies):
+    energies = np.random.default_rng(n_energies).uniform(-2.5, 3.5, n_energies)
+    n_steps = 20_000
+    windows = lyapunov_windows(n_steps + 3 * 1013)
+    # 2500 distinct words: one energy per chunk
+    window = windows["random"]
+    got = cc.lyapunov_scan(window, energies, n_steps=n_steps)
+    assert_lyapunov_close(got, ref_lyapunov_scan(window.values(), energies, n_steps, 4))
+    # chunking only regroups independent lanes, so it cannot move a bit
+    window = windows["simple3"]
+    whole = cc.lyapunov_scan(window, energies, n_steps=n_steps)
+    assert_lyapunov_close(whole, ref_lyapunov_scan(window.values(), energies, n_steps, 4))
+    monkeypatch.setattr(cc, "WORD_LANES", 1024)
+    assert np.array_equal(cc.lyapunov_scan(window, energies, n_steps=n_steps), whole)
+
+
+def mp_lyapunov(values, energy):
+    """log ||A(n)|| / n of the literal product at 40 digits."""
+    with mp.workdps(40):
+        e = mp.mpf(energy)
+        a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
+        for v in values:
+            ev = e - v
+            a, b, c, d = ev * a - c, ev * b - d, a, b
+        fro2 = a * a + b * b + c * c + d * d
+        norm2 = (fro2 + mp.sqrt(fro2 * fro2 - 4 * (a * d - b * c) ** 2)) / 2
+        return float(mp.log(norm2) / (2 * len(values)))
+
+
+@pytest.mark.parametrize("energy", [2.0 - 1e-15, 1.999999])
+def test_lyapunov_scan_near_parabolic_matches_mp(energy):
+    # Near E = +-2 the free stretches of the sparse word are almost
+    # parabolic.  On this sample the site-by-site float64 loop drifts from
+    # the literal product by 1.2e-12 at 2 - 1e-15 and 3.9e-14 at 1.999999.
+    window = config_spec("sparse3").window(3040, 100_000)
+    gam, _ = cc.lyapunov_scan(window, [energy], samples=1, start=3040)
+    assert abs(gam[0] - mp_lyapunov(window.values(), energy)) <= 2e-14
+
+
+def test_lyapunov_scan_overflow_threshold():
+    # a word matrix outgrows float64 once |E|**32 > 2**1024, as the
+    # site-by-site loop did: the same energies raise
+    window = SIMPLE3.window(1, 1024 + 1013)
+    below = [4294967294.0, -4294967294.0, 1e9]
+    got = cc.lyapunov_scan(window, below, n_steps=1024, samples=2)
+    want = ref_lyapunov_scan(window.values(), below, 1024, 2)
+    assert np.all(np.isfinite(want[0]))
+    assert_lyapunov_close(got, want)
+    for energy in (4294967298.0, -4294967298.0, 1e10):
+        named = re.escape("energy %g (sample starting at site 1)" % energy)
+        with pytest.raises(sq.ValidationError, match=named):
+            cc.lyapunov_scan(window, [0.3, energy, 1e11], n_steps=1024, samples=2)
+    # a huge coupling that only the second sample reaches
+    codes = np.zeros(1024 + 1013, dtype=np.int16)
+    codes[1100:1300] = 1
+    tall = sq.Window(1, codes, sq.Alphabet(("a", "b"), (0.0, -1e10)))
+    named = re.escape("energy 0.3 (sample starting at site 1014)")
+    with pytest.raises(sq.ValidationError, match=named):
+        cc.lyapunov_scan(tall, [0.3, -0.3], n_steps=1024, samples=2)
 
 
 @pytest.mark.parametrize("energy", [0.3, 2.95, 4.0])
