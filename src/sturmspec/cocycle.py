@@ -341,11 +341,21 @@ def _window_codes(source, start: int, length: int):
 
 
 def _distinct_rows(rows: np.ndarray):
-    """(distinct rows, inverse) of a 2-d code array, keyed on each row's bytes."""
+    """(distinct rows, inverse) of a 2-d code array, keyed on each row's bytes.
+
+    The rows are sorted through one permutation and one sorted copy;
+    ``np.unique(..., return_inverse=True)`` would hold a second copy.
+    """
     rows = np.ascontiguousarray(rows)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    uniq, inv = np.unique(keys, return_inverse=True)
-    return uniq.view(rows.dtype).reshape(-1, rows.shape[1]), inv.ravel()
+    perm = keys.argsort()
+    ordered = keys[perm]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    first[1:] = ordered[1:] != ordered[:-1]
+    inv = np.empty(len(keys), dtype=np.intp)
+    inv[perm] = np.cumsum(first) - 1
+    return ordered[first].view(rows.dtype).reshape(-1, rows.shape[1]), inv
 
 
 def _distinct_words(parts: list):

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .cocycle import _distinct_rows
 from .sequences import (
     SparseSpec,
     ValidationError,
@@ -68,14 +69,6 @@ class PatternTemplate:
         return self.offsets[-1]
 
 
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-d code array, as int16, in byte order."""
-    rows = np.ascontiguousarray(rows, dtype=np.int16)
-    width = rows.shape[1]
-    keys = rows.view(np.dtype((np.void, 2 * width))).ravel()
-    return np.unique(keys).view(np.int16).reshape(-1, width)
-
-
 def _factor_table(codes: np.ndarray, t_max: int) -> np.ndarray:
     """Distinct length-(t_max+1) rows read from every window position.
 
@@ -85,7 +78,8 @@ def _factor_table(codes: np.ndarray, t_max: int) -> np.ndarray:
     """
     padded = np.full(len(codes) + t_max, -1, dtype=np.int16)
     padded[: len(codes)] = codes
-    return _distinct_rows(np.lib.stride_tricks.sliding_window_view(padded, t_max + 1))
+    rows = np.lib.stride_tricks.sliding_window_view(padded, t_max + 1)
+    return _distinct_rows(np.ascontiguousarray(rows, dtype=np.int16))[0]
 
 
 def _distinct_count(table: np.ndarray, offsets, radix: int) -> np.ndarray:
@@ -95,7 +89,8 @@ def _distinct_count(table: np.ndarray, offsets, radix: int) -> np.ndarray:
     held = table[:, offsets[:, -1]] >= 0  # (rows, templates)
     if radix ** offsets.shape[1] >= 2**62:
         return np.array([
-            len(_distinct_rows(table[held[:, i]][:, offs]))
+            len(_distinct_rows(
+                np.ascontiguousarray(table[held[:, i]][:, offs], dtype=np.int16))[0])
             for i, offs in enumerate(offsets)
         ])
     key = np.zeros(held.shape, dtype=np.int64)
@@ -115,7 +110,7 @@ def block_complexity(window: Window, n: int) -> int:
             "factor length %d exceeds window length %d" % (n, len(window))
         )
     rows = np.lib.stride_tricks.sliding_window_view(window.codes, n)
-    return len(_distinct_rows(rows))
+    return len(_distinct_rows(np.ascontiguousarray(rows, dtype=np.int16))[0])
 
 
 def _beam_profile(table, radix: int, n_max: int, t_max: int, beam_width: int):

@@ -193,7 +193,7 @@ def _h_values(traces) -> list:
 
 
 class _Partitions:
-    """Per-window cache of k-partitions across levels.
+    """Per-window cache of k-partitions, and of the spec's s-blocks, across levels.
 
     Higher levels are aligned by refining the level below, so deep
     levels cost a handful of candidate alignments instead of a scan
@@ -204,6 +204,13 @@ class _Partitions:
         self.window = window
         self.spec = spec
         self.store = store if store is not None else {}
+        self.s_blocks = {}
+
+    def s_block(self, level: int) -> np.ndarray:
+        """s_level as the spec generates it (never read from the window)."""
+        if level not in self.s_blocks:
+            self.s_blocks[level] = blocks(self.spec, level)[0]
+        return self.s_blocks[level]
 
     def at(self, level: int) -> PartitionView:
         if level not in self.store:
@@ -426,9 +433,10 @@ def _check_periodic(window: Window, lo: int, hi: int, m: int):
         )
 
 
-def _check_rotation(window: Window, lo: int, spec: ToeplitzSpec, level: int, part: PartitionView):
+def _check_rotation(window: Window, lo: int, parts: _Partitions, level: int):
     """The m symbols from lo must be a cyclic rotation of s_level."""
-    s, _ = blocks(spec, level)
+    s = parts.s_block(level)
+    part = parts.at(level)
     m = len(s)
     seg = window.codes[lo - window.start : lo + m - window.start]
     if len(seg) != m:
@@ -475,7 +483,7 @@ def verify_bound(track: SolutionTrack, label: CaseLabel, trace_table, spec: Opti
                 "square verification needs the spec and the level-%d partition" % n
             )
     w = track.window
-    _verify_structural(w, spec, label, track.origin,
+    _verify_structural(w, label, track.origin,
                        _Partitions(w, spec, {label.trace_level: partition}))
     offs = _offsets(label)
     norms = [track.norm_at(r) for r in offs]
@@ -487,15 +495,14 @@ def verify_bound(track: SolutionTrack, label: CaseLabel, trace_table, spec: Opti
     return BoundReport(label, track.energy, value, 0.5, comps)
 
 
-def _verify_structural(window, spec, lab: CaseLabel, origin: int, parts: _Partitions):
+def _verify_structural(window, lab: CaseLabel, origin: int, parts: _Partitions):
     """Literal symbol re-check of a label's hypothesis (no norms)."""
     cert = _CERTIFICATES[lab.kind, lab.reflected]
     m = lab.m
-    part = parts.at(lab.trace_level) if cert.rotation is not None else None
     a, b = cert.periodic
     _check_periodic(window, origin + a * m, origin + b * m, m)
-    if part is not None:
-        _check_rotation(window, origin + cert.rotation * m, spec, lab.trace_level, part)
+    if cert.rotation is not None:
+        _check_rotation(window, origin + cert.rotation * m, parts, lab.trace_level)
 
 
 # ---------------------------------------------------------------------------
@@ -626,50 +633,81 @@ class SweepReport:
         }
 
 
-def _norm_slabs(window: Window, energies, origins, offsets, basis):
-    """||Phi(offset)|| for every (energy, origin) pair at the given offsets.
+#: the sweep's solution basis, (phi(-1), phi(0)) at each pair's own origin
+_BASES = ((0.0, 1.0), (1.0, 0.0))
 
-    Propagates all pairs simultaneously, one relative step at a time,
-    with the pair's own origin as the normalization point; records the
-    norm slab whenever a requested offset is reached.  Returns
-    {offset: array of shape (n_e, n_o)}.
+
+def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
+    """||Phi(t)|| of both bases for every lane, at the lane's own offsets.
+
+    Lane j is the pair (energies[j], origins[j]), normalized at its own
+    origin, and offsets[j] is the sequence of offsets it reads (possibly
+    empty).  Each lane is stepped in each direction only as far as its
+    own deepest offset there: lanes are ordered by that reach, longest
+    first, so the lanes still moving are a prefix of the arrays, and the
+    two bases step together along a leading axis of 2 through
+    ``transfer_run``, one run per gap between the distinct offsets.
+    Returns an array of shape (2, lanes, max offsets per lane) whose
+    entry [b, j, i] is the norm for basis ``_BASES[b]`` at offsets[j][i];
+    slots past a lane's offsets hold -1, which no norm takes.
     """
-    e = np.asarray(energies, dtype=np.float64)[:, None]
-    o = np.asarray(origins, dtype=np.int64)[None, :]
+    e = np.asarray(energies, dtype=np.float64)
+    o = np.asarray(origins, dtype=np.int64)
+    n_read = np.array([len(t) for t in offsets], dtype=np.int64)
+    used = np.arange(n_read.max(initial=0)) < n_read[:, None]
+    offs = np.zeros(used.shape, dtype=np.int64)
+    offs[used] = [t for lane in offsets for t in lane]
+
+    out = np.full((2,) + used.shape, -1.0)
     vals = window.values()
-    base = window.start
-    offsets = sorted(set(offsets))
-    out = {}
-    pm1, p0 = basis
-    fwd = [t for t in offsets if t >= 0]
-    bwd = [t for t in offsets if t < 0]
-    if fwd and (np.max(o) + max(fwd) >= window.end):
-        raise WindowTooShortError("window too short for forward propagation",
-                                  required=int(np.max(o)) + max(fwd) + 1)
-    if bwd and (np.min(o) + min(bwd) - 1 < window.start):
-        raise WindowTooShortError("window too short for backward propagation",
-                                  required=None)
-
-    def slab(rel):
-        return e - vals[(o + rel) - base]
-
-    # forward: (cur, prev) = (phi(origin+rel), phi(origin+rel-1))
-    cur = np.full((e.size, o.shape[1]), p0)
-    prev = np.full((e.size, o.shape[1]), pm1)
-    rel = 0
-    for t in fwd:
-        cur, prev = transfer_run(map(slab, range(rel, t)), cur, prev)
-        rel = t
-        out[t] = np.hypot(cur, prev)
-    # backward: (cur, prev) = (phi(origin+rel-1), phi(origin+rel))
-    cur = np.full((e.size, o.shape[1]), pm1)
-    prev = np.full((e.size, o.shape[1]), p0)
-    rel = -1
-    for t in reversed(bwd):
-        cur, prev = transfer_run(map(slab, range(rel, t - 1, -1)), cur, prev)
-        rel = t - 1
-        out[t] = np.hypot(prev, cur)
+    # phi(-1) and phi(0) of each basis, on every lane
+    phi_m1, phi_0 = (np.broadcast_to(np.array(col)[:, None], (2, len(o)))
+                     for col in zip(*_BASES))
+    for forward in (True, False):
+        # depth d: steps from the origin; forward the norm at offset d,
+        # backward the norm at offset -d, reading the sites o-1 ... o-d
+        need = used & ((offs >= 0) if forward else (offs < 0))
+        depth = np.where(need, offs if forward else -offs, -1)
+        reach = depth.max(axis=1, initial=-1)
+        _check_reach(window, e, o, reach, forward)
+        order = np.argsort(-reach, kind="stable")
+        reach, depth = reach[order], depth[order]
+        e_s = e[order]
+        o_s = o[order] - window.start - (0 if forward else 1)
+        sign = 1 if forward else -1
+        cur, prev = (phi_0, phi_m1) if forward else (phi_m1, phi_0)
+        done = 0
+        for d in np.unique(depth[depth >= 0]).tolist():
+            p = int(np.searchsorted(-reach, -d, side="right"))
+            e_p, o_p = e_s[:p], o_s[:p]
+            cur, prev = transfer_run(
+                (e_p - vals[o_p + sign * k] for k in range(done, d)),
+                cur[:, :p], prev[:, :p],
+            )
+            done = d
+            lane, slot = np.nonzero(depth[:p] == d)
+            at, before = (cur, prev) if forward else (prev, cur)
+            out[:, order[lane], slot] = np.hypot(at[:, lane], before[:, lane])
     return out
+
+
+def _check_reach(window: Window, energies, origins, reach, forward: bool):
+    """Every lane's solution must stay in the window out to its own reach."""
+    if forward:
+        site = origins + reach  # phi(origin + reach)
+        bad = (reach >= 0) & (site >= window.end)
+    else:
+        site = origins - reach - 1  # phi(origin - reach - 1)
+        bad = (reach >= 0) & (site < window.start)
+    if bad.any():
+        j = int(np.flatnonzero(bad)[0])
+        raise WindowTooShortError(
+            "window [%d, %d) too short for %s propagation: origin %d at "
+            "energy %r needs site %d"
+            % (window.start, window.end, "forward" if forward else "backward",
+               origins[j], float(energies[j]), site[j]),
+            required=int(site[j]),
+        )
 
 
 def gordon_sweep(
@@ -694,7 +732,10 @@ def gordon_sweep(
     that scale surfaces as a reported candidate, never silently.  Every
     (energy, origin) pair must classify and its bound must hold; a pair
     that raises ``ValidationError`` is reported as a falsification, and
-    any other exception is a defect and propagates.
+    any other exception is a defect and propagates.  Norms are stepped
+    per lane by ``_norm_slabs``: one lane per classified pair, each only
+    out to its own label's certificate offsets; a norm the bound needs
+    that was never computed raises ``RuntimeError``.
     """
     from .spectrum import band_approximant
 
@@ -729,36 +770,44 @@ def gordon_sweep(
 
     labels = {}
     falsifications = []
-    needed_offsets = set()
     climb_cap = max(max_scale - entry_k, 1)
     for ie, e in enumerate(energies):
         h = list(htab[:, ie])
         for io, o in enumerate(origins):
             try:
-                lab = classify_case(
+                labels[(ie, io)] = classify_case(
                     window, spec, entry_k, h, origin=int(o),
                     partitions=parts_store, max_climb=climb_cap,
                 )
-                labels[(ie, io)] = lab
-                needed_offsets.update(_offsets(lab))
             except ValidationError as exc:
                 falsifications.append(
                     {"energy": float(e), "origin": int(o),
                      "stage": "classify", "error": repr(exc)}
                 )
 
-    slabs = {}
-    for basis in ((0.0, 1.0), (1.0, 0.0)):
-        slabs[basis] = _norm_slabs(window, energies, origins, needed_offsets, basis)
+    # one lane per classified pair, stepped only to its own offsets
+    offsets = [_offsets(lab) for lab in labels.values()]
+    pairs = np.array(list(labels), dtype=np.int64).reshape(-1, 2)
+    norms = _norm_slabs(window, np.asarray(energies)[pairs[:, 0]],
+                        origins[pairs[:, 1]], offsets)
+    n_read = np.array([len(t) for t in offsets], dtype=np.int64)
+    unfilled = (norms < 0) & (np.arange(norms.shape[2]) < n_read[:, None])
+    if unfilled.any():
+        _, lane, slot = np.argwhere(unfilled)[0]
+        ie, io = pairs[lane]
+        raise RuntimeError(
+            "norm at offset %d of the pair (energy %r, origin %d) was never computed"
+            % (offsets[lane][slot], float(energies[ie]), origins[io])
+        )
 
     case_counts: dict = {}
     margins = []
-    for (ie, io), lab in labels.items():
+    for lane, ((ie, io), lab) in enumerate(labels.items()):
         case_counts[lab.case_id] = case_counts.get(lab.case_id, 0) + 1
         e = energies[ie]
         o = int(origins[io])
         try:
-            _verify_structural(window, spec, lab, o, parts)
+            _verify_structural(window, lab, o, parts)
         except ValidationError as exc:
             falsifications.append(
                 {"energy": float(e), "origin": o, "stage": "structure",
@@ -766,9 +815,8 @@ def gordon_sweep(
             )
             continue
         hn = abs(htab[lab.trace_level, ie]) if lab.trace_level is not None else None
-        offs = _offsets(lab)
-        for basis, nb in slabs.items():
-            value = _bound_value(lab.kind, [nb[t][ie, io] for t in offs], hn)
+        for basis, nb in zip(_BASES, norms[:, lane, : n_read[lane]]):
+            value = _bound_value(lab.kind, nb, hn)
             margin = float(value - 0.5)
             margins.append(margin)
             if margin < -BOUND_SLACK:

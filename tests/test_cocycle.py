@@ -294,3 +294,15 @@ def test_lyapunov_overflow_guard():
     spec = simple_spec()
     with pytest.raises(sq.ValidationError):
         cc.lyapunov(spec, 1e200, n_steps=2000, samples=1)
+
+
+@pytest.mark.parametrize("shape", [(2000, 7), (300, 201), (0, 5)])
+def test_distinct_rows_match_numpy_unique(shape):
+    rows = np.random.default_rng(3).integers(-1, 2, size=shape).astype(np.int16)
+    rows = np.concatenate([rows, rows[::3]])  # repeated rows
+    keys = rows.view(np.dtype((np.void, 2 * shape[1]))).ravel()
+    uniq, inv = np.unique(keys, return_inverse=True)
+    got, got_inv = cc._distinct_rows(rows)
+    assert np.array_equal(got, uniq.view(np.int16).reshape(-1, shape[1]))
+    assert np.array_equal(got_inv, inv.ravel())
+    assert np.array_equal(got[got_inv], rows)

@@ -220,13 +220,13 @@ def ref_verify_bound(track, label, trace_table, spec=None, partition=None):
         )
     if not label.reflected:
         gd._check_periodic(w, o, o + m, m)
-        gd._check_rotation(w, o, spec, n, partition)
+        gd._check_rotation(w, o, gd._Partitions(w, spec, {n: partition}), n)
         comps = {m: track.norm_at(m), 2 * m: track.norm_at(2 * m)}
         value = max(hn * comps[m], comps[2 * m])
         weak = max(2.0 * comps[m], comps[2 * m])
     else:
         gd._check_periodic(w, o - 2 * m, o - m, m)
-        gd._check_rotation(w, o - m, spec, n, partition)
+        gd._check_rotation(w, o - m, gd._Partitions(w, spec, {n: partition}), n)
         comps = {-m: track.norm_at(-m), -2 * m: track.norm_at(-2 * m)}
         value = max(hn * comps[-m], comps[-2 * m])
         weak = max(2.0 * comps[-m], comps[-2 * m])
@@ -234,7 +234,7 @@ def ref_verify_bound(track, label, trace_table, spec=None, partition=None):
     return gd.BoundReport(label, track.energy, value, 0.5, comps)
 
 
-def ref_verify_structural(window, spec, lab, origin, parts):
+def ref_verify_structural(window, lab, origin, parts):
     m = lab.m
     if lab.kind == "cube":
         if not lab.reflected:
@@ -242,13 +242,12 @@ def ref_verify_structural(window, spec, lab, origin, parts):
         else:
             gd._check_periodic(window, origin - 2 * m, origin, m)
     else:
-        part = parts.at(lab.trace_level)
         if not lab.reflected:
             gd._check_periodic(window, origin, origin + m, m)
-            gd._check_rotation(window, origin, spec, lab.trace_level, part)
+            gd._check_rotation(window, origin, parts, lab.trace_level)
         else:
             gd._check_periodic(window, origin - 2 * m, origin - m, m)
-            gd._check_rotation(window, origin - m, spec, lab.trace_level, part)
+            gd._check_rotation(window, origin - m, parts, lab.trace_level)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -314,8 +313,8 @@ def test_certificate_table_reproduces_written_out_checks():
                     reports += 1
                 else:
                     failures += 1
-            assert (_outcome(gd._verify_structural, WINDOW, SPEC, lab, o, parts)
-                    == _outcome(ref_verify_structural, WINDOW, SPEC, lab, o, parts))
+            assert (_outcome(gd._verify_structural, WINDOW, lab, o, parts)
+                    == _outcome(ref_verify_structural, WINDOW, lab, o, parts))
     assert families == {("cube", False), ("cube", True),
                         ("square", False), ("square", True)}
     # both outcomes occur often: the comparison is not one-sided
@@ -410,6 +409,87 @@ def test_sweep_reports_only_validation_errors_as_falsifications(monkeypatch, sta
     monkeypatch.setattr(gd, target, defect)
     with pytest.raises(RuntimeError, match="defect"):
         gd.gordon_sweep(SPEC, **sweep)
+
+
+def test_sweep_raises_on_a_norm_never_computed(monkeypatch):
+    real = gd._norm_slabs
+
+    def drops_one(window, energies, origins, offsets):
+        norms = real(window, energies, origins, offsets)
+        norms[1, 2, len(offsets[2]) - 1] = -1.0  # as if the lane stopped short
+        return norms
+
+    sweep = dict(entry_k=2, n_energies=2, n_origins=3, energy_level=3, grid=2000)
+    assert gd.gordon_sweep(SPEC, **sweep).passed
+    monkeypatch.setattr(gd, "_norm_slabs", drops_one)
+    with pytest.raises(RuntimeError, match="never computed"):
+        gd.gordon_sweep(SPEC, **sweep)
+
+
+def test_sweep_margins_match_verify_bound(monkeypatch):
+    """Each sweep margin, basis by basis, against a propagated track."""
+    seen = []
+    real = gd.classify_case
+
+    def recorded(window, spec, k, h, origin, partitions, max_climb):
+        lab = real(window, spec, k, h, origin=origin, partitions=partitions,
+                   max_climb=max_climb)
+        seen.append((window, h, origin, partitions, lab))
+        return lab
+
+    monkeypatch.setattr(gd, "classify_case", recorded)
+    n_o = 25
+    rep = gd.gordon_sweep(SPEC, entry_k=2, n_energies=5, n_origins=n_o,
+                          energy_level=5, max_scale=8, seed=3, grid=20_000)
+    assert len(seen) == 5 * n_o and rep.passed
+    assert {lab.kind for *_, lab in seen} == {"cube", "square"}
+    want = []
+    for i, (window, h, o, store, lab) in enumerate(seen):
+        e = rep.energies[i // n_o]
+        for basis in gd._BASES:
+            tr = gd.propagate(window, e, phi_init=basis, origin=o,
+                              lo=o - 2 * lab.m - 2, hi=o + 2 * lab.m + 2)
+            part = store[lab.trace_level] if lab.trace_level is not None else None
+            want.append(gd.verify_bound(tr, lab, h, spec=SPEC, partition=part).margin)
+    # math.hypot and np.hypot may round apart in the last place
+    assert rep.margins == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_norm_slabs_name_the_lane_that_leaves_the_window():
+    w = SPEC.window(1, 400)  # sites 1 .. 400
+    # each lane is checked against its own reach, the first offender named
+    lanes = dict(energies=[0.3, 0.7, 0.9, 0.9], origins=[200, 300, 390, 100],
+                 offsets=[(-1, 150), (60, 101), (10,), (1000,)])
+    with pytest.raises(sq.WindowTooShortError,
+                       match=r"forward propagation: origin 300 at energy 0\.7 "
+                             r"needs site 401") as err:
+        gd._norm_slabs(w, **lanes)
+    assert err.value.required == 401
+    lanes["offsets"][3] = (-1,)
+    lanes["offsets"][1] = (60, 100)  # phi(400), the window's last site
+    gd._norm_slabs(w, **lanes)
+    # backward phi(origin + t - 1) must exist: origin 40 at t = -38 reads
+    # phi(1), the first site; origin 50 at t = -49 needs site 0
+    with pytest.raises(sq.WindowTooShortError,
+                       match=r"backward propagation: origin 50 at energy 0\.3 "
+                             r"needs site 0") as err:
+        gd._norm_slabs(w, [0.1, 0.3, 0.3], [40, 50, 60], [(-38, 5), (-49,), (-70,)])
+    assert err.value.required == 0
+
+
+def test_rotation_check_reads_the_cached_spec_block(monkeypatch):
+    calls = []
+    real = gd.blocks
+
+    def counted(spec, level):
+        calls.append(level)
+        return real(spec, level)
+
+    monkeypatch.setattr(gd, "blocks", counted)
+    parts = gd._Partitions(WINDOW, SPEC, {})
+    for level in (3, 3, 4, 3):
+        assert np.array_equal(parts.s_block(level), sq.blocks(SPEC, level)[0])
+    assert calls == [3, 4]
 
 
 def test_small_sweep_has_no_falsifications():

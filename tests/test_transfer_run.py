@@ -456,35 +456,75 @@ def test_propagate_matches_reference(energy, basis):
     assert short.phi.tolist() == list(basis)
 
 
+def assert_lane_norms_match_reference(window, energies, origins, offsets, got):
+    """Every lane's norms at its own offsets are == to the site-by-site loop,
+    run on the grid of the lanes' distinct energies and origins; slots past
+    a lane's offsets hold -1."""
+    e_grid, ie = np.unique(energies, return_inverse=True)
+    o_grid, io = np.unique(origins, return_inverse=True)
+    union = {t for lane in offsets for t in lane}
+    width = max(map(len, offsets), default=0)
+    assert got.shape == (2, len(offsets), width)
+    for b, basis in enumerate(gd._BASES):
+        want = ref_norm_slabs(window, e_grid, o_grid, union, basis)
+        for j, lane in enumerate(offsets):
+            expect = [want[t][ie[j], io[j]] for t in lane]
+            assert np.array_equal(got[b, j, : len(lane)], expect, equal_nan=True), \
+                (basis, j, lane)
+            assert np.all(got[b, j, len(lane):] == -1.0)
+
+
 def test_norm_slabs_match_reference_on_certify_sweep(monkeypatch):
     calls = []
     new = gd._norm_slabs
 
-    def checked(window, energies, origins, offsets, basis):
-        got = new(window, energies, origins, offsets, basis)
-        want = ref_norm_slabs(window, energies, origins, offsets, basis)
-        assert sorted(got) == sorted(want)
-        for t in want:
-            assert np.array_equal(got[t], want[t])
-        calls.append(basis)
+    def checked(window, energies, origins, offsets):
+        got = new(window, energies, origins, offsets)
+        assert_lane_norms_match_reference(window, energies, origins, offsets, got)
+        calls.append(len(offsets))
         return got
 
     monkeypatch.setattr(gd, "_norm_slabs", checked)
     report = gd.gordon_sweep(SIMPLE3, 2, 40, 500, grid=2000, seed=1)
-    assert calls == [(0.0, 1.0), (1.0, 0.0)]
+    # one call; the pairs that failed to classify get no lane
+    assert calls == [40 * 500 - 44]
     assert len(report.falsifications) == 44
 
 
 def test_norm_slabs_sparse_offsets():
     window = SIMPLE3.window(1, 5000)
-    origins = [1200, 2500, 3100]
-    offsets = [-700, -9, -1, 0, 3, 4, 333]
-    for basis in ((0.0, 1.0), (1.0, 0.0)):
-        got = gd._norm_slabs(window, [0.3, 2.95], origins, offsets, basis)
-        want = ref_norm_slabs(window, [0.3, 2.95], origins, offsets, basis)
-        assert sorted(got) == sorted(want)
-        for t in want:
-            assert np.array_equal(got[t], want[t])
+    lanes = [
+        (0.3, 1200, ()),  # no offsets
+        (2.95, 2500, ()),
+        (0.3, 2500, (0,)),
+        (2.95, 1200, (-1,)),
+        (0.3, 3100, (-1, 0, 3)),
+        (2.95, 3100, (0, -1)),
+        (0.3, 1200, (4, -9, 333)),  # ties in forward reach ...
+        (2.95, 2500, (333, -700)),  # ... and in backward reach
+        (0.3, 3100, (-700, 4)),
+        (2.95, 1200, (3, 3)),
+        (0.3, 2500, (1700,)),  # alone at the deepest forward offset
+        (2.95, 1200, (-1100, 2)),  # alone at the deepest backward offset; overflows
+    ]
+    order = np.random.default_rng(5).permutation(len(lanes))
+    energies = [lanes[j][0] for j in order]
+    origins = [lanes[j][1] for j in order]
+    offsets = [lanes[j][2] for j in order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = gd._norm_slabs(window, energies, origins, offsets)
+        assert_lane_norms_match_reference(window, energies, origins, offsets, got)
+    assert np.isnan(got[:, offsets.index((-1100, 2)), 0]).all()
+    # the deepest offsets read the window's first and last sites
+    edge = gd._norm_slabs(window, [0.3, 0.3], [window.end - 5, 6], [(4,), (-4,)])
+    assert_lane_norms_match_reference(window, [0.3, 0.3], [window.end - 5, 6],
+                                      [(4,), (-4,)], edge)
+
+
+def test_norm_slabs_without_lanes():
+    window = SIMPLE3.window(1, 100)
+    assert gd._norm_slabs(window, [], [], []).shape == (2, 0, 0)
+    assert gd._norm_slabs(window, [0.3], [50], [()]).shape == (2, 1, 0)
 
 
 @pytest.mark.parametrize("energy", [0.0, 0.3, -1.7, 1.99])
