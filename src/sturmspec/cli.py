@@ -243,14 +243,14 @@ def _cmd_trace_table(args) -> int:
     cfg, spec = _load(args)
     if not isinstance(spec, ToeplitzSpec):
         raise ValidationError("trace tables need a toeplitz spec")
-    table = cocycle.trace_table(spec, args.energy, args.k, product_budget=args.budget)
-    flat = _resolved_config(cfg, args, ("energy", "k", "budget"))
+    table = cocycle.trace_table(spec, args.energy, args.k)
+    flat = _resolved_config(cfg, args, ("energy", "k"))
 
-    def digits(x, absent=None):
+    def digits(x):
         """An mpmath number at 17 significant digits, like the floats."""
-        return absent if x is None else mp.nstr(x, 17)
+        return mp.nstr(x, 17)
 
-    rows = [(k, digits(hd, ""), digits(hr), digits(diff, ""))
+    rows = [(k, digits(hd), digits(hr), digits(diff))
             for k, hd, hr, diff in table.rows()]
     result = {
         "energy": table.energy,
@@ -384,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--energy", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=20_000)
     p.set_defaults(func=_cmd_trace_table)
 
     p = sub.add_parser(

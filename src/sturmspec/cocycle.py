@@ -184,10 +184,9 @@ class TraceTable:
     """Traces h_0..h_K of the level-k block matrices at one energy.
 
     ``h_direct`` holds the traces of the block matrices composed through
-    the substitution (None past the product-length budget);
-    ``h_recursion`` the scalar recursion seeded by h_0, h_1 of that route.
-    Both are mpmath numbers so that super-exponential growth stays
-    representable.
+    the substitution, one entry for every level 0..K; ``h_recursion`` the
+    scalar recursion seeded by h_0, h_1 of that route.  Both are mpmath
+    numbers so that super-exponential growth stays representable.
     """
 
     energy: float
@@ -211,11 +210,9 @@ class TraceTable:
         return [self.h_float(k) for k in range(self.levels + 1)]
 
     def max_rel_diff(self) -> float:
-        """max_k |direct - recursion| / max(1, |direct|) over computed k."""
+        """max_k |direct - recursion| / max(1, |direct|)."""
         worst = mp.mpf(0)
         for hd, hr in zip(self.h_direct, self.h_recursion):
-            if hd is None:
-                continue
             rel = abs(hd - hr) / max(mp.mpf(1), abs(hd))
             worst = max(worst, rel)
         return float(worst)
@@ -230,28 +227,22 @@ class TraceTable:
 
     def rows(self):
         """(k, h_direct, h_recursion, abs_diff) rows for CSV export."""
-        out = []
-        for k in range(self.levels + 1):
-            hd = self.h_direct[k]
-            hr = self.h_recursion[k]
-            diff = None if hd is None else abs(hd - hr)
-            out.append((k, hd, hr, diff))
-        return out
+        return [
+            (k, hd, hr, abs(hd - hr))
+            for k, (hd, hr) in enumerate(zip(self.h_direct, self.h_recursion))
+        ]
 
 
 def trace_table(
     spec: ToeplitzSpec,
     energy: float,
     K: int,
-    product_budget: int = 20000,
 ) -> TraceTable:
     """Compute h_0..h_K by both routes, in mpmath at TRACE_DPS digits.
 
     The direct route is :func:`block_traces`, one composition pass whose
-    cost grows with K, not with the block length; ``product_budget`` only
-    marks which levels get a direct entry (None once the block length
-    exceeds it).  The recursion route has no such limit and is seeded by
-    the direct h_0, h_1.
+    cost grows with K, not with the block length.  The recursion route is
+    seeded by the direct h_0, h_1.
     """
     if K < 2:
         raise ValidationError("trace tables need K >= 2")
@@ -264,11 +255,7 @@ def trace_table(
     with mp.workdps(TRACE_DPS):
         e = mp.mpf(energy)
         n_list = tuple(spec.tail_period(k) for k in range(1, K + 1))
-        # block lengths grow with k: the budget keeps levels 0..top
-        top = sum(spec.block_length(k) <= product_budget for k in range(K + 1)) - 1
-        if top < 1:
-            raise ValidationError("product budget too small for the h_0/h_1 seeds")
-        direct = block_traces(spec, top, e) + [None] * (K - top)
+        direct = block_traces(spec, K, e)
         rec = [direct[0], direct[1]]
         for k in range(K - 1):
             rec.append(

@@ -263,7 +263,7 @@ def classify_case(
         return abs(h[level])
 
     def not_rightmost(start: int, level: int, what: str):
-        if origin == start + spec.block_length(level) - 1:
+        if origin == start + parts.at(level).block_len - 1:
             raise GordonStructureError(
                 "origin sits at the rightmost site of %s at level %d" % (what, level)
             )
@@ -271,7 +271,7 @@ def classify_case(
     def make_label(case_id: str, level: int, kind: str, reflected: bool) -> CaseLabel:
         return CaseLabel(
             case_id=case_id, scale=level, kind=kind, reflected=reflected,
-            m=spec.block_length(level),
+            m=parts.at(level).block_len,
             trace_level=level if kind == "square" else None, path=tuple(path),
         )
 
@@ -819,7 +819,7 @@ def gordon_sweep(
             value = _bound_value(lab.kind, nb, hn)
             margin = float(value - 0.5)
             margins.append(margin)
-            if margin < -BOUND_SLACK:
+            if not margin >= -BOUND_SLACK:  # as BoundReport.holds: NaN fails
                 falsifications.append(
                     {"energy": float(e), "origin": o, "stage": "bound",
                      "basis": basis, "margin": margin, "label": lab.case_id}
@@ -828,7 +828,7 @@ def gordon_sweep(
         spec_levels=(entry_k, energy_level),
         case_counts=case_counts,
         margins=tuple(margins),
-        min_margin=min(margins) if margins else math.nan,
+        min_margin=float(np.min(margins)) if margins else math.nan,
         falsifications=tuple(falsifications),
         energies=tuple(float(x) for x in energies),
         origins=tuple(int(x) for x in origins),

@@ -699,9 +699,13 @@ class PartitionView:
         object.__setattr__(self, "starts", _freeze(np.asarray(self.starts)))
 
     def block_containing(self, site: int):
-        """(start, label, index) of the full block covering the site."""
-        i = int(np.searchsorted(self.starts, site, side="right")) - 1
-        if i < 0 or site >= int(self.starts[i]) + self.block_len:
+        """(start, label, index) of the full block covering the site.
+
+        :func:`k_partition` lays the starts out as starts[0] + block_len * i,
+        so the index is one floor division.
+        """
+        i = (site - int(self.starts[0])) // self.block_len
+        if not 0 <= i < len(self.labels):
             raise PartitionError(
                 "site %d not covered by a full level-%d block" % (site, self.level)
             )

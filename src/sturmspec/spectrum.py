@@ -3,15 +3,15 @@ the sparse-potential spectral checks.
 
 The level-k approximant is the set {E : |h_k(E)| <= 2}; its bands are
 located on an energy grid and the endpoints refined by bisection of
-|h_k| - 2.  All edges, and then all tangency candidates, are refined
-together as numpy lanes: one trace evaluation per step covers every lane
-still moving.  Half-line operators are truncated to symmetric tridiagonal
-matrices whose eigenvalues come from Sturm-count bisection.  The count
-loop steps all lanes in place through chunks of coefficient rows, two
-ufuncs per site, and recounts only lanes that met a tiny pivot with the
-per-site nudge.  Each count call is a multisection: it covers the next
-few levels of every lane's bisection tree, deeper when fewer eigenvalues
-are asked for, and gives the same floats as one-step bisection.
+|h_k| - 2.  All edges are refined together as numpy lanes: one trace
+evaluation per step covers every edge still moving.  Half-line operators
+are truncated to symmetric tridiagonal matrices whose eigenvalues come
+from Sturm-count bisection.  The count loop steps all lanes in place
+through chunks of coefficient rows, two ufuncs per site, and recounts
+only lanes that met a tiny pivot with the per-site nudge.  Each count
+call is a multisection: it covers the next few levels of every lane's
+bisection tree, deeper when fewer eigenvalues are asked for, and gives
+the same floats as one-step bisection.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class BandSet:
     """Disjoint closed energy intervals where a trace condition holds.
 
     ``level`` records which trace produced the set (a tuple for merged
-    sets); zero-width intervals mark tangencies of |h| with 2 that were
-    detected but do not contribute measure.
+    sets).  Zero-width intervals are accepted and add no measure;
+    :func:`sigma_n` never produces them.
     """
 
     intervals: tuple
@@ -151,33 +151,6 @@ def _bisect_edges(g, lo, hi, tol: float) -> np.ndarray:
     return x
 
 
-def _tangencies(g, a, b, tol: float) -> np.ndarray:
-    """Ternary-search minima of g on [a, b] per lane; those with |g| <= 10*tol.
-
-    Every lane still moving advances one step per call of ``g`` on its two
-    probe points; a lane stops once b - a < tol, or after 120 steps.
-    """
-    a = np.array(a, dtype=np.float64)
-    b = np.array(b, dtype=np.float64)
-    live = np.arange(a.size)
-    for _ in range(120):
-        if live.size == 0:
-            break
-        al, bl = a[live], b[live]
-        m1 = al + (bl - al) / 3
-        m2 = bl - (bl - al) / 3
-        gm = g(np.concatenate([m1, m2]))
-        keep_left = gm[: live.size] <= gm[live.size :]
-        al = np.where(keep_left, al, m1)
-        bl = np.where(keep_left, m2, bl)
-        a[live], b[live] = al, bl
-        live = live[~(bl - al < tol)]
-    x = 0.5 * (a + b)
-    if x.size == 0:
-        return x
-    return x[np.abs(g(x)) <= 10.0 * tol]
-
-
 def band_set_from_trace(
     trace_fn: Callable[[np.ndarray], np.ndarray],
     e_range,
@@ -190,10 +163,13 @@ def band_set_from_trace(
     Runs of grid points with |h| <= 2 give the bands.  Their edges are
     bracketed by the grid points on either side and refined together as
     numpy lanes, so each bisection step is one ``trace_fn`` call for all
-    edges.  Bands narrower than the grid step can be missed; isolated
-    tangencies are picked up by refining interior local minima of
-    |h| - 2 that come close to zero from above, again all minima per
-    ``trace_fn`` call.  ``trace_fn`` must act on each energy alone.
+    edges.  Bands narrower than the grid step can be missed.
+
+    There is no search for tangencies of |h| with 2 between runs: when h
+    is the discriminant of a periodic Jacobi operator, as every h_k is,
+    its local maxima are >= 2 and its local minima are <= -2, so |h| - 2
+    has no local minimum above zero.  ``trace_fn`` must act on each
+    energy alone.
     """
     if grid < 1000:
         raise ValidationError("grid must use at least 1000 points")
@@ -222,21 +198,8 @@ def band_set_from_trace(
     left[starts > 0] = roots[: cut_l.size]
     right = es[ends]
     right[ends < grid - 1] = roots[cut_l.size :]
-    intervals = list(zip(left.tolist(), right.tolist()))
-
-    # tangency pass: strict local minima of g above zero but within reach
-    step = (hi - lo) / (grid - 1)
-    interior = np.flatnonzero(
-        (g[1:-1] > 0)
-        & (g[1:-1] <= g[:-2])
-        & (g[1:-1] <= g[2:])
-        & (g[1:-1] < 4.0 * step * np.maximum(np.abs(h[1:-1]), 1.0))
-    )
-    idx = interior + 1
-    touch = _tangencies(g_lanes, es[idx - 1], es[idx + 1], tol)
-    intervals.extend((x, x) for x in touch.tolist())
     return BandSet(
-        intervals=_merge(intervals),
+        intervals=_merge(zip(left.tolist(), right.tolist())),
         level=level,
         refinement_tol=tol,
     )

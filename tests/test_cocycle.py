@@ -167,7 +167,7 @@ def test_trace_routes_agree_on_varying_period_specs():
                            letters=tuple("ab"[i % 2] for i in range(depth)),
                            cycle=False)
         for e in rng.uniform(-3, 4, size=3):
-            tt = cc.trace_table(spec, float(e), 6, product_budget=10**6)
+            tt = cc.trace_table(spec, float(e), 6)
             assert tt.max_rel_diff() <= 1e-8
 
 
@@ -176,15 +176,15 @@ def test_trace_routes_agree_with_prefix():
         AB, sq.CodingTriple(("b", "a"), 3, 1), ("a", "b"), (4, 3), (1, 2)
     )
     for e in (-1.2, 0.3, 2.9):
-        tt = cc.trace_table(spec, e, 6, product_budget=10**6)
+        tt = cc.trace_table(spec, e, 6)
         assert tt.max_rel_diff() <= 1e-8
 
 
 def test_trace_direct_route_reaches_level_12():
     # 531441 sites per block: composed through the substitution, not stepped
     for e in (-2.4, -1.1, 0.3, 1.7, 3.2):
-        tt = cc.trace_table(simple_spec(), e, 12, product_budget=10**6)
-        assert all(h is not None for h in tt.h_direct)
+        tt = cc.trace_table(simple_spec(), e, 12)
+        assert len(tt.h_direct) == 13
         assert tt.max_rel_diff() <= 1e-40
 
 
@@ -198,21 +198,6 @@ def test_trace_escape_property_numeric():
             if h[k] > 2 and h[k + 1] > 2:
                 assert all(h[j] > 2 for j in range(k, 8))
                 break
-
-
-def test_trace_budget_marks_direct_entries_absent():
-    tt = cc.trace_table(simple_spec(), 0.5, 7, product_budget=100)
-    assert tt.h_direct[4] is not None  # block length 81 <= 100
-    assert tt.h_direct[5] is None  # block length 243 > 100
-    assert all(h is not None for h in tt.h_recursion)
-    assert tt.max_rel_diff() <= 1e-8  # on the computed overlap
-
-
-def test_trace_budget_is_inclusive():
-    tt = cc.trace_table(simple_spec(), 0.5, 6, product_budget=81)
-    assert [h is None for h in tt.h_direct] == [False] * 5 + [True] * 2
-    with pytest.raises(sq.ValidationError):
-        cc.trace_table(simple_spec(), 0.5, 6, product_budget=2)
 
 
 def test_trace_table_validation():

@@ -426,6 +426,28 @@ def test_sweep_raises_on_a_norm_never_computed(monkeypatch):
         gd.gordon_sweep(SPEC, **sweep)
 
 
+def test_sweep_falsifies_a_nan_margin(monkeypatch):
+    real = gd._norm_slabs
+    poisoned = []
+
+    def nan_lane(window, energies, origins, offsets):
+        norms = real(window, energies, origins, offsets)
+        norms[0, 2, : len(offsets[2])] = math.nan  # as if the lane overflowed
+        poisoned.append((float(energies[2]), int(origins[2])))
+        return norms
+
+    monkeypatch.setattr(gd, "_norm_slabs", nan_lane)
+    report = gd.gordon_sweep(
+        SPEC, entry_k=2, n_energies=2, n_origins=3, energy_level=3, grid=2000
+    )
+    assert not report.passed
+    bound = [f for f in report.falsifications if f["stage"] == "bound"]
+    assert len(bound) == 1
+    assert (bound[0]["energy"], bound[0]["origin"]) == poisoned[0]
+    assert math.isnan(bound[0]["margin"])
+    assert math.isnan(report.min_margin)
+
+
 def test_sweep_margins_match_verify_bound(monkeypatch):
     """Each sweep margin, basis by basis, against a propagated track."""
     seen = []

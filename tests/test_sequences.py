@@ -411,6 +411,17 @@ def test_partition_is_unique_on_shifted_windows():
         w = base.slice(1 + shift, 1 + shift + 700)
         pv = sq.k_partition(w, spec, 1)
         assert pv.residue == 1 % 3
+        # the sites around the full blocks: the edge fragments are not covered
+        first = int(pv.starts[0])
+        last = int(pv.starts[-1]) + pv.block_len - 1
+        with pytest.raises(sq.PartitionError):
+            pv.block_containing(first - 1)
+        assert pv.block_containing(first) == (first, pv.labels[0], 0)
+        assert pv.block_containing(last) == (
+            int(pv.starts[-1]), pv.labels[-1], len(pv.labels) - 1
+        )
+        with pytest.raises(sq.PartitionError):
+            pv.block_containing(last + 1)
 
 
 def test_partition_ambiguity_is_an_error():

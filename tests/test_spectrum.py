@@ -203,20 +203,42 @@ def loop_containment(inner, outer, e_range, grid):
     return violations, checked
 
 
-@pytest.mark.parametrize("k, grid", [(4, 20_001), (5, 20_001), (7, 2000), (8, 2000)])
-def test_lane_refinement_matches_scalar_reference(k, grid):
-    spec = simple_spec()
+def tail_spec(values, periods, offsets):
+    return sq.ToeplitzSpec(
+        sq.Alphabet(("a", "b"), values), sq.CodingTriple((), 1, 0),
+        ("a", "b"), periods, offsets,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, k, grid",
+    [
+        pytest.param(simple_spec(), 4, 20_001, id="4-20001"),
+        pytest.param(simple_spec(), 5, 20_001, id="5-20001"),
+        pytest.param(simple_spec(), 7, 2000, id="7-2000"),
+        pytest.param(simple_spec(), 8, 2000, id="8-2000"),
+        # at grid 20001 each of these leaves one interior local minimum of
+        # |h| - 2 above zero, which the reference's tangency pass refines
+        pytest.param(tail_spec((0.0, 1.5), (3, 4), (1, 2)), 5, 20_001,
+                     id="a:3:1,b:4:2-5-20001"),
+        pytest.param(tail_spec((0.0, 1.0), (5, 5), (0, 3)), 6, 20_001,
+                     id="a:5:0,b:5:3-6-20001"),
+    ],
+)
+def test_lane_refinement_matches_scalar_reference(spec, k, grid):
     calls = []
 
     def fn(es):
         calls.append(np.size(es))
         return cc.trace_recursion_f64(spec, max(k, 2), es)[k]
 
-    lanes = sp.band_set_from_trace(fn, (-2.5, 3.5), grid, 1e-10, level=k)
+    vals = spec.coupling_values()
+    e_range = (min(vals) - 2.5, max(vals) + 2.5)
+    lanes = sp.band_set_from_trace(fn, e_range, grid, 1e-10, level=k)
     assert lanes.intervals == sp.sigma_n(spec, k, grid=grid, tol=1e-10).intervals
-    # grid scan, at most 200 bisection and 120 ternary steps, tangency test
-    assert len(calls) <= 1 + 200 + 120 + 1
-    ref = scalar_band_set(fn, (-2.5, 3.5), grid, 1e-10, level=k)
+    # grid scan and at most 200 bisection steps
+    assert len(calls) <= 1 + 200
+    ref = scalar_band_set(fn, e_range, grid, 1e-10, level=k)
     assert lanes.intervals == ref.intervals
 
 
