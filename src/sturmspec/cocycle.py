@@ -194,21 +194,6 @@ class TraceTable:
     h_direct: tuple
     h_recursion: tuple
 
-    @property
-    def levels(self) -> int:
-        return len(self.h_recursion) - 1
-
-    def h_float(self, k: int) -> float:
-        """Recursion-route value as a float, +-inf past the float range."""
-        x = self.h_recursion[k]
-        try:
-            return float(x)
-        except OverflowError:
-            return math.inf if x > 0 else -math.inf
-
-    def floats(self):
-        return [self.h_float(k) for k in range(self.levels + 1)]
-
     def max_rel_diff(self) -> float:
         """max_k |direct - recursion| / max(1, |direct|)."""
         worst = mp.mpf(0)

@@ -43,7 +43,7 @@ from .sequences import (
     blocks,
     k_partition,
 )
-from .cocycle import TraceTable, trace_recursion_f64, transfer_run
+from .cocycle import trace_recursion_f64, transfer_run
 
 __all__ = [
     "GordonStructureError",
@@ -165,12 +165,14 @@ def reflect_about(window: Window, origin: int) -> Window:
 class CaseLabel:
     """Outcome of the classifier: which certificate applies, and where.
 
-    ``case_id`` names the terminal node of the decision tree ("1.1",
-    "1.2", "1.2.1.1", "1.2.1.2.1", "1.2.1.2.2", "2", "3", "4"; entry
-    through "2"/"3"/"4" keeps the entry id, with the resolution recorded
-    in ``path``).  ``scale`` is the block level of the certificate, so
-    the propagation distance is m = block_length(scale).  Square
-    certificates carry the trace level whose |h| <= 2 they rely on.
+    ``case_id`` names the terminal node of the decision tree: "1.1",
+    "1.2", "1.2.1.1", "1.2.1.2.1", "1.2.1.2.2", "2" or "4".  An s hat
+    enters through "1.1", "1.2" or "2", a t hat through "4", which first
+    climbs one level to the s-block the t-block closes; ``path`` starts
+    with the entry and records each step.  ``scale`` is the block level
+    of the certificate, so the propagation distance is
+    m = block_length(scale).  Square certificates carry the trace level
+    whose |h| <= 2 they rely on.
     """
 
     case_id: str
@@ -184,12 +186,6 @@ class CaseLabel:
     def __post_init__(self):
         if self.kind not in ("cube", "square"):
             raise ValidationError("certificate kind must be 'cube' or 'square'")
-
-
-def _h_values(traces) -> list:
-    if isinstance(traces, TraceTable):
-        return traces.floats()
-    return [float(x) for x in traces]
 
 
 class _Partitions:
@@ -238,7 +234,7 @@ def classify_case(
     window: Window,
     spec: ToeplitzSpec,
     k: int,
-    trace_table,
+    trace_table: Sequence[float],
     origin: int = 0,
     partitions: Optional[dict] = None,
     max_climb: int = 8,
@@ -248,19 +244,20 @@ def classify_case(
     The walk starts in the level-k partition at the block containing the
     origin and escalates one level at a time where the tree prescribes
     it, always reading the block that contains the origin; trace
-    conditions |h_j| <= 2 are read from ``trace_table`` (a TraceTable or
-    a plain sequence of floats).
+    conditions |h_j| <= 2 are read from ``trace_table``, h_0, h_1, ...
+    as floats.  An s hat between two t-blocks raises
+    :class:`GordonStructureError`: with every tail period n >= 3 the
+    s-runs between t-blocks have length n - 1 or 2n - 1.
     """
-    h = _h_values(trace_table)
     parts = _Partitions(window, spec, partitions)
     path = []
 
     def need_h(level: int) -> float:
-        if level >= len(h):
+        if level >= len(trace_table):
             raise ValidationError(
                 "trace table too shallow: classification needs |h_%d|" % level
             )
-        return abs(h[level])
+        return abs(trace_table[level])
 
     def not_rightmost(start: int, level: int, what: str):
         if origin == start + parts.at(level).block_len - 1:
@@ -279,10 +276,11 @@ def classify_case(
         """Hat is an s-block preceded by an s-block; climb until a cube fits.
 
         Terminals: right neighbor s gives the centered cube, a second
-        s on the left gives the left cube (reflected); otherwise the
-        enclosing level repeats the same situation one level up.  The
-        rightmost-site exclusion applies from the first climbed level on,
-        where the climb construction guarantees it structurally.
+        s on the left gives the left cube (reflected, "2" when reached
+        straight from the entry); otherwise the enclosing level repeats
+        the same situation one level up.  The rightmost-site exclusion
+        applies from the first climbed level on, where the climb
+        construction guarantees it structurally.
         """
         for climb in range(max_climb):
             part = parts.at(level)
@@ -295,9 +293,7 @@ def classify_case(
                 not_rightmost(start, level, "the hat block")
             if right == "s":
                 path.append("cube@%d" % level)
-                return make_label(
-                    "1.1" if entry and climb == 0 else "1.2.1.2.2", level, "cube", False
-                )
+                return make_label("1.2.1.2.2", level, "cube", False)
             leftleft = part.label(idx - 2)
             if leftleft is None:
                 raise WindowTooShortError(
@@ -343,46 +339,31 @@ def classify_case(
         path.append("1.2.2")
         return resolve_s_run(level + 1, entry=False)
 
-    def case3(level: int) -> CaseLabel:
-        """t s-hat t: only possible below the period-3 normalization, but the
-        escalation it prescribes is implemented for completeness."""
-        path.append("3")
-        _, up_lab, up_left, _, _ = _neighbors(parts.at(level + 1), origin)
-        if up_lab != "s" or up_left != "s":
-            raise GordonStructureError(
-                "isolated s between t-blocks must open an s-run one level up"
-            )
-        return resolve_s_run(level + 1, entry=False)
-
-    # --- entry switch ------------------------------------------------------
+    # --- entry switch: a t hat climbs to the s-block it closes ---------------
     level = k
     _, lab, left, right, _ = _neighbors(parts.at(level), origin)
-    if lab == "t":
+    climbed = lab == "t"
+    if climbed:
         path.append("4")
-        _, lab, left, right, _ = _neighbors(parts.at(level + 1), origin)
+        level += 1
+        _, lab, left, right, _ = _neighbors(parts.at(level), origin)
         if lab != "s":
             raise GordonStructureError(
                 "a t-block must close an s-block one level up"
             )
-        level += 1
-        if right == "s":
-            if left == "s":
-                path.append("cube@%d" % level)
-                return make_label("4", level, "cube", False)
-            return trace_split(level, "4")
-        if left == "s":
-            return resolve_s_run(level, entry=False)
-        return case3(level)
+    if left == "t" and right == "t":
+        raise GordonStructureError(
+            "s-block between two t-blocks at level %d around origin %d"
+            % (level, origin)
+        )
+    if left == "s" and right == "s":
+        path.append("cube@%d" % level if climbed else "1.1")
+        return make_label("4" if climbed else "1.1", level, "cube", False)
+    if not climbed:
+        path.append("1.2" if right == "s" else "2")
     if right == "s":
-        if left == "s":
-            path.append("1.1")
-            return make_label("1.1", level, "cube", False)
-        path.append("1.2")
-        return trace_split(level, "1.2")
-    if left == "s":
-        path.append("2")
-        return resolve_s_run(level, entry=True)
-    return case3(level)
+        return trace_split(level, "4" if climbed else "1.2")
+    return resolve_s_run(level, entry=not climbed)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +443,8 @@ def _bound_value(kind: str, norms, hn=None):
     return max(hn * norms[0], norms[1])
 
 
-def verify_bound(track: SolutionTrack, label: CaseLabel, trace_table, spec: Optional[ToeplitzSpec] = None,
+def verify_bound(track: SolutionTrack, label: CaseLabel, trace_table: Sequence[float],
+                 spec: Optional[ToeplitzSpec] = None,
                  partition: Optional[PartitionView] = None) -> BoundReport:
     """Re-check the certificate hypothesis and evaluate its norm bound.
 
@@ -471,13 +453,12 @@ def verify_bound(track: SolutionTrack, label: CaseLabel, trace_table, spec: Opti
     A failed structural re-check raises :class:`GordonStructureError`
     (classifier bug surfaced).
     """
-    h = _h_values(trace_table)
     hn = None
     if label.kind == "square":
         n = label.trace_level
-        if n is None or n >= len(h):
+        if n is None or n >= len(trace_table):
             raise ValidationError("square certificate needs h at level %r" % n)
-        hn = abs(h[n])
+        hn = abs(float(trace_table[n]))
         if spec is None or partition is None:
             raise ValidationError(
                 "square verification needs the spec and the level-%d partition" % n
@@ -522,30 +503,19 @@ class NondecayReport:
         return not self.failures
 
 
-def nondecay_scan(
-    spec: ToeplitzSpec,
-    energy: float,
-    n_target: int,
-    probes: Optional[Sequence[int]] = None,
-) -> NondecayReport:
+def nondecay_scan(spec: ToeplitzSpec, energy: float, n_target: int) -> NondecayReport:
     """Exhibit |m| >= n with ||Phi(m)|| >= 1/4 for each probed n.
 
-    Both elements of a normalized solution basis are propagated across a
-    window four times wider than the certificate scale for the largest
-    probe; a probe fails only if no witness exists within that range,
-    and failures are reported with diagnostics rather than passed over.
+    The probes are n = 1, the powers of two below ``n_target``, and
+    ``n_target`` itself.  Both elements of a normalized solution basis
+    are propagated across a window four times wider than the certificate
+    scale for ``n_target``; a probe fails only if no witness exists
+    within that range, and failures are reported with diagnostics rather
+    than passed over.
     """
-    if probes is None:
-        probes = sorted(
-            set(
-                [1]
-                + [2**j for j in range(1, n_target.bit_length())]
-                + [n_target]
-            )
-        )
-    probes = sorted(set(int(n) for n in probes))
-    if probes[0] < 1 or probes[-1] > n_target:
-        raise ValidationError("probes must lie in [1, n_target]")
+    if n_target < 1:
+        raise ValidationError("n_target must be >= 1, got %r" % n_target)
+    probes = sorted({1, n_target, *(2**j for j in range(1, n_target.bit_length()))})
     level = 0
     while spec.block_length(level) < n_target:
         level += 1
@@ -606,7 +576,6 @@ def nondecay_scan(
 
 @dataclass(frozen=True)
 class SweepReport:
-    spec_levels: tuple
     case_counts: dict
     margins: tuple
     min_margin: float
@@ -618,8 +587,11 @@ class SweepReport:
     def passed(self) -> bool:
         return not self.falsifications and self.min_margin >= -BOUND_SLACK
 
-    def margin_histogram(self, bins: int = 12) -> dict:
-        counts, edges = np.histogram(np.asarray(self.margins), bins=bins)
+    def margin_histogram(self) -> dict:
+        """Twelve equal bins over the finite margins, since a NaN or an
+        infinity has no bin; a NaN margin is listed among the falsifications."""
+        margins = np.asarray(self.margins)
+        counts, edges = np.histogram(margins[np.isfinite(margins)], bins=12)
         return {"edges": [float(x) for x in edges], "counts": [int(c) for c in counts]}
 
     def as_dict(self):
@@ -739,6 +711,9 @@ def gordon_sweep(
     """
     from .spectrum import band_approximant
 
+    for name, size in (("n_energies", n_energies), ("n_origins", n_origins)):
+        if size < 1:
+            raise ValidationError("%s must be >= 1, got %r" % (name, size))
     if energy_level is None:
         energy_level = entry_k + 5
     if max_scale is None:
@@ -825,7 +800,6 @@ def gordon_sweep(
                      "basis": basis, "margin": margin, "label": lab.case_id}
                 )
     return SweepReport(
-        spec_levels=(entry_k, energy_level),
         case_counts=case_counts,
         margins=tuple(margins),
         min_margin=float(np.min(margins)) if margins else math.nan,

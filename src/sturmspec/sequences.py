@@ -764,8 +764,6 @@ def k_partition(
     for r in candidates:
         off = (r - window.start) % ell
         nfull = (w - off) // ell
-        if nfull < 2:
-            continue
         body = codes[off : off + nfull * ell].reshape(nfull, ell)
         is_s = np.all(body == s, axis=1)
         is_t = np.all(body == t, axis=1)

@@ -265,6 +265,20 @@ def test_gordon_scan_small(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--origins", "0"), ("--energies", "0"), ("--origins", "-1"),
+])
+def test_gordon_scan_rejects_empty_sweep_sizes(flag, value, tmp_path, capsys):
+    sizes = {"--energies": "2", "--origins": "6", flag: value}
+    out = tmp_path / "g.json"
+    argv = ["gordon-scan", "--spec", CONFIGS / "simple3.cfg", "--level", "2",
+            "--energy-level", "5", "--grid", "2000", "--out", out]
+    assert run_cli(argv + [x for kv in sizes.items() for x in kv]) == 1
+    name = "n_origins" if flag == "--origins" else "n_energies"
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_one(capsys):
     assert run_cli(["frobnicate"]) == 1
     capsys.readouterr()

@@ -257,6 +257,21 @@ def test_factor_table_counts_match_python_set_oracle():
                     assert got.tolist() == [len(oracle)], (radix, length, offs)
 
 
+@pytest.mark.parametrize("window,n_max,t_max", [
+    (fib_window(2000), 64, 80),  # 2**62 keys from n = 62 on
+    (sq.SparseSpec(v=2.0, rule=("power", 3), left_fill=1.0).window(-300, 1500),
+     42, 60),  # three letters: 3**39 < 2**62 <= 3**40
+], ids=["fib", "sparse-three-letters"])
+def test_pstar_counts_past_int64_keys_match_bytes_oracle(window, n_max, t_max):
+    """The last three lengths take ``_distinct_count``'s byte-view path."""
+    assert len(window.alphabet) ** (n_max - 2) >= 2**62
+    profile = cx.pstar_profile(window, n_max, t_max, beam_width=4)
+    for count, template in profile[n_max - 3:]:
+        offs = np.asarray(template.offsets)
+        oracle = {bytes(window.codes[p + offs]) for p in range(len(window) - offs[-1])}
+        assert count == len(oracle), len(template)
+
+
 def test_block_complexity_matches_python_set_oracle_at_any_length():
     for _, w in reference_words():
         for n in (1, 2, 7, 31, len(w) // 2, len(w)):

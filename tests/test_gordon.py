@@ -111,6 +111,20 @@ def test_classifier_case4_on_t_block_origin():
     assert lab.scale >= 3
 
 
+def test_classifier_rejects_s_hat_between_t_blocks(monkeypatch):
+    # tail periods >= 3 keep every s-run between t-blocks at least 2 long
+    real = gd._neighbors
+
+    def isolated_s(part, site):
+        start, _, _, _, idx = real(part, site)
+        return start, "s", "t", "t", idx
+
+    monkeypatch.setattr(gd, "_neighbors", isolated_s)
+    with pytest.raises(gd.GordonStructureError,
+                       match="s-block between two t-blocks at level 2 around origin 5000"):
+        gd.classify_case(WINDOW, SPEC, 2, HVALS, origin=5000)
+
+
 def test_classifier_needs_trace_depth():
     with pytest.raises(sq.ValidationError):
         gd.classify_case(WINDOW, SPEC, 2, HVALS[:2], origin=5000)
@@ -200,7 +214,7 @@ def ref_verify_bound(track, label, trace_table, spec=None, partition=None):
     w = track.window
     o = track.origin
     m = label.m
-    h = gd._h_values(trace_table)
+    h = [float(x) for x in trace_table]
     if label.kind == "cube":
         if not label.reflected:
             gd._check_periodic(w, o - m, o + m, m)
@@ -387,11 +401,6 @@ def test_nondecay_saturated_tails_raise_no_warning():
     assert rep.passed
 
 
-def test_nondecay_probe_validation():
-    with pytest.raises(sq.ValidationError):
-        gd.nondecay_scan(SPEC, E_IN, 100, probes=[200])
-
-
 @pytest.mark.parametrize("stage,target", [("classify", "classify_case"),
                                           ("structure", "_verify_structural")])
 def test_sweep_reports_only_validation_errors_as_falsifications(monkeypatch, stage, target):
@@ -446,6 +455,9 @@ def test_sweep_falsifies_a_nan_margin(monkeypatch):
     assert (bound[0]["energy"], bound[0]["origin"]) == poisoned[0]
     assert math.isnan(bound[0]["margin"])
     assert math.isnan(report.min_margin)
+    # the histogram bins the finite margins; the NaN is a listed falsification
+    hist = report.as_dict()["margins_histogram"]
+    assert sum(hist["counts"]) == sum(map(math.isfinite, report.margins))
 
 
 def test_sweep_margins_match_verify_bound(monkeypatch):

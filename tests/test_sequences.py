@@ -402,6 +402,27 @@ def test_partition_gap_set_uses_next_period():
     assert set(pv1.gaps) == {3, 7}  # period above level 1 is 4
     pv2 = sq.k_partition(w, spec, 2)
     assert set(pv2.gaps) <= {2, 5}  # period above level 2 is 3
+    # level-k blocks group as s^(n-1) t and s^n, n = n_(k+1) >= 3, so no
+    # s-block ever has a t-block on each side (the classifier relies on it)
+    rng = np.random.default_rng(13)
+    specs = [
+        simple_spec(periods=(3, 4), offsets=(1, 2)),
+        simple_spec(periods=(5, 5), offsets=(0, 3)),
+        sq.ToeplitzSpec(AB, sq.CodingTriple(("b", "a"), 3, 1),
+                        ("a", "b"), (3, 4), (0, 2)),
+        simple_spec(periods=(2, 3, 4, 3, 5, 3, 4, 3),
+                    offsets=(1, 0, 2, 1, 3, 0, 1, 2), cycle=False),
+    ]
+    for _ in range(2):
+        periods = tuple(int(p) for p in rng.integers(3, 6, size=4))
+        specs.append(simple_spec(
+            periods=periods, offsets=tuple(int(rng.integers(0, p)) for p in periods)))
+    assert specs[2].prefix.period == 3 and specs[3].prefix.period == 2
+    for spec in specs:
+        w = spec.window(1, 8000)
+        for k in range(4):
+            n = spec.tail_period(k + 1)
+            assert set(sq.k_partition(w, spec, k).gaps) == {n - 1, 2 * n - 1}
 
 
 def test_partition_is_unique_on_shifted_windows():
