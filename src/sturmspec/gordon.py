@@ -28,7 +28,7 @@ square bounds max(|h_n| N1, N2), with N1, N2 the norms at its offsets.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -437,10 +437,15 @@ def _offsets(label: CaseLabel) -> tuple:
 
 
 def _bound_value(kind: str, norms, hn=None):
-    """Cubes: the max of the norms; squares: max(hn * N1, N2)."""
+    """Cubes: the max of the norms; squares: max(hn * N1, N2).
+
+    The norms run along the last axis, so this serves one pair or an
+    array of lanes alike; a NaN norm in any slot makes the value NaN.
+    """
+    norms = np.asarray(norms)
     if kind == "cube":
-        return max(norms)
-    return max(hn * norms[0], norms[1])
+        return np.max(norms, axis=-1)
+    return np.maximum(hn * norms[..., 0], norms[..., 1])
 
 
 def verify_bound(track: SolutionTrack, label: CaseLabel, trace_table: Sequence[float],
@@ -469,10 +474,10 @@ def verify_bound(track: SolutionTrack, label: CaseLabel, trace_table: Sequence[f
     offs = _offsets(label)
     norms = [track.norm_at(r) for r in offs]
     comps = dict(zip(offs, norms))
-    value = _bound_value(label.kind, norms, hn)
+    value = float(_bound_value(label.kind, norms, hn))
     if label.kind == "square":
         # with |h_n| <= 2 the weakened bound follows from the sharp one
-        comps["weak_value"] = _bound_value("square", norms, 2.0)
+        comps["weak_value"] = float(_bound_value("square", norms, 2.0))
     return BoundReport(label, track.energy, value, 0.5, comps)
 
 
@@ -682,6 +687,53 @@ def _check_reach(window: Window, energies, origins, reach, forward: bool):
         )
 
 
+class _ReadLog(list):
+    """A trace list that records the levels read from it by index."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, level):
+        self.read.add(level)
+        return super().__getitem__(level)
+
+
+def _classify_by_answer(window, spec, entry_k, htab, origins, store, climb_cap):
+    """Classify every (energy, origin) pair, walking once per trace answer.
+
+    The classifier reads a trace only as |h_j| <= 2, |h_j| > 2 or neither
+    (NaN), so two energies whose answers agree at every level one walk
+    read get that walk's outcome.  Per origin, the walk runs for the
+    first energy still unassigned and its outcome goes to every energy
+    that answers alike, until none is left.  An outcome is a
+    :class:`CaseLabel` or the ``repr`` of the ``ValidationError`` the
+    walk raised (the text only: the exception's traceback would hold
+    this frame in a cycle); anything else propagates.  Returns the
+    distinct outcomes and an (energies, origins) array of their indices.
+    """
+    absh = np.abs(htab)
+    answers = np.where(absh <= 2.0, 0, np.where(absh > 2.0, 1, 2))
+    n_e = htab.shape[1]
+    index: dict = {}
+    outcome_id = np.empty((n_e, len(origins)), dtype=np.int64)
+    for io, o in enumerate(origins.tolist()):
+        todo = np.ones(n_e, dtype=bool)
+        while todo.any():
+            ie = int(np.argmax(todo))
+            h = _ReadLog(htab[:, ie])
+            try:
+                outcome = classify_case(window, spec, entry_k, h, origin=o,
+                                        partitions=store, max_climb=climb_cap)
+            except ValidationError as exc:
+                outcome = repr(exc)
+            key = answers[list(h.read)]
+            alike = todo & (key == key[:, [ie]]).all(axis=0)
+            outcome_id[alike, io] = index.setdefault(outcome, len(index))
+            todo &= ~alike
+    return list(index), outcome_id
+
+
 def gordon_sweep(
     spec: ToeplitzSpec,
     entry_k: int,
@@ -700,24 +752,41 @@ def gordon_sweep(
     origins are random sites away from the window edges.  One generator
     seeded by ``seed`` draws the energies first, then the origins.  The
     window is sized so partitions and norms exist up to ``max_scale``
-    (default energy_level + 2); the rare origin whose climb would pass
-    that scale surfaces as a reported candidate, never silently.  Every
-    (energy, origin) pair must classify and its bound must hold; a pair
-    that raises ``ValidationError`` is reported as a falsification, and
-    any other exception is a defect and propagates.  Norms are stepped
-    per lane by ``_norm_slabs``: one lane per classified pair, each only
-    out to its own label's certificate offsets; a norm the bound needs
-    that was never computed raises ``RuntimeError``.
+    (default energy_level + 2) and traces up to max_scale + 1; the rare
+    origin whose climb would pass that scale surfaces as a reported
+    candidate, never silently.
+
+    ``entry_k`` and ``energy_level`` must be >= 0 and ``max_scale`` >=
+    entry_k + 2, the deepest level a walk reads before its first climb:
+    a t hat climbs to entry_k + 1, where a trace split reads h at
+    entry_k + 1 and entry_k + 2 and the level-(entry_k + 2) partition.
+    Anything less raises ``ValidationError`` before any work is done.
+
+    Every (energy, origin) pair must classify and its bound must hold; a
+    pair that raises ``ValidationError`` is reported as a falsification,
+    and any other exception is a defect and propagates.  The classifier
+    walks once per origin and trace answer (``_classify_by_answer``),
+    the structural re-check runs once per distinct (origin, label), and
+    each classified pair is a lane: norms are stepped per lane by
+    ``_norm_slabs``, each only out to its own label's certificate
+    offsets, and the bounds are evaluated on all lanes as arrays.  A
+    norm the bound needs that was never computed raises
+    ``RuntimeError``.  Lanes, margins and falsifications come in
+    energy-major pair order.
     """
     from .spectrum import band_approximant
 
-    for name, size in (("n_energies", n_energies), ("n_origins", n_origins)):
-        if size < 1:
-            raise ValidationError("%s must be >= 1, got %r" % (name, size))
     if energy_level is None:
         energy_level = entry_k + 5
     if max_scale is None:
         max_scale = energy_level + 2
+    for name, value, least in (
+        ("n_energies", n_energies, 1), ("n_origins", n_origins, 1),
+        ("entry_k", entry_k, 0), ("energy_level", energy_level, 0),
+        ("max_scale (default energy_level + 2)", max_scale, entry_k + 2),
+    ):
+        if value < least:
+            raise ValidationError("%s must be >= %d, got %r" % (name, least, value))
     rng = np.random.default_rng(seed)
     approx = band_approximant(spec, energy_level, grid=grid)
     energies = approx.sample_energies(per_band=3)
@@ -738,71 +807,81 @@ def gordon_sweep(
                      size=n_origins)
     )
 
-    htab = trace_recursion_f64(spec, max(max_scale + 1, entry_k + 2),
-                               np.asarray(energies))
+    e_arr = np.asarray(energies)
+    htab = trace_recursion_f64(spec, max_scale + 1, e_arr)
     parts_store: dict = {}
     parts = _Partitions(window, spec, parts_store)
+    outcomes, outcome_id = _classify_by_answer(
+        window, spec, entry_k, htab, origins, parts_store, max_scale - entry_k
+    )
 
-    labels = {}
-    falsifications = []
-    climb_cap = max(max_scale - entry_k, 1)
-    for ie, e in enumerate(energies):
-        h = list(htab[:, ie])
-        for io, o in enumerate(origins):
-            try:
-                labels[(ie, io)] = classify_case(
-                    window, spec, entry_k, h, origin=int(o),
-                    partitions=parts_store, max_climb=climb_cap,
-                )
-            except ValidationError as exc:
-                falsifications.append(
-                    {"energy": float(e), "origin": int(o),
-                     "stage": "classify", "error": repr(exc)}
-                )
-
-    # one lane per classified pair, stepped only to its own offsets
-    offsets = [_offsets(lab) for lab in labels.values()]
-    pairs = np.array(list(labels), dtype=np.int64).reshape(-1, 2)
-    norms = _norm_slabs(window, np.asarray(energies)[pairs[:, 0]],
-                        origins[pairs[:, 1]], offsets)
+    labels = [None if isinstance(x, str) else x for x in outcomes]
+    failed = np.array([x is None for x in labels])
+    falsifications = [
+        {"energy": float(e_arr[ie]), "origin": int(origins[io]),
+         "stage": "classify", "error": outcomes[outcome_id[ie, io]]}
+        for ie, io in np.argwhere(failed[outcome_id]).tolist()
+    ]
+    # one lane per classified pair, energy-major, stepped only to its own offsets
+    lane_e, lane_o = np.nonzero(~failed[outcome_id])
+    lane_lab = outcome_id[lane_e, lane_o]
+    offsets_of = [None if x is None else _offsets(x) for x in labels]
+    offsets = [offsets_of[i] for i in lane_lab.tolist()]
+    norms = _norm_slabs(window, e_arr[lane_e], origins[lane_o], offsets)
     n_read = np.array([len(t) for t in offsets], dtype=np.int64)
     unfilled = (norms < 0) & (np.arange(norms.shape[2]) < n_read[:, None])
     if unfilled.any():
         _, lane, slot = np.argwhere(unfilled)[0]
-        ie, io = pairs[lane]
         raise RuntimeError(
             "norm at offset %d of the pair (energy %r, origin %d) was never computed"
-            % (offsets[lane][slot], float(energies[ie]), origins[io])
+            % (offsets[lane][slot], float(e_arr[lane_e[lane]]), origins[lane_o[lane]])
         )
 
-    case_counts: dict = {}
-    margins = []
-    for lane, ((ie, io), lab) in enumerate(labels.items()):
-        case_counts[lab.case_id] = case_counts.get(lab.case_id, 0) + 1
-        e = energies[ie]
-        o = int(origins[io])
+    # the structural re-check reads no energy: once per (origin, label)
+    pair_keys, pair_of_lane = np.unique(lane_o * len(outcomes) + lane_lab,
+                                        return_inverse=True)
+    errors = []
+    for key in pair_keys.tolist():
+        io, i = divmod(key, len(outcomes))
         try:
-            _verify_structural(window, lab, o, parts)
+            _verify_structural(window, labels[i], int(origins[io]), parts)
+            errors.append(None)
         except ValidationError as exc:
-            falsifications.append(
-                {"energy": float(e), "origin": o, "stage": "structure",
-                 "error": repr(exc)}
-            )
+            errors.append(repr(exc))
+    sound = np.array([err is None for err in errors], dtype=bool)[pair_of_lane]
+
+    cube = np.array([x is not None and x.kind == "cube" for x in labels])[lane_lab]
+    trace_level = np.array([0 if x is None or x.kind == "cube" else x.trace_level
+                            for x in labels], dtype=np.int64)
+    hn = np.abs(htab[trace_level[lane_lab], lane_e])
+    values = np.empty((2, len(lane_lab)))
+    if len(lane_lab):
+        values[:, cube] = _bound_value("cube", norms[:, cube])
+        values[:, ~cube] = _bound_value("square", norms[:, ~cube], hn[~cube])
+    margins = values - 0.5
+    bad = ~(margins >= -BOUND_SLACK)  # as BoundReport.holds: NaN fails
+    for lane in np.flatnonzero(~sound | bad.any(axis=0)).tolist():
+        e, o = float(e_arr[lane_e[lane]]), int(origins[lane_o[lane]])
+        if not sound[lane]:
+            falsifications.append({"energy": e, "origin": o, "stage": "structure",
+                                   "error": errors[pair_of_lane[lane]]})
             continue
-        hn = abs(htab[lab.trace_level, ie]) if lab.trace_level is not None else None
-        for basis, nb in zip(_BASES, norms[:, lane, : n_read[lane]]):
-            value = _bound_value(lab.kind, nb, hn)
-            margin = float(value - 0.5)
-            margins.append(margin)
-            if not margin >= -BOUND_SLACK:  # as BoundReport.holds: NaN fails
-                falsifications.append(
-                    {"energy": float(e), "origin": o, "stage": "bound",
-                     "basis": basis, "margin": margin, "label": lab.case_id}
-                )
+        for b in np.flatnonzero(bad[:, lane]).tolist():
+            falsifications.append(
+                {"energy": e, "origin": o, "stage": "bound", "basis": _BASES[b],
+                 "margin": float(margins[b, lane]),
+                 "label": labels[lane_lab[lane]].case_id}
+            )
+
+    case_counts: dict = {}  # in order of first appearance among the lanes
+    for i, n in Counter(lane_lab.tolist()).items():
+        cid = labels[i].case_id
+        case_counts[cid] = case_counts.get(cid, 0) + n
+    kept = margins[:, sound].T.ravel().tolist()
     return SweepReport(
         case_counts=case_counts,
-        margins=tuple(margins),
-        min_margin=float(np.min(margins)) if margins else math.nan,
+        margins=tuple(kept),
+        min_margin=float(np.min(kept)) if kept else math.nan,
         falsifications=tuple(falsifications),
         energies=tuple(float(x) for x in energies),
         origins=tuple(int(x) for x in origins),

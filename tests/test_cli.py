@@ -279,6 +279,20 @@ def test_gordon_scan_rejects_empty_sweep_sizes(flag, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,name", [
+    ("--level", "-1", "entry_k"),
+    # the default max_scale, energy_level + 2, is below --level + 2
+    ("--energy-level", "0", "max_scale (default energy_level + 2)"),
+], ids=["level", "energy-level"])
+def test_gordon_scan_rejects_unreachable_levels(flag, value, name, tmp_path, capsys):
+    out = tmp_path / "g.json"
+    argv = ["gordon-scan", "--spec", CONFIGS / "simple3.cfg", "--level", "2",
+            "--energies", "2", "--origins", "3", "--grid", "2000", "--out", out]
+    assert run_cli(argv + [flag, value]) == 1
+    assert name + " must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_one(capsys):
     assert run_cli(["frobnicate"]) == 1
     capsys.readouterr()

@@ -1,7 +1,9 @@
 """Solution propagation, case classification, norm bounds."""
 
+import gc
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -461,32 +463,264 @@ def test_sweep_falsifies_a_nan_margin(monkeypatch):
 
 
 def test_sweep_margins_match_verify_bound(monkeypatch):
-    """Each sweep margin, basis by basis, against a propagated track."""
-    seen = []
+    """Each sweep margin, basis by basis, against a classified, propagated pair.
+
+    The sweep walks the classifier once per origin and trace answer, so
+    every (energy, origin) pair is classified here on its own.
+    """
+    windows = []
     real = gd.classify_case
 
     def recorded(window, spec, k, h, origin, partitions, max_climb):
-        lab = real(window, spec, k, h, origin=origin, partitions=partitions,
-                   max_climb=max_climb)
-        seen.append((window, h, origin, partitions, lab))
-        return lab
+        windows.append(window)
+        return real(window, spec, k, h, origin=origin, partitions=partitions,
+                    max_climb=max_climb)
 
     monkeypatch.setattr(gd, "classify_case", recorded)
     n_o = 25
     rep = gd.gordon_sweep(SPEC, entry_k=2, n_energies=5, n_origins=n_o,
                           energy_level=5, max_scale=8, seed=3, grid=20_000)
-    assert len(seen) == 5 * n_o and rep.passed
-    assert {lab.kind for *_, lab in seen} == {"cube", "square"}
-    want = []
-    for i, (window, h, o, store, lab) in enumerate(seen):
-        e = rep.energies[i // n_o]
-        for basis in gd._BASES:
-            tr = gd.propagate(window, e, phi_init=basis, origin=o,
-                              lo=o - 2 * lab.m - 2, hi=o + 2 * lab.m + 2)
-            part = store[lab.trace_level] if lab.trace_level is not None else None
-            want.append(gd.verify_bound(tr, lab, h, spec=SPEC, partition=part).margin)
+    assert rep.passed and len(rep.origins) == n_o
+    window, store = windows[0], {}
+    htab = cc.trace_recursion_f64(SPEC, 9, np.array(rep.energies))
+    labels, want = [], []
+    for ie, e in enumerate(rep.energies):
+        h = list(htab[:, ie])
+        for o in rep.origins:
+            lab = real(window, SPEC, 2, h, origin=o, partitions=store, max_climb=6)
+            labels.append(lab)
+            for basis in gd._BASES:
+                tr = gd.propagate(window, e, phi_init=basis, origin=o,
+                                  lo=o - 2 * lab.m - 2, hi=o + 2 * lab.m + 2)
+                part = store[lab.trace_level] if lab.trace_level is not None else None
+                want.append(gd.verify_bound(tr, lab, h, spec=SPEC, partition=part).margin)
+    assert {lab.kind for lab in labels} == {"cube", "square"}
+    assert rep.case_counts == dict(Counter(lab.case_id for lab in labels))
     # math.hypot and np.hypot may round apart in the last place
     assert rep.margins == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_verify_bound_fails_on_a_nan_norm_in_any_slot():
+    store = {}
+    for o in range(20_000, 60_000, 7):
+        lab = gd.classify_case(WINDOW, SPEC, 2, HVALS, origin=o, partitions=store)
+        if lab.kind == "cube":
+            break
+    reach = 2 * lab.m + 2
+    tr = gd.propagate(WINDOW, E_IN, origin=o, lo=o - reach, hi=o + reach)
+    assert gd.verify_bound(tr, lab, HVALS, spec=SPEC).holds
+    for rel in gd._offsets(lab):
+        phi = tr.phi.copy()
+        phi[o + rel - tr.lo] = math.nan  # ||Phi(rel)|| reads phi(o + rel)
+        bad = gd.SolutionTrack(tr.window, tr.energy, tr.origin, tr.lo, phi)
+        rep = gd.verify_bound(bad, lab, HVALS, spec=SPEC)
+        assert math.isnan(rep.value) and not rep.holds, rel
+    # the sweep's lane form: norms along the last axis
+    nan = math.nan
+    lanes = np.array([[[1.0, nan, 2.0], [3.0, 1.0, 2.0]]])
+    assert np.array_equal(gd._bound_value("cube", lanes), [[nan, 3.0]], equal_nan=True)
+    assert np.array_equal(gd._bound_value("square", lanes[..., :2], np.array([2.0, 1.0])),
+                          [[nan, 3.0]], equal_nan=True)
+    for norms in ([nan, 1.0], [1.0, nan]):
+        assert math.isnan(gd._bound_value("square", norms, 1.5))
+
+
+def test_sweep_falsifies_a_nan_norm_past_the_first_slot(monkeypatch):
+    real = gd._norm_slabs
+
+    def nan_slot(window, energies, origins, offsets):
+        norms = real(window, energies, origins, offsets)
+        norms[1, 2, 1] = math.nan
+        return norms
+
+    monkeypatch.setattr(gd, "_norm_slabs", nan_slot)
+    report = gd.gordon_sweep(
+        SPEC, entry_k=2, n_energies=2, n_origins=3, energy_level=3, grid=2000
+    )
+    bound = [f for f in report.falsifications if f["stage"] == "bound"]
+    assert len(bound) == 1 and bound[0]["basis"] == gd._BASES[1]
+    assert math.isnan(bound[0]["margin"]) and math.isnan(report.min_margin)
+
+
+def ref_gordon_sweep(spec, entry_k, n_energies, n_origins, energy_level=None,
+                     max_scale=None, seed=0, grid=20_000):
+    """The sweep as one classify_case call per (energy, origin) pair,
+    then one structural re-check and one bound per classified pair."""
+    if energy_level is None:
+        energy_level = entry_k + 5
+    if max_scale is None:
+        max_scale = energy_level + 2
+    rng = np.random.default_rng(seed)
+    approx = sp.band_approximant(spec, energy_level, grid=grid)
+    energies = approx.sample_energies(per_band=3)
+    rng.shuffle(energies)
+    energies = sorted(energies[:n_energies])
+    ell_top = spec.block_length(max_scale)
+    margin_room = 2 * ell_top + 2
+    need = (4 * spec.tail_period(max_scale + 1) + 3) * ell_top + 2 * margin_room
+    window = spec.window(1, need)
+    origins = np.sort(
+        rng.integers(window.start + margin_room + 1, window.end - margin_room - 1,
+                     size=n_origins)
+    )
+    htab = gd.trace_recursion_f64(spec, max(max_scale + 1, entry_k + 2),
+                                  np.asarray(energies))
+    parts_store = {}
+    parts = gd._Partitions(window, spec, parts_store)
+    labels = {}
+    falsifications = []
+    for ie, e in enumerate(energies):
+        h = list(htab[:, ie])
+        for io, o in enumerate(origins):
+            try:
+                labels[(ie, io)] = gd.classify_case(
+                    window, spec, entry_k, h, origin=int(o),
+                    partitions=parts_store, max_climb=max(max_scale - entry_k, 1),
+                )
+            except sq.ValidationError as exc:
+                falsifications.append({"energy": float(e), "origin": int(o),
+                                       "stage": "classify", "error": repr(exc)})
+    offsets = [gd._offsets(lab) for lab in labels.values()]
+    pairs = np.array(list(labels), dtype=np.int64).reshape(-1, 2)
+    norms = gd._norm_slabs(window, np.asarray(energies)[pairs[:, 0]],
+                           origins[pairs[:, 1]], offsets)
+    case_counts = {}
+    margins = []
+    for lane, ((ie, io), lab) in enumerate(labels.items()):
+        case_counts[lab.case_id] = case_counts.get(lab.case_id, 0) + 1
+        e = energies[ie]
+        o = int(origins[io])
+        try:
+            gd._verify_structural(window, lab, o, parts)
+        except sq.ValidationError as exc:
+            falsifications.append({"energy": float(e), "origin": o,
+                                   "stage": "structure", "error": repr(exc)})
+            continue
+        hn = abs(htab[lab.trace_level, ie]) if lab.trace_level is not None else None
+        for basis, nb in zip(gd._BASES, norms[:, lane, : len(offsets[lane])]):
+            margin = float(gd._bound_value(lab.kind, nb, hn) - 0.5)
+            margins.append(margin)
+            if not margin >= -gd.BOUND_SLACK:
+                falsifications.append({"energy": float(e), "origin": o, "stage": "bound",
+                                       "basis": basis, "margin": margin,
+                                       "label": lab.case_id})
+    return gd.SweepReport(
+        case_counts=case_counts, margins=tuple(margins),
+        min_margin=float(np.min(margins)) if margins else math.nan,
+        falsifications=tuple(falsifications),
+        energies=tuple(float(x) for x in energies),
+        origins=tuple(int(x) for x in origins),
+    )
+
+
+def assert_same_sweep(got, want):
+    """Field by field; NaN equals NaN, and repr keeps float types apart."""
+    assert got.case_counts == want.case_counts
+    assert list(got.case_counts) == list(want.case_counts)
+    assert np.array_equal(got.margins, want.margins, equal_nan=True)
+    assert repr(got.margins) == repr(want.margins)
+    assert repr(got.min_margin) == repr(want.min_margin)
+    assert repr(got.falsifications) == repr(want.falsifications)
+    assert (got.energies, got.origins) == (want.energies, want.origins)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_matches_per_pair_reference(monkeypatch, seed):
+    simple3 = simple_spec()
+    want = ref_gordon_sweep(simple3, 2, 40, 500, seed=seed, grid=2000)
+    walks, rechecks = [], []
+    classify, structural = gd.classify_case, gd._verify_structural
+
+    def walk(window, spec, k, h, origin, **kw):
+        try:
+            return classify(window, spec, k, h, origin=origin, **kw)
+        finally:
+            walks.append((origin, list(h), sorted(h.read)))
+
+    def recheck(window, lab, origin, parts):
+        rechecks.append((origin, lab))
+        return structural(window, lab, origin, parts)
+
+    monkeypatch.setattr(gd, "classify_case", walk)
+    monkeypatch.setattr(gd, "_verify_structural", recheck)
+    got = gd.gordon_sweep(simple3, 2, 40, 500, seed=seed, grid=2000)
+    assert_same_sweep(got, want)
+    assert len(got.falsifications) == (44 if seed == 1 else 0)
+    # no origin is walked twice for one answer at the levels a walk read
+    answer = lambda h, read: tuple(  # noqa: E731
+        (abs(h[j]) <= 2.0, abs(h[j]) > 2.0) for j in read)
+    seen = set()
+    for origin, h, read in walks:
+        for o, prior in seen:
+            assert not (o == origin and answer(h, prior[1]) == prior[0])
+        seen.add((origin, (answer(h, read), tuple(read))))
+    assert len(walks) < 40 * 500 // 10
+    assert len(rechecks) == len(set(rechecks)) < 40 * 500 // 10
+
+
+def test_sweep_matches_reference_on_edge_traces(monkeypatch):
+    """NaN, exactly +-2 and +-inf at the levels the classifier reads.
+
+    An s hat's trace split reads h_2 and h_3, a t hat's h_3 and h_4.
+    Energies j and j + 8 get row j of the table at levels 2-4, so walks
+    can be shared across energies; the outputs must still equal one
+    walk per pair.
+    """
+    nan, inf = math.nan, math.inf
+    table = np.array([
+        [nan, nan, nan], [2.0, -2.0, inf], [-2.0, nan, -inf], [inf, -inf, nan],
+        [inf, nan, 2.0], [-inf, 2.0, inf], [nan, inf, -2.0], [nan, -2.0, nan],
+    ])
+    real = gd.trace_recursion_f64
+
+    def poisoned(spec, K, e_grid):
+        htab = real(spec, K, e_grid).copy()
+        htab[2:5, :8] = htab[2:5, 8:16] = table.T
+        return htab
+
+    monkeypatch.setattr(gd, "trace_recursion_f64", poisoned)
+    sweep = dict(entry_k=2, n_energies=20, n_origins=60, energy_level=3, grid=2000)
+    got = gd.gordon_sweep(SPEC, **sweep)
+    assert_same_sweep(got, ref_gordon_sweep(SPEC, **sweep))
+    assert {f["stage"] for f in got.falsifications} == {"classify", "bound"}
+    # a NaN |h_3| passes as "not > 2" into a square whose bound is then NaN
+    assert any(math.isnan(f.get("margin", 0.0)) for f in got.falsifications)
+
+
+def test_sweep_leaves_no_reference_cycles(monkeypatch):
+    real = gd.classify_case
+
+    def odd_origins_fail(window, spec, k, h, origin, **kw):
+        if origin % 2:
+            raise sq.ValidationError("no certificate at %d" % origin)
+        return real(window, spec, k, h, origin=origin, **kw)
+
+    sweep = dict(entry_k=2, n_energies=4, n_origins=10, energy_level=3, grid=2000)
+    gd.gordon_sweep(SPEC, **sweep)  # warm caches
+    monkeypatch.setattr(gd, "classify_case", odd_origins_fail)
+    gc.collect()
+    gc.disable()
+    try:
+        rep = gd.gordon_sweep(SPEC, **sweep)
+        assert rep.falsifications and rep.margins
+        del rep
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_sweep_rejects_levels_a_walk_cannot_reach():
+    small = dict(n_energies=2, n_origins=3, grid=2000)
+    for kwargs, name in (
+        (dict(entry_k=-1), "entry_k"),
+        (dict(entry_k=2, energy_level=-1, max_scale=6), "energy_level"),
+        (dict(entry_k=2, energy_level=0), "max_scale"),
+        (dict(entry_k=2, energy_level=3, max_scale=3), "max_scale"),
+    ):
+        with pytest.raises(sq.ValidationError, match=name):
+            gd.gordon_sweep(SPEC, **small, **kwargs)
+    # the shallowest accepted sweep: max_scale = entry_k + 2
+    assert gd.gordon_sweep(SPEC, entry_k=2, energy_level=2, **small).energies
 
 
 def test_norm_slabs_name_the_lane_that_leaves_the_window():
