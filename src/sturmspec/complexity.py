@@ -45,6 +45,8 @@ EXHAUSTIVE_N = 5
 EXHAUSTIVE_TMAX = 60
 TEMPLATE_BUDGET = 500_000
 DEFAULT_BEAM = 64
+#: barriers the non-recurrent extension window spans
+EXTENSION_BARRIERS = 6
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,6 @@ def max_pattern_complexity(
     t_max: int,
     beam_width: int = DEFAULT_BEAM,
     mode: str = "auto",
-    template_budget: int = TEMPLATE_BUDGET,
 ):
     """Estimated p*(n): max distinct sampled n-tuples over offset templates.
 
@@ -169,11 +170,7 @@ def max_pattern_complexity(
     template is always evaluated too, so the estimate never drops below
     the block-complexity estimate.  Returns (count, template).
     """
-    profile = pstar_profile(
-        window, n, t_max, beam_width=beam_width, mode=mode,
-        template_budget=template_budget,
-    )
-    return profile[n - 1]
+    return pstar_profile(window, n, t_max, beam_width=beam_width, mode=mode)[n - 1]
 
 
 def pstar_profile(
@@ -182,7 +179,6 @@ def pstar_profile(
     t_max: int,
     beam_width: int = DEFAULT_BEAM,
     mode: str = "auto",
-    template_budget: int = TEMPLATE_BUDGET,
 ):
     """(count, template) estimates for every pattern length 1..n_max."""
     if n_max < 1:
@@ -207,10 +203,10 @@ def pstar_profile(
     if exhaustive:
         for n in range(2, n_max + 1):
             total = math.comb(t_max, n - 1)
-            if total > template_budget:
+            if total > TEMPLATE_BUDGET:
                 raise ValidationError(
                     "exhaustive search over %d templates exceeds the budget %d; "
-                    "use mode='beam'" % (total, template_budget)
+                    "use mode='beam'" % (total, TEMPLATE_BUDGET)
                 )
             # lexicographic order in slabs of ~2**16 table cells; keeping
             # the first maximum breaks ties lexicographically
@@ -380,16 +376,15 @@ def two_sided_complexity_report(window: Window, j: int, probes: Sequence[int]):
     return tuple(rows)
 
 
-def nonrecurrent_extension_test(
-    spec: SparseSpec, j: int, n_probe: Sequence[int], depth: int = 6
-):
+def nonrecurrent_extension_test(spec: SparseSpec, j: int, n_probe: Sequence[int]):
     """Two-sided-extension complexity rows for a sparse word.
 
-    The window spans [-max(n_probe), n_depth + max(n_probe)] with the
-    left half filled by the extension, so factors crossing the boundary
-    as well as the rightmost barrier context are all visible.
+    The window spans [-max(n_probe), n_6 + max(n_probe)], n_6 the sixth
+    barrier (``EXTENSION_BARRIERS``), with the left half filled by the
+    extension, so factors crossing the boundary as well as the rightmost
+    barrier context are all visible.
     """
     n_max = max(n_probe)
-    hi = spec.position_list(depth)[-1] + n_max + 1
+    hi = spec.position_list(EXTENSION_BARRIERS)[-1] + n_max + 1
     window = sparse_window(spec, -n_max, hi + n_max)
     return two_sided_complexity_report(window, j, n_probe)

@@ -69,6 +69,10 @@ class GordonStructureError(ValidationError):
     """A certificate's structural hypothesis failed its literal re-check."""
 
 
+#: the solution basis, (phi(-1), phi(0)) at each origin
+_BASES = ((0.0, 1.0), (1.0, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # Solution propagation
 # ---------------------------------------------------------------------------
@@ -137,8 +141,8 @@ def propagate(
     e = float(energy)
     vals = window.values()
     base = window.start
-    # off-spectrum tails may overflow to inf far from the origin; norms
-    # then saturate, which keeps >= comparisons meaningful
+    # off-spectrum tails may overflow to inf far from the origin, and past
+    # an inf the recurrence gives NaN (inf - inf): read a NaN as overflow
     ahead, behind = [], []
     transfer_run((e - vals[origin - base : hi - base]).tolist(), p0, pm1, ahead)
     transfer_run((e - vals[lo + 1 - base : origin - base])[::-1].tolist(), pm1, p0, behind)
@@ -516,10 +520,14 @@ def nondecay_scan(spec: ToeplitzSpec, energy: float, n_target: int) -> NondecayR
     are propagated across a window four times wider than the certificate
     scale for ``n_target``; a probe fails only if no witness exists
     within that range, and failures are reported with diagnostics rather
-    than passed over.
+    than passed over.  Each basis's norms are computed once, and a probe's
+    witness is the first |m| >= n at which either side reaches 1/4, the
+    + side first; a norm that overflowed to NaN counts as +inf.
     """
     if n_target < 1:
         raise ValidationError("n_target must be >= 1, got %r" % n_target)
+    if not math.isfinite(energy):
+        raise ValidationError("energy must be finite, got %r" % energy)
     probes = sorted({1, n_target, *(2**j for j in range(1, n_target.bit_length()))})
     level = 0
     while spec.block_length(level) < n_target:
@@ -527,51 +535,30 @@ def nondecay_scan(spec: ToeplitzSpec, energy: float, n_target: int) -> NondecayR
     reach = 4 * 2 * spec.block_length(level)
     origin = reach + 2
     window = spec.window(1, 2 * reach + 4)
-    tracks = [
-        propagate(window, energy, phi_init=init, origin=origin)
-        for init in ((0.0, 1.0), (1.0, 0.0))
-    ]
-    norms = []
-    for tr in tracks:
-        a = tr.phi
-        prev = np.roll(a, 1)
-        # propagate's off-spectrum tails saturate to inf by design
+    thr = 0.25 - NONDECAY_SLACK
+    sides = []  # per basis: ||Phi(m)||, ||Phi(-m)|| for m = 0..reach, and the hits
+    for init in _BASES:
+        phi = propagate(window, energy, phi_init=init, origin=origin).phi
+        # norms[i] = ||Phi|| at site i + 2, so site origin + t is at reach + t
         with np.errstate(over="ignore"):
-            nn = np.hypot(a, prev)
-        nn[0] = nn[1]
-        norms.append(nn)
+            norms = np.hypot(phi[1:], phi[:-1])
+        # with a finite energy a NaN only follows an inf in the same run
+        norms[np.isnan(norms)] = np.inf
+        right, left = norms[reach : 2 * reach + 1], norms[reach::-1]
+        sides.append((right, left, np.flatnonzero((right >= thr) | (left >= thr))))
     witnesses, failures = [], []
     for n in probes:
-        for which, tr in enumerate(tracks):
-            nn = norms[which]
-            found = None
-            for m in range(n, reach + 1):
-                for sgn in (1, -1):
-                    site = origin + sgn * m
-                    val = nn[site - tr.lo]
-                    if val >= 0.25 - NONDECAY_SLACK:
-                        found = (sgn * m, float(val))
-                        break
-                if found:
-                    break
-            if found:
-                witnesses.append((n, which, found[0], found[1]))
+        for which, (right, left, hits) in enumerate(sides):
+            i = int(np.searchsorted(hits, n))
+            if i < len(hits):
+                m = int(hits[i])
+                sgn, side = (1, right) if right[m] >= thr else (-1, left)
+                witnesses.append((n, which, sgn * m, float(side[m])))
             else:
-                best = float(nn[origin + n - tr.lo :].max())
-                failures.append(
-                    {
-                        "n": n,
-                        "basis": which,
-                        "searched_up_to": reach,
-                        "best_norm_found": best,
-                    }
-                )
-    return NondecayReport(
-        energy=float(energy),
-        n_target=int(n_target),
-        witnesses=tuple(witnesses),
-        failures=tuple(failures),
-    )
+                best = max(right[n:].max(), left[n:].max())  # over [n, reach]
+                failures.append({"n": n, "basis": which, "searched_up_to": reach,
+                                 "best_norm_found": float(best)})
+    return NondecayReport(float(energy), int(n_target), tuple(witnesses), tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +595,6 @@ class SweepReport:
             "n_energies": len(self.energies),
             "n_origins": len(self.origins),
         }
-
-
-#: the sweep's solution basis, (phi(-1), phi(0)) at each pair's own origin
-_BASES = ((0.0, 1.0), (1.0, 0.0))
 
 
 def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
@@ -699,18 +682,20 @@ class _ReadLog(list):
         return super().__getitem__(level)
 
 
-def _classify_by_answer(window, spec, entry_k, htab, origins, store, climb_cap):
-    """Classify every (energy, origin) pair, walking once per trace answer.
+def _classify_by_answer(window, spec, entry_k, htab, origins, parts, climb_cap):
+    """Classify and re-check every (energy, origin) pair, walking once per trace answer.
 
     The classifier reads a trace only as |h_j| <= 2, |h_j| > 2 or neither
     (NaN), so two energies whose answers agree at every level one walk
     read get that walk's outcome.  Per origin, the walk runs for the
     first energy still unassigned and its outcome goes to every energy
-    that answers alike, until none is left.  An outcome is a
-    :class:`CaseLabel` or the ``repr`` of the ``ValidationError`` the
-    walk raised (the text only: the exception's traceback would hold
-    this frame in a cycle); anything else propagates.  Returns the
-    distinct outcomes and an (energies, origins) array of their indices.
+    that answers alike, until none is left.  A walk that returns a label
+    re-checks it structurally right away, on ``parts``; the re-check reads
+    no energy.  An outcome is (label or None, error or None), the error
+    being the ``repr`` of the ``ValidationError`` the walk or the re-check
+    raised (the text only: the exception's traceback would hold this
+    frame in a cycle); anything else propagates.  Returns the distinct
+    outcomes and an (energies, origins) array of their indices.
     """
     absh = np.abs(htab)
     answers = np.where(absh <= 2.0, 0, np.where(absh > 2.0, 1, 2))
@@ -722,11 +707,14 @@ def _classify_by_answer(window, spec, entry_k, htab, origins, store, climb_cap):
         while todo.any():
             ie = int(np.argmax(todo))
             h = _ReadLog(htab[:, ie])
+            label = None
             try:
-                outcome = classify_case(window, spec, entry_k, h, origin=o,
-                                        partitions=store, max_climb=climb_cap)
+                label = classify_case(window, spec, entry_k, h, origin=o,
+                                      partitions=parts.store, max_climb=climb_cap)
+                _verify_structural(window, label, o, parts)
+                outcome = (label, None)
             except ValidationError as exc:
-                outcome = repr(exc)
+                outcome = (label, repr(exc))
             key = answers[list(h.read)]
             alike = todo & (key == key[:, [ie]]).all(axis=0)
             outcome_id[alike, io] = index.setdefault(outcome, len(index))
@@ -766,7 +754,7 @@ def gordon_sweep(
     pair that raises ``ValidationError`` is reported as a falsification,
     and any other exception is a defect and propagates.  The classifier
     walks once per origin and trace answer (``_classify_by_answer``),
-    the structural re-check runs once per distinct (origin, label), and
+    each walk's label is re-checked structurally inside the walk, and
     each classified pair is a lane: norms are stepped per lane by
     ``_norm_slabs``, each only out to its own label's certificate
     offsets, and the bounds are evaluated on all lanes as arrays.  A
@@ -809,22 +797,23 @@ def gordon_sweep(
 
     e_arr = np.asarray(energies)
     htab = trace_recursion_f64(spec, max_scale + 1, e_arr)
-    parts_store: dict = {}
-    parts = _Partitions(window, spec, parts_store)
     outcomes, outcome_id = _classify_by_answer(
-        window, spec, entry_k, htab, origins, parts_store, max_scale - entry_k
+        window, spec, entry_k, htab, origins, _Partitions(window, spec),
+        max_scale - entry_k,
     )
 
-    labels = [None if isinstance(x, str) else x for x in outcomes]
+    labels = [label for label, _ in outcomes]
     failed = np.array([x is None for x in labels])
     falsifications = [
         {"energy": float(e_arr[ie]), "origin": int(origins[io]),
-         "stage": "classify", "error": outcomes[outcome_id[ie, io]]}
+         "stage": "classify", "error": outcomes[outcome_id[ie, io]][1]}
         for ie, io in np.argwhere(failed[outcome_id]).tolist()
     ]
-    # one lane per classified pair, energy-major, stepped only to its own offsets
+    # one lane per classified pair, energy-major, stepped only to its own
+    # offsets; a pair whose re-check failed stays a lane but gets no margin
     lane_e, lane_o = np.nonzero(~failed[outcome_id])
     lane_lab = outcome_id[lane_e, lane_o]
+    sound = np.array([err is None for _, err in outcomes], dtype=bool)[lane_lab]
     offsets_of = [None if x is None else _offsets(x) for x in labels]
     offsets = [offsets_of[i] for i in lane_lab.tolist()]
     norms = _norm_slabs(window, e_arr[lane_e], origins[lane_o], offsets)
@@ -836,19 +825,6 @@ def gordon_sweep(
             "norm at offset %d of the pair (energy %r, origin %d) was never computed"
             % (offsets[lane][slot], float(e_arr[lane_e[lane]]), origins[lane_o[lane]])
         )
-
-    # the structural re-check reads no energy: once per (origin, label)
-    pair_keys, pair_of_lane = np.unique(lane_o * len(outcomes) + lane_lab,
-                                        return_inverse=True)
-    errors = []
-    for key in pair_keys.tolist():
-        io, i = divmod(key, len(outcomes))
-        try:
-            _verify_structural(window, labels[i], int(origins[io]), parts)
-            errors.append(None)
-        except ValidationError as exc:
-            errors.append(repr(exc))
-    sound = np.array([err is None for err in errors], dtype=bool)[pair_of_lane]
 
     cube = np.array([x is not None and x.kind == "cube" for x in labels])[lane_lab]
     trace_level = np.array([0 if x is None or x.kind == "cube" else x.trace_level
@@ -864,7 +840,7 @@ def gordon_sweep(
         e, o = float(e_arr[lane_e[lane]]), int(origins[lane_o[lane]])
         if not sound[lane]:
             falsifications.append({"energy": e, "origin": o, "stage": "structure",
-                                   "error": errors[pair_of_lane[lane]]})
+                                   "error": outcomes[lane_lab[lane]][1]})
             continue
         for b in np.flatnonzero(bad[:, lane]).tolist():
             falsifications.append(
@@ -873,10 +849,8 @@ def gordon_sweep(
                  "label": labels[lane_lab[lane]].case_id}
             )
 
-    case_counts: dict = {}  # in order of first appearance among the lanes
-    for i, n in Counter(lane_lab.tolist()).items():
-        cid = labels[i].case_id
-        case_counts[cid] = case_counts.get(cid, 0) + n
+    # in order of first appearance among the lanes
+    case_counts = dict(Counter(labels[i].case_id for i in lane_lab.tolist()))
     kept = margins[:, sound].T.ravel().tolist()
     return SweepReport(
         case_counts=case_counts,

@@ -14,11 +14,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice, takewhile
 from typing import Optional, Sequence
 
 import numpy as np
 
 HOLE = "?"
+#: longest building block ``blocks`` will materialize
+BLOCK_BUDGET = 10**7
 
 __all__ = [
     "HOLE",
@@ -646,7 +649,7 @@ def toeplitz_window(spec: ToeplitzSpec, depth: int, start: int, length: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def blocks(spec: ToeplitzSpec, k: int, budget: int = 10**7):
+def blocks(spec: ToeplitzSpec, k: int):
     """The level-k building blocks (s_k, t_k) as code arrays.
 
     s_0 is the prefix pattern followed by the first tail letter, t_0 the
@@ -657,9 +660,9 @@ def blocks(spec: ToeplitzSpec, k: int, budget: int = 10**7):
     """
     if k < 0:
         raise ValidationError("block level must be >= 0")
-    if spec.block_length(k) > budget:
+    if spec.block_length(k) > BLOCK_BUDGET:
         raise ValidationError(
-            "block length %d exceeds budget %d" % (spec.block_length(k), budget)
+            "block length %d exceeds budget %d" % (spec.block_length(k), BLOCK_BUDGET)
         )
     a1 = spec.tail_letter(1)
     base = [spec.alphabet.code(sym) for sym in spec.prefix.pattern]
@@ -862,35 +865,23 @@ class SparseSpec:
 
     def positions_upto(self, limit: int) -> tuple:
         """All barrier positions <= limit, in increasing order."""
-        return tuple(self._iter_positions(lambda n, k: n > limit))
+        return tuple(takewhile(lambda n: n <= limit, self._positions()))
 
     def position_list(self, count: int) -> tuple:
         """The first `count` barrier positions."""
-        return tuple(self._iter_positions(lambda n, k: k > count))
+        return tuple(islice(self._positions(), max(count, 0)))
 
-    def _iter_positions(self, stop):
-        out = []
+    def _positions(self):
+        """The barrier positions in increasing order; endless for a rule."""
         if self.positions is not None:
-            for k, n in enumerate(self.positions, start=1):
-                if stop(n, k):
-                    break
-                out.append(n)
-            return out
-        kind = self.rule[0]
-        if kind == "power":
-            base = self.rule[1]
-            n, k = base, 1
-            while not stop(n, k):
-                out.append(n)
-                k += 1
-                n *= base
-        else:
-            n, k = self.rule[1], 1
-            while not stop(n, k):
-                out.append(n)
-                n = max(2 * n + 1, n + math.factorial(k))
-                k += 1
-        return out
+            yield from self.positions
+            return
+        kind, first = self.rule
+        n, k = first, 1
+        while True:
+            yield n
+            n = n * first if kind == "power" else max(2 * n + 1, n + math.factorial(k))
+            k += 1
 
     def gaps(self, count: int) -> tuple:
         pos = self.position_list(count + 1)

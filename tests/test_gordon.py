@@ -403,6 +403,119 @@ def test_nondecay_saturated_tails_raise_no_warning():
     assert rep.passed
 
 
+def ref_nondecay_scan(spec, energy, n_target):
+    """The scan as a nested search over m, then the sign, per probe and basis."""
+    probes = sorted({1, n_target, *(2**j for j in range(1, n_target.bit_length()))})
+    level = 0
+    while spec.block_length(level) < n_target:
+        level += 1
+    reach = 4 * 2 * spec.block_length(level)
+    origin = reach + 2
+    window = spec.window(1, 2 * reach + 4)
+    tracks = [gd.propagate(window, energy, phi_init=init, origin=origin)
+              for init in ((0.0, 1.0), (1.0, 0.0))]
+    norms = []
+    for tr in tracks:
+        a = tr.phi
+        prev = np.roll(a, 1)
+        with np.errstate(over="ignore"):
+            nn = np.hypot(a, prev)
+        nn[0] = nn[1]
+        norms.append(nn)
+    witnesses, failures = [], []
+    for n in probes:
+        for which, tr in enumerate(tracks):
+            nn = norms[which]
+            found = None
+            for m in range(n, reach + 1):
+                for sgn in (1, -1):
+                    val = nn[origin + sgn * m - tr.lo]
+                    if val >= 0.25 - gd.NONDECAY_SLACK:
+                        found = (sgn * m, float(val))
+                        break
+                if found:
+                    break
+            if found:
+                witnesses.append((n, which, found[0], found[1]))
+            else:
+                failures.append({"n": n, "basis": which, "searched_up_to": reach,
+                                 "best_norm_found": float(nn[origin + n - tr.lo:].max())})
+    return tuple(witnesses), tuple(failures)
+
+
+def test_nondecay_scan_matches_nested_reference():
+    # the certify workload's energies: the seed-1 sweep's own 40
+    energies = gd.gordon_sweep(SPEC, 2, 40, 1, seed=1, grid=2000).energies
+    assert len(energies) == 40
+    for e in energies:
+        for n_target in (1, 2, 5, 100, 300, 2000):
+            rep = gd.nondecay_scan(SPEC, e, n_target)
+            assert (rep.witnesses, rep.failures) == ref_nondecay_scan(SPEC, e, n_target)
+            assert rep.passed
+
+
+@pytest.mark.parametrize("energy", [4.5, -3.0, 6.0])
+def test_nondecay_survives_tails_that_overflow_to_nan(energy):
+    # the solution overflows inside the searched range; past the inf,
+    # c * inf - inf is NaN, which must count as a large norm
+    rep = gd.nondecay_scan(SPEC, energy, 2000)
+    assert rep.passed, rep.failures
+    ref_witnesses, ref_failures = ref_nondecay_scan(SPEC, energy, 2000)
+    assert ref_failures  # the NaN-blind search fails here
+    assert set(ref_witnesses) <= set(rep.witnesses)
+    for n, _, m, norm in rep.witnesses:
+        assert abs(m) >= n and norm >= 0.25 - gd.NONDECAY_SLACK
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+def test_nondecay_rejects_a_non_finite_energy(energy):
+    with pytest.raises(sq.ValidationError, match="energy must be finite, got %r" % energy):
+        gd.nondecay_scan(SPEC, energy, 100)
+
+
+def test_nondecay_best_norm_reads_both_sides(monkeypatch):
+    def flat(window, energy, phi_init=(0.0, 1.0), origin=0, lo=None, hi=None):
+        # every norm below 1/4, the left side's larger than the right side's
+        phi = np.where(np.arange(window.start, window.end) < origin, 0.15, 0.1)
+        return gd.SolutionTrack(window, float(energy), origin, window.start, phi)
+
+    monkeypatch.setattr(gd, "propagate", flat)
+    rep = gd.nondecay_scan(SPEC, 0.3, 100)
+    assert not rep.witnesses
+    assert len(rep.failures) == 2 * len({1, 2, 4, 8, 16, 32, 64, 100})
+    assert {f["best_norm_found"] for f in rep.failures} == {float(np.hypot(0.15, 0.15))}
+
+
+def test_sweep_rechecks_each_label_once_in_its_walk(monkeypatch):
+    events = []
+    classify, structural = gd.classify_case, gd._verify_structural
+
+    def walk(window, spec, k, h, origin, **kw):
+        events.append(("walk", origin, None))
+        lab = classify(window, spec, k, h, origin=origin, **kw)
+        events[-1] = ("walk", origin, lab)
+        return lab
+
+    def recheck(window, lab, origin, parts):
+        events.append(("recheck", origin, lab))
+        return structural(window, lab, origin, parts)
+
+    monkeypatch.setattr(gd, "classify_case", walk)
+    monkeypatch.setattr(gd, "_verify_structural", recheck)
+    rep = gd.gordon_sweep(SPEC, 2, 40, 500, seed=1, grid=2000)
+    assert len(rep.falsifications) == 44
+    # every labelled walk is followed by the re-check of its own label,
+    # and every re-check directly follows the walk that found the label
+    for i, (what, origin, lab) in enumerate(events):
+        if what == "recheck":
+            assert events[i - 1] == ("walk", origin, lab)
+        elif lab is not None:
+            assert events[i + 1] == ("recheck", origin, lab)
+    walks = [(origin, lab) for what, origin, lab in events if what == "walk"]
+    assert len(events) - len(walks) == len(walks) - 2
+    assert sorted(o for o, lab in walks if lab is None) == [88552, 324770]
+
+
 @pytest.mark.parametrize("stage,target", [("classify", "classify_case"),
                                           ("structure", "_verify_structural")])
 def test_sweep_reports_only_validation_errors_as_falsifications(monkeypatch, stage, target):

@@ -376,8 +376,9 @@ def test_blocks_differ_only_in_last_symbol():
 
 def test_blocks_budget_guard():
     spec = simple_spec()
+    assert spec.block_length(15) > sq.BLOCK_BUDGET  # 3^15
     with pytest.raises(sq.ValidationError):
-        sq.blocks(spec, 20, budget=10**4)
+        sq.blocks(spec, 15)
 
 
 # ---------------------------------------------------------------------------
@@ -537,3 +538,45 @@ def test_sparse_factorial_gap_rule_is_valid_and_eventually_factorial():
         assert b > 2 * a
     gaps = spec.gaps(11)
     assert gaps[-3:] == (math.factorial(9), math.factorial(10), math.factorial(11))
+
+
+def ref_iter_positions(spec, stop):
+    """Barrier positions up to the first (n, k) that ``stop`` accepts, k from 1:
+    the list-and-callback form the single generator replaced."""
+    out = []
+    if spec.positions is not None:
+        for k, n in enumerate(spec.positions, start=1):
+            if stop(n, k):
+                break
+            out.append(n)
+        return out
+    kind = spec.rule[0]
+    if kind == "power":
+        base = spec.rule[1]
+        n, k = base, 1
+        while not stop(n, k):
+            out.append(n)
+            k += 1
+            n *= base
+    else:
+        n, k = spec.rule[1], 1
+        while not stop(n, k):
+            out.append(n)
+            n = max(2 * n + 1, n + math.factorial(k))
+            k += 1
+    return out
+
+
+@pytest.mark.parametrize("kw", [dict(rule=("power", 3)), dict(rule=("factorial_gaps", 1)),
+                                dict(positions=(2, 5, 11, 30, 61, 200))])
+def test_sparse_positions_match_the_reference(kw):
+    spec = sq.SparseSpec(v=2.0, **kw)
+    first = spec.position_list(15)
+    assert list(first) == ref_iter_positions(spec, lambda n, k: k > 15)
+    for count in range(-1, 17):
+        assert spec.position_list(count) == tuple(
+            ref_iter_positions(spec, lambda n, k: k > count))
+    limits = {0, 1} | {n + d for n in first for d in (-1, 0, 1)}
+    for limit in sorted(limits):
+        assert spec.positions_upto(limit) == tuple(
+            ref_iter_positions(spec, lambda n, k: n > limit)), limit
