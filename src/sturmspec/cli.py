@@ -217,13 +217,11 @@ def _energy_list(text: str) -> list:
 def _cmd_lyapunov(args) -> int:
     cfg, spec = _load(args)
     energies = _energy_list(args.energies)
-    source = spec
-    if isinstance(spec, CircleMapSpec):
-        total = args.n_steps + (args.samples - 1) * cocycle.SAMPLE_STRIDE
-        source = spec.window(args.start, total, allow_periodic=True)
+    # at least one site, so that lyapunov_scan names a bad --n-steps or --samples
+    total = max(1, args.n_steps + (args.samples - 1) * cocycle.SAMPLE_STRIDE)
     gam, spread = cocycle.lyapunov_scan(
-        source, energies, n_steps=args.n_steps, samples=args.samples,
-        start=args.start,
+        _make_window(spec, args.start, total), energies, n_steps=args.n_steps,
+        samples=args.samples, start=args.start,
     )
     flat = _resolved_config(cfg, args, ("energies", "n_steps", "samples", "start"))
     rows = list(zip(energies, (float(g) for g in gam), (float(s) for s in spread)))

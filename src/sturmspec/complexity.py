@@ -185,6 +185,8 @@ def pstar_profile(
         raise ValidationError("pattern length must be >= 1")
     if t_max < n_max - 1:
         raise ValidationError("t_max must allow n strictly increasing offsets")
+    if beam_width < 1:
+        raise ValidationError("beam_width must be >= 1, got %d" % beam_width)
     if len(window) <= t_max:
         raise WindowTooShortError(
             "window length %d leaves no sampling positions for t_max=%d"

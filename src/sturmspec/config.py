@@ -53,11 +53,27 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.output.get("seed", "0"))
+        return _read("output", self.output, "seed", int, "0")
 
 
-def _fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
+def _read(section: str, values: dict, key: str, convert, default=None):
+    """``convert`` of a key's text; a missing key or a bad value is named."""
+    text = values.get(key, default)
+    if text is None:
+        raise ValidationError("[%s] needs the key %r" % (section, key))
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(
+            "[%s] %s = %r is malformed: %s" % (section, key, text, exc)
+        ) from None
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError("expected one of %s" % ", ".join(states))
+    return states[text.lower()]
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -95,58 +111,57 @@ def emit_config(cfg: RunConfig) -> str:
     return buf.getvalue()
 
 
-def _alphabet_from(spec: dict) -> Alphabet:
-    raw = spec.get("values", "a=0.0,b=1.0")
-    symbols, values = [], []
-    for item in raw.split(","):
-        label, _, val = item.partition("=")
-        symbols.append(label.strip())
-        values.append(float(val))
-    return Alphabet(tuple(symbols), tuple(values))
+def _alphabet(raw: str) -> Alphabet:
+    pairs = [item.partition("=") for item in raw.split(",")]
+    return Alphabet(tuple(a.strip() for a, _, _ in pairs),
+                    tuple(float(v) for _, _, v in pairs))
+
+
+def _tail(raw: str) -> tuple:
+    """(letters, periods, offsets) of a ``letter:period:offset,...`` list."""
+    levels = [item.strip().split(":") for item in raw.split(",")]
+    if any(len(parts) != 3 for parts in levels):
+        raise ValueError("entries look like letter:period:offset")
+    return tuple(zip(*((a, int(n), int(l)) for a, n, l in levels)))
+
+
+def _rule(raw: str) -> tuple:
+    kind, number = raw.split(":")
+    return kind, int(number)
 
 
 def build_spec(cfg: RunConfig):
-    """Instantiate the sequence spec a config describes."""
-    s = cfg.spec
+    """Instantiate the sequence spec a config describes; bad keys are named."""
+    def read(key, convert, default=None):
+        return _read(cfg.kind, cfg.spec, key, convert, default)
+
     if cfg.kind == "circle_map":
         return CircleMapSpec(
-            p=int(s["p"]),
-            q=int(s["q"]),
-            beta=_fraction(s["beta"]),
-            theta=_fraction(s.get("theta", "0")),
-            lam=float(s.get("lambda", "1.0")),
+            p=read("p", int),
+            q=read("q", int),
+            beta=read("beta", Fraction),
+            theta=read("theta", Fraction, "0"),
+            lam=read("lambda", float, "1.0"),
         )
     if cfg.kind == "toeplitz":
-        alphabet = _alphabet_from(s)
-        prefix = CodingTriple(
-            pattern=tuple(s.get("prefix_pattern", "")) or (),
-            period=int(s.get("prefix_period", "1")),
-            offset=int(s.get("prefix_offset", "0")),
-        )
-        letters, periods, offsets = [], [], []
-        for item in s["tail"].split(","):
-            parts = item.strip().split(":")
-            if len(parts) != 3:
-                raise ValidationError(
-                    "tail entries look like letter:period:offset, got %r" % item
-                )
-            letters.append(parts[0])
-            periods.append(int(parts[1]))
-            offsets.append(int(parts[2]))
+        letters, periods, offsets = read("tail", _tail)
         return ToeplitzSpec(
-            alphabet=alphabet,
-            prefix=prefix,
-            tail_letters=tuple(letters),
-            tail_periods=tuple(periods),
-            tail_offsets=tuple(offsets),
-            cycle=s.get("cycle", "true").lower() in ("1", "true", "yes"),
-            extension_letter=s.get("extension_letter") or None,
+            alphabet=read("values", _alphabet, "a=0.0,b=1.0"),
+            prefix=CodingTriple(
+                pattern=tuple(cfg.spec.get("prefix_pattern", "")),
+                period=read("prefix_period", int, "1"),
+                offset=read("prefix_offset", int, "0"),
+            ),
+            tail_letters=letters,
+            tail_periods=periods,
+            tail_offsets=offsets,
+            cycle=read("cycle", _boolean, "true"),
+            extension_letter=cfg.spec.get("extension_letter") or None,
         )
     # sparse
-    v = float(s["v"])
-    left_fill = float(s.get("left_fill", "0"))
-    if "positions" in s:
-        positions = tuple(int(x) for x in s["positions"].split(","))
+    v = read("v", float)
+    left_fill = read("left_fill", float, "0")
+    if "positions" in cfg.spec:
+        positions = read("positions", lambda raw: tuple(int(x) for x in raw.split(",")))
         return SparseSpec(v=v, positions=positions, left_fill=left_fill)
-    rule_raw = s.get("rule", "power:3").split(":")
-    return SparseSpec(v=v, rule=(rule_raw[0], int(rule_raw[1])), left_fill=left_fill)
+    return SparseSpec(v=v, rule=read("rule", _rule, "power:3"), left_fill=left_fill)

@@ -193,7 +193,7 @@ class CaseLabel:
 
 
 class _Partitions:
-    """Per-window cache of k-partitions, and of the spec's s-blocks, across levels.
+    """Per-window cache of k-partitions across levels.
 
     Higher levels are aligned by refining the level below, so deep
     levels cost a handful of candidate alignments instead of a scan
@@ -204,13 +204,6 @@ class _Partitions:
         self.window = window
         self.spec = spec
         self.store = store if store is not None else {}
-        self.s_blocks = {}
-
-    def s_block(self, level: int) -> np.ndarray:
-        """s_level as the spec generates it (never read from the window)."""
-        if level not in self.s_blocks:
-            self.s_blocks[level] = blocks(self.spec, level)[0]
-        return self.s_blocks[level]
 
     def at(self, level: int) -> PartitionView:
         if level not in self.store:
@@ -419,8 +412,8 @@ def _check_periodic(window: Window, lo: int, hi: int, m: int):
 
 
 def _check_rotation(window: Window, lo: int, parts: _Partitions, level: int):
-    """The m symbols from lo must be a cyclic rotation of s_level."""
-    s = parts.s_block(level)
+    """The m symbols from lo must be a cyclic rotation of the spec's s_level."""
+    s = blocks(parts.spec, level)[0]
     part = parts.at(level)
     m = len(s)
     seg = window.codes[lo - window.start : lo + m - window.start]

@@ -138,13 +138,6 @@ class Alphabet:
     def value_table(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.float64)
 
-    def other(self, label: str) -> str:
-        """The complementary letter of a two-letter alphabet."""
-        if len(self.symbols) != 2:
-            raise ValidationError("other() requires a two-letter alphabet")
-        a, b = self.symbols
-        return b if label == a else a
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
@@ -576,10 +569,12 @@ class ToeplitzSpec:
 
 @lru_cache(maxsize=128)
 def _composed_partial(spec: ToeplitzSpec, depth: int) -> PartialWord:
-    word = spec.prefix.to_partial(spec.alphabet)
-    for k in range(1, depth + 1):
-        word = compose(word, spec.coding_triple(k).to_partial(spec.alphabet))
-    return word
+    if depth < 1:
+        return spec.prefix.to_partial(spec.alphabet)
+    return compose(
+        _composed_partial(spec, depth - 1),
+        spec.coding_triple(depth).to_partial(spec.alphabet),
+    )
 
 
 def _resolve_site(spec: ToeplitzSpec, x: int) -> int:
@@ -590,7 +585,7 @@ def _resolve_site(spec: ToeplitzSpec, x: int) -> int:
     descent state shrinks geometrically, so on cycling specs a repeated
     state proves the site is the everywhere-undetermined position.
     """
-    prefix = spec.prefix.to_partial(spec.alphabet)
+    prefix = spec.composed(0)
     if x % prefix.period != prefix.hole_offset:
         return prefix.at(x)
     j = (x - spec.prefix.offset) // prefix.period
@@ -649,30 +644,26 @@ def toeplitz_window(spec: ToeplitzSpec, depth: int, start: int, length: int) -> 
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=128)
 def blocks(spec: ToeplitzSpec, k: int):
     """The level-k building blocks (s_k, t_k) as code arrays.
 
-    s_0 is the prefix pattern followed by the first tail letter, t_0 the
-    same with the other letter; one level up, s_k repeats s_{k-1} one time
-    fewer than the period and appends t_{k-1}, while t_k is the pure
-    power.  Both have length prefix_period * n_1 * ... * n_k and differ
-    exactly in their last symbol.
+    Both have length prefix_period * n_1 * ... * n_k, differ exactly in
+    their last symbol, and satisfy s_k = s_{k-1}^(n_k - 1) t_{k-1},
+    t_k = s_{k-1}^(n_k).  Level-k blocks end at the level-k hole, so both
+    are the depth-k composition read from one past its hole; the hole
+    holds the first tail letter in s_k for even k, the other letter for
+    odd k, and the opposite letter in t_k.
     """
     if k < 0:
         raise ValidationError("block level must be >= 0")
-    if spec.block_length(k) > BLOCK_BUDGET:
-        raise ValidationError(
-            "block length %d exceeds budget %d" % (spec.block_length(k), BLOCK_BUDGET)
-        )
-    a1 = spec.tail_letter(1)
-    base = [spec.alphabet.code(sym) for sym in spec.prefix.pattern]
-    s = np.array(base + [spec.alphabet.code(a1)], dtype=np.int16)
-    t = np.array(base + [spec.alphabet.code(spec.alphabet.other(a1))], dtype=np.int16)
-    for j in range(1, k + 1):
-        n = spec.tail_period(j)
-        s_new = np.concatenate([np.tile(s, n - 1), t])
-        t_new = np.tile(s, n)
-        s, t = s_new, t_new
+    if (ell := spec.block_length(k)) > BLOCK_BUDGET:
+        raise ValidationError("block length %d exceeds budget %d" % (ell, BLOCK_BUDGET))
+    word = spec.composed(k)
+    s = np.roll(word.codes, -(word.hole_offset + 1))
+    t = s.copy()
+    s[-1] = spec.alphabet.code(spec.tail_letter(1)) ^ (k & 1)
+    t[-1] = 1 - s[-1]
     return _freeze(s), _freeze(t)
 
 

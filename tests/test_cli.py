@@ -54,6 +54,58 @@ def test_config_rejects_unknown_sections_and_keys(text, named):
         cfgmod.parse_config_text(text)
 
 
+TOEPLITZ = "[toeplitz]\ntail = a:3:0,b:3:0\n"
+CIRCLE = "[circle_map]\np = 1\nq = 2\n"
+
+
+@pytest.mark.parametrize("text,named", [
+    ("[toeplitz]\ntail = a:x:0\n", "[toeplitz] tail = 'a:x:0'"),
+    (TOEPLITZ + "values = a=zero,b=1.0\n", "[toeplitz] values = 'a=zero,b=1.0'"),
+    (TOEPLITZ + "prefix_offset = q\n", "[toeplitz] prefix_offset = 'q'"),
+    (TOEPLITZ + "cycle = maybe\n", "[toeplitz] cycle = 'maybe'"),
+    ("[toeplitz]\nvalues = a=0,b=1\n", "[toeplitz] needs the key 'tail'"),
+    ("[sparse]\nv = 2.0\nrule = power\n", "[sparse] rule = 'power'"),
+    ("[sparse]\nv = 2.0\npositions = 1,x\n", "[sparse] positions = '1,x'"),
+    ("[circle_map]\np = 1.5\nq = 2\nbeta = 1/2\n", "[circle_map] p = '1.5'"),
+    (CIRCLE + "beta = x\n", "[circle_map] beta = 'x'"),
+    (CIRCLE + "beta = 1/0\n", "[circle_map] beta = '1/0'"),
+])
+def test_malformed_config_values_name_the_key(text, named):
+    with pytest.raises(cfgmod.ValidationError) as err:
+        cfgmod.build_spec(cfgmod.parse_config_text(text))
+    assert named in str(err.value)
+
+
+def test_malformed_seed_names_the_key():
+    cfg = cfgmod.parse_config_text("[sparse]\nv = 2.0\n[output]\nseed = abc\n")
+    with pytest.raises(cfgmod.ValidationError, match=r"\[output\] seed = 'abc'"):
+        cfg.seed
+
+
+@pytest.mark.parametrize("word,meaning", [
+    ("1", True), ("yes", True), ("True", True), ("on", True),
+    ("0", False), ("no", False), ("FALSE", False), ("off", False),
+])
+def test_cycle_takes_configparser_booleans(word, meaning):
+    spec = cfgmod.build_spec(cfgmod.parse_config_text(TOEPLITZ + "cycle = %s\n" % word))
+    assert spec.cycle is meaning
+
+
+def test_malformed_config_value_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TOEPLITZ + "cycle = maybe\n")
+    assert run_cli(["generate", "--spec", bad, "--len", "10"]) == 1
+    assert "error: [toeplitz] cycle = 'maybe'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beam", [0, -3])
+def test_complexity_rejects_beam_below_one(beam, capsys):
+    argv = ["complexity", "--spec", CONFIGS / "fib.cfg", "--n-max", "8",
+            "--t-max", "100", "--window", "2000", "--beam", beam]
+    assert run_cli(argv) == 1
+    assert "error: beam_width must be >= 1" in capsys.readouterr().err
+
+
 def test_build_spec_from_configs():
     fib = cfgmod.build_spec(cfgmod.parse_config(str(CONFIGS / "fib.cfg")))
     assert fib.q == 610
@@ -229,6 +281,19 @@ def test_lyapunov_samples_on_circle_map_window(tmp_path):
     result = json.loads(out.read_text())["result"]
     assert result["gamma"] == [float(gamma[0])]
     assert result["spread"] == [float(spread[0])]
+
+
+@pytest.mark.parametrize("name", ["fib.cfg", "simple3.cfg", "sparse3.cfg"])
+@pytest.mark.parametrize("steps,samples,message", [
+    ("1000", "0", "need at least one sample start point"),
+    ("-5", "1", "n_steps must be >= 1000"),
+])
+def test_lyapunov_names_a_bad_run_length(name, steps, samples, message, capsys):
+    # every spec kind gets the scan's own message, not the window builder's
+    argv = ["lyapunov", "--spec", CONFIGS / name, "--energies=0.5",
+            "--n-steps", steps, "--samples", samples]
+    assert run_cli(argv) == 1
+    assert "error: %s" % message in capsys.readouterr().err
 
 
 def test_sparse_check_json(tmp_path):

@@ -125,6 +125,14 @@ def test_pstar_window_guard():
         cx.max_pattern_complexity(w, 2, 100)
 
 
+@pytest.mark.parametrize("beam_width", [0, -1])
+def test_pstar_rejects_beam_below_one(beam_width):
+    # width 0 emptied the beam (IndexError); a negative width sliced off
+    # only the last candidates, so the beam grew without bound
+    with pytest.raises(sq.ValidationError, match="beam_width"):
+        cx.pstar_profile(fib_window(40), 4, 8, beam_width=beam_width, mode="beam")
+
+
 def test_profile_matches_single_queries():
     w = fib_window(1500)
     prof = cx.pstar_profile(w, 4, 40)

@@ -858,19 +858,18 @@ def test_norm_slabs_name_the_lane_that_leaves_the_window():
     assert err.value.required == 0
 
 
-def test_rotation_check_reads_the_cached_spec_block(monkeypatch):
-    calls = []
-    real = gd.blocks
-
-    def counted(spec, level):
-        calls.append(level)
-        return real(spec, level)
-
-    monkeypatch.setattr(gd, "blocks", counted)
+def test_rotation_check_reads_the_cached_spec_block():
+    sq.blocks.cache_clear()
     parts = gd._Partitions(WINDOW, SPEC, {})
     for level in (3, 3, 4, 3):
-        assert np.array_equal(parts.s_block(level), sq.blocks(SPEC, level)[0])
-    assert calls == [3, 4]
+        part = parts.at(level)
+        s_lo, t_lo = (int(part.starts[part.labels.index(b)]) + 5 for b in "st")
+        gd._check_rotation(WINDOW, s_lo, parts, level)
+        with pytest.raises(gd.GordonStructureError):  # a t-block's last letter
+            gd._check_rotation(WINDOW, t_lo, parts, level)
+    # the partition and the rotation check share one build per level
+    assert sq.blocks.cache_info().misses == 2
+    assert sq.blocks(SPEC, 3) is sq.blocks(SPEC, 3)
 
 
 def test_small_sweep_has_no_falsifications():

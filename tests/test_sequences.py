@@ -377,8 +377,100 @@ def test_blocks_differ_only_in_last_symbol():
 def test_blocks_budget_guard():
     spec = simple_spec()
     assert spec.block_length(15) > sq.BLOCK_BUDGET  # 3^15
+    sq._composed_partial.cache_clear()
     with pytest.raises(sq.ValidationError):
         sq.blocks(spec, 15)
+    assert sq._composed_partial.cache_info().misses == 0  # nothing was built
+
+
+def ref_blocks(spec, k):
+    """s_k, t_k by tiling: s_0 is the prefix pattern and the first tail
+    letter, t_0 the same with the other letter, s_k = s_{k-1}^(n-1) t_{k-1}
+    and t_k = s_{k-1}^n."""
+    first = spec.tail_letter(1)
+    other = next(a for a in spec.alphabet.symbols if a != first)
+    s, t = ([spec.alphabet.code(a) for a in spec.prefix.pattern + (last,)]
+            for last in (first, other))
+    s, t = np.array(s, dtype=np.int16), np.array(t, dtype=np.int16)
+    for j in range(1, k + 1):
+        n = spec.tail_period(j)
+        s, t = np.concatenate([np.tile(s, n - 1), t]), np.tile(s, n)
+    return s, t
+
+
+#: (test id, spec) pairs the composition route is checked on, tiling as oracle
+BLOCK_SPECS = [
+    ("simple3", simple_spec()),
+    ("a:3:1,b:4:2", simple_spec(periods=(3, 4), offsets=(1, 2))),
+    ("a:5:0,b:5:3", simple_spec(periods=(5, 5), offsets=(0, 3))),
+    ("prefix", sq.ToeplitzSpec(AB, sq.CodingTriple(("b", "a"), 3, 1),
+                               ("a", "b"), (3, 4), (1, 2))),
+    ("extension", simple_spec(extension_letter="a")),
+    ("period-2", simple_spec(periods=(2, 3, 4), offsets=(1, 1, 0),
+                             letters=("a", "b", "a"), cycle=False)),
+]
+
+
+def accepted_levels(spec, budget=sq.BLOCK_BUDGET):
+    """Every level k that ``blocks`` accepts, up to the last declared one."""
+    k = 0
+    while k <= spec.max_level() and spec.block_length(k) <= budget:
+        yield k
+        k += 1
+
+
+def assert_blocks_match_tiling(spec, budget=sq.BLOCK_BUDGET):
+    levels = list(accepted_levels(spec, budget))
+    for k in levels:
+        s, t = sq.blocks(spec, k)
+        ref_s, ref_t = ref_blocks(spec, k)
+        assert np.array_equal(s, ref_s) and np.array_equal(t, ref_t), k
+        assert s.dtype == np.int16 and not s.flags.writeable and not t.flags.writeable
+    sq.blocks.cache_clear()
+    sq._composed_partial.cache_clear()
+    return levels
+
+
+@pytest.mark.parametrize("spec", [s for _, s in BLOCK_SPECS],
+                         ids=[n for n, _ in BLOCK_SPECS])
+def test_blocks_equal_the_tiling_at_every_accepted_level(spec):
+    levels = assert_blocks_match_tiling(spec)
+    if spec.cycle:
+        assert spec.block_length(levels[-1] + 1) > sq.BLOCK_BUDGET
+    else:
+        # the last declared level, where tail_letter(k + 1) would raise
+        assert levels == [0, 1, 2] == list(range(len(spec.tail_letters) + 1))
+
+
+def test_blocks_equal_the_tiling_on_random_tails():
+    rng = np.random.default_rng(16)
+    for trial in range(24):
+        cycle = trial % 2 == 0
+        depth = int(rng.choice((2, 4))) if cycle else int(rng.integers(1, 5))
+        periods = [int(n) for n in rng.integers(3 if cycle else 2, 6, size=depth)]
+        periods[-1] = max(periods[-1], 3)
+        offsets = tuple(int(rng.integers(0, n)) for n in periods)
+        letters = tuple("ab"[(i + trial // 2) % 2] for i in range(depth))
+        pp = int(rng.integers(1, 4))
+        prefix = sq.CodingTriple(tuple(rng.choice(["a", "b"], size=pp - 1)), pp,
+                                 int(rng.integers(0, pp)))
+        spec = sq.ToeplitzSpec(AB, prefix, letters, tuple(periods), offsets, cycle=cycle)
+        assert assert_blocks_match_tiling(spec, budget=10**5)
+
+
+@pytest.mark.parametrize("spec", [s for _, s in BLOCK_SPECS[:5]],
+                         ids=[n for n, _ in BLOCK_SPECS[:5]])
+def test_partition_residue_is_one_past_the_hole(spec):
+    # level-k blocks end at the level-k hole, on every spec-generated window
+    for k in range(5):
+        ell = spec.block_length(k)
+        need = (4 * spec.tail_period(k + 1) + 2) * ell + 7
+        starts = [1, 10_007, -need - 5]  # the last ends left of site 0
+        if spec.extension_letter is not None:
+            starts.append(-need // 2)  # across the everywhere-undetermined site
+        for start in starts:
+            view = sq.k_partition(spec.window(start, need), spec, k)
+            assert view.residue == (spec.hole_position(k) + 1) % ell, (k, start)
 
 
 # ---------------------------------------------------------------------------
