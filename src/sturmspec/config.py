@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from .sequences import (
@@ -130,38 +131,55 @@ def _rule(raw: str) -> tuple:
     return kind, int(number)
 
 
+@contextmanager
+def _naming(section: str, keys):
+    """Re-raise a spec constructor's ValidationError with the keys it read."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError("[%s] %s: %s" % (section, ", ".join(keys), exc)) from None
+
+
 def build_spec(cfg: RunConfig):
     """Instantiate the sequence spec a config describes; bad keys are named."""
     def read(key, convert, default=None):
         return _read(cfg.kind, cfg.spec, key, convert, default)
 
     if cfg.kind == "circle_map":
-        return CircleMapSpec(
+        args = dict(
             p=read("p", int),
             q=read("q", int),
             beta=read("beta", Fraction),
             theta=read("theta", Fraction, "0"),
             lam=read("lambda", float, "1.0"),
         )
+        with _naming(cfg.kind, _KEYS[cfg.kind]):
+            return CircleMapSpec(**args)
     if cfg.kind == "toeplitz":
         letters, periods, offsets = read("tail", _tail)
-        return ToeplitzSpec(
-            alphabet=read("values", _alphabet, "a=0.0,b=1.0"),
-            prefix=CodingTriple(
-                pattern=tuple(cfg.spec.get("prefix_pattern", "")),
-                period=read("prefix_period", int, "1"),
-                offset=read("prefix_offset", int, "0"),
-            ),
-            tail_letters=letters,
-            tail_periods=periods,
-            tail_offsets=offsets,
-            cycle=read("cycle", _boolean, "true"),
-            extension_letter=cfg.spec.get("extension_letter") or None,
-        )
+        alphabet = read("values", _alphabet, "a=0.0,b=1.0")
+        period, offset = read("prefix_period", int, "1"), read("prefix_offset", int, "0")
+        with _naming(cfg.kind, ("prefix_pattern", "prefix_period", "prefix_offset")):
+            prefix = CodingTriple(tuple(cfg.spec.get("prefix_pattern", "")), period, offset)
+        cycle = read("cycle", _boolean, "true")
+        with _naming(cfg.kind, _KEYS[cfg.kind]):
+            return ToeplitzSpec(
+                alphabet=alphabet,
+                prefix=prefix,
+                tail_letters=letters,
+                tail_periods=periods,
+                tail_offsets=offsets,
+                cycle=cycle,
+                extension_letter=cfg.spec.get("extension_letter") or None,
+            )
     # sparse
     v = read("v", float)
     left_fill = read("left_fill", float, "0")
     if "positions" in cfg.spec:
-        positions = read("positions", lambda raw: tuple(int(x) for x in raw.split(",")))
-        return SparseSpec(v=v, positions=positions, left_fill=left_fill)
-    return SparseSpec(v=v, rule=read("rule", _rule, "power:3"), left_fill=left_fill)
+        where, placed = "positions", read(
+            "positions", lambda raw: tuple(int(x) for x in raw.split(","))
+        )
+    else:
+        where, placed = "rule", read("rule", _rule, "power:3")
+    with _naming(cfg.kind, ("v", where, "left_fill")):
+        return SparseSpec(v=v, left_fill=left_fill, **{where: placed})

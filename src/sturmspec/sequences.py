@@ -35,7 +35,6 @@ __all__ = [
     "PartialWord",
     "CodingTriple",
     "compose",
-    "compose_triples",
     "CircleMapSpec",
     "circle_map_window",
     "ToeplitzSpec",
@@ -316,29 +315,6 @@ class CodingTriple:
         return PartialWord(self.period, codes, alphabet, self.offset)
 
 
-def compose_triples(first: CodingTriple, second: CodingTriple) -> CodingTriple:
-    """Composition of two coding triples, again a coding triple.
-
-    The merged word has period n1*n2, offset l1 + n1*l2, and pattern
-    p1 q1 p1 q2 ... p1 q_{n2-1} p1 (pattern p1 interleaved with the
-    letters of pattern q).  Period-1 operands act as identities.
-    """
-    if first.period == 1:
-        return second
-    if second.period == 1:
-        return first
-    p1 = first.pattern
-    merged = []
-    for q in second.pattern:
-        merged.extend(p1)
-        merged.append(q)
-    merged.extend(p1)
-    return CodingTriple(
-        tuple(merged), first.period * second.period,
-        first.offset + first.period * second.offset,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Circle map sequences
 # ---------------------------------------------------------------------------
@@ -431,7 +407,7 @@ class ToeplitzSpec:
     infinite coding.  Consecutive tail letters must differ, and after
     normalization every tail period is >= 3: period-2 levels are legal
     only in non-cycling specs, where the leading run up to the last
-    period-2 level is absorbed into the prefix via triple composition
+    period-2 level is absorbed into the prefix by composition
     (the generated word is unchanged).
 
     ``extension_letter`` fills the single everywhere-undetermined site
@@ -475,10 +451,13 @@ class ToeplitzSpec:
                     "first or construct with cycle=False"
                 )
             cut = max(i for i, n in enumerate(periods) if n == 2) + 1
+            word = prefix.to_partial(self.alphabet)
             for a, n, l in zip(letters[:cut], periods[:cut], offsets[:cut]):
-                prefix = compose_triples(
-                    prefix, CodingTriple((a,) * (n - 1), n, l)
+                word = compose(
+                    word, CodingTriple((a,) * (n - 1), n, l).to_partial(self.alphabet)
                 )
+            cells, hole = word.cells, word.hole_offset
+            prefix = CodingTriple(cells[hole + 1 :] + cells[:hole], word.period, hole)
             letters, periods, offsets = letters[cut:], periods[cut:], offsets[cut:]
             if not letters:
                 raise ValidationError(
@@ -719,11 +698,13 @@ def k_partition(
 ) -> PartitionView:
     """Recover the level-k block tiling of a window by exhaustive alignment.
 
-    Every residue class mod the block length is tried; full blocks must
-    equal s_k or t_k and edge fragments must match the shared prefix of
-    the two blocks.  Exactly one residue may survive: zero legal residues
-    means the window is not a slice of the subshift, two or more raise an
-    ambiguity error rather than silently picking one.
+    s_k and t_k differ only in their last site, so a residue r is legal
+    exactly when the window equals s_k tiled from phase r at every site
+    that does not end a block; edge fragments need no separate test, and
+    each block's label is read from its last symbol.  Exactly one residue
+    may survive: zero legal residues means the window is not a slice of
+    the subshift, two or more raise an ambiguity error rather than
+    silently picking one.  The window must use the spec's symbols.
 
     ``refine_from`` may carry the (unique) level-(k-1) view; level-k
     block starts are then necessarily level-(k-1) starts, which cuts the
@@ -741,6 +722,11 @@ def k_partition(
             % (len(window), k, min_len),
             required=min_len,
         )
+    if window.alphabet.symbols != spec.alphabet.symbols:
+        raise ValidationError(
+            "window symbols %r differ from the spec's %r"
+            % (window.alphabet.symbols, spec.alphabet.symbols)
+        )
     if refine_from is not None:
         if refine_from.level != k - 1:
             raise ValidationError("refine_from must be the level-(k-1) view")
@@ -753,26 +739,15 @@ def k_partition(
         candidates = range(ell)
     codes = window.codes
     w = len(codes)
-    common = s[:-1]
+    tiled = np.resize(s, w + ell)
     legal = []
     for r in candidates:
+        # site i of the window reads s_k[(i - off) % ell]; block ends are free
         off = (r - window.start) % ell
-        nfull = (w - off) // ell
-        body = codes[off : off + nfull * ell].reshape(nfull, ell)
-        is_s = np.all(body == s, axis=1)
-        is_t = np.all(body == t, axis=1)
-        if not np.all(is_s | is_t):
-            continue
-        # left fragment is the tail of a block: its non-final part must
-        # match the shared prefix; the final symbol is free (s vs t).
-        if off > 1 and not np.array_equal(codes[: off - 1], common[ell - off :]):
-            continue
-        rest = w - off - nfull * ell
-        if rest > 0 and not np.array_equal(
-            codes[off + nfull * ell :], common[:rest]
-        ):
-            continue
-        legal.append((r, off, nfull, is_t))
+        same = codes == tiled[ell - off : ell - off + w]
+        same[(off - 1) % ell :: ell] = True
+        if same.all():
+            legal.append((r, off))
     if not legal:
         raise PartitionError(
             "no legal level-%d alignment: window is not a subshift slice" % k
@@ -780,20 +755,19 @@ def k_partition(
     if len(legal) > 1:
         raise AmbiguousPartitionError(
             "multiple legal alignments at level %d" % k,
-            residues=[r for r, *_ in legal],
+            residues=[r for r, _ in legal],
         )
-    r, off, nfull, is_t = legal[0]
-    starts = window.start + off + ell * np.arange(nfull)
-    labels = tuple("t" if flag else "s" for flag in is_t)
+    r, off = legal[0]
+    nfull = (w - off) // ell
+    is_t = codes[off + ell - 1 : off + nfull * ell : ell] == t[-1]
     t_idx = np.flatnonzero(is_t)
-    gaps = tuple(int(b - a - 1) for a, b in zip(t_idx, t_idx[1:]))
     return PartitionView(
         level=k,
         block_len=ell,
-        residue=(window.start + off) % ell,
-        starts=starts,
-        labels=labels,
-        gaps=gaps,
+        residue=r,
+        starts=window.start + off + ell * np.arange(nfull),
+        labels=tuple("t" if flag else "s" for flag in is_t),
+        gaps=tuple(int(b - a - 1) for a, b in zip(t_idx, t_idx[1:])),
     )
 
 

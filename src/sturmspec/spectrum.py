@@ -128,8 +128,9 @@ def _bisect_edges(g, lo, hi, tol: float) -> np.ndarray:
 
     Every lane still moving advances one bisection step per call of ``g``
     on the array of their midpoints.  A lane stops at its midpoint x once
-    |g(x)| <= 10*tol, once |hi - lo| <= max(|x|, 1) * 1e-17, or after 200
-    steps.
+    |g(x)| <= 10*tol, once |hi - lo| <= max(|x|, 1) * 1e-17, once x equals
+    lo or hi (the bracket is two adjacent floats, so every later step
+    would repeat x), or after 200 steps.
     """
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)
@@ -142,12 +143,12 @@ def _bisect_edges(g, lo, hi, tol: float) -> np.ndarray:
         m = 0.5 * (a + b)
         x[live] = m
         gm = g(m)
-        hit = np.abs(gm) <= 10.0 * tol
+        stop = (np.abs(gm) <= 10.0 * tol) | (m == a) | (m == b)
         a = np.where(gm > 0, m, a)
         b = np.where(gm > 0, b, m)
         lo[live], hi[live] = a, b
-        narrow = np.abs(b - a) <= np.maximum(np.abs(m), 1.0) * 1e-17
-        live = live[~(hit | narrow)]
+        stop |= np.abs(b - a) <= np.maximum(np.abs(m), 1.0) * 1e-17
+        live = live[~stop]
     return x
 
 
@@ -230,7 +231,7 @@ def sigma_n(
             "e_range must cover the spectral hull [%g, %g]"
             % (min(vals) - 2, max(vals) + 2)
         )
-    kk = max(k, 2)
+    kk = max(k, 1)
 
     def fn(es):
         return trace_recursion_f64(spec, kk, es)[k]

@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -74,6 +75,38 @@ def test_malformed_config_values_name_the_key(text, named):
     with pytest.raises(cfgmod.ValidationError) as err:
         cfgmod.build_spec(cfgmod.parse_config_text(text))
     assert named in str(err.value)
+
+
+TOEPLITZ_KEYS = ("values, tail, cycle, prefix_pattern, prefix_period, prefix_offset, "
+                 "extension_letter")
+
+
+@pytest.mark.parametrize("text,named", [
+    (TOEPLITZ + "prefix_pattern = ab\n",
+     "[toeplitz] prefix_pattern, prefix_period, prefix_offset: "
+     "pattern length must equal period - 1"),
+    (TOEPLITZ + "prefix_pattern = ac\nprefix_period = 3\n",
+     "[toeplitz] %s: symbol 'c' not in alphabet ('a', 'b')" % TOEPLITZ_KEYS),
+    ("[toeplitz]\ntail = a:3:0,a:3:0\n",
+     "[toeplitz] %s: consecutive tail letters must differ" % TOEPLITZ_KEYS),
+    ("[sparse]\nv = 0\n", "[sparse] v, rule, left_fill: barrier value v must be nonzero"),
+    ("[sparse]\nv = 0\npositions = 1,3\n",
+     "[sparse] v, positions, left_fill: barrier value v must be nonzero"),
+    (CIRCLE + "beta = 3/2\n",
+     "[circle_map] p, q, beta, theta, lambda: beta must lie strictly inside (0, 1)"),
+])
+def test_spec_rejections_name_section_and_keys(text, named):
+    # the constructor's message is kept, after the section and the keys it read
+    with pytest.raises(cfgmod.ValidationError) as err:
+        cfgmod.build_spec(cfgmod.parse_config_text(text))
+    assert str(err.value) == named
+
+
+def test_spec_rejection_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[sparse]\nv = 0\n")
+    assert run_cli(["generate", "--spec", bad, "--len", "10"]) == 1
+    assert "error: [sparse] v, rule, left_fill: barrier value" in capsys.readouterr().err
 
 
 def test_malformed_seed_names_the_key():
@@ -397,9 +430,11 @@ def test_non_finite_energy_exits_one(argv, tmp_path, capsys):
 
 
 def test_console_script_is_installed():
+    # the child imports the package these tests import, installed or not
+    src = pathlib.Path(cfgmod.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "sturmspec.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__

@@ -171,8 +171,23 @@ def test_compose_requires_hole():
         sq.compose(full, sq.PartialWord.identity(AB))
 
 
-def test_triple_merge_matches_direct_composition():
-    # the coding-triple composition identity, checked cell by cell
+def ref_compose_triples(first, second):
+    """The coding-triple merge: period n1*n2, offset l1 + n1*l2, pattern
+    p1 q1 p1 q2 ... p1 q_{n2-1} p1; period-1 operands act as identities."""
+    if first.period == 1:
+        return second
+    if second.period == 1:
+        return first
+    merged = []
+    for q in second.pattern:
+        merged.extend(first.pattern + (q,))
+    merged.extend(first.pattern)
+    return sq.CodingTriple(tuple(merged), first.period * second.period,
+                           first.offset + first.period * second.offset)
+
+
+def test_normalized_prefix_matches_triple_merge():
+    # the merge agrees with composition cell by cell ...
     cases = [
         ((("a",), 2, 1), (("b",), 2, 0)),
         ((("a",), 2, 1), (("b", "b"), 3, 2)),
@@ -180,13 +195,34 @@ def test_triple_merge_matches_direct_composition():
     ]
     for raw1, raw2 in cases:
         t1, t2 = sq.CodingTriple(*raw1), sq.CodingTriple(*raw2)
-        merged = sq.compose_triples(t1, t2)
-        assert merged.period == t1.period * t2.period
-        assert merged.offset == t1.offset + t1.period * t2.offset
+        merged = ref_compose_triples(t1, t2)
         direct = sq.compose(t1.to_partial(AB), t2.to_partial(AB))
         viamerge = merged.to_partial(AB)
         assert np.array_equal(direct.codes, viamerge.codes)
         assert direct.hole_offset == viamerge.hole_offset
+    # ... and the period-2 normalization gives the prefix the merge gives
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        depth = int(rng.integers(2, 6))
+        periods = [int(n) for n in rng.integers(2, 5, size=depth)]
+        periods[int(rng.integers(0, depth - 1))] = 2
+        periods[-1] = max(periods[-1], 3)
+        offsets = [int(rng.integers(0, n)) for n in periods]
+        letters = ["ab"[int(c)] for c in rng.integers(0, 2, size=depth)]
+        pp = int(rng.integers(1, 4))
+        prefix = sq.CodingTriple(tuple(rng.choice(["a", "b"], size=pp - 1)), pp,
+                                 int(rng.integers(0, pp)))
+        cut = max(i for i, n in enumerate(periods) if n == 2) + 1
+        expected = prefix
+        for a, n, l in zip(letters[:cut], periods[:cut], offsets[:cut]):
+            expected = ref_compose_triples(expected, sq.CodingTriple((a,) * (n - 1), n, l))
+        try:
+            spec = sq.ToeplitzSpec(AB, prefix, letters, periods, offsets, cycle=False)
+        except sq.ValidationError as exc:
+            assert str(exc) == "consecutive tail letters must differ"
+            continue
+        assert spec.prefix == expected
+        assert spec.tail_periods == tuple(periods[cut:])
 
 
 @st.composite
@@ -587,6 +623,146 @@ def test_partition_refine_from_matches_full_scan():
     assert pv3_full.residue == pv3_ref.residue
     assert np.array_equal(pv3_full.starts, pv3_ref.starts)
     assert pv3_full.labels == pv3_ref.labels
+
+
+def ref_k_partition(window, spec, k, refine_from=None):
+    """The two-comparison alignment search: full blocks must equal s_k or
+    t_k, the left fragment the shared prefix's tail (its last site free),
+    the right fragment the shared prefix's head."""
+    s, t = sq.blocks(spec, k)
+    ell = len(s)
+    min_len = (4 * spec.tail_period(k + 1) + 2) * ell
+    if len(window) < min_len:
+        raise sq.WindowTooShortError("too short", required=min_len)
+    if refine_from is not None:
+        base = refine_from.residue % refine_from.block_len
+        candidates = [(base + j * refine_from.block_len) % ell
+                      for j in range(spec.tail_period(k))]
+    else:
+        candidates = range(ell)
+    codes, w, common = window.codes, len(window), s[:-1]
+    legal = []
+    for r in candidates:
+        off = (r - window.start) % ell
+        nfull = (w - off) // ell
+        body = codes[off : off + nfull * ell].reshape(nfull, ell)
+        is_s = np.all(body == s, axis=1)
+        is_t = np.all(body == t, axis=1)
+        if not np.all(is_s | is_t):
+            continue
+        if off > 1 and not np.array_equal(codes[: off - 1], common[ell - off :]):
+            continue
+        rest = w - off - nfull * ell
+        if rest > 0 and not np.array_equal(codes[off + nfull * ell :], common[:rest]):
+            continue
+        legal.append((r, off, nfull, is_t))
+    if not legal:
+        raise sq.PartitionError("no legal alignment")
+    if len(legal) > 1:
+        raise sq.AmbiguousPartitionError("ambiguous", residues=[r for r, *_ in legal])
+    r, off, nfull, is_t = legal[0]
+    t_idx = np.flatnonzero(is_t)
+    return sq.PartitionView(
+        level=k, block_len=ell, residue=(window.start + off) % ell,
+        starts=window.start + off + ell * np.arange(nfull),
+        labels=tuple("t" if flag else "s" for flag in is_t),
+        gaps=tuple(int(b - a - 1) for a, b in zip(t_idx, t_idx[1:])),
+    )
+
+
+def partition_outcome(search, window, spec, k, **kw):
+    """A view's fields, or the partition error's type and residues."""
+    try:
+        v = search(window, spec, k, **kw)
+    except sq.PartitionError as exc:
+        return type(exc), getattr(exc, "residues", None)
+    assert v.starts.dtype == np.int64
+    return v.level, v.block_len, v.residue, v.starts.tolist(), v.labels, v.gaps
+
+
+def assert_partition_matches_reference(window, spec, k, **kw):
+    got = partition_outcome(sq.k_partition, window, spec, k, **kw)
+    assert got == partition_outcome(ref_k_partition, window, spec, k, **kw), (
+        window.start, len(window), k)
+    return got
+
+
+def partition_levels(spec):
+    return [k for k in range(4) if k + 1 <= spec.max_level()]
+
+
+@pytest.mark.parametrize("spec", [s for _, s in BLOCK_SPECS[:5]],
+                         ids=[n for n, _ in BLOCK_SPECS[:5]])
+def test_partition_matches_the_reference_search(spec):
+    rng = np.random.default_rng(18)
+    for k in partition_levels(spec):
+        ell = spec.block_length(k)
+        need = (4 * spec.tail_period(k + 1) + 2) * ell
+        starts = [1, 10_007, -need - 2 * ell - 9]  # the last ends left of site 0
+        if spec.extension_letter is not None:
+            starts.append(-need // 2)  # across the everywhere-undetermined site
+        below = None
+        for start in starts:
+            for extra in (0, 1, ell - 1, ell + 3):
+                w = spec.window(start, need + extra)
+                view = assert_partition_matches_reference(w, spec, k)
+                assert view[2] == (spec.hole_position(k) + 1) % ell
+                if k > 0:
+                    below = sq.k_partition(w, spec, k - 1)
+                    assert_partition_matches_reference(w, spec, k, refine_from=below)
+                # one flipped site: at a block end, next to one, at the edges
+                sites = {0, len(w) - 1, (view[3][0] - start - 1) % len(w),
+                         view[3][0] - start, int(rng.integers(0, len(w)))}
+                for i in sites:
+                    codes = w.codes.copy()
+                    codes[i] ^= 1
+                    flipped = sq.Window(w.start, codes, w.alphabet)
+                    assert_partition_matches_reference(flipped, spec, k)
+                    if below is not None:
+                        assert_partition_matches_reference(
+                            flipped, spec, k, refine_from=below)
+
+
+def test_partition_matches_the_reference_on_random_windows():
+    spec = simple_spec()
+    rng = np.random.default_rng(19)
+    for trial in range(200):
+        k = trial % 4
+        need = (4 * 3 + 2) * 3**k
+        length = need + int(rng.integers(0, 30))
+        start = int(rng.integers(1, 1000))  # simple3 leaves site 0 undetermined
+        if trial % 2:
+            codes = rng.integers(0, 2, size=length).astype(np.int16)
+        else:  # a spec window with one site flipped
+            codes = spec.window(start, length).codes.copy()
+            codes[int(rng.integers(0, length))] ^= 1
+        assert_partition_matches_reference(sq.Window(start, codes, AB), spec, k)
+
+
+def test_partition_matches_the_reference_on_foreign_windows():
+    for _, spec in BLOCK_SPECS:
+        for k in partition_levels(spec):
+            need = (4 * spec.tail_period(k + 1) + 2) * spec.block_length(k) + 5
+            alternating = np.zeros(need, dtype=np.int16)
+            alternating[::2] = 1
+            for codes in (np.zeros(need, dtype=np.int16), alternating):
+                for start in (0, -7):
+                    assert_partition_matches_reference(
+                        sq.Window(start, codes, AB), spec, k)
+
+
+def test_partition_rejects_windows_over_other_symbols():
+    spec = simple_spec()
+    codes = spec.window(1, 200).codes
+    for alphabet in (sq.Alphabet(("b", "a"), (1.0, 0.0)),
+                     sq.Alphabet(("0", "1"), (0.0, 1.0)),
+                     sq.Alphabet(("a", "b", "c"), (0.0, 1.0, 2.0))):
+        with pytest.raises(sq.ValidationError, match="differ from the spec's"):
+            sq.k_partition(sq.Window(1, codes, alphabet), spec, 1)
+    # the symbols decide, not the coupling values
+    view = sq.k_partition(sq.Window(1, codes, sq.Alphabet(("a", "b"), (5.0, 7.0))),
+                          spec, 1)
+    assert view.residue == 1
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,91 @@ def test_lane_refinement_matches_scalar_reference(spec, k, grid):
     assert lanes.intervals == ref.intervals
 
 
+def ref_bisect_edges(g, lo, hi, tol):
+    """Lane-wise bisection with only the tolerance, width and step rules."""
+    lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
+    x = 0.5 * (lo + hi)
+    live = np.arange(lo.size)
+    for _ in range(200):
+        if live.size == 0:
+            break
+        a, b = lo[live], hi[live]
+        m = 0.5 * (a + b)
+        x[live] = m
+        gm = g(m)
+        hit = np.abs(gm) <= 10.0 * tol
+        a, b = np.where(gm > 0, m, a), np.where(gm > 0, b, m)
+        lo[live], hi[live] = a, b
+        narrow = np.abs(b - a) <= np.maximum(np.abs(m), 1.0) * 1e-17
+        live = live[~(hit | narrow)]
+    return x
+
+
+def counting(g, calls):
+    def fn(*args):
+        calls.append(None)
+        return g(*args)
+    return fn
+
+
+def test_bisection_stops_once_the_bracket_is_two_adjacent_floats():
+    # a step at r: |g| never reaches tol, so each lane narrows until the
+    # width rule (near 0, where 1e-17 spans several floats) or the
+    # adjacent-float rule stops it; both give the reference's floats
+    for r in (0.01, 0.0123, -0.02, 0.3, 1.5, -2.7, 1e3):
+        def step(xs, r=r):
+            return np.where(xs < r, 1.0, -1.0)
+
+        new, old = [], []
+        lo, hi = np.array([r - 1.0]), np.array([r + 0.5])
+        x = sp._bisect_edges(counting(step, new), lo, hi, 1e-10)
+        assert x.tolist() == ref_bisect_edges(counting(step, old), lo, hi, 1e-10).tolist()
+        assert abs(x[0] - r) <= max(abs(r), 1.0) * 4e-16
+        assert len(new) < 70
+        if abs(r) >= 0.1:
+            assert len(old) == 200  # the width rule cannot stop these lanes
+
+
+def test_band_edges_equal_the_reference_bisection(monkeypatch):
+    spec = simple_spec()
+    real = sp._bisect_edges
+    counts = []
+
+    def both(g, lo, hi, tol):
+        new, old = [], []
+        x = real(counting(g, new), lo, hi, tol)
+        assert x.tolist() == ref_bisect_edges(counting(g, old), lo, hi, tol).tolist()
+        counts.append((len(new), len(old)))
+        return x
+
+    monkeypatch.setattr(sp, "_bisect_edges", both)
+    sp.band_approximant(spec, 7, grid=2000)  # the certify sweep's energies
+    sp.sigma_n(spec, 7, grid=100_000)
+    # sigma_8 at grid 2000 left 3 of its 204 edges stepping to the cap
+    assert counts[1][1] == 200 and counts[2][1] == 200
+    assert all(new <= old for new, old in counts)
+
+
+def test_trace_calls_of_the_band_approximants(monkeypatch):
+    spec = simple_spec()
+    calls = []
+    monkeypatch.setattr(sp, "trace_recursion_f64",
+                        counting(lambda *a: cc.trace_recursion_f64(*a), calls))
+    sp.band_approximant(spec, 7, grid=2000)
+    assert len(calls) <= 87  # 242 while stuck lanes ran to the 200-step cap
+    calls.clear()
+    sp.sigma_n(spec, 7, grid=100_000)
+    assert len(calls) <= 40  # 201 while stuck lanes ran to the cap
+
+
+def test_sigma_n_at_level_0_on_one_declared_level():
+    one = simple_spec(periods=(3,), cycle=False)
+    deep = simple_spec(periods=(3, 3, 3), cycle=False)
+    assert sp.sigma_n(one, 0, grid=2000).intervals == sp.sigma_n(deep, 0, grid=2000).intervals
+    with pytest.raises(sq.ValidationError, match="beyond the declared tail"):
+        sp.sigma_n(one, 1, grid=2000)
+
+
 def test_lane_refinement_matches_scalar_on_free_laplacian():
     # a trace_fn that is a per-energy matrix product, not the recursion
     for m in (1, 4, 9):
