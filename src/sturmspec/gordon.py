@@ -28,6 +28,7 @@ square bounds max(|h_n| N1, N2), with N1, N2 the norms at its offsets.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -510,13 +511,21 @@ def nondecay_scan(spec: ToeplitzSpec, energy: float, n_target: int) -> NondecayR
 
     The probes are n = 1, the powers of two below ``n_target``, and
     ``n_target`` itself.  Both elements of a normalized solution basis
-    are propagated across a window four times wider than the certificate
-    scale for ``n_target``; a probe fails only if no witness exists
-    within that range, and failures are reported with diagnostics rather
-    than passed over.  Each basis's norms are computed once, and a probe's
+    are propagated outward from the origin, first 64 sites past
+    ``n_target`` on each side, then twice as far each time until every
+    basis has a witness at |m| >= ``n_target``, and at most four times
+    the certificate scale for ``n_target`` (the reach).  A run is
+    sequential, so a shorter one is an exact prefix of a longer one and
+    the first witness it shows is the first within the reach.  A probe
+    fails only if no witness exists within the reach, and failures are
+    reported with diagnostics rather than passed over.  A probe's
     witness is the first |m| >= n at which either side reaches 1/4, the
     + side first; a norm that overflowed to NaN counts as +inf.
     """
+    try:
+        n_target = operator.index(n_target)
+    except TypeError:
+        raise ValidationError("n_target must be an integer, got %r" % (n_target,)) from None
     if n_target < 1:
         raise ValidationError("n_target must be >= 1, got %r" % n_target)
     if not math.isfinite(energy):
@@ -527,18 +536,23 @@ def nondecay_scan(spec: ToeplitzSpec, energy: float, n_target: int) -> NondecayR
         level += 1
     reach = 4 * 2 * spec.block_length(level)
     origin = reach + 2
-    window = spec.window(1, 2 * reach + 4)
     thr = 0.25 - NONDECAY_SLACK
-    sides = []  # per basis: ||Phi(m)||, ||Phi(-m)|| for m = 0..reach, and the hits
-    for init in _BASES:
-        phi = propagate(window, energy, phi_init=init, origin=origin).phi
-        # norms[i] = ||Phi|| at site i + 2, so site origin + t is at reach + t
-        with np.errstate(over="ignore"):
-            norms = np.hypot(phi[1:], phi[:-1])
-        # with a finite energy a NaN only follows an inf in the same run
-        norms[np.isnan(norms)] = np.inf
-        right, left = norms[reach : 2 * reach + 1], norms[reach::-1]
-        sides.append((right, left, np.flatnonzero((right >= thr) | (left >= thr))))
+    depth = min(reach, n_target + 64)
+    while True:
+        window = spec.window(origin - depth - 1, 2 * depth + 2)
+        sides = []  # per basis: ||Phi(m)||, ||Phi(-m)|| for m = 0..depth, and the hits
+        for init in _BASES:
+            phi = propagate(window, energy, phi_init=init, origin=origin).phi
+            # norms[i] = ||Phi|| at site origin - depth + i
+            with np.errstate(over="ignore"):
+                norms = np.hypot(phi[1:], phi[:-1])
+            # with a finite energy a NaN only follows an inf in the same run
+            norms[np.isnan(norms)] = np.inf
+            right, left = norms[depth:], norms[depth::-1]
+            sides.append((right, left, np.flatnonzero((right >= thr) | (left >= thr))))
+        if depth == reach or all(len(h) and h[-1] >= n_target for _, _, h in sides):
+            break
+        depth = min(reach, 2 * depth)
     witnesses, failures = [], []
     for n in probes:
         for which, (right, left, hits) in enumerate(sides):
@@ -547,11 +561,11 @@ def nondecay_scan(spec: ToeplitzSpec, energy: float, n_target: int) -> NondecayR
                 m = int(hits[i])
                 sgn, side = (1, right) if right[m] >= thr else (-1, left)
                 witnesses.append((n, which, sgn * m, float(side[m])))
-            else:
+            else:  # only once depth == reach
                 best = max(right[n:].max(), left[n:].max())  # over [n, reach]
                 failures.append({"n": n, "basis": which, "searched_up_to": reach,
                                  "best_norm_found": float(best)})
-    return NondecayReport(float(energy), int(n_target), tuple(witnesses), tuple(failures))
+    return NondecayReport(float(energy), n_target, tuple(witnesses), tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,20 @@ def test_generate_writes_csv_rows(tmp_path):
     assert any(l.startswith("# spec.beta = 377/610") for l in lines)
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_out_file_has_the_mode_a_plain_write_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        (tmp_path / "plain.csv").write_text("")
+        code = run_cli(["generate", "--spec", CONFIGS / "fib.cfg", "--start", "0",
+                        "--len", "5", "--out", tmp_path / "w.csv"])
+    finally:
+        os.umask(old)
+    assert code == 0
+    mode = (tmp_path / "w.csv").stat().st_mode & 0o777
+    assert mode == (tmp_path / "plain.csv").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_generate_rows_match_library_window(tmp_path):
     out = tmp_path / "w.csv"
     start, length = 1234, 3000

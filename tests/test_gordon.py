@@ -486,6 +486,132 @@ def test_nondecay_best_norm_reads_both_sides(monkeypatch):
     assert {f["best_norm_found"] for f in rep.failures} == {float(np.hypot(0.15, 0.15))}
 
 
+def ref_full_window_nondecay_scan(spec, energy, n_target):
+    """The scan as it was before it stopped at its witnesses: both bases
+    across the whole window of twice the reach, in one run each."""
+    probes = sorted({1, n_target, *(2**j for j in range(1, n_target.bit_length()))})
+    level = 0
+    while spec.block_length(level) < n_target:
+        level += 1
+    reach = 4 * 2 * spec.block_length(level)
+    origin = reach + 2
+    window = spec.window(1, 2 * reach + 4)
+    thr = 0.25 - gd.NONDECAY_SLACK
+    sides = []
+    for init in gd._BASES:
+        phi = gd.propagate(window, energy, phi_init=init, origin=origin).phi
+        with np.errstate(over="ignore"):
+            norms = np.hypot(phi[1:], phi[:-1])
+        norms[np.isnan(norms)] = np.inf
+        right, left = norms[reach : 2 * reach + 1], norms[reach::-1]
+        sides.append((right, left, np.flatnonzero((right >= thr) | (left >= thr))))
+    witnesses, failures = [], []
+    for n in probes:
+        for which, (right, left, hits) in enumerate(sides):
+            i = int(np.searchsorted(hits, n))
+            if i < len(hits):
+                m = int(hits[i])
+                sgn, side = (1, right) if right[m] >= thr else (-1, left)
+                witnesses.append((n, which, sgn * m, float(side[m])))
+            else:
+                best = max(right[n:].max(), left[n:].max())
+                failures.append({"n": n, "basis": which, "searched_up_to": reach,
+                                 "best_norm_found": float(best)})
+    return gd.NondecayReport(float(energy), int(n_target), tuple(witnesses), tuple(failures))
+
+
+@pytest.fixture(scope="module")
+def certify_energies():
+    """The certify workload's energies: the seed-1 sweep's own 40."""
+    energies = gd.gordon_sweep(SPEC, 2, 40, 1, seed=1, grid=2000).energies
+    assert len(energies) == 40
+    return energies
+
+
+def propagated_sites(monkeypatch):
+    """Record len(track.phi) of every propagate call the scan makes."""
+    sites, propagate = [], gd.propagate
+
+    def counted(*args, **kwargs):
+        track = propagate(*args, **kwargs)
+        sites.append(len(track.phi))
+        return track
+
+    monkeypatch.setattr(gd, "propagate", counted)
+    return sites
+
+
+NONDECAY_TARGETS = (1, 2, 5, 100, 300, 2000, 3000)
+OVERFLOW_ENERGIES = (1.05, 4.5, -3.0, 6.0, 20.0, -40.0)
+
+
+def test_nondecay_scan_equals_the_full_window_scan(certify_energies):
+    for e in tuple(certify_energies) + OVERFLOW_ENERGIES:
+        for n_target in NONDECAY_TARGETS:
+            assert gd.nondecay_scan(SPEC, e, n_target) == \
+                ref_full_window_nondecay_scan(SPEC, e, n_target)
+
+
+@pytest.mark.parametrize("n_target", [100, 2000])
+def test_nondecay_scan_doubles_until_every_basis_has_a_witness(
+        monkeypatch, certify_energies, n_target):
+    # at a threshold of 10 some witnesses lie past the first window and
+    # some probes have none within the reach
+    monkeypatch.setattr(gd, "NONDECAY_SLACK", -9.75)
+    sites = propagated_sites(monkeypatch)
+    first = 2 * (n_target + 64) + 2
+    doubled = failed = 0
+    for e in certify_energies[:10]:
+        want = ref_full_window_nondecay_scan(SPEC, e, n_target)
+        reach = (sites[-1] - 4) // 2  # the oracle's window has 2 * reach + 4 sites
+        del sites[:]
+        got = gd.nondecay_scan(SPEC, e, n_target)
+        assert got == want
+        assert sites[:2] == [first, first]
+        assert all(b == 2 * a - 2 for a, b in zip(sites[::2], sites[2::2]) if b < 2 * reach + 2)
+        doubled += len(sites) > 2
+        if got.failures:
+            failed += 1
+            assert sites[-1] == 2 * reach + 2
+            assert {f["searched_up_to"] for f in got.failures} == {reach}
+    assert doubled > failed > 0
+
+
+def test_nondecay_failures_equal_the_full_window_scan(monkeypatch):
+    def flat(window, energy, phi_init=(0.0, 1.0), origin=0, lo=None, hi=None):
+        phi = np.where(np.arange(window.start, window.end) < origin, 0.15, 0.1)
+        return gd.SolutionTrack(window, float(energy), origin, window.start, phi)
+
+    monkeypatch.setattr(gd, "propagate", flat)
+    for n_target in NONDECAY_TARGETS:
+        rep = gd.nondecay_scan(SPEC, 0.3, n_target)
+        assert rep.failures and not rep.witnesses
+        assert rep == ref_full_window_nondecay_scan(SPEC, 0.3, n_target)
+
+
+def test_nondecay_scan_propagates_only_to_its_witnesses(monkeypatch, certify_energies):
+    # the full window would be 2 x 34_994 sites at n_target = 2000
+    n_target = 2000
+    sites = propagated_sites(monkeypatch)
+    for e in certify_energies:
+        del sites[:]
+        assert gd.nondecay_scan(SPEC, e, n_target).passed
+        assert sum(sites) <= 2 * (2 * (n_target + 64) + 2)
+
+
+@pytest.mark.parametrize("n_target", [2.5, 100.0, "5", None, 1j])
+def test_nondecay_rejects_a_non_integer_target(n_target):
+    with pytest.raises(sq.ValidationError, match="n_target must be an integer"):
+        gd.nondecay_scan(SPEC, E_IN, n_target)
+
+
+@pytest.mark.parametrize("n_target", [np.int64(300), np.int32(300), np.uint16(300)])
+def test_nondecay_takes_numpy_integer_targets(n_target):
+    rep = gd.nondecay_scan(SPEC, E_IN, n_target)
+    assert rep == gd.nondecay_scan(SPEC, E_IN, 300)
+    assert type(rep.n_target) is int
+
+
 def test_sweep_rechecks_each_label_once_in_its_walk(monkeypatch):
     events = []
     classify, structural = gd.classify_case, gd._verify_structural
