@@ -55,6 +55,12 @@ RUNS = [
          "--n", "2048", "--eigs", "8", "--out", "tests/golden/sparse3_n2048.json"],
         0,
     ),
+    (
+        ["complexity", "--spec", "configs/fib.cfg", "--n-max", "12",
+         "--t-max", "200", "--format", "json",
+         "--out", "tests/golden/complexity_fib.json"],
+        0,
+    ),
 ]
 
 

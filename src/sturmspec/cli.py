@@ -16,6 +16,7 @@ invariant failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -318,7 +319,9 @@ def _cmd_sparse_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     top = argparse.ArgumentParser(
         prog="sturmspec",
         description=__doc__.split("\n")[0] if __doc__ else "",

@@ -45,6 +45,9 @@ EXHAUSTIVE_N = 5
 EXHAUSTIVE_TMAX = 60
 TEMPLATE_BUDGET = 500_000
 DEFAULT_BEAM = 64
+#: p* search modes; "auto" searches exhaustively up to EXHAUSTIVE_N and
+#: EXHAUSTIVE_TMAX, by beam beyond
+PSTAR_MODES = ("auto", "exhaustive", "beam")
 #: barriers the non-recurrent extension window spans
 EXTENSION_BARRIERS = 6
 
@@ -115,16 +118,47 @@ def block_complexity(window: Window, n: int) -> int:
     return len(_distinct_rows(np.ascontiguousarray(rows, dtype=np.int16))[0])
 
 
+#: set bits of each byte value
+_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def _symbol_planes(rows: np.ndarray, radix: int) -> list:
+    """The rows' symbols as one-bit words, one plane per 64 symbols.
+
+    In plane w, symbols 64w .. 64w + 63 set their own bit and every other
+    symbol reads 0.  Words are the smallest unsigned type that holds the
+    plane's bits, so a small alphabet takes a byte per cell; the rows are
+    padded to a multiple of 8 cells with 0 words, so that each row reads
+    as whole uint64 words.
+    """
+    width = min(radix, 64)
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if np.iinfo(t).bits >= width)
+    codes = np.arange(radix, dtype=np.uint64)
+    one_bit = np.uint64(1) << codes % np.uint64(64)
+    pad = -rows.shape[1] % 8
+    planes = []
+    for w in range((radix + 63) // 64):
+        lut = np.where(codes // 64 == w, one_bit, 0).astype(dtype)
+        planes.append(np.pad(lut[rows.astype(np.intp)], ((0, 0), (0, pad))))
+    return planes
+
+
 def _beam_profile(table, radix: int, n_max: int, t_max: int, beam_width: int):
     """Best (count, offsets) per pattern length 2..n_max in one growth pass.
 
     Counts run over the table rows that hold the full span t_max.  Partial
-    templates carry dense ids of their sampled patterns; an extension's
-    count is a bincount over ids*radix + the new offset's symbols, for all
-    offsets at once.  Candidates rank by count, then lexicographically.
+    templates carry dense ids of their sampled patterns.  An extension's
+    count is the number of distinct (id, new symbol) pairs: each parent's
+    rows are sorted by id once, and for all offsets at once the symbol
+    bits of each id segment are OR-reduced into a word per offset whose
+    set bits are counted.  A winner's new ids rank its (id, symbol) pairs
+    present, in that order.  Candidates rank by count, then
+    lexicographically.
     """
-    cols = table[table[:, t_max] >= 0].T.astype(np.int64)  # cols[t]: symbols at offset t
-    _, ids0 = np.unique(cols[0], return_inverse=True)
+    rows = table[table[:, t_max] >= 0]
+    planes = _symbol_planes(rows, radix)
+    _, ids0 = np.unique(rows[:, 0], return_inverse=True)
     beam = [((0,), ids0, int(ids0.max()) + 1)]
     best = {}
     for level in range(2, n_max + 1):
@@ -132,21 +166,35 @@ def _beam_profile(table, radix: int, n_max: int, t_max: int, beam_width: int):
         # by count alone breaks ties lexicographically
         beam.sort(key=lambda b: b[0])
         counts, parents, ts = [], [], []
-        for j, (offs, ids, u) in enumerate(beam):
+        for j, (offs, ids, _) in enumerate(beam):
+            if offs[-1] == t_max:
+                continue  # no offset left to extend by
+            order = np.argsort(ids, kind="stable")
+            sizes = np.bincount(ids)
+            starts = np.cumsum(sizes) - sizes  # each id's first row in order
+            # the new offsets' cells, from the word boundary at or before them
+            lo = (offs[-1] + 1) // 8 * 8
+            pairs = 0
+            for plane in planes:
+                cells = plane[order, lo:]
+                seen = np.bitwise_or.reduceat(cells.view(np.uint64), starts)
+                bits = _POPCOUNT8[seen.view(np.uint8)].sum(axis=0, dtype=np.int64)
+                pairs = pairs + bits.reshape(cells.shape[1], -1).sum(axis=1)
             t = np.arange(offs[-1] + 1, t_max + 1)
-            keys = ids * radix + cols[t] + (np.arange(len(t)) * (u * radix))[:, None]
-            bc = np.bincount(keys.ravel(), minlength=len(t) * u * radix)
-            counts.append((bc.reshape(len(t), u * radix) > 0).sum(axis=1))
+            counts.append(pairs[t - lo])
             parents.append(np.full(len(t), j))
             ts.append(t)
-        counts, parents, ts = (np.concatenate(x) for x in (counts, parents, ts))
-        if not len(counts):
+        if not counts:
             break
+        counts, parents, ts = (np.concatenate(x) for x in (counts, parents, ts))
         order = np.argsort(-counts, kind="stable")[:beam_width]
         new_beam = []
         for c in order:
-            offs, ids, _ = beam[parents[c]]
-            _, new_ids = np.unique(ids * radix + cols[ts[c]], return_inverse=True)
+            offs, ids, u = beam[parents[c]]
+            key = ids * radix + rows[:, ts[c]]
+            present = np.zeros(u * radix, dtype=bool)
+            present[key] = True
+            new_ids = np.cumsum(present)[key] - 1
             new_beam.append((offs + (int(ts[c]),), new_ids, int(counts[c])))
         best[level] = new_beam[0][2], new_beam[0][0]
         beam = new_beam
@@ -168,7 +216,9 @@ def max_pattern_complexity(
     best partial templates by distinct-pattern count (ties broken
     lexicographically, so the result is deterministic).  The contiguous
     template is always evaluated too, so the estimate never drops below
-    the block-complexity estimate.  Returns (count, template).
+    the block-complexity estimate.  ``mode`` "exhaustive" or "beam" forces
+    that search, "auto" chooses as above, and any other value raises
+    ValidationError.  Returns (count, template).
     """
     return pstar_profile(window, n, t_max, beam_width=beam_width, mode=mode)[n - 1]
 
@@ -187,6 +237,10 @@ def pstar_profile(
         raise ValidationError("t_max must allow n strictly increasing offsets")
     if beam_width < 1:
         raise ValidationError("beam_width must be >= 1, got %d" % beam_width)
+    if mode not in PSTAR_MODES:
+        raise ValidationError(
+            "unknown p* mode %r; use one of %s" % (mode, ", ".join(PSTAR_MODES))
+        )
     if len(window) <= t_max:
         raise WindowTooShortError(
             "window length %d leaves no sampling positions for t_max=%d"

@@ -9,9 +9,9 @@ are truncated to symmetric tridiagonal matrices whose eigenvalues come
 from Sturm-count bisection.  The count loop steps all lanes in place
 through chunks of coefficient rows, two ufuncs per site, and recounts
 only lanes that met a tiny pivot with the per-site nudge.  Each count
-call is a multisection: it covers the next few levels of every lane's
-bisection tree, deeper when fewer eigenvalues are asked for, and gives
-the same floats as one-step bisection.
+call is a multisection: it covers the next few levels of the bisection
+tree of every distinct bracket, deeper when fewer brackets remain, and
+gives the same floats as one-step bisection.
 """
 
 from __future__ import annotations
@@ -383,7 +383,7 @@ def _sturm_counts(d: np.ndarray, x: np.ndarray) -> np.ndarray:
         for s in range(0, d.size, STURM_CHUNK):
             rows = d[s : s + STURM_CHUNK, None] - x
             for q_next in rows:
-                np.divide(1.0, q, out=inv)
+                np.reciprocal(q, out=inv)
                 np.subtract(q_next, inv, out=q_next)
                 q = q_next
             count += np.count_nonzero(rows < 0, axis=0)
@@ -397,6 +397,14 @@ def _sturm_counts(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     return count
 
 
+def _bracket_groups(los: np.ndarray, his: np.ndarray) -> tuple:
+    """(first, group): one lane per distinct (lo, hi) bracket, equal bit for
+    bit, and each lane's index into those representatives."""
+    bits = np.stack((los, his), axis=1).view(np.int64)
+    _, first, group = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    return first, group.ravel()
+
+
 def halfline_eigs(op: HalfLineOperator, count: Optional[int] = None) -> list:
     """Eigenvalues of the truncated operator by Sturm-count bisection.
 
@@ -406,41 +414,49 @@ def halfline_eigs(op: HalfLineOperator, count: Optional[int] = None) -> list:
 
     Each lane bisects [min d - 2, max d + 2] until every interval is
     narrower than 1e-14 of that scale, or MAX_STEPS steps.  Each count
-    call is a multisection: it evaluates the next ``depth`` levels of
-    every lane's bisection tree, 2^depth - 1 midpoints per lane with
-    about LANE_BUDGET lanes in all, and the walk down the tree then takes
-    one bisection step per level.  The midpoints, the steps and the stop
-    are those of one-step bisection, so the result is the same floats.
+    call is a multisection: it evaluates the next ``depth`` levels of the
+    bisection tree of every distinct bracket, 2^depth - 1 midpoints per
+    bracket and at most LANE_BUDGET in all (while lanes share a bracket
+    they share its tree, so the tree goes deeper), and the walk down the
+    tree then takes one bisection step per level and lane.  The
+    midpoints, the steps and the stop are those of one-step bisection,
+    so the result is the same floats.
     """
     d = op.diagonal()
     n = d.size
-    count = n if count is None else min(int(count), n)
+    count = n if count is None else int(count)
     if count < 1:
         raise ValidationError("count must be >= 1")
+    if count > n:
+        raise ValidationError(
+            "count %d exceeds the truncation size %d" % (count, n)
+        )
     lo = float(d.min() - 2.0)
     hi = float(d.max() + 2.0)
     tol = 1e-14 * max(abs(lo), abs(hi), 1.0)
     targets = np.arange(n - count, n)  # eigenvalue indices, ascending
     los = np.full(count, lo)
     his = np.full(count, hi)
-    lanes = np.arange(count)
-    depth = max(1, (LANE_BUDGET // count + 1).bit_length() - 1)
     steps = 0
     while True:
+        first, group = _bracket_groups(los, his)
+        trees = first.size
+        depth = max(1, (LANE_BUDGET // trees + 1).bit_length() - 1)
         # tree nodes in heap order: level l holds rows 2^l - 1 .. 2^(l+1) - 2
-        levels, a, b = [], los[None], his[None]
+        levels, a, b = [], los[first][None], his[first][None]
         for _ in range(min(depth, MAX_STEPS - steps)):
             m = 0.5 * (a + b)
             levels.append(m)
-            a = np.stack((a, m), axis=1).reshape(-1, count)
-            b = np.stack((m, b), axis=1).reshape(-1, count)
+            a = np.stack((a, m), axis=1).reshape(-1, trees)
+            b = np.stack((m, b), axis=1).reshape(-1, trees)
         mids = np.concatenate(levels)
         c = _sturm_counts(d, mids.ravel()).reshape(mids.shape)
         node = np.zeros(count, dtype=np.intp)
         for _ in levels:
-            below = c[node, lanes] <= targets  # true index >= target: go right
-            los = np.where(below, mids[node, lanes], los)
-            his = np.where(below, his, mids[node, lanes])
+            below = c[node, group] <= targets  # true index >= target: go right
+            m = mids[node, group]
+            los = np.where(below, m, los)
+            his = np.where(below, his, m)
             node = 2 * node + 1 + below
             steps += 1
             if steps == MAX_STEPS or np.max(his - los) < tol:

@@ -285,6 +285,36 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_runs(tmp_path):
+    from sturmspec import cli
+
+    def complexity(out, *extra):
+        argv = ["complexity", "--spec", CONFIGS / "fib.cfg", "--n-max", "6",
+                "--t-max", "40", "--window", "1000", "--format", "json",
+                "--out", out, *extra]
+        assert run_cli(argv) == 0
+        return out.read_bytes()
+
+    complexity(tmp_path / "narrow.json", "--beam", "3")
+    parser = cli._build_parser()
+    after_narrow = complexity(tmp_path / "after.json")
+    assert cli._build_parser() is parser
+    cli._build_parser.cache_clear()
+    fresh = complexity(tmp_path / "fresh.json")
+    assert cli._build_parser() is not parser
+    assert after_narrow == fresh
+    assert json.loads(fresh)["config"]["beam"] == 64
+
+
+def test_sparse_check_rejects_more_eigenvalues_than_sites(tmp_path, capsys):
+    out = tmp_path / "sc.json"
+    argv = ["sparse-check", "--spec", CONFIGS / "sparse3.cfg", "--n", "64",
+            "--eigs", "100", "--out", out]
+    assert run_cli(argv) == 1
+    assert "error: count 100 exceeds the truncation size 64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lyapunov_csv(tmp_path):
     out = tmp_path / "l.csv"
     code = run_cli(

@@ -133,6 +133,17 @@ def test_pstar_rejects_beam_below_one(beam_width):
         cx.pstar_profile(fib_window(40), 4, 8, beam_width=beam_width, mode="beam")
 
 
+@pytest.mark.parametrize("query", ["profile", "single"])
+def test_pstar_rejects_an_unknown_mode(query):
+    # a misspelt mode used to run the beam: (6, (0, 2, 4)) on fib
+    w = fib_window(1000)
+    with pytest.raises(sq.ValidationError, match="'exhuastive'.*auto, exhaustive, beam"):
+        if query == "profile":
+            cx.pstar_profile(w, 3, 20, mode="exhuastive")
+        else:
+            cx.max_pattern_complexity(w, 3, 20, mode="exhuastive")
+
+
 def test_profile_matches_single_queries():
     w = fib_window(1500)
     prof = cx.pstar_profile(w, 4, 40)
@@ -298,6 +309,28 @@ def test_pstar_profile_matches_position_reference(n_max, t_max, mode, beam_width
         got = [(c, t.offsets) for c, t in cx.pstar_profile(w, n_max, t_max, mode=mode, **kw)]
         assert got == ref_pstar_profile(w, n_max, t_max, mode, **kw), name
         assert all(type(c) is int for c, _ in got)
+
+
+def wide_window(rng, length, radix):
+    ab = sq.Alphabet(tuple("s%d" % i for i in range(radix)),
+                     tuple(float(i) for i in range(radix)))
+    return sq.Window(0, rng.integers(0, radix, length).astype(np.int16), ab)
+
+
+@pytest.mark.parametrize("radix,length,n_max,t_max,beam_width", [
+    (70, 400, 4, 20, 5),  # two words of symbol bits
+    (130, 500, 3, 12, 4),  # three words
+    (64, 300, 4, 17, 6),  # one full uint64 word
+    (9, 200, 5, 16, 8),  # uint16 words
+    (2, 60, 7, 7, 64),  # spans end at t_max, on a word boundary
+    (3, 80, 6, 15, 2),
+])
+def test_beam_profile_matches_reference_on_any_alphabet(radix, length, n_max, t_max,
+                                                        beam_width):
+    w = wide_window(np.random.default_rng(radix), length, radix)
+    got = [(c, t.offsets) for c, t in
+           cx.pstar_profile(w, n_max, t_max, beam_width=beam_width, mode="beam")]
+    assert got == ref_pstar_profile(w, n_max, t_max, "beam", beam_width=beam_width)
 
 
 def test_criterion_one_pstar_values_unchanged():

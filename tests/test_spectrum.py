@@ -494,6 +494,8 @@ def test_sturm_counts_equal_reference(name):
 
 HALFLINE_CASES = [
     pytest.param(sp.HalfLineOperator(4096, SPARSE3.window(1, 4200)), 16, id="sparse3-4096-16"),
+    # the top 64 accumulate at sqrt(8), so lanes share brackets deep into the tree
+    pytest.param(sp.HalfLineOperator(4096, SPARSE3.window(1, 4200)), 64, id="sparse3-4096-64"),
     pytest.param(sp.HalfLineOperator(2048, SPARSE3.window(1, 2100)), 16, id="sparse3-2048-16"),
     pytest.param(sp.HalfLineOperator(256, SPARSE3.window(1, 300)), None, id="sparse3-256-all"),
     pytest.param(sp.HalfLineOperator(512, zero_window(600)), None, id="free-512-all"),
@@ -510,19 +512,43 @@ def test_halfline_eigs_equal_reference(op, count):
 
 
 def test_halfline_multisection_call_count(monkeypatch):
-    # depth 5 for 16 lanes: about 48 bisection steps in 10 count calls
+    # the 16 lanes share one bracket at first, so the first call covers 9
+    # levels of one tree; about 48 bisection steps take 9 count calls
     calls = []
     counts = sp._sturm_counts
 
     def counted(d, x):
-        calls.append(x.size)
+        calls.append(np.unique(x).size)
         return counts(d, x)
 
     monkeypatch.setattr(sp, "_sturm_counts", counted)
     op = sp.HalfLineOperator(4096, SPARSE3.window(1, 4200))
     sp.halfline_eigs(op, count=16)
-    assert len(calls) <= 12
+    assert len(calls) <= 10
     assert max(calls) <= sp.LANE_BUDGET
+
+
+def test_bracket_groups_match_bit_for_bit():
+    # -0.0 == 0.0 as values, but the brackets differ in their bits
+    los = np.array([0.0, -0.0, 0.0, 1.0, 0.0])
+    his = np.array([2.0, 2.0, 2.0, 2.0, 1.0])
+    first, group = sp._bracket_groups(los, his)
+    assert group.shape == los.shape
+    assert len(first) == 4
+    assert group[0] == group[2]
+    assert len({group[0], group[1], group[3], group[4]}) == 4
+    for lane, g in enumerate(group):
+        assert los[first[g]].tobytes() == los[lane].tobytes()
+        assert his[first[g]].tobytes() == his[lane].tobytes()
+
+
+def test_halfline_eigs_rejects_a_count_above_the_size():
+    op = sp.HalfLineOperator(64, SPARSE3.window(1, 128))
+    with pytest.raises(sq.ValidationError, match="count 100 exceeds the truncation size 64"):
+        sp.halfline_eigs(op, count=100)
+    with pytest.raises(sq.ValidationError, match="count must be >= 1"):
+        sp.halfline_eigs(op, count=0)
+    assert len(sp.halfline_eigs(op, count=64)) == 64
 
 
 # ---------------------------------------------------------------------------
