@@ -191,8 +191,9 @@ def _cmd_spectrum(args) -> int:
     cfg, spec = _load(args)
     if not isinstance(spec, ToeplitzSpec):
         raise ValidationError("spectrum approximants need a toeplitz spec")
-    lower = spectrum.sigma_n(spec, args.level, grid=args.grid, tol=args.tol)
-    upper = spectrum.sigma_n(spec, args.level + 1, grid=args.grid, tol=args.tol)
+    lower, upper = spectrum.band_sets(
+        spec, (args.level, args.level + 1), grid=args.grid, tol=args.tol
+    )
     approx = lower.union(upper)
     flat = _resolved_config(cfg, args, ("level", "grid", "tol"))
     result = {

@@ -118,8 +118,8 @@ def matrix_norm2(m):
 
 
 def _cheb_pair(n: int, x):
-    """(S_n(x), S_{n-1}(x)) for n >= 1: n - 1 steps of the kernel from (S_1, S_0)."""
-    return transfer_run([x] * (n - 1), x * 0 + 1, x * 0)
+    """(S_n(x), S_{n-1}(x)) for n >= 2: n - 2 steps of the kernel from (S_2, S_1) = (x, 1)."""
+    return transfer_run([x] * (n - 2), x, 1)
 
 
 def cheb_eval(n: int, x):
@@ -133,6 +133,8 @@ def cheb_eval(n: int, x):
         raise ValidationError("cheb_eval needs n >= 0")
     if n == 0:
         return x * 0
+    if n == 1:
+        return x * 0 + 1
     return _cheb_pair(n, x)[0]
 
 
@@ -273,9 +275,9 @@ def trace_recursion_f64(spec: ToeplitzSpec, K: int, e_grid: np.ndarray) -> np.nd
                 nxt = _recursion_step(
                     h[k], h[k + 1], spec.tail_period(k + 1), spec.tail_period(k + 2)
                 )
-                np.nan_to_num(nxt, copy=False, nan=TRACE_CAP, posinf=TRACE_CAP, neginf=-TRACE_CAP)
-                np.clip(nxt, -TRACE_CAP, TRACE_CAP, out=nxt)
-                h[k + 2] = nxt
+                # fmin maps NaN to +TRACE_CAP, as it caps +inf; then -inf to -TRACE_CAP
+                np.fmin(nxt, TRACE_CAP, out=nxt)
+                np.maximum(nxt, -TRACE_CAP, out=h[k + 2])
     return out
 
 

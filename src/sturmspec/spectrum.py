@@ -3,20 +3,21 @@ the sparse-potential spectral checks.
 
 The level-k approximant is the set {E : |h_k(E)| <= 2}; its bands are
 located on an energy grid and the endpoints refined by bisection of
-|h_k| - 2.  All edges are refined together as numpy lanes: one trace
-evaluation per step covers every edge still moving.  Half-line operators
-are truncated to symmetric tridiagonal matrices whose eigenvalues come
-from Sturm-count bisection.  The count loop steps all lanes in place
-through chunks of coefficient rows, two ufuncs per site, and recounts
-only lanes that met a tiny pivot with the per-site nudge.  Each count
-call is a multisection: it covers the next few levels of the bisection
-tree of every distinct bracket, deeper when fewer brackets remain, and
-gives the same floats as one-step bisection.
+|h_k| - 2.  Levels share one trace table, and all their edges are refined
+together as numpy lanes: one trace evaluation per step covers every edge
+still moving.  Half-line operators are truncated to symmetric tridiagonal
+matrices whose eigenvalues come from Sturm-count bisection.  The count
+loop steps all lanes in place through chunks of coefficient rows, two
+ufuncs per site, and recounts only lanes that met a tiny pivot with the
+per-site nudge.  Each count call is a multisection: it covers the next few
+levels of the bisection tree of every distinct bracket, deeper when fewer
+brackets remain, and gives the same floats as one-step bisection.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -28,6 +29,7 @@ from .cocycle import matrix_norm2, trace_recursion_f64, transfer_matrix, transfe
 __all__ = [
     "BandSet",
     "band_set_from_trace",
+    "band_sets",
     "sigma_n",
     "band_approximant",
     "grid_containment",
@@ -127,7 +129,7 @@ def _bisect_edges(g, lo, hi, tol: float) -> np.ndarray:
     """Roots of g, one per lane, between lo (g > 0) and hi (g <= 0).
 
     Every lane still moving advances one bisection step per call of ``g``
-    on the array of their midpoints.  A lane stops at its midpoint x once
+    on their midpoints and lane indices.  A lane stops at its midpoint x once
     |g(x)| <= 10*tol, once |hi - lo| <= max(|x|, 1) * 1e-17, once x equals
     lo or hi (the bracket is two adjacent floats, so every later step
     would repeat x), or after 200 steps.
@@ -142,7 +144,7 @@ def _bisect_edges(g, lo, hi, tol: float) -> np.ndarray:
         a, b = lo[live], hi[live]
         m = 0.5 * (a + b)
         x[live] = m
-        gm = g(m)
+        gm = g(m, live)
         stop = (np.abs(gm) <= 10.0 * tol) | (m == a) | (m == b)
         a = np.where(gm > 0, m, a)
         b = np.where(gm > 0, b, m)
@@ -150,6 +152,36 @@ def _bisect_edges(g, lo, hi, tol: float) -> np.ndarray:
         stop |= np.abs(b - a) <= np.maximum(np.abs(m), 1.0) * 1e-17
         live = live[~stop]
     return x
+
+
+def _band_intervals(table, rows, e_range, grid: int, tol: float) -> list:
+    """Intervals of {E : |h(E)| <= 2} for each row in ``rows`` of the trace
+    table ``table(xs)``: one grid call scans every row, and the edges of all
+    rows are the lanes of one :func:`_bisect_edges` run, each on its row.
+    """
+    if grid < 1000:
+        raise ValidationError("grid must use at least 1000 points")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError("tol must be finite and >= 0, got %r" % tol)
+    es = np.linspace(float(e_range[0]), float(e_range[1]), grid)
+    rows = np.asarray(rows)
+    g = np.abs(table(es)[rows]) - 2.0
+    change = np.diff((g <= 0.0).astype(np.int8), axis=1, prepend=0, append=0)
+    row_l, starts = np.nonzero(change == 1)
+    row_r, ends = np.nonzero(change[:, 1:] == -1)
+    # the grid brackets each edge: g > 0 just outside a run, g <= 0 inside it
+    cut_l, cut_r = starts > 0, ends < grid - 1
+    lane_rows = rows[np.concatenate([row_l[cut_l], row_r[cut_r]])]
+    roots = _bisect_edges(
+        lambda xs, live: np.abs(table(xs)[lane_rows[live], np.arange(xs.size)]) - 2.0,
+        np.concatenate([es[starts[cut_l] - 1], es[ends[cut_r] + 1]]),
+        np.concatenate([es[starts[cut_l]], es[ends[cut_r]]]),
+        tol,
+    )
+    left, right = es[starts], es[ends]
+    left[cut_l], right[cut_r] = np.split(roots, [np.count_nonzero(cut_l)])
+    return [_merge(zip(left[row_l == i].tolist(), right[row_r == i].tolist()))
+            for i in range(rows.size)]
 
 
 def band_set_from_trace(
@@ -164,7 +196,8 @@ def band_set_from_trace(
     Runs of grid points with |h| <= 2 give the bands.  Their edges are
     bracketed by the grid points on either side and refined together as
     numpy lanes, so each bisection step is one ``trace_fn`` call for all
-    edges.  Bands narrower than the grid step can be missed.
+    edges; :func:`band_sets` shares this code with one table row per
+    level.  Bands narrower than the grid step can be missed.
 
     There is no search for tangencies of |h| with 2 between runs: when h
     is the discriminant of a periodic Jacobi operator, as every h_k is,
@@ -172,43 +205,47 @@ def band_set_from_trace(
     has no local minimum above zero.  ``trace_fn`` must act on each
     energy alone.
     """
-    if grid < 1000:
-        raise ValidationError("grid must use at least 1000 points")
-    lo, hi = float(e_range[0]), float(e_range[1])
-    es = np.linspace(lo, hi, grid)
-    h = np.asarray(trace_fn(es), dtype=np.float64)
-    g = np.abs(h) - 2.0
-
-    def g_lanes(xs):
-        return np.abs(np.asarray(trace_fn(xs), dtype=np.float64)) - 2.0
-
-    inside = g <= 0.0
-    change = np.diff(inside.astype(np.int8), prepend=0, append=0)
-    starts = np.flatnonzero(change == 1)
-    ends = np.flatnonzero(change == -1) - 1
-    # the grid brackets each edge: g > 0 just outside a run, g <= 0 inside it
-    cut_l = starts[starts > 0]
-    cut_r = ends[ends < grid - 1]
-    roots = _bisect_edges(
-        g_lanes,
-        np.concatenate([es[cut_l - 1], es[cut_r + 1]]),
-        np.concatenate([es[cut_l], es[cut_r]]),
-        tol,
+    (intervals,) = _band_intervals(
+        lambda xs: np.asarray(trace_fn(xs), dtype=np.float64)[None], [0], e_range, grid, tol
     )
-    left = es[starts]
-    left[starts > 0] = roots[: cut_l.size]
-    right = es[ends]
-    right[ends < grid - 1] = roots[cut_l.size :]
-    return BandSet(
-        intervals=_merge(zip(left.tolist(), right.tolist())),
-        level=level,
-        refinement_tol=tol,
-    )
+    return BandSet(intervals=intervals, level=level, refinement_tol=tol)
 
 
 def _default_e_range(spec: ToeplitzSpec):
     vals = spec.coupling_values()
     return (min(vals) - 2.5, max(vals) + 2.5)
+
+
+def band_sets(
+    spec: ToeplitzSpec,
+    levels: Sequence[int],
+    e_range=None,
+    grid: int = 100_000,
+    tol: float = 1e-10,
+) -> list:
+    """The trace band sets {E : |h_k(E)| <= 2}, one for each k in levels,
+    from one :func:`trace_recursion_f64` grid pass at the top level and one
+    bisection run, each edge on its own level's row of the trace table."""
+    levels = [operator.index(k) for k in levels]
+    if not levels:
+        raise ValidationError("band_sets needs at least one level")
+    if min(levels) < 0:
+        raise ValidationError("level must be >= 0, got %d" % min(levels))
+    top = max(levels)
+    if spec.max_level() < top + 1:
+        raise ValidationError("level %d beyond the declared tail" % top)
+    if e_range is None:
+        e_range = _default_e_range(spec)
+    vals = spec.coupling_values()
+    if e_range[0] > min(vals) - 2 or e_range[1] < max(vals) + 2:
+        raise ValidationError(
+            "e_range must cover the spectral hull [%g, %g]"
+            % (min(vals) - 2, max(vals) + 2)
+        )
+    found = _band_intervals(
+        lambda xs: trace_recursion_f64(spec, max(top, 1), xs), levels, e_range, grid, tol
+    )
+    return [BandSet(iv, k, tol) for iv, k in zip(found, levels)]
 
 
 def sigma_n(
@@ -219,24 +256,7 @@ def sigma_n(
     tol: float = 1e-10,
 ) -> BandSet:
     """The level-k trace band set {E : |h_k(E)| <= 2}."""
-    if k < 0:
-        raise ValidationError("level must be >= 0")
-    if spec.max_level() < k + 1:
-        raise ValidationError("level %d beyond the declared tail" % k)
-    if e_range is None:
-        e_range = _default_e_range(spec)
-    vals = spec.coupling_values()
-    if e_range[0] > min(vals) - 2 or e_range[1] < max(vals) + 2:
-        raise ValidationError(
-            "e_range must cover the spectral hull [%g, %g]"
-            % (min(vals) - 2, max(vals) + 2)
-        )
-    kk = max(k, 1)
-
-    def fn(es):
-        return trace_recursion_f64(spec, kk, es)[k]
-
-    return band_set_from_trace(fn, e_range, grid, tol, level=k)
+    return band_sets(spec, (k,), e_range=e_range, grid=grid, tol=tol)[0]
 
 
 def band_approximant(
@@ -251,8 +271,7 @@ def band_approximant(
     Nested intersections of these unions squeeze down on the spectrum;
     at any finite level the union is an outer approximation.
     """
-    a = sigma_n(spec, k, e_range=e_range, grid=grid, tol=tol)
-    b = sigma_n(spec, k + 1, e_range=e_range, grid=grid, tol=tol)
+    a, b = band_sets(spec, (k, k + 1), e_range=e_range, grid=grid, tol=tol)
     return a.union(b)
 
 

@@ -47,11 +47,12 @@ def trace_tables_on_grid():
 
 
 def sigma_levels():
-    """Shared level-0..7 band sets at grid 1e5, tol 1e-10."""
+    """Shared level-0..7 band sets at grid 1e5, tol 1e-10, from one call."""
     if "sigma" not in _caches:
-        _caches["sigma"] = {
-            k: sp.sigma_n(SIMPLE3, k, grid=100_000, tol=1e-10) for k in range(8)
-        }
+        levels = range(8)
+        _caches["sigma"] = dict(
+            zip(levels, sp.band_sets(SIMPLE3, levels, grid=100_000, tol=1e-10))
+        )
     return _caches["sigma"]
 
 

@@ -460,6 +460,18 @@ def test_out_of_range_parameter_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_spectrum_rejects_a_bad_tol(tol, tmp_path, capsys):
+    out = tmp_path / "s.json"
+    argv = ["spectrum", "--spec", CONFIGS / "simple3.cfg", "--level", "3",
+            "--grid", "2000", "--format", "json", "--out", out]
+    assert run_cli(argv + ["--tol=" + tol]) == 1
+    assert "tol must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(argv + ["--tol", "0"]) == 0
+    assert json.loads(out.read_text())["result"]["sigma_k"]["tol"] == 0.0
+
+
 @pytest.mark.parametrize("argv", [
     ["sparse-check", "--spec", CONFIGS / "sparse3.cfg", "--energy", "nan"],
     ["trace-table", "--spec", CONFIGS / "simple3.cfg", "--energy", "nan", "--k", "4"],

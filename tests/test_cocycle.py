@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sturmspec import cocycle as cc
 from sturmspec import sequences as sq
+from test_transfer_run import ref_recursion_step
 
 AB = sq.Alphabet(("a", "b"), (0.0, 1.0))
 
@@ -233,6 +234,45 @@ def test_f64_recursion_matches_mp_tables():
         for k, hv in enumerate(tm.h_recursion):
             if abs(hv) < 1e100:
                 assert abs(mp.mpf(hf[k, i]) - hv) <= 1e-6 * max(1, abs(hv))
+
+
+def ref_trace_recursion_f64(spec, K, e_grid):
+    """The float64 recursion with Chebyshev values seeded at (S_1, S_0)
+    and escapes mapped by nan_to_num, then clip."""
+    e = np.atleast_1d(np.asarray(e_grid, dtype=np.float64))
+    out = np.empty((K + 1, e.size))
+    for i in range(0, e.size, cc.LANE_CHUNK):
+        lanes, h = e[i : i + cc.LANE_CHUNK], out[:, i : i + cc.LANE_CHUNK]
+        h[0], h[1] = cc.block_traces(spec, 1, lanes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(K - 1):
+                nxt = ref_recursion_step(
+                    h[k], h[k + 1], spec.tail_period(k + 1), spec.tail_period(k + 2)
+                )
+                np.nan_to_num(nxt, copy=False, nan=cc.TRACE_CAP,
+                              posinf=cc.TRACE_CAP, neginf=-cc.TRACE_CAP)
+                np.clip(nxt, -cc.TRACE_CAP, cc.TRACE_CAP, out=nxt)
+                h[k + 2] = nxt
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("spec", [
+    pytest.param(simple_spec(), id="simple3"),
+    pytest.param(simple_spec((3, 4), (1, 2)), id="a:3:1,b:4:2"),
+    pytest.param(simple_spec((5, 5), (0, 3)), id="a:5:0,b:5:3"),
+    pytest.param(simple_spec((3, 3), (2, 1)), id="a:3:2,b:3:1"),
+    pytest.param(simple_spec((2, 3, 4), (1, 1, 0), ("a", "b", "a"), cycle=False),
+                 id="period-2"),
+])
+def test_f64_recursion_equals_the_reference_kernel(spec):
+    rng = np.random.default_rng(20)
+    extremes = [1e3, -1e3, 1e100, -1e100, 1e200, -1e200, 1e308,
+                math.inf, -math.inf, math.nan, 0.0, -0.0]
+    e = np.concatenate([rng.uniform(-5.0, 6.0, 20_000), extremes])
+    for K in range(1, int(min(12, spec.max_level())) + 1):
+        assert np.array_equal(cc.trace_recursion_f64(spec, K, e),
+                              ref_trace_recursion_f64(spec, K, e), equal_nan=True)
 
 
 def test_f64_recursion_saturates_instead_of_nan():

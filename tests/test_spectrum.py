@@ -13,11 +13,12 @@ from sturmspec import spectrum as sp
 AB = sq.Alphabet(("a", "b"), (0.0, 1.0))
 
 
-def simple_spec(periods=(3, 3), **kw):
+def simple_spec(periods=(3, 3), offsets=None, letters=None, **kw):
     n = len(periods)
     return sq.ToeplitzSpec(
         AB, sq.CodingTriple((), 1, 0),
-        tuple("ab"[i % 2] for i in range(n)), tuple(periods), (0,) * n, **kw
+        letters or tuple("ab"[i % 2] for i in range(n)), tuple(periods),
+        offsets or (0,) * n, **kw
     )
 
 
@@ -64,6 +65,52 @@ def test_sigma_validation():
     shallow = simple_spec(periods=(3, 3, 3), cycle=False)
     with pytest.raises(sq.ValidationError):
         sp.sigma_n(shallow, 5)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_band_sets_reject_a_negative_or_non_finite_tol(tol):
+    spec = simple_spec()
+    for build in (
+        lambda: sp.band_sets(spec, (2, 3), grid=2000, tol=tol),
+        lambda: sp.sigma_n(spec, 2, grid=2000, tol=tol),
+        lambda: sp.band_set_from_trace(np.cos, (-3.0, 3.0), 2000, tol),
+    ):
+        with pytest.raises(sq.ValidationError, match="tol"):
+            build()
+
+
+def test_band_sets_take_any_integer_levels():
+    spec = simple_spec()
+    want = sp.band_sets(spec, (2, 3), grid=2000)
+    got = sp.band_sets(spec, np.array([2, 3]), grid=2000)
+    assert [b.intervals for b in got] == [b.intervals for b in want]
+    assert [b.level for b in got] == [2, 3]
+    with pytest.raises(sq.ValidationError, match="level must be >= 0, got -1"):
+        sp.sigma_n(spec, -1, grid=2000)
+    with pytest.raises(sq.ValidationError, match="at least one level"):
+        sp.band_sets(spec, np.array([], dtype=int), grid=2000)
+
+
+def test_zero_tol_bisects_to_adjacent_floats(monkeypatch):
+    runs = []
+
+    def recording(g, lo, hi, tol):
+        x = bisect(g, lo, hi, tol)
+        runs.append((g, lo, hi, x))
+        return x
+
+    bisect = sp._bisect_edges
+    monkeypatch.setattr(sp, "_bisect_edges", recording)
+    exact = sp.sigma_n(simple_spec(), 3, grid=2000, tol=0.0)
+    assert exact.refinement_tol == 0.0
+    (g, lo, hi, x), = runs
+    assert x.size == 2 * len(exact)
+    lanes = np.arange(x.size)
+    gx = g(x, lanes)
+    # g changes sign between x and its neighbouring float on the far side
+    # of the root: the bracket was bisected down to two adjacent floats
+    beside = np.where(gx > 0, np.nextafter(x, hi), np.nextafter(x, lo))
+    assert np.all((gx == 0.0) | ((gx > 0) != (g(beside, lanes) > 0)))
 
 
 def test_large_energy_is_outside_every_level():
@@ -242,6 +289,69 @@ def test_lane_refinement_matches_scalar_reference(spec, k, grid):
     assert lanes.intervals == ref.intervals
 
 
+def ref_band_set(trace_fn, e_range, grid, tol, level=None):
+    """One level's grid scan with its edges refined by ref_bisect_edges."""
+    es = np.linspace(float(e_range[0]), float(e_range[1]), grid)
+    g = np.abs(np.asarray(trace_fn(es), dtype=np.float64)) - 2.0
+
+    def g_lanes(xs, live):
+        return np.abs(np.asarray(trace_fn(xs), dtype=np.float64)) - 2.0
+
+    change = np.diff((g <= 0.0).astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(change == 1)
+    ends = np.flatnonzero(change == -1) - 1
+    cut_l = starts[starts > 0]
+    cut_r = ends[ends < grid - 1]
+    roots = ref_bisect_edges(
+        g_lanes,
+        np.concatenate([es[cut_l - 1], es[cut_r + 1]]),
+        np.concatenate([es[cut_l], es[cut_r]]),
+        tol,
+    )
+    left = es[starts]
+    left[starts > 0] = roots[: cut_l.size]
+    right = es[ends]
+    right[ends < grid - 1] = roots[cut_l.size :]
+    return sp.BandSet(sp._merge(zip(left.tolist(), right.tolist())), level, tol)
+
+
+JOINT_SPECS = [
+    pytest.param(simple_spec(), id="simple3"),
+    pytest.param(simple_spec((3, 4), (1, 2)), id="a:3:1,b:4:2"),
+    pytest.param(simple_spec((5, 5), (0, 3)), id="a:5:0,b:5:3"),
+    pytest.param(simple_spec((3, 3), (2, 1)), id="a:3:2,b:3:1"),
+    pytest.param(simple_spec((2, 3, 4), (1, 1, 0), ("a", "b", "a"), cycle=False),
+                 id="period-2"),
+]
+
+
+@pytest.mark.parametrize("grid", [1000, 2000, 20_001, 100_000])
+@pytest.mark.parametrize("spec", JOINT_SPECS)
+def test_joint_refinement_equals_the_per_level_reference(spec, grid):
+    levels = list(range(int(min(8, spec.max_level()))))
+    ref = {}
+    for k in levels:
+        def fn(es, k=k):
+            return cc.trace_recursion_f64(spec, max(k, 1), es)[k]
+        ref[k] = ref_band_set(fn, sp._default_e_range(spec), grid, 1e-10, level=k).intervals
+    asked = [(k,) for k in levels] + [(k, k + 1) for k in levels[:-1]] + [levels]
+    for ks in asked:
+        got = sp.band_sets(spec, ks, grid=grid, tol=1e-10)
+        assert [b.level for b in got] == list(ks)
+        assert [b.intervals for b in got] == [ref[k] for k in ks]
+
+
+def test_level_0_on_one_declared_level_equals_the_reference():
+    one = simple_spec(periods=(3,), cycle=False)
+
+    def fn(es):
+        return cc.trace_recursion_f64(one, 1, es)[0]
+
+    for grid in (1000, 20_001):
+        ref = ref_band_set(fn, sp._default_e_range(one), grid, 1e-10)
+        assert sp.band_sets(one, (0,), grid=grid)[0].intervals == ref.intervals
+
+
 def ref_bisect_edges(g, lo, hi, tol):
     """Lane-wise bisection with only the tolerance, width and step rules."""
     lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
@@ -253,7 +363,7 @@ def ref_bisect_edges(g, lo, hi, tol):
         a, b = lo[live], hi[live]
         m = 0.5 * (a + b)
         x[live] = m
-        gm = g(m)
+        gm = g(m, live)
         hit = np.abs(gm) <= 10.0 * tol
         a, b = np.where(gm > 0, m, a), np.where(gm > 0, b, m)
         lo[live], hi[live] = a, b
@@ -274,7 +384,7 @@ def test_bisection_stops_once_the_bracket_is_two_adjacent_floats():
     # width rule (near 0, where 1e-17 spans several floats) or the
     # adjacent-float rule stops it; both give the reference's floats
     for r in (0.01, 0.0123, -0.02, 0.3, 1.5, -2.7, 1e3):
-        def step(xs, r=r):
+        def step(xs, live, r=r):
             return np.where(xs < r, 1.0, -1.0)
 
         new, old = [], []
@@ -302,8 +412,10 @@ def test_band_edges_equal_the_reference_bisection(monkeypatch):
     monkeypatch.setattr(sp, "_bisect_edges", both)
     sp.band_approximant(spec, 7, grid=2000)  # the certify sweep's energies
     sp.sigma_n(spec, 7, grid=100_000)
-    # sigma_8 at grid 2000 left 3 of its 204 edges stepping to the cap
-    assert counts[1][1] == 200 and counts[2][1] == 200
+    # one joint run for sigma_7 and sigma_8 at grid 2000, where sigma_8 left
+    # 3 of its 204 edges stepping to the cap, then one run for sigma_7 at 1e5
+    assert len(counts) == 2
+    assert counts[0][1] == 200 and counts[1][1] == 200
     assert all(new <= old for new, old in counts)
 
 
@@ -313,7 +425,9 @@ def test_trace_calls_of_the_band_approximants(monkeypatch):
     monkeypatch.setattr(sp, "trace_recursion_f64",
                         counting(lambda *a: cc.trace_recursion_f64(*a), calls))
     sp.band_approximant(spec, 7, grid=2000)
-    assert len(calls) <= 87  # 242 while stuck lanes ran to the 200-step cap
+    # one grid pass and one bisection run for both levels; two of each took
+    # 87, and 242 while stuck lanes ran to the 200-step cap
+    assert len(calls) <= 46
     calls.clear()
     sp.sigma_n(spec, 7, grid=100_000)
     assert len(calls) <= 40  # 201 while stuck lanes ran to the cap
