@@ -263,14 +263,16 @@ def trace_recursion_f64(spec: ToeplitzSpec, K: int, e_grid: np.ndarray) -> np.nd
 
     Escaped values are clamped to +-TRACE_CAP: past that magnitude only
     the comparison |h| > 2 matters, and clamping keeps it stable under
-    further recursion steps (no inf - inf).  Returns shape (K+1, len(grid)).
+    further recursion steps (no inf - inf).  Overflow in the level-0/1
+    seeds and the steps is by design and warns nothing.  Returns shape
+    (K+1, len(grid)).
     """
     e = np.atleast_1d(np.asarray(e_grid, dtype=np.float64))
     out = np.empty((K + 1, e.size))
     for i in range(0, e.size, LANE_CHUNK):
         lanes, h = e[i : i + LANE_CHUNK], out[:, i : i + LANE_CHUNK]
-        h[0], h[1] = block_traces(spec, 1, lanes)
         with np.errstate(over="ignore", invalid="ignore"):
+            h[0], h[1] = block_traces(spec, 1, lanes)
             for k in range(K - 1):
                 nxt = _recursion_step(
                     h[k], h[k + 1], spec.tail_period(k + 1), spec.tail_period(k + 2)

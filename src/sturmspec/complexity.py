@@ -118,6 +118,21 @@ def block_complexity(window: Window, n: int) -> int:
     return len(_distinct_rows(np.ascontiguousarray(rows, dtype=np.int16))[0])
 
 
+def _block_counts(table: np.ndarray, n_max: int) -> tuple:
+    """p(n) for n = 1..n_max (at most the table width) from a factor table.
+
+    The table's rows are sorted lexicographically, so the rows sharing a
+    length-n prefix are adjacent, and a row whose first n codes are all
+    >= 0 starts a new length-n factor exactly when its common prefix with
+    the row before is shorter than n.
+    """
+    differ = table[1:] != table[:-1]
+    common = np.zeros(len(table), dtype=np.int64)
+    common[1:] = np.where(differ.any(axis=1), differ.argmax(axis=1), table.shape[1])
+    return tuple(int(np.count_nonzero((table[:, n - 1] >= 0) & (common < n)))
+                 for n in range(1, n_max + 1))
+
+
 #: set bits of each byte value
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
@@ -231,6 +246,12 @@ def pstar_profile(
     mode: str = "auto",
 ):
     """(count, template) estimates for every pattern length 1..n_max."""
+    return _pstar_table_profile(window, n_max, t_max, beam_width, mode)[1]
+
+
+def _pstar_table_profile(window: Window, n_max: int, t_max: int, beam_width: int,
+                         mode: str):
+    """(factor table, p* profile) of :func:`pstar_profile`."""
     if n_max < 1:
         raise ValidationError("pattern length must be >= 1")
     if t_max < n_max - 1:
@@ -251,7 +272,7 @@ def pstar_profile(
     radix = len(window.alphabet)
     out = [(int(_distinct_count(table, [(0,)], radix)[0]), PatternTemplate((0,)))]
     if n_max == 1:
-        return out
+        return table, out
 
     exhaustive = mode == "exhaustive" or (
         mode == "auto" and n_max <= EXHAUSTIVE_N and t_max <= EXHAUSTIVE_TMAX
@@ -275,7 +296,7 @@ def pstar_profile(
                 if counts[i] > best:
                     best, best_offs = int(counts[i]), slab[i]
             out.append((best, PatternTemplate(best_offs)))
-        return out
+        return table, out
 
     found = _beam_profile(table, radix, n_max, t_max, beam_width)
     for n in range(2, n_max + 1):
@@ -287,7 +308,7 @@ def pstar_profile(
         if cnt_c > cnt:
             cnt, offs = cnt_c, contiguous
         out.append((int(cnt), PatternTemplate(offs)))
-    return out
+    return table, out
 
 
 @dataclass(frozen=True)
@@ -343,11 +364,13 @@ def complexity_report(
     beam_width: int = DEFAULT_BEAM,
     mode: str = "auto",
 ) -> ComplexityReport:
-    ns = tuple(range(1, n_max + 1))
-    profile = pstar_profile(window, n_max, t_max, beam_width=beam_width, mode=mode)
+    """p(n) and p*(n) for n = 1..n_max: p* as :func:`pstar_profile`, and
+    p read off the same factor table (:func:`block_complexity` per n
+    gives the same counts)."""
+    table, profile = _pstar_table_profile(window, n_max, t_max, beam_width, mode)
     return ComplexityReport(
-        n_range=ns,
-        p_values=tuple(block_complexity(window, n) for n in ns),
+        n_range=tuple(range(1, n_max + 1)),
+        p_values=_block_counts(table, n_max),
         pstar_values=tuple(cnt for cnt, _ in profile),
         templates=tuple(tpl for _, tpl in profile),
         window_len=len(window),

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,6 +65,8 @@ __all__ = [
 #: absolute slack absorbing float propagation error over <= 1e5 steps
 BOUND_SLACK = 1e-9
 NONDECAY_SLACK = 1e-6
+#: cap on the coefficients (steps x runs) _norm_slabs gathers at once
+NORM_CHUNK = 1 << 16
 
 
 class GordonStructureError(ValidationError):
@@ -221,8 +224,8 @@ def _neighbors(part: PartitionView, site: int):
     right = part.label(idx + 1)
     if left is None or right is None:
         raise WindowTooShortError(
-            "origin too close to the window edge for level-%d neighbors"
-            % part.level,
+            "origin %d too close to the window edge for level-%d neighbors"
+            % (site, part.level),
             required=(len(part.labels) + 2) * part.block_len,
         )
     return start, lab, left, right, idx
@@ -609,52 +612,80 @@ def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
 
     Lane j is the pair (energies[j], origins[j]), normalized at its own
     origin, and offsets[j] is the sequence of offsets it reads (possibly
-    empty).  Each lane is stepped in each direction only as far as its
-    own deepest offset there: lanes are ordered by that reach, longest
-    first, so the lanes still moving are a prefix of the arrays, and the
-    two bases step together along a leading axis of 2 through
-    ``transfer_run``, one run per gap between the distinct offsets.
-    Returns an array of shape (2, lanes, max offsets per lane) whose
-    entry [b, j, i] is the norm for basis ``_BASES[b]`` at offsets[j][i];
-    slots past a lane's offsets hold -1, which no norm takes.
+    empty).  Each side of a lane that reads an offset there is a run: the
+    forward run steps the sites origin, origin + 1, ... and reads offset
+    d after d steps, the backward run steps origin - 1, origin - 2, ...
+    and reads offset -d after d steps.  Each run steps only as far as its
+    own deepest offset: the runs of both sides are ordered by that reach,
+    longest first, so the runs still moving are a prefix, and they step
+    together, the two bases along a leading axis of 2, through
+    ``transfer_run`` on chunks of at most ``NORM_CHUNK`` gathered
+    coefficients.  Returns an array of shape (2, lanes, max offsets per
+    lane) whose entry [b, j, i] is the norm for basis ``_BASES[b]`` at
+    offsets[j][i]; slots past a lane's offsets hold -1, which no norm
+    takes.
     """
     e = np.asarray(energies, dtype=np.float64)
     o = np.asarray(origins, dtype=np.int64)
-    n_read = np.array([len(t) for t in offsets], dtype=np.int64)
+    n = len(o)
+    n_read = np.fromiter(map(len, offsets), dtype=np.int64, count=n)
     used = np.arange(n_read.max(initial=0)) < n_read[:, None]
-    offs = np.zeros(used.shape, dtype=np.int64)
-    offs[used] = [t for lane in offsets for t in lane]
-
+    depth = np.zeros(used.shape, dtype=np.int64)
+    depth[used] = np.fromiter(chain.from_iterable(offsets), dtype=np.int64,
+                              count=int(n_read.sum()))
     out = np.full((2,) + used.shape, -1.0)
-    vals = window.values()
-    # phi(-1) and phi(0) of each basis, on every lane
-    phi_m1, phi_0 = (np.broadcast_to(np.array(col)[:, None], (2, len(o)))
-                     for col in zip(*_BASES))
-    for forward in (True, False):
-        # depth d: steps from the origin; forward the norm at offset d,
-        # backward the norm at offset -d, reading the sites o-1 ... o-d
-        need = used & ((offs >= 0) if forward else (offs < 0))
-        depth = np.where(need, offs if forward else -offs, -1)
-        reach = depth.max(axis=1, initial=-1)
-        _check_reach(window, e, o, reach, forward)
-        order = np.argsort(-reach, kind="stable")
-        reach, depth = reach[order], depth[order]
-        e_s = e[order]
-        o_s = o[order] - window.start - (0 if forward else 1)
-        sign = 1 if forward else -1
-        cur, prev = (phi_0, phi_m1) if forward else (phi_m1, phi_0)
-        done = 0
-        for d in np.unique(depth[depth >= 0]).tolist():
-            p = int(np.searchsorted(-reach, -d, side="right"))
-            e_p, o_p = e_s[:p], o_s[:p]
-            cur, prev = transfer_run(
-                (e_p - vals[o_p + sign * k] for k in range(done, d)),
-                cur[:, :p], prev[:, :p],
-            )
-            done = d
-            lane, slot = np.nonzero(depth[:p] == d)
-            at, before = (cur, prev) if forward else (prev, cur)
-            out[:, order[lane], slot] = np.hypot(at[:, lane], before[:, lane])
+
+    # run j is lane j forward, run n + j lane j backward
+    back = depth < 0
+    np.abs(depth, out=depth)
+    reach = np.stack([np.where(used & (back == side), depth, -1).max(axis=1, initial=-1)
+                      for side in (False, True)])
+    _check_reach(window, e, o, reach[0], True)
+    _check_reach(window, e, o, reach[1], False)
+    reach = reach.ravel()
+    order = np.flatnonzero(reach >= 0)
+    order = order[np.argsort(-reach[order])]
+    # the reads as (flat slot, run position), grouped by depth, then side
+    rank = np.empty(2 * n, dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    slot = np.flatnonzero(used)
+    key = 2 * depth.flat[slot] + back.flat[slot]
+    by_key = np.argsort(key)
+    slot, key = slot[by_key], key[by_key]
+    run = rank[(key & 1) * n + slot // used.shape[1]]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    groups = key[first]
+    moving = np.searchsorted(-reach[order], -(groups // 2), side="right")
+    bounds = np.append(first, len(slot)).tolist()
+    # the per-slot tables go before stepping starts: they would set the peak
+    del used, depth, back, reach, rank, key
+
+    backward = order >= n
+    lane = order - n * backward
+    e_r = e[lane]
+    # the window index of each run's first site, and its step
+    site = o[lane] - window.start - backward
+    stride = 1 - 2 * backward
+    # forward runs hold (phi(d), phi(d-1)), backward ones (phi(-d-1), phi(-d))
+    phi_m1, phi_0 = (np.array(col)[:, None] for col in zip(*_BASES))
+    cur = np.where(backward, phi_m1, phi_0)
+    prev = np.where(backward, phi_0, phi_m1)
+    del order, lane, backward
+    codes, values = window.codes, window.alphabet.value_table()
+    flat = out.reshape(2, -1)
+    done = 0
+    for g, p, lo, hi in zip(groups.tolist(), moving.tolist(), bounds, bounds[1:]):
+        d, side = divmod(g, 2)
+        cur, prev = cur[:, :p], prev[:, :p]
+        rows = max(NORM_CHUNK // p, 1)
+        for k in range(done, d, rows):
+            ks = np.arange(k, min(k + rows, d))[:, None]
+            coeffs = e_r[:p] - values.take(codes.take(site[:p] + stride[:p] * ks))
+            cur, prev = transfer_run(coeffs, cur, prev)
+        done = d
+        # the norm at offset d is |(phi(d), phi(d-1))|, at -d |(phi(-d), phi(-d-1))|
+        at = cur.take(run[lo:hi], axis=1), prev.take(run[lo:hi], axis=1)
+        flat[:, slot[lo:hi]] = np.hypot(*at[::-1] if side else at)
     return out
 
 
@@ -821,10 +852,10 @@ def gordon_sweep(
     lane_e, lane_o = np.nonzero(~failed[outcome_id])
     lane_lab = outcome_id[lane_e, lane_o]
     sound = np.array([err is None for _, err in outcomes], dtype=bool)[lane_lab]
-    offsets_of = [None if x is None else _offsets(x) for x in labels]
-    offsets = [offsets_of[i] for i in lane_lab.tolist()]
+    offsets_of = [() if x is None else _offsets(x) for x in labels]
+    offsets = list(map(offsets_of.__getitem__, lane_lab.tolist()))
     norms = _norm_slabs(window, e_arr[lane_e], origins[lane_o], offsets)
-    n_read = np.array([len(t) for t in offsets], dtype=np.int64)
+    n_read = np.array([len(t) for t in offsets_of], dtype=np.int64)[lane_lab]
     unfilled = (norms < 0) & (np.arange(norms.shape[2]) < n_read[:, None])
     if unfilled.any():
         _, lane, slot = np.argwhere(unfilled)[0]
@@ -857,7 +888,11 @@ def gordon_sweep(
             )
 
     # in order of first appearance among the lanes
-    case_counts = dict(Counter(labels[i].case_id for i in lane_lab.tolist()))
+    case_counts = {}
+    used, first, count = np.unique(lane_lab, return_index=True, return_counts=True)
+    for i in np.argsort(first).tolist():
+        case = labels[used[i]].case_id
+        case_counts[case] = case_counts.get(case, 0) + int(count[i])
     kept = margins[:, sound].T.ravel().tolist()
     return SweepReport(
         case_counts=case_counts,

@@ -22,6 +22,8 @@ import numpy as np
 HOLE = "?"
 #: longest building block ``blocks`` will materialize
 BLOCK_BUDGET = 10**7
+#: candidate residues whose first mismatching site a failed k_partition names
+PARTITION_ERROR_RESIDUES = 8
 
 __all__ = [
     "HOLE",
@@ -701,10 +703,15 @@ def k_partition(
     s_k and t_k differ only in their last site, so a residue r is legal
     exactly when the window equals s_k tiled from phase r at every site
     that does not end a block; edge fragments need no separate test, and
-    each block's label is read from its last symbol.  Exactly one residue
-    may survive: zero legal residues means the window is not a slice of
-    the subshift, two or more raise an ambiguity error rather than
-    silently picking one.  The window must use the spec's symbols.
+    each block's label is read from its last symbol.  s_k is tiled once
+    (``np.tile``), each candidate is one slice of that tiling, and the
+    labels and gaps come from the block ends in array ops.  Exactly one
+    residue may survive: zero legal residues means the window is not a
+    slice of the subshift, and the ``PartitionError`` names the first
+    mismatching site of each candidate (of the first
+    ``PARTITION_ERROR_RESIDUES``); two or more raise an ambiguity error
+    rather than silently picking one.  The window must use the spec's
+    symbols.
 
     ``refine_from`` may carry the (unique) level-(k-1) view; level-k
     block starts are then necessarily level-(k-1) starts, which cuts the
@@ -739,18 +746,28 @@ def k_partition(
         candidates = range(ell)
     codes = window.codes
     w = len(codes)
-    tiled = np.resize(s, w + ell)
-    legal = []
-    for r in candidates:
+    tiled = np.tile(s, w // ell + 2)
+
+    def same_as_tiled(off):
         # site i of the window reads s_k[(i - off) % ell]; block ends are free
-        off = (r - window.start) % ell
         same = codes == tiled[ell - off : ell - off + w]
         same[(off - 1) % ell :: ell] = True
-        if same.all():
-            legal.append((r, off))
+        return same
+
+    legal, illegal = [], []
+    for r in candidates:
+        off = (r - window.start) % ell
+        (legal if same_as_tiled(off).all() else illegal).append((r, off))
     if not legal:
+        shown = ", ".join(
+            "%d at site %d" % (r, window.start + int(np.argmin(same_as_tiled(off))))
+            for r, off in illegal[:PARTITION_ERROR_RESIDUES]
+        )
+        more = len(illegal) - PARTITION_ERROR_RESIDUES
         raise PartitionError(
-            "no legal level-%d alignment: window is not a subshift slice" % k
+            "no legal level-%d alignment: window is not a subshift slice "
+            "(first mismatch per residue: %s%s)"
+            % (k, shown, ", and %d more residues" % more if more > 0 else "")
         )
     if len(legal) > 1:
         raise AmbiguousPartitionError(
@@ -766,8 +783,8 @@ def k_partition(
         block_len=ell,
         residue=r,
         starts=window.start + off + ell * np.arange(nfull),
-        labels=tuple("t" if flag else "s" for flag in is_t),
-        gaps=tuple(int(b - a - 1) for a, b in zip(t_idx, t_idx[1:])),
+        labels=tuple(np.where(is_t, "t", "s").tolist()),
+        gaps=tuple((np.diff(t_idx) - 1).tolist()),
     )
 
 

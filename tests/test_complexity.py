@@ -1,5 +1,6 @@
 """Complexity estimators and the classification tests built on them."""
 
+import pathlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 
 from sturmspec import complexity as cx
 from sturmspec import sequences as sq
+from sturmspec.config import build_spec, parse_config
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 AB = sq.Alphabet(("a", "b"), (0.0, 1.0))
 
@@ -160,6 +164,26 @@ def test_complexity_report_invariants_and_export():
     assert d["n"] == [1, 2, 3, 4, 5]
     assert len(rep.rows()) == 5
     assert rep.position_range[0] == 0
+
+
+def test_report_reads_block_complexity_off_the_factor_table():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        radix = int(rng.integers(2, 5))
+        t_max = int(rng.integers(0, 61))
+        w = wide_window(rng, int(rng.integers(t_max + 1, t_max + 200)), radix)
+        # periodic stretches give repeated factors and long common prefixes
+        if rng.random() < 0.3:
+            period = int(rng.integers(1, 8))
+            w = sq.Window(0, np.resize(w.codes[:period], len(w)), w.alphabet)
+        n_max = int(rng.integers(1, t_max + 2)) if t_max < 8 else int(rng.integers(1, 9))
+        rep = cx.complexity_report(w, n_max, t_max, beam_width=1, mode="beam")
+        assert rep.p_values == tuple(cx.block_complexity(w, n) for n in range(1, n_max + 1))
+    for name in ("fib", "simple3", "sparse3"):
+        spec = build_spec(parse_config(str(CONFIGS / ("%s.cfg" % name))))
+        w = spec.window(1, 3000, allow_periodic=True) if name == "fib" else spec.window(1, 3000)
+        rep = cx.complexity_report(w, 12, 40)
+        assert rep.p_values == tuple(cx.block_complexity(w, n) for n in range(1, 13)), name
 
 
 # ---------------------------------------------------------------------------

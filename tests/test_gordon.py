@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -960,6 +961,48 @@ def test_sweep_rejects_levels_a_walk_cannot_reach():
             gd.gordon_sweep(SPEC, **small, **kwargs)
     # the shallowest accepted sweep: max_scale = entry_k + 2
     assert gd.gordon_sweep(SPEC, entry_k=2, energy_level=2, **small).energies
+
+
+def test_classifier_names_the_origin_without_neighbors():
+    part = sq.k_partition(WINDOW, SPEC, 2)
+    for origin in (int(part.starts[0]) + 4, int(part.starts[-1]) + 1):
+        with pytest.raises(sq.WindowTooShortError,
+                           match=r"^origin %d too close to the window edge for "
+                                 r"level-2 neighbors$" % origin) as err:
+            gd.classify_case(WINDOW, SPEC, 2, HVALS, origin=origin)
+        assert err.value.required == (len(part.labels) + 2) * part.block_len
+
+
+def test_norm_slabs_step_both_sides_in_one_pass(monkeypatch):
+    """The seed-1 certify sweep reads offsets from -2187 to 4374: forward and
+    backward runs step together, 4374 coefficient rows in all, where one
+    pass per side took 4374 + 2187 = 6561.  The call's traced peak stays
+    below 7.6 MB; the pass per side peaked at 7.7 to 8.8 MB on this sweep
+    (about 5.7 MB with coefficients gathered in chunks from the codes)."""
+    rows, peaks = [0], []
+    real_run, real_slabs = gd.transfer_run, gd._norm_slabs
+
+    def counting(coeffs, cur, prev, trail=None):
+        def counted():
+            for c in coeffs:
+                rows[0] += 1
+                yield c
+        return real_run(counted(), cur, prev, trail)
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return real_slabs(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(gd, "transfer_run", counting)
+    monkeypatch.setattr(gd, "_norm_slabs", traced)
+    report = gd.gordon_sweep(SPEC, 2, 40, 500, seed=1, grid=2000)
+    assert len(report.falsifications) == 44
+    assert rows == [4374]
+    assert len(peaks) == 1 and peaks[0] < 7_600_000
 
 
 def test_norm_slabs_name_the_lane_that_leaves_the_window():

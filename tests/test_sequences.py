@@ -592,6 +592,48 @@ def test_partition_rejects_foreign_windows():
         sq.k_partition(w, spec, 1)
 
 
+def first_mismatches(window, spec, k, residues):
+    """Per residue, the first site that differs from s_k tiled from it and
+    does not end a block, read site by site."""
+    s, _ = sq.blocks(spec, k)
+    ell = len(s)
+    out = []
+    for r in residues:
+        for i, code in enumerate(window.codes.tolist()):
+            site = window.start + i
+            if (site - r + 1) % ell and code != s[(site - r) % ell]:
+                out.append("%d at site %d" % (r, site))
+                break
+    return out
+
+
+@pytest.mark.parametrize("start", [0, -7])
+def test_partition_error_names_the_first_mismatch_per_residue(start):
+    spec = simple_spec()
+    codes = np.zeros(400, dtype=np.int16)
+    codes[::2] = 1
+    w = sq.Window(start, codes, AB)
+    # level 1: every residue is named
+    named = ", ".join(first_mismatches(w, spec, 1, range(3)))
+    with pytest.raises(sq.PartitionError, match=r"no legal level-1 alignment: window "
+                       r"is not a subshift slice \(first mismatch per residue: %s\)$"
+                       % named):
+        sq.k_partition(w, spec, 1)
+    # level 2 from a level-1 view: the three candidate residues of the refinement
+    view = sq.k_partition(spec.window(1, 400), spec, 1)
+    named = ", ".join(first_mismatches(w, spec, 2, [(view.residue + 3 * j) % 9
+                                                   for j in range(3)]))
+    with pytest.raises(sq.PartitionError, match=r"\(first mismatch per residue: %s\)$"
+                       % named):
+        sq.k_partition(w, spec, 2, refine_from=view)
+    # level 3 scans 27 residues: the first PARTITION_ERROR_RESIDUES are named
+    shown = sq.PARTITION_ERROR_RESIDUES
+    named = ", ".join(first_mismatches(w, spec, 3, range(shown)))
+    with pytest.raises(sq.PartitionError, match=r"\(first mismatch per residue: "
+                       r"%s, and %d more residues\)$" % (named, 27 - shown)):
+        sq.k_partition(w, spec, 3)
+
+
 def test_partition_window_too_short_reports_requirement():
     spec = simple_spec()
     w = spec.window(1, 30)
