@@ -1,17 +1,14 @@
 """Spectrum approximants from trace conditions, half-line truncations, and
 the sparse-potential spectral checks.
 
-The level-k approximant is the set {E : |h_k(E)| <= 2}; its bands are
-located on an energy grid and the endpoints refined by bisection of
-|h_k| - 2.  Levels share one trace table, and all their edges are refined
-together as numpy lanes: one trace evaluation per step covers every edge
-still moving.  Half-line operators are truncated to symmetric tridiagonal
-matrices whose eigenvalues come from Sturm-count bisection.  The count
-loop steps all lanes in place through chunks of coefficient rows, two
-ufuncs per site, and recounts only lanes that met a tiny pivot with the
-per-site nudge.  Each count call is a multisection: it covers the next few
-levels of the bisection tree of every distinct bracket, deeper when fewer
-brackets remain, and gives the same floats as one-step bisection.
+The level-k approximant {E : |h_k(E)| <= 2} is found on an energy grid,
+levels sharing one trace table, and its band edges are roots of
+|h_k| - 2.  Half-line operators are truncated to symmetric tridiagonal
+matrices, whose eigenvalues are where a Sturm count passes their index.
+Both kinds of root come from one bracket engine, :func:`_bisect`: a numpy
+lane per root, each call of the lanes' function covering the next levels
+of the bisection tree of every distinct bracket.  The Sturm count steps
+all lanes through chunks of coefficient rows, two ufuncs per site.
 """
 
 from __future__ import annotations
@@ -114,6 +111,13 @@ class BandSet:
         }
 
 
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError("%s must be an integer, got %r" % (name, value)) from None
+
+
 def _merge(intervals) -> tuple:
     """Sorted union of closed intervals; overlapping or touching ones join."""
     out = []
@@ -125,33 +129,73 @@ def _merge(intervals) -> tuple:
     return tuple((a, b) for a, b in out)
 
 
-def _bisect_edges(g, lo, hi, tol: float) -> np.ndarray:
-    """Roots of g, one per lane, between lo (g > 0) and hi (g <= 0).
+#: tree midpoints per call of a bisection's function, over all its trees
+LANE_BUDGET = 512
 
-    Every lane still moving advances one bisection step per call of ``g``
-    on their midpoints and lane indices.  A lane stops at its midpoint x once
-    |g(x)| <= 10*tol, once |hi - lo| <= max(|x|, 1) * 1e-17, once x equals
-    lo or hi (the bracket is two adjacent floats, so every later step
-    would repeat x), or after 200 steps.
+
+def _bracket_groups(los: np.ndarray, his: np.ndarray) -> tuple:
+    """(first, group): one lane per distinct (lo, hi) bracket, equal bit for
+    bit, and each lane's index into those representatives."""
+    bits = np.stack((his, los)).view(np.int64)
+    order = np.lexsort(bits)
+    bits = bits[:, order]
+    new = np.append(True, (bits[:, 1:] != bits[:, :-1]).any(axis=0))
+    group = np.empty(los.size, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
+
+
+def _bisect(g, lo, hi, max_steps: int, hit: float, narrow) -> tuple:
+    """Refine lane brackets with g > 0 at lo and g <= 0 at hi to (x, lo, hi).
+
+    ``g(xs, lanes)`` is lane ``lanes[i]``'s g at ``xs[i]``, and x a lane's
+    last midpoint m.  A lane stops once |g(m)| <= hit, once m is an end of
+    its bracket (two adjacent floats), once ``narrow(lo, hi, m)`` holds for
+    its new bracket, or after max_steps steps.  Each call of g covers the
+    next levels of one bisection tree per distinct bracket, as deep as
+    LANE_BUDGET midpoints in all allow, and the walk down the trees gives
+    the floats of one-step bisection.  Past LANE_BUDGET // 3 live lanes
+    each steps one level per call without grouping.
     """
-    lo = np.array(lo, dtype=np.float64)
-    hi = np.array(hi, dtype=np.float64)
-    x = 0.5 * (lo + hi)
-    live = np.arange(lo.size)
-    for _ in range(200):
-        if live.size == 0:
-            break
-        a, b = lo[live], hi[live]
-        m = 0.5 * (a + b)
-        x[live] = m
-        gm = g(m, live)
-        stop = (np.abs(gm) <= 10.0 * tol) | (m == a) | (m == b)
-        a = np.where(gm > 0, m, a)
-        b = np.where(gm > 0, b, m)
-        lo[live], hi[live] = a, b
-        stop |= np.abs(b - a) <= np.maximum(np.abs(m), 1.0) * 1e-17
-        live = live[~stop]
-    return x
+    a, b = lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
+    x, live, steps = 0.5 * (lo + hi), np.arange(lo.size), 0
+    while live.size and steps < max_steps:
+        if live.size > LANE_BUDGET // 3:
+            xs = 0.5 * (a + b)[None]
+        else:
+            first, group = _bracket_groups(a, b)
+            depth = (LANE_BUDGET // first.size + 1).bit_length() - 1
+            # level l is rows 2^l - 1 .. 2^(l+1) - 2: midpoints of 2^l + 1 sorted ends
+            levels, ends = [], np.stack((a[first], b[first]))
+            for _ in range(min(depth, max_steps - steps)):
+                levels.append(0.5 * (ends[:-1] + ends[1:]))
+                grown = np.empty((2 * len(ends) - 1, first.size))
+                grown[::2], grown[1::2] = ends, levels[-1]
+                ends = grown
+            xs = np.concatenate(levels)[:, group]
+        gs = g(xs.ravel(), np.broadcast_to(live, xs.shape).ravel()).reshape(xs.shape)
+        m, gm, node, col = xs[0], gs[0], 0, np.arange(live.size)
+        for deeper in range((xs.shape[0] + 1).bit_length() - 2, -1, -1):
+            x[live] = m
+            stop = (np.abs(gm) <= hit) | (m == a) | (m == b)
+            right = gm > 0
+            a, b = np.where(right, m, a), np.where(right, b, m)
+            lo[live], hi[live] = a, b
+            stop |= narrow(a, b, m)
+            steps += 1
+            keep = ~stop
+            live, a, b = live[keep], a[keep], b[keep]
+            if not (deeper and live.size):
+                break
+            node, col = (2 * node + 1 + right)[keep], col[keep]
+            m, gm = xs[node, col], gs[node, col]
+    return x, lo, hi
+
+
+def _bisect_edges(g, lo, hi, tol: float) -> np.ndarray:
+    """Roots of g, one per lane, between lo (g > 0) and hi (g <= 0)."""
+    narrow = lambda a, b, m: np.abs(b - a) <= np.maximum(np.abs(m), 1.0) * 1e-17
+    return _bisect(g, lo, hi, 200, 10.0 * tol, narrow)[0]
 
 
 def _band_intervals(table, rows, e_range, grid: int, tol: float) -> list:
@@ -159,10 +203,12 @@ def _band_intervals(table, rows, e_range, grid: int, tol: float) -> list:
     table ``table(xs)``: one grid call scans every row, and the edges of all
     rows are the lanes of one :func:`_bisect_edges` run, each on its row.
     """
-    if grid < 1000:
+    if _integer(grid, "grid") < 1000:
         raise ValidationError("grid must use at least 1000 points")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValidationError("tol must be finite and >= 0, got %r" % tol)
+    if not np.isfinite(e_range).all():
+        raise ValidationError("e_range must be finite, got %r" % (tuple(e_range),))
     es = np.linspace(float(e_range[0]), float(e_range[1]), grid)
     rows = np.asarray(rows)
     g = np.abs(table(es)[rows]) - 2.0
@@ -193,17 +239,14 @@ def band_set_from_trace(
 ) -> BandSet:
     """Locate {E : |h(E)| <= 2} by grid scan plus endpoint bisection.
 
-    Runs of grid points with |h| <= 2 give the bands.  Their edges are
-    bracketed by the grid points on either side and refined together as
-    numpy lanes, so each bisection step is one ``trace_fn`` call for all
-    edges; :func:`band_sets` shares this code with one table row per
-    level.  Bands narrower than the grid step can be missed.
-
+    Runs of grid points with |h| <= 2 give the bands, and their edges,
+    bracketed by the grid points on either side, are the lanes of one
+    :func:`_bisect_edges` run; :func:`band_sets` shares this code with one
+    table row per level.  Bands narrower than the grid step can be missed.
     There is no search for tangencies of |h| with 2 between runs: when h
-    is the discriminant of a periodic Jacobi operator, as every h_k is,
-    its local maxima are >= 2 and its local minima are <= -2, so |h| - 2
-    has no local minimum above zero.  ``trace_fn`` must act on each
-    energy alone.
+    is the discriminant of a periodic Jacobi operator, as every h_k is, its
+    local maxima are >= 2 and its local minima are <= -2, so |h| - 2 has
+    no local minimum above zero.  ``trace_fn`` must act on each energy alone.
     """
     (intervals,) = _band_intervals(
         lambda xs: np.asarray(trace_fn(xs), dtype=np.float64)[None], [0], e_range, grid, tol
@@ -238,10 +281,8 @@ def band_sets(
         e_range = _default_e_range(spec)
     vals = spec.coupling_values()
     if e_range[0] > min(vals) - 2 or e_range[1] < max(vals) + 2:
-        raise ValidationError(
-            "e_range must cover the spectral hull [%g, %g]"
-            % (min(vals) - 2, max(vals) + 2)
-        )
+        raise ValidationError("e_range must cover the spectral hull [%g, %g]"
+                              % (min(vals) - 2, max(vals) + 2))
     found = _band_intervals(
         lambda xs: trace_recursion_f64(spec, max(top, 1), xs), levels, e_range, grid, tol
     )
@@ -328,12 +369,8 @@ class HalfLineOperator:
     The boundary condition psi(0) sin(phi) + psi(1) cos(phi) = 0 removes
     site 0 and shifts the first diagonal entry by -cot(phi); phi = pi/2 is
     the Dirichlet case.  The potential window must cover sites 1..size.
-
-    For a sparse barrier potential with v > 0 the truncation's eigenvalues
-    above 2 accumulate only at sqrt(4 + v^2) as size grows.  Eigenvalues
-    elsewhere in the gap are discrete spectrum of the half-line operator,
-    added by barriers close to the wall or to each other, and do not move
-    with size: 2.8165074 for ``("power", 3)`` with v = 2 (Dirichlet).
+    Where the eigenvalues of a sparse barrier potential's truncations lie,
+    as size grows: see :func:`sparse_essential_spectrum`.
     """
 
     size: int
@@ -362,8 +399,6 @@ class HalfLineOperator:
 PIVMIN = 1e-30
 #: sites whose coefficient rows the count loop builds at once
 STURM_CHUNK = 64
-#: count lanes per multisection call; fixes the tree depth from ``count``
-LANE_BUDGET = 512
 #: bisection steps per eigenvalue at most
 MAX_STEPS = 80
 
@@ -416,70 +451,35 @@ def _sturm_counts(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     return count
 
 
-def _bracket_groups(los: np.ndarray, his: np.ndarray) -> tuple:
-    """(first, group): one lane per distinct (lo, hi) bracket, equal bit for
-    bit, and each lane's index into those representatives."""
-    bits = np.stack((los, his), axis=1).view(np.int64)
-    _, first, group = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    return first, group.ravel()
-
-
 def halfline_eigs(op: HalfLineOperator, count: Optional[int] = None) -> list:
     """Eigenvalues of the truncated operator by Sturm-count bisection.
 
     Returns the ``count`` largest (all of them when count is None),
     sorted ascending.  Off-diagonal entries are all 1, so the counts
-    need no squaring of couplings.
-
-    Each lane bisects [min d - 2, max d + 2] until every interval is
-    narrower than 1e-14 of that scale, or MAX_STEPS steps.  Each count
-    call is a multisection: it evaluates the next ``depth`` levels of the
-    bisection tree of every distinct bracket, 2^depth - 1 midpoints per
-    bracket and at most LANE_BUDGET in all (while lanes share a bracket
-    they share its tree, so the tree goes deeper), and the walk down the
-    tree then takes one bisection step per level and lane.  The
-    midpoints, the steps and the stop are those of one-step bisection,
-    so the result is the same floats.
+    need no squaring of couplings.  Each eigenvalue is a :func:`_bisect`
+    lane on [min d - 2, max d + 2], and every lane steps until the widest
+    bracket is narrower than 1e-14 of that scale, or MAX_STEPS steps.
     """
     d = op.diagonal()
     n = d.size
-    count = n if count is None else int(count)
+    count = n if count is None else _integer(count, "count")
     if count < 1:
         raise ValidationError("count must be >= 1")
     if count > n:
-        raise ValidationError(
-            "count %d exceeds the truncation size %d" % (count, n)
-        )
+        raise ValidationError("count %d exceeds the truncation size %d" % (count, n))
     lo = float(d.min() - 2.0)
     hi = float(d.max() + 2.0)
     tol = 1e-14 * max(abs(lo), abs(hi), 1.0)
-    targets = np.arange(n - count, n)  # eigenvalue indices, ascending
-    los = np.full(count, lo)
-    his = np.full(count, hi)
-    steps = 0
-    while True:
-        first, group = _bracket_groups(los, his)
-        trees = first.size
-        depth = max(1, (LANE_BUDGET // trees + 1).bit_length() - 1)
-        # tree nodes in heap order: level l holds rows 2^l - 1 .. 2^(l+1) - 2
-        levels, a, b = [], los[first][None], his[first][None]
-        for _ in range(min(depth, MAX_STEPS - steps)):
-            m = 0.5 * (a + b)
-            levels.append(m)
-            a = np.stack((a, m), axis=1).reshape(-1, trees)
-            b = np.stack((m, b), axis=1).reshape(-1, trees)
-        mids = np.concatenate(levels)
-        c = _sturm_counts(d, mids.ravel()).reshape(mids.shape)
-        node = np.zeros(count, dtype=np.intp)
-        for _ in levels:
-            below = c[node, group] <= targets  # true index >= target: go right
-            m = mids[node, group]
-            los = np.where(below, m, los)
-            his = np.where(below, his, m)
-            node = 2 * node + 1 + below
-            steps += 1
-            if steps == MAX_STEPS or np.max(his - los) < tol:
-                return [float(x) for x in 0.5 * (los + his)]
+    # g = t + 1/2 - (count below x) is > 0 left of eigenvalue t (from 0)
+    targets = np.arange(n - count, n) + 0.5
+
+    def g(xs, lanes):
+        mids, at = np.unique(xs, return_inverse=True)
+        return targets[lanes] - _sturm_counts(d, mids)[at]
+
+    _, los, his = _bisect(g, np.full(count, lo), np.full(count, hi), MAX_STEPS, 0.0,
+                          lambda a, b, m: np.max(b - a) < tol)
+    return [float(x) for x in 0.5 * (los + his)]
 
 
 def free_halfline_eigs(n: int) -> np.ndarray:

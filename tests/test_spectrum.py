@@ -91,6 +91,25 @@ def test_band_sets_take_any_integer_levels():
         sp.band_sets(spec, np.array([], dtype=int), grid=2000)
 
 
+def test_band_sets_reject_a_non_finite_range_and_a_non_integer_grid():
+    spec = simple_spec()
+
+    def fn(es):
+        return cc.trace_recursion_f64(spec, 3, es)[3]
+
+    for e_range in ((math.nan, 5.0), (-3.0, math.inf)):
+        with pytest.raises(sq.ValidationError, match="e_range must be finite"):
+            sp.sigma_n(spec, 3, e_range=e_range, grid=2000)
+        with pytest.raises(sq.ValidationError, match="e_range must be finite"):
+            sp.band_set_from_trace(fn, e_range, 2000, 1e-10)
+    for grid in (2000.5, "2000"):
+        with pytest.raises(sq.ValidationError, match="grid must be an integer"):
+            sp.band_sets(spec, (3,), grid=grid)
+        with pytest.raises(sq.ValidationError, match="grid must be an integer"):
+            sp.band_set_from_trace(fn, (-2.5, 3.5), grid, 1e-10)
+    assert sp.sigma_n(spec, 3, grid=np.int64(2000)) == sp.sigma_n(spec, 3, grid=2000)
+
+
 def test_zero_tol_bisects_to_adjacent_floats(monkeypatch):
     runs = []
 
@@ -654,6 +673,50 @@ def test_bracket_groups_match_bit_for_bit():
     for lane, g in enumerate(group):
         assert los[first[g]].tobytes() == los[lane].tobytes()
         assert his[first[g]].tobytes() == his[lane].tobytes()
+
+
+@pytest.mark.parametrize("spec", JOINT_SPECS)
+def test_one_level_per_call_gives_the_same_band_edges(spec, monkeypatch):
+    levels = list(range(int(min(8, spec.max_level()))))
+    want = [b.intervals for b in sp.band_sets(spec, levels, grid=2000)]
+    monkeypatch.setattr(sp, "LANE_BUDGET", 1)
+    assert [b.intervals for b in sp.band_sets(spec, levels, grid=2000)] == want
+
+
+@pytest.mark.parametrize("op, count", HALFLINE_CASES)
+def test_one_level_per_call_gives_the_same_eigenvalues(op, count, monkeypatch):
+    want = sp.halfline_eigs(op, count=count)
+    monkeypatch.setattr(sp, "LANE_BUDGET", 1)
+    assert sp.halfline_eigs(op, count=count) == want
+
+
+def test_one_edge_lane_walks_several_levels_per_call():
+    sizes, old = [], []
+
+    def step(xs, lanes):
+        assert not lanes.any()
+        return np.where(xs < 0.3, 1.0, -1.0)
+
+    def sized(xs, lanes):
+        sizes.append(xs.size)
+        return step(xs, lanes)
+
+    lo, hi = np.array([-0.7]), np.array([0.8])
+    x = sp._bisect_edges(sized, lo, hi, 1e-10)
+    assert x.tolist() == ref_bisect_edges(counting(step, old), lo, hi, 1e-10).tolist()
+    # a lone bracket's tree is 9 levels deep, 511 midpoints within the budget;
+    # the lane stops at adjacent floats in 7 calls, and the reference, which
+    # has no such rule, steps to its cap
+    assert sizes == [511] * len(sizes)
+    assert len(sizes) <= 7 and len(old) == 200
+
+
+def test_halfline_eigs_rejects_a_non_integer_count():
+    op = sp.HalfLineOperator(64, SPARSE3.window(1, 128))
+    for count in (2.5, "3", math.nan):
+        with pytest.raises(sq.ValidationError, match="count must be an integer"):
+            sp.halfline_eigs(op, count=count)
+    assert sp.halfline_eigs(op, count=np.int64(3)) == sp.halfline_eigs(op, count=3)
 
 
 def test_halfline_eigs_rejects_a_count_above_the_size():
