@@ -25,7 +25,6 @@ import sys
 import tempfile
 from typing import Optional
 
-import mpmath as mp
 import numpy as np
 
 from . import __version__
@@ -247,6 +246,8 @@ def _cmd_trace_table(args) -> int:
     cfg, spec = _load(args)
     if not isinstance(spec, ToeplitzSpec):
         raise ValidationError("trace tables need a toeplitz spec")
+    import mpmath as mp
+
     table = cocycle.trace_table(spec, args.energy, args.k)
     flat = _resolved_config(cfg, args, ("energy", "k"))
 

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath as mp
 import numpy as np
 
 from .sequences import Alphabet, ToeplitzSpec, ValidationError, Window, blocks
@@ -198,6 +197,8 @@ class TraceTable:
 
     def max_rel_diff(self) -> float:
         """max_k |direct - recursion| / max(1, |direct|)."""
+        import mpmath as mp
+
         worst = mp.mpf(0)
         for hd, hr in zip(self.h_direct, self.h_recursion):
             rel = abs(hd - hr) / max(mp.mpf(1), abs(hd))
@@ -239,6 +240,8 @@ def trace_table(
         raise ValidationError(
             "trace level %d needs tail periods up to level %d" % (K, K + 1)
         )
+    import mpmath as mp  # slow to import, and only trace tables need it
+
     with mp.workdps(TRACE_DPS):
         e = mp.mpf(energy)
         n_list = tuple(spec.tail_period(k) for k in range(1, K + 1))

@@ -66,13 +66,6 @@ class PatternTemplate:
             raise ValidationError("offsets must be strictly increasing")
         object.__setattr__(self, "offsets", offs)
 
-    def __len__(self):
-        return len(self.offsets)
-
-    @property
-    def span(self) -> int:
-        return self.offsets[-1]
-
 
 def _factor_table(codes: np.ndarray, t_max: int) -> np.ndarray:
     """Distinct length-(t_max+1) rows read from every window position.
@@ -265,8 +258,7 @@ def _pstar_table_profile(window: Window, n_max: int, t_max: int, beam_width: int
     if len(window) <= t_max:
         raise WindowTooShortError(
             "window length %d leaves no sampling positions for t_max=%d"
-            % (len(window), t_max),
-            required=t_max + 1,
+            % (len(window), t_max)
         )
     table = _factor_table(window.codes, t_max)
     radix = len(window.alphabet)
@@ -415,8 +407,7 @@ def periodicity_test(window: Window, n_max: int, t_max: Optional[int] = None) ->
     """
     if len(window) < 4 * n_max:
         raise WindowTooShortError(
-            "window of length %d is short for n_max=%d" % (len(window), n_max),
-            required=4 * n_max,
+            "window of length %d is short for n_max=%d" % (len(window), n_max)
         )
     t_max = t_max if t_max is not None else min(2 * n_max, len(window) // 4)
     ps = tuple(block_complexity(window, n) for n in range(1, n_max + 1))
@@ -447,8 +438,7 @@ def two_sided_complexity_report(window: Window, j: int, probes: Sequence[int]):
     for n in sorted(set(int(n) for n in probes)):
         if n > len(window) - 1:
             raise WindowTooShortError(
-                "probe n=%d too large for window of length %d" % (n, len(window)),
-                required=n + 1,
+                "probe n=%d too large for window of length %d" % (n, len(window))
             )
         p = block_complexity(window, n)
         rows.append(ExtensionComplexityRow(n, p, 2 * n + j, p > 2 * n + j))

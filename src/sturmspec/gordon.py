@@ -21,8 +21,8 @@ The four certificates are the rows of ``_CERTIFICATES``, keyed by
 
 omega_i == omega_{i+m} must hold on the periodic range, and for a square
 the m sites from the rotation anchor must be a cyclic rotation of s_n,
-n = ``trace_level``.  A cube bounds the max of ||Phi|| at its offsets; a
-square bounds max(|h_n| N1, N2), with N1, N2 the norms at its offsets.
+n = ``trace_level``.  Each certificate bounds max(c N1, N2, ...), N1, N2,
+... the norms at its offsets in order, with c = 1 for a cube, |h_n| for a square.
 """
 
 from __future__ import annotations
@@ -225,8 +225,7 @@ def _neighbors(part: PartitionView, site: int):
     if left is None or right is None:
         raise WindowTooShortError(
             "origin %d too close to the window edge for level-%d neighbors"
-            % (site, part.level),
-            required=(len(part.labels) + 2) * part.block_len,
+            % (site, part.level)
         )
     return start, lab, left, right, idx
 
@@ -298,8 +297,7 @@ def classify_case(
             leftleft = part.label(idx - 2)
             if leftleft is None:
                 raise WindowTooShortError(
-                    "origin too close to the left edge at level %d" % level,
-                    required=(len(part.labels) + 2) * part.block_len,
+                    "origin too close to the left edge at level %d" % level
                 )
             if leftleft == "s":
                 path.append("cube-left@%d" % level)
@@ -405,8 +403,7 @@ def _check_periodic(window: Window, lo: int, hi: int, m: int):
     b = window.codes[lo + m - window.start : hi + m - window.start]
     if len(a) != hi - lo or len(b) != hi - lo:
         raise WindowTooShortError(
-            "window too short to re-check the repetition hypothesis",
-            required=hi + m - window.start,
+            "window too short to re-check the repetition hypothesis"
         )
     if not np.array_equal(a, b):
         bad = int(np.flatnonzero(a != b)[0]) + lo
@@ -422,7 +419,7 @@ def _check_rotation(window: Window, lo: int, parts: _Partitions, level: int):
     m = len(s)
     seg = window.codes[lo - window.start : lo + m - window.start]
     if len(seg) != m:
-        raise WindowTooShortError("window too short for the rotation check", required=lo + m)
+        raise WindowTooShortError("window too short for the rotation check")
     r = (lo - int(part.residue)) % m
     expected = np.concatenate([s[r:], s[:r]])
     if not np.array_equal(seg, expected):
@@ -437,16 +434,13 @@ def _offsets(label: CaseLabel) -> tuple:
     return tuple(t * label.m for t in _CERTIFICATES[label.kind, label.reflected].offsets)
 
 
-def _bound_value(kind: str, norms, hn=None):
-    """Cubes: the max of the norms; squares: max(hn * N1, N2).
-
-    The norms run along the last axis, so this serves one pair or an
-    array of lanes alike; a NaN norm in any slot makes the value NaN.
-    """
-    norms = np.asarray(norms)
-    if kind == "cube":
-        return np.max(norms, axis=-1)
-    return np.maximum(hn * norms[..., 0], norms[..., 1])
+def _bound_value(norms, scale):
+    """max(scale * N1, N2, ...) over the norms on the last axis, one pair
+    or an array of lanes alike (``scale`` broadcasts against the leading
+    axes); a NaN norm in any slot makes the value NaN."""
+    value = np.array(norms, dtype=np.float64)
+    value[..., 0] *= scale
+    return value.max(axis=-1)
 
 
 def verify_bound(track: SolutionTrack, label: CaseLabel, trace_table: Sequence[float],
@@ -459,12 +453,12 @@ def verify_bound(track: SolutionTrack, label: CaseLabel, trace_table: Sequence[f
     A failed structural re-check raises :class:`GordonStructureError`
     (classifier bug surfaced).
     """
-    hn = None
+    scale = 1.0
     if label.kind == "square":
         n = label.trace_level
         if n is None or n >= len(trace_table):
             raise ValidationError("square certificate needs h at level %r" % n)
-        hn = abs(float(trace_table[n]))
+        scale = abs(float(trace_table[n]))
         if spec is None or partition is None:
             raise ValidationError(
                 "square verification needs the spec and the level-%d partition" % n
@@ -475,10 +469,10 @@ def verify_bound(track: SolutionTrack, label: CaseLabel, trace_table: Sequence[f
     offs = _offsets(label)
     norms = [track.norm_at(r) for r in offs]
     comps = dict(zip(offs, norms))
-    value = float(_bound_value(label.kind, norms, hn))
+    value = float(_bound_value(norms, scale))
     if label.kind == "square":
         # with |h_n| <= 2 the weakened bound follows from the sharp one
-        comps["weak_value"] = float(_bound_value("square", norms, 2.0))
+        comps["weak_value"] = float(_bound_value(norms, 2.0))
     return BoundReport(label, track.energy, value, 0.5, comps)
 
 
@@ -623,7 +617,8 @@ def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
     coefficients.  Returns an array of shape (2, lanes, max offsets per
     lane) whose entry [b, j, i] is the norm for basis ``_BASES[b]`` at
     offsets[j][i]; slots past a lane's offsets hold -1, which no norm
-    takes.
+    takes, so they leave a max over the slots, such as ``_bound_value``'s,
+    unchanged: a square's unused third slot gives max(N2, -1) = N2.
     """
     e = np.asarray(energies, dtype=np.float64)
     o = np.asarray(origins, dtype=np.int64)
@@ -640,8 +635,16 @@ def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
     np.abs(depth, out=depth)
     reach = np.stack([np.where(used & (back == side), depth, -1).max(axis=1, initial=-1)
                       for side in (False, True)])
-    _check_reach(window, e, o, reach[0], True)
-    _check_reach(window, e, o, reach[1], False)
+    # forward runs need phi(origin + reach), backward ones phi(origin - reach - 1)
+    site = np.stack([o + reach[0], o - reach[1] - 1])
+    bad = np.argwhere((reach >= 0) & ((site < window.start) | (site >= window.end)))
+    if len(bad):
+        side, j = bad[0]  # the first in row-major order: forward lanes come first
+        raise WindowTooShortError(
+            "window [%d, %d) too short for %s propagation: origin %d at energy %r "
+            "needs site %d" % (window.start, window.end, ("forward", "backward")[side],
+                               o[j], float(e[j]), site[side, j])
+        )
     reach = reach.ravel()
     order = np.flatnonzero(reach >= 0)
     order = order[np.argsort(-reach[order])]
@@ -687,25 +690,6 @@ def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
         at = cur.take(run[lo:hi], axis=1), prev.take(run[lo:hi], axis=1)
         flat[:, slot[lo:hi]] = np.hypot(*at[::-1] if side else at)
     return out
-
-
-def _check_reach(window: Window, energies, origins, reach, forward: bool):
-    """Every lane's solution must stay in the window out to its own reach."""
-    if forward:
-        site = origins + reach  # phi(origin + reach)
-        bad = (reach >= 0) & (site >= window.end)
-    else:
-        site = origins - reach - 1  # phi(origin - reach - 1)
-        bad = (reach >= 0) & (site < window.start)
-    if bad.any():
-        j = int(np.flatnonzero(bad)[0])
-        raise WindowTooShortError(
-            "window [%d, %d) too short for %s propagation: origin %d at "
-            "energy %r needs site %d"
-            % (window.start, window.end, "forward" if forward else "backward",
-               origins[j], float(energies[j]), site[j]),
-            required=int(site[j]),
-        )
 
 
 class _ReadLog(list):
@@ -864,15 +848,12 @@ def gordon_sweep(
             % (offsets[lane][slot], float(e_arr[lane_e[lane]]), origins[lane_o[lane]])
         )
 
-    cube = np.array([x is not None and x.kind == "cube" for x in labels])[lane_lab]
-    trace_level = np.array([0 if x is None or x.kind == "cube" else x.trace_level
-                            for x in labels], dtype=np.int64)
-    hn = np.abs(htab[trace_level[lane_lab], lane_e])
-    values = np.empty((2, len(lane_lab)))
-    if len(lane_lab):
-        values[:, cube] = _bound_value("cube", norms[:, cube])
-        values[:, ~cube] = _bound_value("square", norms[:, ~cube], hn[~cube])
-    margins = values - 0.5
+    # a lane's bound scale: 1 for a cube (level -1), |h_n| at its energy for a square
+    level = np.array([-1 if x is None or x.kind == "cube" else x.trace_level
+                      for x in labels], dtype=np.int64)[lane_lab]
+    scale = np.where(level < 0, 1.0, np.abs(htab[level, lane_e]))
+    # with no lanes the norms have no slot to take a max over
+    margins = (_bound_value(norms, scale) if len(lane_lab) else np.empty((2, 0))) - 0.5
     bad = ~(margins >= -BOUND_SLACK)  # as BoundReport.holds: NaN fails
     for lane in np.flatnonzero(~sound | bad.any(axis=0)).tolist():
         e, o = float(e_arr[lane_e[lane]]), int(origins[lane_o[lane]])

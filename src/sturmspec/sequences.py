@@ -55,15 +55,7 @@ class ValidationError(ValueError):
 
 
 class WindowTooShortError(ValidationError):
-    """Window cannot support the requested operation.
-
-    ``required`` carries the minimal sufficient length (or denominator),
-    so callers can retry with a larger window.
-    """
-
-    def __init__(self, message: str, required: Optional[int] = None):
-        super().__init__(message)
-        self.required = required
+    """Window cannot support the requested operation."""
 
 
 class UndeterminedSiteError(ValidationError):
@@ -378,8 +370,7 @@ def circle_map_window(
         raise WindowTooShortError(
             "convergent denominator %d too small for window [%d, %d); "
             "need q > %d (or pass allow_periodic=True)"
-            % (spec.q, start, start + length, needed),
-            required=needed + 1,
+            % (spec.q, start, start + length, needed)
         )
     bnum, bden = spec.beta.numerator, spec.beta.denominator
     tnum, tden = spec.theta.numerator, spec.theta.denominator
@@ -539,8 +530,7 @@ class ToeplitzSpec:
             except ValidationError:
                 raise WindowTooShortError(
                     "declared tail too shallow for a window of length %d; "
-                    "period reaches only %d" % (length, period),
-                    required=length + 1,
+                    "period reaches only %d" % (length, period)
                 ) from None
         return toeplitz_window(self, depth, start, length)
 
@@ -610,8 +600,7 @@ def toeplitz_window(spec: ToeplitzSpec, depth: int, start: int, length: int) -> 
     if word.period <= length:
         raise WindowTooShortError(
             "depth %d gives period %d <= window length %d; increase depth"
-            % (depth, word.period, length),
-            required=length + 1,
+            % (depth, word.period, length)
         )
     idx = np.arange(start, start + length) % word.period
     codes = word.codes[idx].astype(np.int16)
@@ -726,8 +715,7 @@ def k_partition(
     if len(window) < min_len:
         raise WindowTooShortError(
             "window length %d cannot pin a level-%d alignment; need >= %d"
-            % (len(window), k, min_len),
-            required=min_len,
+            % (len(window), k, min_len)
         )
     if window.alphabet.symbols != spec.alphabet.symbols:
         raise ValidationError(

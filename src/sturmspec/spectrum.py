@@ -209,6 +209,8 @@ def _band_intervals(table, rows, e_range, grid: int, tol: float) -> list:
         raise ValidationError("tol must be finite and >= 0, got %r" % tol)
     if not np.isfinite(e_range).all():
         raise ValidationError("e_range must be finite, got %r" % (tuple(e_range),))
+    if not e_range[0] < e_range[1]:
+        raise ValidationError("e_range must increase, got %r" % (tuple(e_range),))
     es = np.linspace(float(e_range[0]), float(e_range[1]), grid)
     rows = np.asarray(rows)
     g = np.abs(table(es)[rows]) - 2.0
@@ -269,7 +271,7 @@ def band_sets(
     """The trace band sets {E : |h_k(E)| <= 2}, one for each k in levels,
     from one :func:`trace_recursion_f64` grid pass at the top level and one
     bisection run, each edge on its own level's row of the trace table."""
-    levels = [operator.index(k) for k in levels]
+    levels = [_integer(k, "levels") for k in levels]
     if not levels:
         raise ValidationError("band_sets needs at least one level")
     if min(levels) < 0:
@@ -378,7 +380,7 @@ class HalfLineOperator:
     boundary_phi: float = math.pi / 2
 
     def __post_init__(self):
-        if self.size < 64:
+        if _integer(self.size, "size") < 64:
             raise ValidationError("truncation size must be >= 64")
         if self.potential.start > 1 or self.potential.end < self.size + 1:
             raise ValidationError("potential window must cover sites 1..size")

@@ -496,6 +496,17 @@ def test_console_script_is_installed():
     assert proc.stdout.strip() == __version__
 
 
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    """Only trace tables need mpmath, so starting the CLI does not import it."""
+    src = pathlib.Path(cfgmod.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sturmspec.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("energies,bad", [
     ("0.3,,0.5", "''"), ("", "''"), ("0.3,abc", "'abc'"),
 ])

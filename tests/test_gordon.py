@@ -758,11 +758,34 @@ def test_verify_bound_fails_on_a_nan_norm_in_any_slot():
     # the sweep's lane form: norms along the last axis
     nan = math.nan
     lanes = np.array([[[1.0, nan, 2.0], [3.0, 1.0, 2.0]]])
-    assert np.array_equal(gd._bound_value("cube", lanes), [[nan, 3.0]], equal_nan=True)
-    assert np.array_equal(gd._bound_value("square", lanes[..., :2], np.array([2.0, 1.0])),
+    assert np.array_equal(gd._bound_value(lanes, 1.0), [[nan, 3.0]], equal_nan=True)
+    assert np.array_equal(gd._bound_value(lanes[..., :2], np.array([2.0, 1.0])),
                           [[nan, 3.0]], equal_nan=True)
     for norms in ([nan, 1.0], [1.0, nan]):
-        assert math.isnan(gd._bound_value("square", norms, 1.5))
+        assert math.isnan(gd._bound_value(norms, 1.5))
+
+
+def test_bound_value_with_unit_scale_is_the_plain_max():
+    """A cube's scale 1 multiplies N1 exactly: the bits of ``np.max``."""
+    rng = np.random.default_rng(3)
+    norms = rng.random((2, 400, 3)) * 4.0
+    for special in (0.0, math.inf, math.nan):
+        norms[rng.random(norms.shape) < 0.1] = special
+    got = gd._bound_value(norms, 1.0)
+    assert np.array_equal(got.view(np.uint64), np.max(norms, axis=-1).view(np.uint64))
+
+
+def test_a_minus_one_third_slot_leaves_the_square_bound():
+    """``_norm_slabs`` pads a square's lane to three slots with -1."""
+    rng = np.random.default_rng(4)
+    norms = rng.random((2, 400, 2)) * 2.0
+    norms[rng.random(norms.shape) < 0.1] = 0.0
+    norms[0, 7, 1] = math.nan
+    hn = rng.random(400) * 2.0
+    want = np.maximum(hn * norms[..., 0], norms[..., 1])
+    padded = np.concatenate([norms, np.full((2, 400, 1), -1.0)], axis=-1)
+    for value in (gd._bound_value(norms, hn), gd._bound_value(padded, hn)):
+        assert np.array_equal(value, want, equal_nan=True)
 
 
 def test_sweep_falsifies_a_nan_norm_past_the_first_slot(monkeypatch):
@@ -838,7 +861,7 @@ def ref_gordon_sweep(spec, entry_k, n_energies, n_origins, energy_level=None,
             continue
         hn = abs(htab[lab.trace_level, ie]) if lab.trace_level is not None else None
         for basis, nb in zip(gd._BASES, norms[:, lane, : len(offsets[lane])]):
-            margin = float(gd._bound_value(lab.kind, nb, hn) - 0.5)
+            margin = float(gd._bound_value(nb, 1.0 if hn is None else hn) - 0.5)
             margins.append(margin)
             if not margin >= -gd.BOUND_SLACK:
                 falsifications.append({"energy": float(e), "origin": o, "stage": "bound",
@@ -968,9 +991,8 @@ def test_classifier_names_the_origin_without_neighbors():
     for origin in (int(part.starts[0]) + 4, int(part.starts[-1]) + 1):
         with pytest.raises(sq.WindowTooShortError,
                            match=r"^origin %d too close to the window edge for "
-                                 r"level-2 neighbors$" % origin) as err:
+                                 r"level-2 neighbors$" % origin):
             gd.classify_case(WINDOW, SPEC, 2, HVALS, origin=origin)
-        assert err.value.required == (len(part.labels) + 2) * part.block_len
 
 
 def test_norm_slabs_step_both_sides_in_one_pass(monkeypatch):
@@ -1012,9 +1034,8 @@ def test_norm_slabs_name_the_lane_that_leaves_the_window():
                  offsets=[(-1, 150), (60, 101), (10,), (1000,)])
     with pytest.raises(sq.WindowTooShortError,
                        match=r"forward propagation: origin 300 at energy 0\.7 "
-                             r"needs site 401") as err:
+                             r"needs site 401"):
         gd._norm_slabs(w, **lanes)
-    assert err.value.required == 401
     lanes["offsets"][3] = (-1,)
     lanes["offsets"][1] = (60, 100)  # phi(400), the window's last site
     gd._norm_slabs(w, **lanes)
@@ -1022,9 +1043,22 @@ def test_norm_slabs_name_the_lane_that_leaves_the_window():
     # phi(1), the first site; origin 50 at t = -49 needs site 0
     with pytest.raises(sq.WindowTooShortError,
                        match=r"backward propagation: origin 50 at energy 0\.3 "
-                             r"needs site 0") as err:
+                             r"needs site 0"):
         gd._norm_slabs(w, [0.1, 0.3, 0.3], [40, 50, 60], [(-38, 5), (-49,), (-70,)])
-    assert err.value.required == 0
+
+
+def test_norm_slabs_name_the_forward_side_first():
+    w = SPEC.window(1, 400)  # sites 1 .. 400
+    # origin 200 at t = +-250 leaves the window on both sides (sites 450, -51)
+    with pytest.raises(sq.WindowTooShortError,
+                       match=r"forward propagation: origin 200 at energy 0\.5 "
+                             r"needs site 450"):
+        gd._norm_slabs(w, [0.5], [200], [(-250, 250)])
+    # a later lane's forward offender comes before an earlier lane's backward one
+    with pytest.raises(sq.WindowTooShortError,
+                       match=r"forward propagation: origin 300 at energy 0\.7 "
+                             r"needs site 401"):
+        gd._norm_slabs(w, [0.3, 0.7], [100, 300], [(-150,), (101,)])
 
 
 def test_rotation_check_reads_the_cached_spec_block():

@@ -110,6 +110,25 @@ def test_band_sets_reject_a_non_finite_range_and_a_non_integer_grid():
     assert sp.sigma_n(spec, 3, grid=np.int64(2000)) == sp.sigma_n(spec, 3, grid=2000)
 
 
+def test_band_sets_reject_a_non_integer_level():
+    spec = simple_spec()
+    for levels in ((2.5,), ("3",), (2, 3.0)):
+        with pytest.raises(sq.ValidationError, match="levels must be an integer"):
+            sp.band_sets(spec, levels, grid=2000)
+
+
+def test_band_set_from_trace_rejects_a_range_that_does_not_increase():
+    spec = simple_spec()
+
+    def fn(es):
+        return cc.trace_recursion_f64(spec, 3, es)[3]
+
+    for e_range in ((3.5, -2.5), (0.5, 0.5)):
+        with pytest.raises(sq.ValidationError,
+                           match=r"e_range must increase, got \(%r, %r\)" % e_range):
+            sp.band_set_from_trace(fn, e_range, 2000, 1e-10)
+
+
 def test_zero_tol_bisects_to_adjacent_floats(monkeypatch):
     runs = []
 
@@ -717,6 +736,13 @@ def test_halfline_eigs_rejects_a_non_integer_count():
         with pytest.raises(sq.ValidationError, match="count must be an integer"):
             sp.halfline_eigs(op, count=count)
     assert sp.halfline_eigs(op, count=np.int64(3)) == sp.halfline_eigs(op, count=3)
+
+
+def test_halfline_operator_rejects_a_non_integer_size():
+    for size in (64.5, "64"):
+        with pytest.raises(sq.ValidationError, match="size must be an integer"):
+            sp.HalfLineOperator(size, SPARSE3.window(1, 128))
+    assert sp.HalfLineOperator(np.int64(64), SPARSE3.window(1, 128)).diagonal().size == 64
 
 
 def test_halfline_eigs_rejects_a_count_above_the_size():
