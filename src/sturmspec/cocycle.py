@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sequences import Alphabet, ToeplitzSpec, ValidationError, Window, blocks
+from .sequences import Alphabet, ToeplitzSpec, ValidationError, Window, _integer, blocks
 
 __all__ = [
     "transfer_matrix",
@@ -431,8 +431,10 @@ def lyapunov_scan(
     site float64 loop near parabolic energies such as E = 2 on a sparse
     window; a word whose max-abs entry exceeds float64 still raises, as the
     site-by-site loop overflowed there.  Energies go in chunks of at most
-    WORD_LANES tree nodes x energies.
+    WORD_LANES tree nodes x energies.  ``n_steps`` must be an integer >= 1000
+    and ``samples`` one >= 1.
     """
+    n_steps, samples = _integer(n_steps, "n_steps"), _integer(samples, "samples")
     if n_steps < 1000:
         raise ValidationError("n_steps must be >= 1000")
     if samples < 1:

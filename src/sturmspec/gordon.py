@@ -4,11 +4,14 @@ partition, the case classifier, and solution-norm lower bounds.
 For a normalized solution of the eigenvalue equation, three aligned
 copies of a block (a cube) or a cyclic square of a building block force
 max norms >= 1/2 at predictable offsets.  The classifier walks the block
-partitions around a chosen origin, escalating levels when traces escape,
-and returns which certificate applies at which scale; the verifier
-re-checks the structural hypothesis symbol by symbol before evaluating
-the bound, so a classifier defect surfaces as an error rather than a
-wrong margin.
+partitions around each origin, escalating levels when traces escape,
+and returns which certificate applies at which scale; it walks all
+origins of a sweep at once, one level per step, with the decision tree's
+tests as array masks (``_classify``), and ``classify_case`` is its
+one-origin call.  The verifier re-checks the structural hypothesis
+symbol by symbol before evaluating the bound, for any number of (origin,
+label) pairs in one call (``_structural_errors``), so a classifier
+defect surfaces as an error rather than a wrong margin.
 
 The four certificates are the rows of ``_CERTIFICATES``, keyed by
 (kind, reflected), in units of m = ``label.m`` around the origin:
@@ -28,7 +31,6 @@ n = ``trace_level``.  Each certificate bounds max(c N1, N2, ...), N1, N2,
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
@@ -37,11 +39,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .sequences import (
+    PartitionError,
     PartitionView,
     ToeplitzSpec,
     ValidationError,
     Window,
     WindowTooShortError,
+    _integer,
     blocks,
     k_partition,
 )
@@ -65,7 +69,8 @@ __all__ = [
 #: absolute slack absorbing float propagation error over <= 1e5 steps
 BOUND_SLACK = 1e-9
 NONDECAY_SLACK = 1e-6
-#: cap on the coefficients (steps x runs) _norm_slabs gathers at once
+#: cap on the coefficients (steps x runs) _norm_slabs gathers at once, and
+#: on the symbols the structural re-check gathers at once
 NORM_CHUNK = 1 << 16
 
 
@@ -218,16 +223,205 @@ class _Partitions:
         return self.store[level]
 
 
-def _neighbors(part: PartitionView, site: int):
-    start, lab, idx = part.block_containing(site)
-    left = part.label(idx - 1)
-    right = part.label(idx + 1)
-    if left is None or right is None:
-        raise WindowTooShortError(
-            "origin %d too close to the window edge for level-%d neighbors"
-            % (site, part.level)
-        )
-    return start, lab, left, right, idx
+def _neighbors(part: PartitionView, sites: np.ndarray):
+    """The level's blocks around each site, as arrays over the sites.
+
+    Returns the start of the block holding each site and the labels of
+    the blocks two before it, one before it, holding it and after it:
+    0 for s, 1 for t, -1 where the window has no full block.  Each block
+    index is looked up once however many sites it holds.
+    """
+    index, at = np.unique((sites - int(part.starts[0])) // part.block_len,
+                          return_inverse=True)
+    near = index[:, None] + np.arange(-2, 2)
+    inside = (near >= 0) & (near < len(part.labels))
+    labels = np.full(near.shape, -1, dtype=np.int8)
+    labels[inside] = [part.labels[i] == "t" for i in near[inside].tolist()]
+    start = int(part.starts[0]) + index[at] * part.block_len
+    leftleft, left, hat, right = labels[at.reshape(-1)].T
+    return start.reshape(-1), leftleft, left, hat, right
+
+
+# walk outcomes (see _classify): the labels, then the errors of _outcome
+_CUBE, _SQUARE, _SQUARE_LEFT, _RUN_CUBE, _RUN_CUBE_LEFT = range(5)
+(_PARTITION, _UNCOVERED, _EDGE, _NOT_CLOSED, _BETWEEN_T, _SHALLOW, _ESCAPED,
+ _MISALIGNED, _RIGHTMOST_UP, _NOT_S_BEFORE, _NOT_S_RUN, _RIGHTMOST, _LEFT_EDGE,
+ _NO_CUBE) = range(5, 19)
+#: walk stages: the entry, a t hat's climb, a trace split's escalation, an s-run
+_ENTRY, _CLOSE, _ESCALATE, _RUN = range(4)
+
+
+def _classify(parts: _Partitions, k: int, htab, origins, max_climb: int):
+    """Classify every (energy, origin) pair: one array pass over all origins.
+
+    ``htab[j, e]`` is h_j at energy e.  The decision tree reads energy
+    only at a trace split, as |h_j| <= 2, |h_j| > 2 or neither (NaN) at
+    the split level j and at j + 1, so an origin has at most three
+    outcomes: the square (slot 0), the error of both traces escaping
+    (slot 1) and the escalation, which walks on (slot 2).  All origins
+    walk at once, one level per step: a step reads the level's partition
+    around every origin (``_neighbors``) and applies the tree's tests as
+    masks, in the order ``classify_case`` states them, so each origin
+    ends with the first error its walk meets.  An escalation no energy
+    reaches is not walked.  Outcomes are rows of integer codes, and each
+    distinct row some pair reaches is built once by ``_outcome``.
+
+    Returns the distinct outcomes, each a ``CaseLabel`` or an unraised
+    ``ValidationError``, an (origins, 3) array of the index of each slot's
+    outcome (-1 where no energy reaches the slot) and an (origins,
+    energies) array of the slot each pair reaches: pair (e, o) has outcome
+    ``outcomes[slot_id[o, choice[o, e]]]``.
+    """
+    o = np.asarray(origins, dtype=np.int64)
+    absh = np.abs(np.asarray(htab, dtype=np.float64))
+    answer = np.where(absh <= 2.0, 0, np.where(absh > 2.0, 1, 2))
+    up = np.full_like(answer, 2)
+    up[:-1] = answer[1:]
+    # branch[j, e]: the slot a split at level j gives energy e; the last row
+    # serves the origins that never split, whose walk ends in slot 2
+    branch = np.vstack([np.where(answer == 0, 0, np.where(up == 1, 1, 2)),
+                        np.full((1, answer.shape[1]), 2)])
+    n = len(o)
+    # per origin and slot: code, level, run start, route, origin; the route's
+    # bit 0 marks a t hat, bit 1 an escalated trace split
+    key = np.zeros((n, 3, 5), dtype=np.int64)
+    split = np.full(n, -1)
+    stage = np.full(n, _ENTRY, dtype=np.int8)
+    route = np.zeros(n, dtype=np.int64)
+    run_from = np.zeros(n, dtype=np.int64)
+    hat_start = np.zeros(n, dtype=np.int64)
+    walking = np.ones(n, dtype=bool)
+    failed = {}
+
+    def put(rows, slot, *cols):
+        for c, value in enumerate(cols):
+            key[rows, slot, c] = value[rows] if isinstance(value, np.ndarray) else value
+
+    def end(mask, code, level, run=0, how=0, at=-1):
+        mask = mask & walking
+        if mask.any():
+            rows = np.flatnonzero(mask)
+            put(rows, 2, code, level, run, how, at)
+            walking[rows] = False
+
+    j = k
+    while walking.any():
+        # a run that has climbed max_climb levels ends before reading this one
+        end((stage == _RUN) & (j - run_from >= max_climb), _NO_CUBE, 0)
+        if not walking.any():
+            break
+        try:
+            part = parts.at(j)
+        except ValidationError as exc:
+            failed[j] = exc.with_traceback(None)
+            end(walking, _PARTITION, j)
+            break
+        start, leftleft, left, hat, right = _neighbors(part, o)
+        rightmost = o == start + part.block_len - 1
+        end(hat < 0, _UNCOVERED, j, at=o)
+        end((left < 0) | (right < 0), _EDGE, j, at=o)
+        close = walking & (stage == _CLOSE)
+        escalate = walking & (stage == _ESCALATE)
+        entry = walking & (stage == _ENTRY)
+        # entry switch: a t hat climbs to the s-block it closes
+        t_hat = entry & (hat == 1)
+        stage[t_hat], route[t_hat] = _CLOSE, 1
+        end(close & (hat != 0), _NOT_CLOSED, j)
+        s_hat = (entry & (hat == 0)) | (close & walking)
+        end(s_hat & (left == 1) & (right == 1), _BETWEEN_T, j, at=o)
+        end(s_hat & (left == 0) & (right == 0), _CUBE, j, how=route)
+        s_hat &= walking
+        # hat s-block preceded by t: square now, or escalate one level
+        at_split = s_hat & (right == 0)
+        if j >= len(answer):
+            end(at_split, _SHALLOW, j)
+        else:
+            rows = np.flatnonzero(at_split)
+            split[rows] = j
+            put(rows, 0, _SQUARE, j, 0, route, -1)
+            put(rows, 1, _ESCAPED, j, 0, 0, -1)
+            if j + 1 >= len(answer):
+                end(at_split, _SHALLOW, j + 1)
+            elif not (branch[j] == 2).any():
+                walking[rows] = False
+            else:
+                stage[rows], hat_start[rows] = _ESCALATE, start[rows]
+        end(escalate & (start != hat_start), _MISALIGNED, j)
+        end(escalate & rightmost, _RIGHTMOST_UP, j)
+        end(escalate & (left != 0), _NOT_S_BEFORE, j)
+        end(escalate & (hat == 1), _SQUARE_LEFT, j, how=route)
+        escalate &= walking
+        route[escalate] |= 2
+        # hat s-block preceded by s: climb until a cube fits
+        to_run = (s_hat & (right == 1)) | escalate
+        stage[to_run], run_from[to_run] = _RUN, j
+        run = stage == _RUN
+        end(run & (j - run_from >= max_climb), _NO_CUBE, 0)  # a cap below 1
+        end(run & ((hat != 0) | (left != 0)), _NOT_S_RUN, j)
+        end(run & (j > run_from) & rightmost, _RIGHTMOST, j)
+        end(run & (right == 0), _RUN_CUBE, j, run=run_from, how=route)
+        end(run & (leftleft < 0), _LEFT_EDGE, j)
+        end(run & (leftleft == 0), _RUN_CUBE_LEFT, j, run=run_from, how=route)
+        j += 1
+
+    choice = branch[split]
+    reached = np.zeros((n, 3), dtype=bool)
+    reached[np.arange(n)[:, None], choice] = True
+    index: dict = {}
+    slot_id = np.full((n, 3), -1, dtype=np.int64)
+    slot_id[reached] = [index.setdefault(tuple(row), len(index))
+                        for row in key[reached].tolist()]
+    outcomes = [_outcome(parts, failed, max_climb, *row) for row in index]
+    return outcomes, slot_id, choice
+
+
+def _outcome(parts: _Partitions, failed: dict, max_climb: int,
+             code: int, level: int, run: int, how: int, origin: int):
+    """The label, or the unraised error, that a ``_classify`` code row stands for."""
+    if code == _PARTITION:
+        return failed[level]
+    if code > _PARTITION:
+        cls, text = (
+            (PartitionError, "site %(origin)d not covered by a full level-%(level)d block"),
+            (WindowTooShortError,
+             "origin %(origin)d too close to the window edge for level-%(level)d neighbors"),
+            (GordonStructureError, "a t-block must close an s-block one level up"),
+            (GordonStructureError,
+             "s-block between two t-blocks at level %(level)d around origin %(origin)d"),
+            (ValidationError, "trace table too shallow: classification needs |h_%(level)d|"),
+            (ValidationError, "|h_%(level)d| and |h_%(up)d| both exceed 2: energy escaped "
+                              "the approximant at the levels the classifier needs"),
+            (GordonStructureError, "level-%(level)d block should open where the hat block does"),
+            (GordonStructureError, "origin sits at the rightmost site of the escalated hat "
+                                   "block at level %(level)d"),
+            (GordonStructureError, "block before the escalated hat must be an s-block"),
+            (GordonStructureError, "expected s-block preceded by s at level %(level)d"),
+            (GordonStructureError,
+             "origin sits at the rightmost site of the hat block at level %(level)d"),
+            (WindowTooShortError, "origin too close to the left edge at level %(level)d"),
+            (ValidationError, "no cube found within %(cap)d climb levels; enlarge the window "
+                              "and trace table"),
+        )[code - _UNCOVERED]
+        return cls(text % {"level": level, "up": level + 1, "origin": origin, "cap": max_climb})
+    split = ("4",) if how & 1 else ("1.2",)  # a trace split's path so far
+    if code == _CUBE:
+        case, path = ("4", ("4", "cube@%d" % level)) if how & 1 else ("1.1", ("1.1",))
+    elif code == _SQUARE:
+        case, path = split[0], split + ("square@%d" % level,)
+    elif code == _SQUARE_LEFT:
+        case, path = "1.2.1.1", split + ("square-left@%d" % level,)
+    else:
+        left = code == _RUN_CUBE_LEFT
+        case = "1.2.1.2.2" if not left else "2" if how == 0 and run == level else "1.2.1.2.1"
+        path = ((split + ("1.2.2",) if how & 2 else ("4",) if how & 1 else ("2",))
+                + tuple("climb@%d" % x for x in range(run, level))
+                + ("%s@%d" % ("cube-left" if left else "cube", level),))
+    kind = "square" if code in (_SQUARE, _SQUARE_LEFT) else "cube"
+    return CaseLabel(
+        case_id=case, scale=level, kind=kind, reflected=code in (_SQUARE_LEFT, _RUN_CUBE_LEFT),
+        m=parts.at(level).block_len, trace_level=level if kind == "square" else None,
+        path=path,
+    )
 
 
 def classify_case(
@@ -245,124 +439,40 @@ def classify_case(
     origin and escalates one level at a time where the tree prescribes
     it, always reading the block that contains the origin; trace
     conditions |h_j| <= 2 are read from ``trace_table``, h_0, h_1, ...
-    as floats.  An s hat between two t-blocks raises
-    :class:`GordonStructureError`: with every tail period n >= 3 the
-    s-runs between t-blocks have length n - 1 or 2n - 1.
+    as floats.
+
+    The tree, with s and t the labels of the hat (the block holding the
+    origin) and of its left and right neighbours:
+
+    - entry: a t hat climbs one level to the s-block it closes (path
+      "4"); that block must be an s-block.
+    - an s hat between two t-blocks raises :class:`GordonStructureError`:
+      with every tail period n >= 3 the s-runs between t-blocks have
+      length n - 1 or 2n - 1.  Between two s-blocks it is a cube.
+    - s hat, t before, s after: the trace split.  |h_j| <= 2 gives a
+      square at j; otherwise |h_(j+1)| must not exceed 2, and the
+      level-(j+1) block must open where the hat does, not end at the
+      origin and follow an s-block: a t there gives a left square
+      ("1.2.1.1"), an s the s-run below ("1.2.2").
+    - s hat, s before, t after: the s-run.  A right s gives the centered
+      cube, a second s on the left the left cube (reflected, "2" when
+      reached straight from the entry); otherwise the enclosing level
+      repeats the situation one level up, at most ``max_climb`` levels,
+      and from the first climbed level on the origin must not end the
+      hat block.
+
+    This is the one-origin, one-table call of the sweep's array pass
+    (``_classify``).
     """
-    parts = _Partitions(window, spec, partitions)
-    path = []
-
-    def need_h(level: int) -> float:
-        if level >= len(trace_table):
-            raise ValidationError(
-                "trace table too shallow: classification needs |h_%d|" % level
-            )
-        return abs(trace_table[level])
-
-    def not_rightmost(start: int, level: int, what: str):
-        if origin == start + parts.at(level).block_len - 1:
-            raise GordonStructureError(
-                "origin sits at the rightmost site of %s at level %d" % (what, level)
-            )
-
-    def make_label(case_id: str, level: int, kind: str, reflected: bool) -> CaseLabel:
-        return CaseLabel(
-            case_id=case_id, scale=level, kind=kind, reflected=reflected,
-            m=parts.at(level).block_len,
-            trace_level=level if kind == "square" else None, path=tuple(path),
-        )
-
-    def resolve_s_run(level: int, entry: bool) -> CaseLabel:
-        """Hat is an s-block preceded by an s-block; climb until a cube fits.
-
-        Terminals: right neighbor s gives the centered cube, a second
-        s on the left gives the left cube (reflected, "2" when reached
-        straight from the entry); otherwise the enclosing level repeats
-        the same situation one level up.  The rightmost-site exclusion
-        applies from the first climbed level on, where the climb
-        construction guarantees it structurally.
-        """
-        for climb in range(max_climb):
-            part = parts.at(level)
-            start, lab, left, right, idx = _neighbors(part, origin)
-            if lab != "s" or left != "s":
-                raise GordonStructureError(
-                    "expected s-block preceded by s at level %d" % level
-                )
-            if climb > 0:
-                not_rightmost(start, level, "the hat block")
-            if right == "s":
-                path.append("cube@%d" % level)
-                return make_label("1.2.1.2.2", level, "cube", False)
-            leftleft = part.label(idx - 2)
-            if leftleft is None:
-                raise WindowTooShortError(
-                    "origin too close to the left edge at level %d" % level
-                )
-            if leftleft == "s":
-                path.append("cube-left@%d" % level)
-                return make_label(
-                    "2" if entry and climb == 0 else "1.2.1.2.1", level, "cube", True
-                )
-            path.append("climb@%d" % level)
-            level += 1
-        raise ValidationError(
-            "no cube found within %d climb levels; enlarge the window "
-            "and trace table" % max_climb
-        )
-
-    def trace_split(level: int, entry_id: str) -> CaseLabel:
-        """Hat s-block preceded by t: square now, or escalate one level."""
-        if need_h(level) <= 2.0:
-            path.append("square@%d" % level)
-            return make_label(entry_id, level, "square", False)
-        if need_h(level + 1) > 2.0:
-            raise ValidationError(
-                "|h_%d| and |h_%d| both exceed 2: energy escaped the "
-                "approximant at the levels the classifier needs" % (level, level + 1)
-            )
-        start = _neighbors(parts.at(level), origin)[0]
-        up_start, up_lab, up_left, _, _ = _neighbors(parts.at(level + 1), origin)
-        if up_start != start:
-            raise GordonStructureError(
-                "level-%d block should open where the hat block does" % (level + 1)
-            )
-        not_rightmost(up_start, level + 1, "the escalated hat block")
-        if up_left != "s":
-            raise GordonStructureError(
-                "block before the escalated hat must be an s-block"
-            )
-        if up_lab == "t":
-            path.append("square-left@%d" % (level + 1))
-            return make_label("1.2.1.1", level + 1, "square", True)
-        path.append("1.2.2")
-        return resolve_s_run(level + 1, entry=False)
-
-    # --- entry switch: a t hat climbs to the s-block it closes ---------------
-    level = k
-    _, lab, left, right, _ = _neighbors(parts.at(level), origin)
-    climbed = lab == "t"
-    if climbed:
-        path.append("4")
-        level += 1
-        _, lab, left, right, _ = _neighbors(parts.at(level), origin)
-        if lab != "s":
-            raise GordonStructureError(
-                "a t-block must close an s-block one level up"
-            )
-    if left == "t" and right == "t":
-        raise GordonStructureError(
-            "s-block between two t-blocks at level %d around origin %d"
-            % (level, origin)
-        )
-    if left == "s" and right == "s":
-        path.append("cube@%d" % level if climbed else "1.1")
-        return make_label("4" if climbed else "1.1", level, "cube", False)
-    if not climbed:
-        path.append("1.2" if right == "s" else "2")
-    if right == "s":
-        return trace_split(level, "4" if climbed else "1.2")
-    return resolve_s_run(level, entry=not climbed)
+    outcomes, slot_id, choice = _classify(
+        _Partitions(window, spec, partitions), k,
+        np.asarray(trace_table, dtype=np.float64).reshape(-1, 1),
+        np.array([_integer(origin, "origin")]), max_climb,
+    )
+    outcome = outcomes[slot_id[0, choice[0, 0]]]
+    if isinstance(outcome, ValidationError):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -397,36 +507,89 @@ _CERTIFICATES = {
 }
 
 
-def _check_periodic(window: Window, lo: int, hi: int, m: int):
-    """omega_i == omega_{i+m} for every i in [lo, hi)."""
-    a = window.codes[lo - window.start : hi - window.start]
-    b = window.codes[lo + m - window.start : hi + m - window.start]
-    if len(a) != hi - lo or len(b) != hi - lo:
-        raise WindowTooShortError(
-            "window too short to re-check the repetition hypothesis"
-        )
-    if not np.array_equal(a, b):
-        bad = int(np.flatnonzero(a != b)[0]) + lo
-        raise GordonStructureError(
-            "repetition hypothesis fails at site %d (period %d)" % (bad, m)
-        )
+def _first_mismatch(rows, length: int, pair) -> np.ndarray:
+    """Per row, the first column where the two (rows, length) arrays that
+    ``pair(chunk)`` gathers for a chunk of rows differ, or -1; chunks hold
+    at most ``NORM_CHUNK`` symbols."""
+    first = np.full(len(rows), -1, dtype=np.int64)
+    step = max(NORM_CHUNK // max(length, 1), 1)
+    for i in range(0, len(rows), step):
+        a, b = pair(rows[i : i + step])
+        differ = a != b
+        first[i : i + step] = np.where(differ.any(axis=1), differ.argmax(axis=1), -1)
+    return first
 
 
-def _check_rotation(window: Window, lo: int, parts: _Partitions, level: int):
-    """The m symbols from lo must be a cyclic rotation of the spec's s_level."""
+def _periodic_errors(window: Window, lo: np.ndarray, length: int, m: int) -> list:
+    """omega_i == omega_{i+m} for every i in [lo, lo + length), row by row:
+    None where it holds, else the unraised error."""
+    codes, start = window.codes, window.start
+    short = (lo < start) | (lo + length + m > start + len(codes))
+    errors = [WindowTooShortError("window too short to re-check the repetition hypothesis")
+              if x else None for x in short.tolist()]
+    at = lo[~short] - start
+    if len(at) and length > 0:
+        view = np.lib.stride_tricks.sliding_window_view(codes, length)
+        first = _first_mismatch(at, length, lambda r: (view[r], view[r + m]))
+        for r, i in zip(np.flatnonzero(~short)[first >= 0].tolist(),
+                        (at + start + first)[first >= 0].tolist()):
+            errors[r] = GordonStructureError(
+                "repetition hypothesis fails at site %d (period %d)" % (i, m))
+    return errors
+
+
+def _rotation_errors(window: Window, lo: np.ndarray, parts: _Partitions, level: int) -> list:
+    """The m symbols from each lo must be a cyclic rotation of the spec's
+    s_level, by (lo - residue) mod m, row by row: None where they are,
+    else the unraised error."""
     s = blocks(parts.spec, level)[0]
-    part = parts.at(level)
+    residue = int(parts.at(level).residue)
     m = len(s)
-    seg = window.codes[lo - window.start : lo + m - window.start]
-    if len(seg) != m:
-        raise WindowTooShortError("window too short for the rotation check")
-    r = (lo - int(part.residue)) % m
-    expected = np.concatenate([s[r:], s[:r]])
-    if not np.array_equal(seg, expected):
-        raise GordonStructureError(
-            "segment at %d is not the expected rotation (by %d) of the s-block"
-            % (lo, r)
-        )
+    codes, start = window.codes, window.start
+    short = (lo < start) | (lo + m > start + len(codes))
+    errors = [WindowTooShortError("window too short for the rotation check") if x else None
+              for x in short.tolist()]
+    rows = np.flatnonzero(~short)
+    if len(rows):
+        view = np.lib.stride_tricks.sliding_window_view(codes, m)
+        turns = np.lib.stride_tricks.sliding_window_view(np.concatenate([s, s[:-1]]), m)
+        r = (lo - residue) % m
+        first = _first_mismatch(rows, m, lambda x: (view[lo[x] - start], turns[r[x]]))
+        for x in rows[first >= 0].tolist():
+            errors[x] = GordonStructureError(
+                "segment at %d is not the expected rotation (by %d) of the s-block"
+                % (lo[x], r[x]))
+    return errors
+
+
+def _structural_errors(window: Window, parts: _Partitions, origins, labels) -> list:
+    """Literal symbol re-check of each (origin, label) pair's hypothesis
+    (no norms): per pair None where it holds, else the unraised
+    ``ValidationError``.  The periodic ranges are checked in one group per
+    period and range length, then the squares whose range holds in one
+    group per trace level; a group compares its pairs' symbols as arrays.
+    """
+    o = np.asarray(origins, dtype=np.int64)
+    certs = [_CERTIFICATES[x.kind, x.reflected] for x in labels]
+    m = np.array([x.m for x in labels], dtype=np.int64)
+    a, b = np.array([c.periodic for c in certs], dtype=np.int64).reshape(-1, 2).T
+    errors = [None] * len(labels)
+    for period, span in sorted(set(zip(m.tolist(), (b - a).tolist()))):
+        rows = np.flatnonzero((m == period) & (b - a == span))
+        found = _periodic_errors(window, o[rows] + a[rows] * period, span * period, period)
+        for r, error in zip(rows.tolist(), found):
+            errors[r] = error
+    squares = [r for r, c in enumerate(certs) if c.rotation is not None and errors[r] is None]
+    for level in sorted({labels[r].trace_level for r in squares}):
+        rows = [r for r in squares if labels[r].trace_level == level]
+        lo = np.array([o[r] + certs[r].rotation * m[r] for r in rows], dtype=np.int64)
+        try:
+            found = _rotation_errors(window, lo, parts, level)
+        except ValidationError as exc:
+            found = [exc.with_traceback(None)] * len(rows)
+        for r, error in zip(rows, found):
+            errors[r] = error
+    return errors
 
 
 def _offsets(label: CaseLabel) -> tuple:
@@ -477,13 +640,11 @@ def verify_bound(track: SolutionTrack, label: CaseLabel, trace_table: Sequence[f
 
 
 def _verify_structural(window, lab: CaseLabel, origin: int, parts: _Partitions):
-    """Literal symbol re-check of a label's hypothesis (no norms)."""
-    cert = _CERTIFICATES[lab.kind, lab.reflected]
-    m = lab.m
-    a, b = cert.periodic
-    _check_periodic(window, origin + a * m, origin + b * m, m)
-    if cert.rotation is not None:
-        _check_rotation(window, origin + cert.rotation * m, parts, lab.trace_level)
+    """Literal symbol re-check of a label's hypothesis (no norms): the
+    one-pair call of ``_structural_errors``, raising its error."""
+    error = _structural_errors(window, parts, [origin], [lab])[0]
+    if error is not None:
+        raise error
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +680,7 @@ def nondecay_scan(spec: ToeplitzSpec, energy: float, n_target: int) -> NondecayR
     witness is the first |m| >= n at which either side reaches 1/4, the
     + side first; a norm that overflowed to NaN counts as +inf.
     """
-    try:
-        n_target = operator.index(n_target)
-    except TypeError:
-        raise ValidationError("n_target must be an integer, got %r" % (n_target,)) from None
+    n_target = _integer(n_target, "n_target")
     if n_target < 1:
         raise ValidationError("n_target must be >= 1, got %r" % n_target)
     if not math.isfinite(energy):
@@ -692,56 +850,34 @@ def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
     return out
 
 
-class _ReadLog(list):
-    """A trace list that records the levels read from it by index."""
+def _sweep_outcomes(parts: _Partitions, entry_k: int, htab, origins, climb_cap: int):
+    """Classify every (energy, origin) pair and re-check each distinct
+    (origin, label) pair once, on ``parts``; the re-check reads no energy.
 
-    def __init__(self, values):
-        super().__init__(values)
-        self.read = set()
-
-    def __getitem__(self, level):
-        self.read.add(level)
-        return super().__getitem__(level)
-
-
-def _classify_by_answer(window, spec, entry_k, htab, origins, parts, climb_cap):
-    """Classify and re-check every (energy, origin) pair, walking once per trace answer.
-
-    The classifier reads a trace only as |h_j| <= 2, |h_j| > 2 or neither
-    (NaN), so two energies whose answers agree at every level one walk
-    read get that walk's outcome.  Per origin, the walk runs for the
-    first energy still unassigned and its outcome goes to every energy
-    that answers alike, until none is left.  A walk that returns a label
-    re-checks it structurally right away, on ``parts``; the re-check reads
-    no energy.  An outcome is (label or None, error or None), the error
-    being the ``repr`` of the ``ValidationError`` the walk or the re-check
-    raised (the text only: the exception's traceback would hold this
-    frame in a cycle); anything else propagates.  Returns the distinct
-    outcomes and an (energies, origins) array of their indices.
+    An outcome is (label or None, error or None), the error being the
+    ``repr`` of the ``ValidationError`` the classifier or the re-check
+    gave (the text only).  Returns the distinct outcomes and an
+    (energies, origins) array of their indices.
     """
-    absh = np.abs(htab)
-    answers = np.where(absh <= 2.0, 0, np.where(absh > 2.0, 1, 2))
-    n_e = htab.shape[1]
+    found, slot_id, choice = _classify(parts, entry_k, htab, origins, climb_cap)
+    n, reached = len(origins), slot_id >= 0
+    pairs, pair_id = np.unique((np.arange(n)[:, None] * len(found) + slot_id)[reached],
+                               return_inverse=True)
+    at, which = np.divmod(pairs, len(found))
+    is_label = [isinstance(x, CaseLabel) for x in found]
+    labelled = np.array(is_label, dtype=bool)[which]
+    checked = iter(_structural_errors(
+        parts.window, parts, origins[at[labelled]],
+        [found[i] for i in which[labelled].tolist()]))
     index: dict = {}
-    outcome_id = np.empty((n_e, len(origins)), dtype=np.int64)
-    for io, o in enumerate(origins.tolist()):
-        todo = np.ones(n_e, dtype=bool)
-        while todo.any():
-            ie = int(np.argmax(todo))
-            h = _ReadLog(htab[:, ie])
-            label = None
-            try:
-                label = classify_case(window, spec, entry_k, h, origin=o,
-                                      partitions=parts.store, max_climb=climb_cap)
-                _verify_structural(window, label, o, parts)
-                outcome = (label, None)
-            except ValidationError as exc:
-                outcome = (label, repr(exc))
-            key = answers[list(h.read)]
-            alike = todo & (key == key[:, [ie]]).all(axis=0)
-            outcome_id[alike, io] = index.setdefault(outcome, len(index))
-            todo &= ~alike
-    return list(index), outcome_id
+    ids = []
+    for i, has_label in zip(which.tolist(), labelled.tolist()):
+        error = next(checked) if has_label else found[i]
+        ids.append(index.setdefault((i, None if error is None else repr(error)), len(index)))
+    final = np.full(slot_id.shape, -1, dtype=np.int64)
+    final[reached] = np.array(ids, dtype=np.int64)[pair_id.reshape(-1)]
+    outcomes = [(found[i] if is_label[i] else None, error) for i, error in index]
+    return outcomes, final[np.arange(n)[:, None], choice].T
 
 
 def gordon_sweep(
@@ -766,36 +902,38 @@ def gordon_sweep(
     origin whose climb would pass that scale surfaces as a reported
     candidate, never silently.
 
-    ``entry_k`` and ``energy_level`` must be >= 0 and ``max_scale`` >=
+    Every count, level and the seed must be an integer; ``entry_k``,
+    ``energy_level`` and ``seed`` must be >= 0 and ``max_scale`` >=
     entry_k + 2, the deepest level a walk reads before its first climb:
     a t hat climbs to entry_k + 1, where a trace split reads h at
     entry_k + 1 and entry_k + 2 and the level-(entry_k + 2) partition.
-    Anything less raises ``ValidationError`` before any work is done.
+    Anything else raises a ``ValidationError`` naming the argument before
+    any work is done.
 
     Every (energy, origin) pair must classify and its bound must hold; a
     pair that raises ``ValidationError`` is reported as a falsification,
     and any other exception is a defect and propagates.  The classifier
-    walks once per origin and trace answer (``_classify_by_answer``),
-    each walk's label is re-checked structurally inside the walk, and
-    each classified pair is a lane: norms are stepped per lane by
-    ``_norm_slabs``, each only out to its own label's certificate
-    offsets, and the bounds are evaluated on all lanes as arrays.  A
-    norm the bound needs that was never computed raises
-    ``RuntimeError``.  Lanes, margins and falsifications come in
+    walks all origins in one array pass and spreads each origin's at most
+    three outcomes over the energies by their trace answers, each
+    distinct (origin, label) pair is re-checked structurally once
+    (``_sweep_outcomes``), and each classified pair is a lane: norms are
+    stepped per lane by ``_norm_slabs``, each only out to its own
+    label's certificate offsets, and the bounds are evaluated on all
+    lanes as arrays.  A norm the bound needs that was never computed
+    raises ``RuntimeError``.  Lanes, margins and falsifications come in
     energy-major pair order.
     """
     from .spectrum import band_approximant
 
-    if energy_level is None:
-        energy_level = entry_k + 5
-    if max_scale is None:
-        max_scale = energy_level + 2
+    entry_k = _integer(entry_k, "entry_k")
+    energy_level = entry_k + 5 if energy_level is None else _integer(energy_level, "energy_level")
+    max_scale = energy_level + 2 if max_scale is None else _integer(max_scale, "max_scale")
     for name, value, least in (
         ("n_energies", n_energies, 1), ("n_origins", n_origins, 1),
         ("entry_k", entry_k, 0), ("energy_level", energy_level, 0),
-        ("max_scale (default energy_level + 2)", max_scale, entry_k + 2),
+        ("max_scale (default energy_level + 2)", max_scale, entry_k + 2), ("seed", seed, 0),
     ):
-        if value < least:
+        if _integer(value, name) < least:
             raise ValidationError("%s must be >= %d, got %r" % (name, least, value))
     rng = np.random.default_rng(seed)
     approx = band_approximant(spec, energy_level, grid=grid)
@@ -819,9 +957,8 @@ def gordon_sweep(
 
     e_arr = np.asarray(energies)
     htab = trace_recursion_f64(spec, max_scale + 1, e_arr)
-    outcomes, outcome_id = _classify_by_answer(
-        window, spec, entry_k, htab, origins, _Partitions(window, spec),
-        max_scale - entry_k,
+    outcomes, outcome_id = _sweep_outcomes(
+        _Partitions(window, spec), entry_k, htab, origins, max_scale - entry_k
     )
 
     labels = [label for label, _ in outcomes]

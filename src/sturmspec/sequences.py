@@ -11,6 +11,7 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,6 +53,14 @@ __all__ = [
 
 class ValidationError(ValueError):
     """A spec or argument violates a documented invariant."""
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, or a ``ValidationError`` naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError("%s must be an integer, got %r" % (name, value)) from None
 
 
 class WindowTooShortError(ValidationError):

@@ -14,13 +14,12 @@ all lanes through chunks of coefficient rows, two ufuncs per site.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .sequences import SparseSpec, ToeplitzSpec, ValidationError, Window
+from .sequences import SparseSpec, ToeplitzSpec, ValidationError, Window, _integer
 from .cocycle import matrix_norm2, trace_recursion_f64, transfer_matrix, transfer_run
 
 __all__ = [
@@ -109,13 +108,6 @@ class BandSet:
             "measure": self.measure,
             "intervals": [[a, b] for a, b in self.intervals],
         }
-
-
-def _integer(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError("%s must be an integer, got %r" % (name, value)) from None
 
 
 def _merge(intervals) -> tuple:
@@ -610,12 +602,14 @@ def sparse_no_eigenvalue_certificate(
     10^4 powers), the barrier norm O_{E,v}, and the partial sums of
     sum_k gap_k / (C_E O_{E,v})^(2k) over the first ``k_max`` gaps;
     growing partial sums certify that the energy is not an eigenvalue
-    for any boundary condition.
+    for any boundary condition.  ``k_max`` must be an integer >= 1.
     """
     if not abs(energy) < 2.0:
         raise ValidationError(
             "certificate requires |E| < 2 (free powers unbounded otherwise), got E=%r"
             % energy
         )
+    if _integer(k_max, "k_max") < 1:
+        raise ValidationError("k_max must be >= 1, got %r" % k_max)
     gaps = spec.gaps(k_max)
     return certificate_from_gaps(gaps, spec.v, energy)

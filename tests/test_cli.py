@@ -440,6 +440,33 @@ def test_unknown_subcommand_exits_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_gordon_scan_rejects_a_negative_seed(how, tmp_path, capsys):
+    spec = CONFIGS / "simple3.cfg"
+    argv = ["gordon-scan", "--level", "2", "--energies", "2", "--origins", "3",
+            "--grid", "2000", "--out", tmp_path / "g.json"]
+    if how == "flag":
+        argv += ["--spec", spec, "--seed", "-1"]
+    else:
+        cfg = tmp_path / "seeded.cfg"
+        cfg.write_text(spec.read_text().replace("seed = 0", "seed = -1"))
+        argv += ["--spec", cfg]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be >= 0, got -1" in err
+    assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize("k_max", ["0", "-3"])
+def test_sparse_check_rejects_a_k_max_below_one(k_max, tmp_path, capsys):
+    out = tmp_path / "sc.json"
+    argv = ["sparse-check", "--spec", CONFIGS / "sparse3.cfg", "--energy=0.3",
+            "--k-max", k_max, "--out", out]
+    assert run_cli(argv) == 1
+    assert "k_max must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_one(capsys):
     assert run_cli(["generate", "--spec", "x", "--len", "5", "--wat"]) == 1
     # only gordon-scan draws random numbers, so only it takes a seed

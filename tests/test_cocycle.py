@@ -316,6 +316,14 @@ def test_lyapunov_parameter_validation():
         cc.lyapunov(spec, 0.0, n_steps=10)
     with pytest.raises(sq.ValidationError):
         cc.lyapunov(spec, 0.0, n_steps=2000, samples=0)
+    for kwargs, name in ((dict(n_steps=2000.5), "n_steps"), (dict(samples=1.5), "samples"),
+                         (dict(n_steps="2000"), "n_steps")):
+        with pytest.raises(sq.ValidationError, match="%s must be an integer" % name):
+            cc.lyapunov_scan(spec, [0.0], **kwargs)
+    # numpy integers are integers
+    got = cc.lyapunov_scan(spec, [0.3], n_steps=np.int64(2000), samples=np.int32(2))
+    want = cc.lyapunov_scan(spec, [0.3], n_steps=2000, samples=2)
+    assert all(map(np.array_equal, got, want))
 
 
 def test_lyapunov_overflow_guard():

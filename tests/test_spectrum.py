@@ -1,6 +1,7 @@
 """Band sets, half-line truncations, sparse spectral checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -785,6 +786,17 @@ def test_certificate_requires_interior_energy():
             sp.free_power_norm_bound(bad)
         with pytest.raises(sq.ValidationError):
             sp.sampled_power_sup(bad)
+
+
+@pytest.mark.parametrize("k_max,message", [
+    (0, "k_max must be >= 1, got 0"), (-3, "k_max must be >= 1, got -3"),
+    (1.5, "k_max must be an integer, got 1.5"), ("4", "k_max must be an integer, got '4'"),
+])
+def test_certificate_rejects_a_k_max_below_one_or_not_an_integer(k_max, message):
+    spec = sq.SparseSpec(v=2.0, rule=("power", 3))
+    with pytest.raises(sq.ValidationError, match=re.escape(message)):
+        sp.sparse_no_eigenvalue_certificate(spec, 0.3, k_max=k_max)
+    assert len(sp.sparse_no_eigenvalue_certificate(spec, 0.3, k_max=np.int64(1)).terms) == 1
 
 
 def test_certificate_diverges_for_factorial_gaps():
