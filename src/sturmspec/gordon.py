@@ -3,15 +3,15 @@ partition, the case classifier, and solution-norm lower bounds.
 
 For a normalized solution of the eigenvalue equation, three aligned
 copies of a block (a cube) or a cyclic square of a building block force
-max norms >= 1/2 at predictable offsets.  The classifier walks the block
-partitions around each origin, escalating levels when traces escape,
-and returns which certificate applies at which scale; it walks all
-origins of a sweep at once, one level per step, with the decision tree's
-tests as array masks (``_classify``), and ``classify_case`` is its
-one-origin call.  The verifier re-checks the structural hypothesis
-symbol by symbol before evaluating the bound, for any number of (origin,
-label) pairs in one call (``_structural_errors``), so a classifier
-defect surfaces as an error rather than a wrong margin.
+max norms >= 1/2 at predictable offsets.  ``certify_pairs`` certifies
+explicit (energy, origin) pairs, and ``gordon_sweep`` samples the pairs
+it passes there.  The classifier walks the block partitions around all
+origins at once, one level per step, escalating levels when traces
+escape, with the decision tree's tests as array masks, and returns which
+certificate applies at which scale (``_classify``; ``classify_case`` is
+its one-origin call).  The literal re-check of each label's hypothesis
+(``_structural_errors``) precedes every bound, so a classifier defect
+surfaces as an error rather than a wrong margin.
 
 The four certificates are the rows of ``_CERTIFICATES``, keyed by
 (kind, reflected), in units of m = ``label.m`` around the origin:
@@ -53,17 +53,14 @@ from .cocycle import trace_recursion_f64, transfer_run
 
 __all__ = [
     "GordonStructureError",
-    "SolutionTrack",
     "propagate",
     "CaseLabel",
     "classify_case",
-    "BoundReport",
-    "verify_bound",
     "NondecayReport",
     "nondecay_scan",
     "SweepReport",
+    "certify_pairs",
     "gordon_sweep",
-    "reflect_about",
 ]
 
 #: absolute slack absorbing float propagation error over <= 1e5 steps
@@ -87,65 +84,27 @@ _BASES = ((0.0, 1.0), (1.0, 0.0))
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolutionTrack:
-    """A solution of the eigenvalue equation over a window.
-
-    ``phi[i]`` is the solution value at site ``lo + i``; the defining
-    data (phi(-1), phi(0)) sits at sites origin-1, origin and satisfies
-    |phi(-1)|^2 + |phi(0)|^2 = 1.
-    """
-
-    window: Window
-    energy: float
-    origin: int
-    lo: int
-    phi: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.phi, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "phi", arr)
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.phi) - 1
-
-    def value(self, site: int) -> float:
-        if not (self.lo <= site <= self.hi):
-            raise ValidationError("site %d outside the propagated range" % site)
-        return float(self.phi[site - self.lo])
-
-    def norm_at(self, rel: int) -> float:
-        """||Phi(rel)|| = ||(phi(origin+rel), phi(origin+rel-1))||."""
-        a = self.value(self.origin + rel)
-        b = self.value(self.origin + rel - 1)
-        return math.hypot(a, b)
-
-
 def propagate(
     window: Window,
     energy: float,
     phi_init=(0.0, 1.0),
     origin: int = 0,
-    lo: Optional[int] = None,
-    hi: Optional[int] = None,
-) -> SolutionTrack:
+) -> np.ndarray:
     """Run the exact two-term recurrence out from the origin.
 
     ``phi_init`` is (phi(-1), phi(0)) relative to the origin and must be
     normalized.  The recurrence phi(n+1) = (E - V(n)) phi(n) - phi(n-1)
-    is applied forward and backward; the propagated range defaults to
-    the whole window.
+    is applied forward and backward across the whole window: entry i of
+    the returned float64 array is phi at site ``window.start + i``.  A
+    shorter range is a propagation over ``window.slice``.
     """
     pm1, p0 = float(phi_init[0]), float(phi_init[1])
     if abs(pm1 * pm1 + p0 * p0 - 1.0) > 1e-12:
         raise ValidationError("phi_init must satisfy |phi(-1)|^2 + |phi(0)|^2 = 1")
-    lo = window.start if lo is None else lo
-    hi = window.end - 1 if hi is None else hi
-    if not (window.start <= lo <= origin - 1 and origin <= hi < window.end):
+    origin = _integer(origin, "origin")
+    if not (window.start <= origin - 1 and origin < window.end):
         raise ValidationError(
-            "need window cover of [lo, hi] around the origin with lo <= origin-1"
+            "need window cover of sites %d and %d around the origin" % (origin - 1, origin)
         )
     e = float(energy)
     vals = window.values()
@@ -153,20 +112,9 @@ def propagate(
     # off-spectrum tails may overflow to inf far from the origin, and past
     # an inf the recurrence gives NaN (inf - inf): read a NaN as overflow
     ahead, behind = [], []
-    transfer_run((e - vals[origin - base : hi - base]).tolist(), p0, pm1, ahead)
-    transfer_run((e - vals[lo + 1 - base : origin - base])[::-1].tolist(), pm1, p0, behind)
-    phi = np.array(behind[::-1] + [pm1, p0] + ahead)
-    return SolutionTrack(window=window, energy=e, origin=origin, lo=lo, phi=phi)
-
-
-def reflect_about(window: Window, origin: int) -> Window:
-    """Reflection through origin - 1/2: entry n becomes entry 2*origin-1-n.
-
-    This is the reflection under which the one-sided certificates map
-    onto their mirrored variants exactly.
-    """
-    new_start = 2 * origin - window.end
-    return Window(new_start, window.codes[::-1], window.alphabet)
+    transfer_run((e - vals[origin - base : window.end - 1 - base]).tolist(), p0, pm1, ahead)
+    transfer_run((e - vals[1 : origin - base])[::-1].tolist(), pm1, p0, behind)
+    return np.array(behind[::-1] + [pm1, p0] + ahead)
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +410,12 @@ def classify_case(
       hat block.
 
     This is the one-origin, one-table call of the sweep's array pass
-    (``_classify``).
+    (``_classify``).  ``k``, ``origin`` and ``max_climb`` must be integers.
     """
     outcomes, slot_id, choice = _classify(
-        _Partitions(window, spec, partitions), k,
+        _Partitions(window, spec, partitions), _integer(k, "k"),
         np.asarray(trace_table, dtype=np.float64).reshape(-1, 1),
-        np.array([_integer(origin, "origin")]), max_climb,
+        np.array([_integer(origin, "origin")]), _integer(max_climb, "max_climb"),
     )
     outcome = outcomes[slot_id[0, choice[0, 0]]]
     if isinstance(outcome, ValidationError):
@@ -476,25 +424,8 @@ def classify_case(
 
 
 # ---------------------------------------------------------------------------
-# Bound verification
+# Certificate checks and bounds
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    label: CaseLabel
-    energy: float
-    value: float
-    threshold: float
-    components: dict
-
-    @property
-    def margin(self) -> float:
-        return self.value - self.threshold
-
-    @property
-    def holds(self) -> bool:
-        return self.margin >= -BOUND_SLACK
 
 
 #: (kind, reflected) -> certificate geometry, as in the module docstring
@@ -583,11 +514,7 @@ def _structural_errors(window: Window, parts: _Partitions, origins, labels) -> l
     for level in sorted({labels[r].trace_level for r in squares}):
         rows = [r for r in squares if labels[r].trace_level == level]
         lo = np.array([o[r] + certs[r].rotation * m[r] for r in rows], dtype=np.int64)
-        try:
-            found = _rotation_errors(window, lo, parts, level)
-        except ValidationError as exc:
-            found = [exc.with_traceback(None)] * len(rows)
-        for r, error in zip(rows, found):
+        for r, error in zip(rows, _rotation_errors(window, lo, parts, level)):
             errors[r] = error
     return errors
 
@@ -604,47 +531,6 @@ def _bound_value(norms, scale):
     value = np.array(norms, dtype=np.float64)
     value[..., 0] *= scale
     return value.max(axis=-1)
-
-
-def verify_bound(track: SolutionTrack, label: CaseLabel, trace_table: Sequence[float],
-                 spec: Optional[ToeplitzSpec] = None,
-                 partition: Optional[PartitionView] = None) -> BoundReport:
-    """Re-check the certificate hypothesis and evaluate its norm bound.
-
-    Hypothesis, offsets and bound are the label's ``_CERTIFICATES`` row;
-    squares also report ``weak_value``, the bound with |h_n| set to 2.
-    A failed structural re-check raises :class:`GordonStructureError`
-    (classifier bug surfaced).
-    """
-    scale = 1.0
-    if label.kind == "square":
-        n = label.trace_level
-        if n is None or n >= len(trace_table):
-            raise ValidationError("square certificate needs h at level %r" % n)
-        scale = abs(float(trace_table[n]))
-        if spec is None or partition is None:
-            raise ValidationError(
-                "square verification needs the spec and the level-%d partition" % n
-            )
-    w = track.window
-    _verify_structural(w, label, track.origin,
-                       _Partitions(w, spec, {label.trace_level: partition}))
-    offs = _offsets(label)
-    norms = [track.norm_at(r) for r in offs]
-    comps = dict(zip(offs, norms))
-    value = float(_bound_value(norms, scale))
-    if label.kind == "square":
-        # with |h_n| <= 2 the weakened bound follows from the sharp one
-        comps["weak_value"] = float(_bound_value(norms, 2.0))
-    return BoundReport(label, track.energy, value, 0.5, comps)
-
-
-def _verify_structural(window, lab: CaseLabel, origin: int, parts: _Partitions):
-    """Literal symbol re-check of a label's hypothesis (no norms): the
-    one-pair call of ``_structural_errors``, raising its error."""
-    error = _structural_errors(window, parts, [origin], [lab])[0]
-    if error is not None:
-        raise error
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +569,8 @@ def nondecay_scan(spec: ToeplitzSpec, energy: float, n_target: int) -> NondecayR
     n_target = _integer(n_target, "n_target")
     if n_target < 1:
         raise ValidationError("n_target must be >= 1, got %r" % n_target)
-    if not math.isfinite(energy):
-        raise ValidationError("energy must be finite, got %r" % energy)
+    if not isinstance(energy, (int, float, np.integer, np.floating)) or not math.isfinite(energy):
+        raise ValidationError("energy must be finite, got %r" % (energy,))
     probes = sorted({1, n_target, *(2**j for j in range(1, n_target.bit_length()))})
     level = 0
     while spec.block_length(level) < n_target:
@@ -697,7 +583,7 @@ def nondecay_scan(spec: ToeplitzSpec, energy: float, n_target: int) -> NondecayR
         window = spec.window(origin - depth - 1, 2 * depth + 2)
         sides = []  # per basis: ||Phi(m)||, ||Phi(-m)|| for m = 0..depth, and the hits
         for init in _BASES:
-            phi = propagate(window, energy, phi_init=init, origin=origin).phi
+            phi = propagate(window, energy, phi_init=init, origin=origin)
             # norms[i] = ||Phi|| at site origin - depth + i
             with np.errstate(over="ignore"):
                 norms = np.hypot(phi[1:], phi[:-1])
@@ -880,6 +766,112 @@ def _sweep_outcomes(parts: _Partitions, entry_k: int, htab, origins, climb_cap: 
     return outcomes, final[np.arange(n)[:, None], choice].T
 
 
+def certify_pairs(spec: ToeplitzSpec, window: Window, entry_k: int, energies: Sequence[float],
+                  origins: Sequence[int], climb_cap: int) -> SweepReport:
+    """Classify and verify every (energy, origin) pair on ``window``.
+
+    Walks enter at level ``entry_k`` (an integer >= 0) and climb at most
+    ``climb_cap`` levels (an integer >= 2, see ``gordon_sweep``); the rare
+    origin whose climb would pass level entry_k + climb_cap surfaces as a
+    reported candidate, never silently.  Every origin must be an integer
+    at least 2 * block_length(entry_k + climb_cap) + 2 sites from both
+    window edges, so its re-check and norms fit.  Anything else raises a
+    ``ValidationError`` naming the argument (a ``WindowTooShortError`` for
+    an origin) before any work is done.
+
+    Every (energy, origin) pair must classify and its bound must hold; a
+    pair that raises ``ValidationError`` is reported as a falsification,
+    and any other exception is a defect and propagates.  The classifier
+    walks all origins in one array pass and spreads each origin's at most
+    three outcomes over the energies by their trace answers, each
+    distinct (origin, label) pair is re-checked structurally once
+    (``_sweep_outcomes``), and each classified pair is a lane: norms are
+    stepped per lane by ``_norm_slabs``, each only out to its own
+    label's certificate offsets, and the bounds are evaluated on all
+    lanes as arrays.  A norm the bound needs that was never computed
+    raises ``RuntimeError``.  Lanes, margins and falsifications come in
+    energy-major pair order.
+    """
+    entry_k, climb_cap = _integer(entry_k, "entry_k"), _integer(climb_cap, "climb_cap")
+    for name, value, least in (("entry_k", entry_k, 0), ("climb_cap", climb_cap, 2)):
+        if value < least:
+            raise ValidationError("%s must be >= %d, got %r" % (name, least, value))
+    origins = np.asarray(origins)
+    if origins.ndim != 1 or origins.size and origins.dtype.kind not in "iu":
+        raise ValidationError("origins must be a sequence of integers")
+    margin_room = 2 * spec.block_length(entry_k + climb_cap) + 2
+    near = (origins < window.start + margin_room) | (origins > window.end - 1 - margin_room)
+    if near.any():
+        raise WindowTooShortError("origin %d is within %d sites of an edge of the window [%d, %d)"
+                                  % (origins[near][0], margin_room, window.start, window.end))
+
+    e_arr = np.asarray(energies, dtype=np.float64)
+    htab = trace_recursion_f64(spec, entry_k + climb_cap + 1, e_arr)
+    outcomes, outcome_id = _sweep_outcomes(
+        _Partitions(window, spec), entry_k, htab, origins, climb_cap
+    )
+
+    labels = [label for label, _ in outcomes]
+    failed = np.array([x is None for x in labels], dtype=bool)
+    falsifications = [
+        {"energy": float(e_arr[ie]), "origin": int(origins[io]),
+         "stage": "classify", "error": outcomes[outcome_id[ie, io]][1]}
+        for ie, io in np.argwhere(failed[outcome_id]).tolist()
+    ]
+    # one lane per classified pair, energy-major, stepped only to its own
+    # offsets; a pair whose re-check failed stays a lane but gets no margin
+    lane_e, lane_o = np.nonzero(~failed[outcome_id])
+    lane_lab = outcome_id[lane_e, lane_o]
+    sound = np.array([err is None for _, err in outcomes], dtype=bool)[lane_lab]
+    offsets_of = [() if x is None else _offsets(x) for x in labels]
+    offsets = list(map(offsets_of.__getitem__, lane_lab.tolist()))
+    norms = _norm_slabs(window, e_arr[lane_e], origins[lane_o], offsets)
+    n_read = np.array([len(t) for t in offsets_of], dtype=np.int64)[lane_lab]
+    unfilled = (norms < 0) & (np.arange(norms.shape[2]) < n_read[:, None])
+    if unfilled.any():
+        _, lane, slot = np.argwhere(unfilled)[0]
+        raise RuntimeError(
+            "norm at offset %d of the pair (energy %r, origin %d) was never computed"
+            % (offsets[lane][slot], float(e_arr[lane_e[lane]]), origins[lane_o[lane]])
+        )
+
+    # a lane's bound scale: 1 for a cube (level -1), |h_n| at its energy for a square
+    level = np.array([-1 if x is None or x.kind == "cube" else x.trace_level
+                      for x in labels], dtype=np.int64)[lane_lab]
+    scale = np.where(level < 0, 1.0, np.abs(htab[level, lane_e]))
+    # with no lanes the norms have no slot to take a max over
+    margins = (_bound_value(norms, scale) if len(lane_lab) else np.empty((2, 0))) - 0.5
+    bad = ~(margins >= -BOUND_SLACK)  # a NaN margin fails
+    for lane in np.flatnonzero(~sound | bad.any(axis=0)).tolist():
+        e, o = float(e_arr[lane_e[lane]]), int(origins[lane_o[lane]])
+        if not sound[lane]:
+            falsifications.append({"energy": e, "origin": o, "stage": "structure",
+                                   "error": outcomes[lane_lab[lane]][1]})
+            continue
+        for b in np.flatnonzero(bad[:, lane]).tolist():
+            falsifications.append(
+                {"energy": e, "origin": o, "stage": "bound", "basis": _BASES[b],
+                 "margin": float(margins[b, lane]),
+                 "label": labels[lane_lab[lane]].case_id}
+            )
+
+    # in order of first appearance among the lanes
+    case_counts = {}
+    used, first, count = np.unique(lane_lab, return_index=True, return_counts=True)
+    for i in np.argsort(first).tolist():
+        case = labels[used[i]].case_id
+        case_counts[case] = case_counts.get(case, 0) + int(count[i])
+    kept = margins[:, sound].T.ravel().tolist()
+    return SweepReport(
+        case_counts=case_counts,
+        margins=tuple(kept),
+        min_margin=float(np.min(kept)) if kept else math.nan,
+        falsifications=tuple(falsifications),
+        energies=tuple(float(x) for x in energies),
+        origins=tuple(int(x) for x in origins),
+    )
+
+
 def gordon_sweep(
     spec: ToeplitzSpec,
     entry_k: int,
@@ -898,9 +890,8 @@ def gordon_sweep(
     origins are random sites away from the window edges.  One generator
     seeded by ``seed`` draws the energies first, then the origins.  The
     window is sized so partitions and norms exist up to ``max_scale``
-    (default energy_level + 2) and traces up to max_scale + 1; the rare
-    origin whose climb would pass that scale surfaces as a reported
-    candidate, never silently.
+    (default energy_level + 2), and the origins are drawn far enough
+    from its edges for ``certify_pairs``.
 
     Every count, level and the seed must be an integer; ``entry_k``,
     ``energy_level`` and ``seed`` must be >= 0 and ``max_scale`` >=
@@ -910,18 +901,8 @@ def gordon_sweep(
     Anything else raises a ``ValidationError`` naming the argument before
     any work is done.
 
-    Every (energy, origin) pair must classify and its bound must hold; a
-    pair that raises ``ValidationError`` is reported as a falsification,
-    and any other exception is a defect and propagates.  The classifier
-    walks all origins in one array pass and spreads each origin's at most
-    three outcomes over the energies by their trace answers, each
-    distinct (origin, label) pair is re-checked structurally once
-    (``_sweep_outcomes``), and each classified pair is a lane: norms are
-    stepped per lane by ``_norm_slabs``, each only out to its own
-    label's certificate offsets, and the bounds are evaluated on all
-    lanes as arrays.  A norm the bound needs that was never computed
-    raises ``RuntimeError``.  Lanes, margins and falsifications come in
-    energy-major pair order.
+    The pairs are certified by ``certify_pairs`` on that window, with
+    climb_cap = max_scale - entry_k.
     """
     from .spectrum import band_approximant
 
@@ -954,69 +935,4 @@ def gordon_sweep(
         rng.integers(window.start + margin_room + 1, window.end - margin_room - 1,
                      size=n_origins)
     )
-
-    e_arr = np.asarray(energies)
-    htab = trace_recursion_f64(spec, max_scale + 1, e_arr)
-    outcomes, outcome_id = _sweep_outcomes(
-        _Partitions(window, spec), entry_k, htab, origins, max_scale - entry_k
-    )
-
-    labels = [label for label, _ in outcomes]
-    failed = np.array([x is None for x in labels])
-    falsifications = [
-        {"energy": float(e_arr[ie]), "origin": int(origins[io]),
-         "stage": "classify", "error": outcomes[outcome_id[ie, io]][1]}
-        for ie, io in np.argwhere(failed[outcome_id]).tolist()
-    ]
-    # one lane per classified pair, energy-major, stepped only to its own
-    # offsets; a pair whose re-check failed stays a lane but gets no margin
-    lane_e, lane_o = np.nonzero(~failed[outcome_id])
-    lane_lab = outcome_id[lane_e, lane_o]
-    sound = np.array([err is None for _, err in outcomes], dtype=bool)[lane_lab]
-    offsets_of = [() if x is None else _offsets(x) for x in labels]
-    offsets = list(map(offsets_of.__getitem__, lane_lab.tolist()))
-    norms = _norm_slabs(window, e_arr[lane_e], origins[lane_o], offsets)
-    n_read = np.array([len(t) for t in offsets_of], dtype=np.int64)[lane_lab]
-    unfilled = (norms < 0) & (np.arange(norms.shape[2]) < n_read[:, None])
-    if unfilled.any():
-        _, lane, slot = np.argwhere(unfilled)[0]
-        raise RuntimeError(
-            "norm at offset %d of the pair (energy %r, origin %d) was never computed"
-            % (offsets[lane][slot], float(e_arr[lane_e[lane]]), origins[lane_o[lane]])
-        )
-
-    # a lane's bound scale: 1 for a cube (level -1), |h_n| at its energy for a square
-    level = np.array([-1 if x is None or x.kind == "cube" else x.trace_level
-                      for x in labels], dtype=np.int64)[lane_lab]
-    scale = np.where(level < 0, 1.0, np.abs(htab[level, lane_e]))
-    # with no lanes the norms have no slot to take a max over
-    margins = (_bound_value(norms, scale) if len(lane_lab) else np.empty((2, 0))) - 0.5
-    bad = ~(margins >= -BOUND_SLACK)  # as BoundReport.holds: NaN fails
-    for lane in np.flatnonzero(~sound | bad.any(axis=0)).tolist():
-        e, o = float(e_arr[lane_e[lane]]), int(origins[lane_o[lane]])
-        if not sound[lane]:
-            falsifications.append({"energy": e, "origin": o, "stage": "structure",
-                                   "error": outcomes[lane_lab[lane]][1]})
-            continue
-        for b in np.flatnonzero(bad[:, lane]).tolist():
-            falsifications.append(
-                {"energy": e, "origin": o, "stage": "bound", "basis": _BASES[b],
-                 "margin": float(margins[b, lane]),
-                 "label": labels[lane_lab[lane]].case_id}
-            )
-
-    # in order of first appearance among the lanes
-    case_counts = {}
-    used, first, count = np.unique(lane_lab, return_index=True, return_counts=True)
-    for i in np.argsort(first).tolist():
-        case = labels[used[i]].case_id
-        case_counts[case] = case_counts.get(case, 0) + int(count[i])
-    kept = margins[:, sound].T.ravel().tolist()
-    return SweepReport(
-        case_counts=case_counts,
-        margins=tuple(kept),
-        min_margin=float(np.min(kept)) if kept else math.nan,
-        falsifications=tuple(falsifications),
-        energies=tuple(float(x) for x in energies),
-        origins=tuple(int(x) for x in origins),
-    )
+    return certify_pairs(spec, window, entry_k, energies, origins, max_scale - entry_k)

@@ -42,10 +42,23 @@ HVALS = list(cc.trace_recursion_f64(SPEC, 10, np.array([E_IN]))[:, 0])
 # ---------------------------------------------------------------------------
 
 
+def norm_at(phi, window, origin, rel):
+    """||Phi(rel)|| = ||(phi(origin+rel), phi(origin+rel-1))|| for the phi
+    that ``propagate`` returned over ``window``."""
+    i = origin + rel - window.start
+    return float(np.hypot(phi[i], phi[i - 1]))
+
+
+def reflect_about(window, origin):
+    """Reflection through origin - 1/2: entry n becomes entry 2*origin-1-n."""
+    return sq.Window(2 * origin - window.end, window.codes[::-1], window.alphabet)
+
+
 def test_propagate_rotation_norms_stay_unit():
-    tr = gd.propagate(zero_window(4000), 0.0, origin=2000)
+    w = zero_window(4000)
+    phi = gd.propagate(w, 0.0, origin=2000)
     for rel in (-1500, -37, 0, 41, 1500):
-        assert abs(tr.norm_at(rel) - 1.0) <= 1e-12
+        assert abs(norm_at(phi, w, 2000, rel) - 1.0) <= 1e-12
 
 
 def test_propagate_requires_normalized_data():
@@ -53,17 +66,35 @@ def test_propagate_requires_normalized_data():
         gd.propagate(zero_window(100), 0.0, phi_init=(1.0, 1.0), origin=50)
 
 
+@pytest.mark.parametrize("origin,message", [
+    (2.5, "origin must be an integer, got 2.5"),
+    ("5", "origin must be an integer, got '5'"),
+    (None, "origin must be an integer, got None"),
+    (1, "need window cover"),  # site origin - 1 = 0 is outside
+    (101, "need window cover"),
+])
+def test_propagate_rejects_an_origin_it_cannot_start_from(origin, message):
+    w = zero_window(100)  # sites 1 .. 100
+    with pytest.raises(sq.ValidationError, match=re.escape(message)):
+        gd.propagate(w, 0.0, origin=origin)
+    # the first and last origins with both defining sites in the window
+    for ok in (2, np.int64(100)):
+        assert len(gd.propagate(w, 0.0, origin=ok)) == 100
+
+
 def test_propagate_never_vanishes_simultaneously():
-    tr = gd.propagate(WINDOW.slice(1, 20_001), E_IN, origin=10_000)
-    norms = [tr.norm_at(r) for r in range(-9000, 9000, 7)]
+    w = WINDOW.slice(1, 20_001)
+    phi = gd.propagate(w, E_IN, origin=10_000)
+    norms = [norm_at(phi, w, 10_000, r) for r in range(-9000, 9000, 7)]
     assert min(norms) > 0
 
 
 def test_propagate_growth_matches_lyapunov_off_spectrum():
     e = 4.0
-    tr = gd.propagate(WINDOW.slice(1, 1200), e, origin=2)
+    w = WINDOW.slice(1, 1200)
+    phi = gd.propagate(w, e, origin=2)
     n = 500
-    slope = math.log(tr.norm_at(n)) / n
+    slope = math.log(norm_at(phi, w, 2, n)) / n
     gamma, _ = cc.lyapunov(SPEC, e, n_steps=10_000)
     assert abs(slope - gamma) <= 0.1 * gamma
 
@@ -78,12 +109,13 @@ def matmul_word_matrix(values, energy):
 
 def test_propagate_matches_word_matrix():
     e = E_IN
-    tr = gd.propagate(WINDOW.slice(1, 400), e, origin=100, phi_init=(0.0, 1.0))
+    w = WINDOW.slice(1, 400)
+    track = gd.propagate(w, e, origin=100, phi_init=(0.0, 1.0))
     for n in (7, 60, 150):
         m = matmul_word_matrix(WINDOW.slice(100, 100 + n).values(), e)
         phi = m @ np.array([1.0, 0.0])
-        assert abs(phi[0] - tr.value(100 + n)) <= 1e-9 * max(1, abs(phi[0]))
-        assert abs(phi[1] - tr.value(100 + n - 1)) <= 1e-9 * max(1, abs(phi[1]))
+        assert abs(phi[0] - track[100 + n - w.start]) <= 1e-9 * max(1, abs(phi[0]))
+        assert abs(phi[1] - track[100 + n - 1 - w.start]) <= 1e-9 * max(1, abs(phi[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +290,24 @@ def test_classifier_needs_trace_depth():
         gd.classify_case(WINDOW, SPEC, 2, HVALS[:2], origin=5000)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(k=2.5), "k must be an integer, got 2.5"),
+    (dict(k="2"), "k must be an integer, got '2'"),
+    (dict(max_climb=2.5), "max_climb must be an integer, got 2.5"),
+    (dict(max_climb=None), "max_climb must be an integer, got None"),
+    (dict(origin=5000.0), "origin must be an integer, got 5000.0"),
+    # an integer cap below 1 is defined: no run may climb
+    (dict(max_climb=0), "no cube found within 0 climb levels"),
+    (dict(max_climb=-3), "no cube found within -3 climb levels"),
+])
+def test_classifier_rejects_a_non_integer_level_or_cap(kwargs, message):
+    # origin 5032 enters an s-run at level 2: s before the hat, t after
+    call = {**dict(k=2, origin=5032, max_climb=8), **kwargs}
+    assert gd.classify_case(WINDOW, SPEC, 2, HVALS, origin=5032).path[0] == "2"
+    with pytest.raises(sq.ValidationError, match=re.escape(message)):
+        gd.classify_case(WINDOW, SPEC, call.pop("k"), HVALS, **call)
+
+
 def test_classifier_rejects_foreign_window():
     codes = np.zeros(3000, dtype=np.int16)
     codes[::2] = 1
@@ -426,20 +476,41 @@ def _label_instances():
     return found, parts
 
 
+def lane_reports(window, parts, energy, origins, labels, h):
+    """(origin, label) pairs through the sweep's lane path, in the form of
+    ``ref_verify_bound``: per pair and basis the re-check's error as its
+    class and message, or the bound value and the norms by offset, with
+    ``weak_value``, the bound with |h_n| set to 2, for a square."""
+    errors = gd._structural_errors(window, parts, origins, labels)
+    offsets = [gd._offsets(lab) for lab in labels]
+    norms = gd._norm_slabs(window, [energy] * len(labels), origins, offsets)
+    reports = []
+    for j, (lab, error) in enumerate(zip(labels, errors)):
+        if error is not None:
+            reports.append([_as_outcome(error)] * 2)
+            continue
+        scale = 1.0 if lab.kind == "cube" else abs(h[lab.trace_level])
+        pair = []
+        for nb in norms[:, j, : len(offsets[j])]:
+            comps = dict(zip(offsets[j], nb.tolist()))
+            if lab.kind == "square":
+                comps["weak_value"] = float(gd._bound_value(nb, 2.0))
+            pair.append((float(gd._bound_value(nb, scale)), comps))
+        reports.append(pair)
+    return reports
+
+
 def test_verify_bound_holds_per_family():
     found, parts = _label_instances()
     assert len(found) >= 3
     for (kind, refl), (o, lab) in found.items():
-        tr = gd.propagate(
-            WINDOW, E_IN, origin=o, lo=o - 2 * lab.m - 2, hi=o + 2 * lab.m + 2
-        )
-        part = parts.at(lab.trace_level) if lab.trace_level is not None else None
-        rep = gd.verify_bound(tr, lab, HVALS, spec=SPEC, partition=part)
-        assert rep.holds, (kind, refl, rep.margin)
-        assert rep.margin >= -1e-9
+        (value, comps), _ = lane_reports(WINDOW, parts, E_IN, [o], [lab], HVALS)[0]
+        margin = value - 0.5  # basis (0, 1)
+        assert margin >= -gd.BOUND_SLACK, (kind, refl, margin)
+        assert margin >= -1e-9
         if kind == "square":
             # the weakened, trace-free form must hold a fortiori
-            assert rep.components["weak_value"] >= 0.5 - 1e-9
+            assert comps["weak_value"] >= 0.5 - 1e-9
 
 
 def test_verify_bound_rejects_wrong_scale():
@@ -449,9 +520,9 @@ def test_verify_bound_rejects_wrong_scale():
         case_id=lab.case_id, scale=lab.scale, kind=lab.kind,
         reflected=lab.reflected, m=lab.m - 1, trace_level=None, path=lab.path,
     )
-    tr = gd.propagate(WINDOW, E_IN, origin=o, lo=o - 2 * lab.m - 2, hi=o + 2 * lab.m + 2)
-    with pytest.raises(gd.GordonStructureError):
-        gd.verify_bound(tr, wrong, HVALS)
+    error, = gd._structural_errors(WINDOW, parts, [o], [wrong])
+    assert isinstance(error, gd.GordonStructureError)
+    assert _as_outcome(error) == _outcome(ref_verify_structural, WINDOW, wrong, o, parts)
 
 
 def test_wrong_scale_bound_can_numerically_fail():
@@ -462,16 +533,11 @@ def test_wrong_scale_bound_can_numerically_fail():
     hn = abs(float(h[3]))
     assert hn <= 2.0
     m_wrong = 24
-    fell_below = False
-    for o in range(20_000, 36_000, 7):
-        tr = gd.propagate(
-            WINDOW, e, origin=o, lo=o - 2 * m_wrong - 2, hi=o + 2 * m_wrong + 2
-        )
-        value = max(hn * tr.norm_at(m_wrong), tr.norm_at(2 * m_wrong))
-        if value < 0.5 - 1e-6:
-            fell_below = True
-            break
-    assert fell_below
+    origins = np.arange(20_000, 36_000, 7)
+    norms = gd._norm_slabs(WINDOW, [e] * len(origins), origins,
+                           [(m_wrong, 2 * m_wrong)] * len(origins))
+    value = gd._bound_value(norms[0], hn)  # max(hn N(m), N(2m)), basis (0, 1)
+    assert (value < 0.5 - 1e-6).any()
 
 
 # The certificate geometry written out case by case, as it stood before
@@ -508,42 +574,49 @@ def ref_check_rotation(window, lo, parts, level):
         )
 
 
-def ref_verify_bound(track, label, trace_table, spec=None, partition=None):
-    w = track.window
-    o = track.origin
+def ref_verify_bound(w, o, norm_at, label, trace_table, spec, partition):
+    """The written-out re-check on window ``w`` around origin ``o``, then the
+    bound value and the norms by offset; ``norm_at(rel)`` is ||Phi(rel)||."""
     m = label.m
     h = [float(x) for x in trace_table]
     if label.kind == "cube":
         if not label.reflected:
             ref_check_periodic(w, o - m, o + m, m)
-            comps = {r: track.norm_at(r) for r in (-m, m, 2 * m)}
+            comps = {r: norm_at(r) for r in (-m, m, 2 * m)}
         else:
             ref_check_periodic(w, o - 2 * m, o, m)
-            comps = {r: track.norm_at(r) for r in (m, -m, -2 * m)}
+            comps = {r: norm_at(r) for r in (m, -m, -2 * m)}
         value = max(comps.values())
-        return gd.BoundReport(label, track.energy, value, 0.5, comps)
+        return value, comps
     n = label.trace_level
-    if n is None or n >= len(h):
-        raise sq.ValidationError("square certificate needs h at level %r" % n)
     hn = abs(h[n])
-    if spec is None or partition is None:
-        raise sq.ValidationError(
-            "square verification needs the spec and the level-%d partition" % n
-        )
     if not label.reflected:
         ref_check_periodic(w, o, o + m, m)
         ref_check_rotation(w, o, gd._Partitions(w, spec, {n: partition}), n)
-        comps = {m: track.norm_at(m), 2 * m: track.norm_at(2 * m)}
+        comps = {m: norm_at(m), 2 * m: norm_at(2 * m)}
         value = max(hn * comps[m], comps[2 * m])
         weak = max(2.0 * comps[m], comps[2 * m])
     else:
         ref_check_periodic(w, o - 2 * m, o - m, m)
         ref_check_rotation(w, o - m, gd._Partitions(w, spec, {n: partition}), n)
-        comps = {-m: track.norm_at(-m), -2 * m: track.norm_at(-2 * m)}
+        comps = {-m: norm_at(-m), -2 * m: norm_at(-2 * m)}
         value = max(hn * comps[-m], comps[-2 * m])
         weak = max(2.0 * comps[-m], comps[-2 * m])
     comps["weak_value"] = weak
-    return gd.BoundReport(label, track.energy, value, 0.5, comps)
+    return value, comps
+
+
+def ref_pair_bounds(window, energy, o, lab, h, spec, partition):
+    """``ref_verify_bound`` for both bases, each propagated by ``propagate``
+    over the sites within 2m + 2 of the origin."""
+    reach = 2 * lab.m + 2
+    sub = window.slice(o - reach, o + reach + 1)
+    reports = []
+    for basis in gd._BASES:
+        phi = gd.propagate(sub, energy, phi_init=basis, origin=o)
+        reports.append(_outcome(ref_verify_bound, window, o,
+                                lambda rel: norm_at(phi, sub, o, rel), lab, h, spec, partition))
+    return reports
 
 
 def ref_verify_structural(window, lab, origin, parts):
@@ -610,45 +683,36 @@ def test_certificate_table_reproduces_written_out_checks():
         h = list(cc.trace_recursion_f64(SPEC, 10, np.array([e]))[:, 0])
         per_family, cases = _table_cases(h)
         families.update(per_family)
-        for o, lab in cases:
+        origins, labels = [o for o, _ in cases], [lab for _, lab in cases]
+        rechecked = gd._structural_errors(WINDOW, parts, origins, labels)
+        for (o, lab), got, error in zip(cases, lane_reports(WINDOW, parts, e, origins,
+                                                            labels, h), rechecked):
             part = parts.at(lab.trace_level) if lab.trace_level is not None else None
-            reach = 2 * lab.m + 2
-            for basis in ((0.0, 1.0), (1.0, 0.0)):
-                tr = gd.propagate(WINDOW, e, phi_init=basis, origin=o,
-                                  lo=o - reach, hi=o + reach)
-                got = _outcome(gd.verify_bound, tr, lab, h, spec=SPEC, partition=part)
-                want = _outcome(ref_verify_bound, tr, lab, h, spec=SPEC, partition=part)
-                assert got == want, (o, lab)
-                if isinstance(got, gd.BoundReport):
-                    assert list(got.components) == list(want.components)
+            want = ref_pair_bounds(WINDOW, e, o, lab, h, SPEC, part)
+            assert got == want, (o, lab)
+            for report, expected in zip(got, want):
+                if isinstance(report[1], dict):
+                    assert list(report[1]) == list(expected[1])
                     reports += 1
                 else:
                     failures += 1
-            assert (_outcome(gd._verify_structural, WINDOW, lab, o, parts)
-                    == _outcome(ref_verify_structural, WINDOW, lab, o, parts))
+            assert _as_outcome(error) == _outcome(ref_verify_structural, WINDOW, lab, o, parts)
     assert families == {("cube", False), ("cube", True),
                         ("square", False), ("square", True)}
     # both outcomes occur often: the comparison is not one-sided
     assert reports >= 96 and failures >= 96
-    # a square without a usable trace level, spec or partition
-    o, lab = per_family[("square", False)][0]
-    tr = gd.propagate(WINDOW, E_IN, origin=o, lo=o - 3 * lab.m, hi=o + 3 * lab.m)
-    for kwargs in ({}, {"spec": SPEC}, {"spec": SPEC, "partition": parts.at(lab.scale)}):
-        for h in (HVALS[: lab.scale], HVALS):
-            assert (_outcome(gd.verify_bound, tr, lab, h, **kwargs)
-                    == _outcome(ref_verify_bound, tr, lab, h, **kwargs))
 
 
 def test_reflection_symmetry_of_norms():
     o = 30_011
-    refl = gd.reflect_about(WINDOW, o)
-    tr = gd.propagate(WINDOW, E_IN, origin=o, lo=o - 3000, hi=o + 3000)
+    sub = WINDOW.slice(o - 3000, o + 3001)
+    refl = reflect_about(WINDOW, o).slice(o - 3000, o + 3001)
+    phi = gd.propagate(sub, E_IN, origin=o)
     # phi(-1) and phi(0) swap roles under the half-integer reflection
-    tr_r = gd.propagate(refl, E_IN, origin=o, phi_init=(1.0, 0.0),
-                        lo=o - 3000, hi=o + 3000)
+    phi_r = gd.propagate(refl, E_IN, origin=o, phi_init=(1.0, 0.0))
     for rel in (-2100, -700, -3, 9, 800, 2999):
-        assert abs(tr.norm_at(rel) - tr_r.norm_at(-rel)) <= 1e-9 * max(
-            1.0, tr.norm_at(rel)
+        assert abs(norm_at(phi, sub, o, rel) - norm_at(phi_r, refl, o, -rel)) <= 1e-9 * max(
+            1.0, norm_at(phi, sub, o, rel)
         )
 
 
@@ -660,7 +724,7 @@ def test_reflection_maps_left_squares_to_right_squares():
     left = gd._periodic_errors(WINDOW, origins - 2 * m, 2 * m, m)
     assert {type(e) for e in left} == {type(None), gd.GordonStructureError}
     for o, left_error in zip(origins.tolist(), left):
-        refl = gd.reflect_about(WINDOW, o)
+        refl = reflect_about(WINDOW, o)
         right_error, = gd._periodic_errors(refl, np.array([o - m]), 2 * m, m)
         assert type(left_error) is type(right_error)
 
@@ -704,8 +768,7 @@ def ref_nondecay_scan(spec, energy, n_target):
     tracks = [gd.propagate(window, energy, phi_init=init, origin=origin)
               for init in ((0.0, 1.0), (1.0, 0.0))]
     norms = []
-    for tr in tracks:
-        a = tr.phi
+    for a in tracks:
         prev = np.roll(a, 1)
         with np.errstate(over="ignore"):
             nn = np.hypot(a, prev)
@@ -713,12 +776,12 @@ def ref_nondecay_scan(spec, energy, n_target):
         norms.append(nn)
     witnesses, failures = [], []
     for n in probes:
-        for which, tr in enumerate(tracks):
+        for which in range(len(tracks)):
             nn = norms[which]
             found = None
             for m in range(n, reach + 1):
                 for sgn in (1, -1):
-                    val = nn[origin + sgn * m - tr.lo]
+                    val = nn[origin + sgn * m - window.start]
                     if val >= 0.25 - gd.NONDECAY_SLACK:
                         found = (sgn * m, float(val))
                         break
@@ -728,7 +791,7 @@ def ref_nondecay_scan(spec, energy, n_target):
                 witnesses.append((n, which, found[0], found[1]))
             else:
                 failures.append({"n": n, "basis": which, "searched_up_to": reach,
-                                 "best_norm_found": float(nn[origin + n - tr.lo:].max())})
+                                 "best_norm_found": float(nn[origin + n - window.start:].max())})
     return tuple(witnesses), tuple(failures)
 
 
@@ -756,17 +819,17 @@ def test_nondecay_survives_tails_that_overflow_to_nan(energy):
         assert abs(m) >= n and norm >= 0.25 - gd.NONDECAY_SLACK
 
 
-@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, "0.3", None])
 def test_nondecay_rejects_a_non_finite_energy(energy):
-    with pytest.raises(sq.ValidationError, match="energy must be finite, got %r" % energy):
+    with pytest.raises(sq.ValidationError,
+                       match=re.escape("energy must be finite, got %r" % (energy,))):
         gd.nondecay_scan(SPEC, energy, 100)
 
 
 def test_nondecay_best_norm_reads_both_sides(monkeypatch):
-    def flat(window, energy, phi_init=(0.0, 1.0), origin=0, lo=None, hi=None):
+    def flat(window, energy, phi_init=(0.0, 1.0), origin=0):
         # every norm below 1/4, the left side's larger than the right side's
-        phi = np.where(np.arange(window.start, window.end) < origin, 0.15, 0.1)
-        return gd.SolutionTrack(window, float(energy), origin, window.start, phi)
+        return np.where(np.arange(window.start, window.end) < origin, 0.15, 0.1)
 
     monkeypatch.setattr(gd, "propagate", flat)
     rep = gd.nondecay_scan(SPEC, 0.3, 100)
@@ -788,7 +851,7 @@ def ref_full_window_nondecay_scan(spec, energy, n_target):
     thr = 0.25 - gd.NONDECAY_SLACK
     sides = []
     for init in gd._BASES:
-        phi = gd.propagate(window, energy, phi_init=init, origin=origin).phi
+        phi = gd.propagate(window, energy, phi_init=init, origin=origin)
         with np.errstate(over="ignore"):
             norms = np.hypot(phi[1:], phi[:-1])
         norms[np.isnan(norms)] = np.inf
@@ -818,13 +881,13 @@ def certify_energies():
 
 
 def propagated_sites(monkeypatch):
-    """Record len(track.phi) of every propagate call the scan makes."""
+    """Record len(phi) of every propagate call the scan makes."""
     sites, propagate = [], gd.propagate
 
     def counted(*args, **kwargs):
-        track = propagate(*args, **kwargs)
-        sites.append(len(track.phi))
-        return track
+        phi = propagate(*args, **kwargs)
+        sites.append(len(phi))
+        return phi
 
     monkeypatch.setattr(gd, "propagate", counted)
     return sites
@@ -867,9 +930,8 @@ def test_nondecay_scan_doubles_until_every_basis_has_a_witness(
 
 
 def test_nondecay_failures_equal_the_full_window_scan(monkeypatch):
-    def flat(window, energy, phi_init=(0.0, 1.0), origin=0, lo=None, hi=None):
-        phi = np.where(np.arange(window.start, window.end) < origin, 0.15, 0.1)
-        return gd.SolutionTrack(window, float(energy), origin, window.start, phi)
+    def flat(window, energy, phi_init=(0.0, 1.0), origin=0):
+        return np.where(np.arange(window.start, window.end) < origin, 0.15, 0.1)
 
     monkeypatch.setattr(gd, "propagate", flat)
     for n_target in NONDECAY_TARGETS:
@@ -1039,15 +1101,13 @@ def test_sweep_margins_match_verify_bound(monkeypatch):
             lab = gd.classify_case(window, SPEC, 2, h, origin=o, partitions=store,
                                    max_climb=6)
             labels.append(lab)
-            for basis in gd._BASES:
-                tr = gd.propagate(window, e, phi_init=basis, origin=o,
-                                  lo=o - 2 * lab.m - 2, hi=o + 2 * lab.m + 2)
-                part = store[lab.trace_level] if lab.trace_level is not None else None
-                want.append(gd.verify_bound(tr, lab, h, spec=SPEC, partition=part).margin)
+            part = store[lab.trace_level] if lab.trace_level is not None else None
+            for value, _ in ref_pair_bounds(window, e, o, lab, h, SPEC, part):
+                want.append(value - 0.5)
     assert {lab.kind for lab in labels} == {"cube", "square"}
     assert rep.case_counts == dict(Counter(lab.case_id for lab in labels))
-    # math.hypot and np.hypot may round apart in the last place
-    assert rep.margins == pytest.approx(want, rel=1e-12, abs=1e-12)
+    # both sides step the same floats and take norms by np.hypot
+    assert rep.margins == tuple(want)
 
 
 def test_verify_bound_fails_on_a_nan_norm_in_any_slot():
@@ -1056,15 +1116,13 @@ def test_verify_bound_fails_on_a_nan_norm_in_any_slot():
         lab = gd.classify_case(WINDOW, SPEC, 2, HVALS, origin=o, partitions=store)
         if lab.kind == "cube":
             break
-    reach = 2 * lab.m + 2
-    tr = gd.propagate(WINDOW, E_IN, origin=o, lo=o - reach, hi=o + reach)
-    assert gd.verify_bound(tr, lab, HVALS, spec=SPEC).holds
-    for rel in gd._offsets(lab):
-        phi = tr.phi.copy()
-        phi[o + rel - tr.lo] = math.nan  # ||Phi(rel)|| reads phi(o + rel)
-        bad = gd.SolutionTrack(tr.window, tr.energy, tr.origin, tr.lo, phi)
-        rep = gd.verify_bound(bad, lab, HVALS, spec=SPEC)
-        assert math.isnan(rep.value) and not rep.holds, rel
+    norms = gd._norm_slabs(WINDOW, [E_IN], [o], [gd._offsets(lab)])[0, 0]
+    assert gd._bound_value(norms, 1.0) - 0.5 >= -gd.BOUND_SLACK
+    for slot, rel in enumerate(gd._offsets(lab)):
+        bad = norms.copy()
+        bad[slot] = math.nan  # as if ||Phi(rel)|| overflowed
+        value = gd._bound_value(bad, 1.0)
+        assert math.isnan(value) and not value - 0.5 >= -gd.BOUND_SLACK, rel
     # the sweep's lane form: norms along the last axis
     nan = math.nan
     lanes = np.array([[[1.0, nan, 2.0], [3.0, 1.0, 2.0]]])
@@ -1117,8 +1175,7 @@ def test_sweep_falsifies_a_nan_norm_past_the_first_slot(monkeypatch):
 
 def ref_gordon_sweep(spec, entry_k, n_energies, n_origins, energy_level=None,
                      max_scale=None, seed=0, grid=20_000):
-    """The sweep as one reference walk per (energy, origin) pair, then one
-    reference structural re-check and one bound per classified pair."""
+    """The sweep's sampling, then ``ref_certify_pairs`` on the drawn pairs."""
     if energy_level is None:
         energy_level = entry_k + 5
     if max_scale is None:
@@ -1136,8 +1193,14 @@ def ref_gordon_sweep(spec, entry_k, n_energies, n_origins, energy_level=None,
         rng.integers(window.start + margin_room + 1, window.end - margin_room - 1,
                      size=n_origins)
     )
-    htab = gd.trace_recursion_f64(spec, max(max_scale + 1, entry_k + 2),
-                                  np.asarray(energies))
+    return ref_certify_pairs(spec, window, entry_k, energies, origins, max_scale - entry_k)
+
+
+def ref_certify_pairs(spec, window, entry_k, energies, origins, climb_cap):
+    """The core as one reference walk per (energy, origin) pair, then one
+    reference structural re-check and one bound per classified pair."""
+    origins = np.asarray(origins)
+    htab = gd.trace_recursion_f64(spec, entry_k + climb_cap + 1, np.asarray(energies))
     parts_store = {}
     parts = gd._Partitions(window, spec, parts_store)
     labels = {}
@@ -1148,7 +1211,7 @@ def ref_gordon_sweep(spec, entry_k, n_energies, n_origins, energy_level=None,
             try:
                 labels[(ie, io)] = ref_classify_case(
                     window, spec, entry_k, h, origin=int(o),
-                    partitions=parts_store, max_climb=max(max_scale - entry_k, 1),
+                    partitions=parts_store, max_climb=climb_cap,
                 )
             except sq.ValidationError as exc:
                 falsifications.append({"energy": float(e), "origin": int(o),
@@ -1210,6 +1273,59 @@ def test_sweep_matches_per_pair_reference(monkeypatch, seed):
     (_, origins, _), (_, rechecked) = calls
     assert len(origins) == 500
     assert len(rechecked) == len(set(rechecked)) < 40 * 500 // 10
+
+
+def test_certify_pairs_on_a_contiguous_origin_range(certify_energies):
+    """One core call over 100 contiguous origins of the seed-1 certify
+    window (max_scale 9, so climb_cap 7) at its 40 energies equals the
+    reference field by field; the run of origins that no cube within the
+    cap covers at some energy is reported, and only at the classifier."""
+    window = SPEC.window(1, 373_981)
+    origins = list(range(324_700, 324_800))
+    got = gd.certify_pairs(SPEC, window, 2, certify_energies, origins, 7)
+    assert_same_sweep(got, ref_certify_pairs(SPEC, window, 2, certify_energies, origins, 7))
+    assert sum(got.case_counts.values()) + len(got.falsifications) == 40 * 100
+    assert {f["origin"] for f in got.falsifications} == set(range(324_766, 324_775))
+    assert {f["stage"] for f in got.falsifications} == {"classify"}
+    assert all("no cube found within 7 climb levels" in f["error"]
+               for f in got.falsifications)
+
+
+def _fails_if_called(monkeypatch):
+    """Make every stage of the core's work fail the test if it starts."""
+    for name in ("trace_recursion_f64", "k_partition", "_classify", "_norm_slabs"):
+        monkeypatch.setattr(gd, name, _raising(AssertionError("%s was called" % name)))
+
+
+def test_certify_pairs_names_an_origin_too_close_to_the_edge(monkeypatch):
+    window = SPEC.window(1, 3000)  # sites 1 .. 3000
+    # entry_k 2 and climb_cap 2: 2 * block_length(4) + 2 = 164 sites of room
+    fit = gd.certify_pairs(SPEC, window, 2, [0.3, 0.9], [165, 1500, 2836], 2)
+    assert fit.origins == (165, 1500, 2836)
+    _fails_if_called(monkeypatch)
+    for origins, named in (([1500, 2900], 2900), ([2837], 2837), ([164, 1500], 164),
+                           ([100, 2950], 100)):
+        with pytest.raises(sq.WindowTooShortError,
+                           match=r"^origin %d is within 164 sites of an edge of the "
+                                 r"window \[1, 3001\)$" % named):
+            gd.certify_pairs(SPEC, window, 2, [0.3], origins, 2)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(climb_cap=2.5), "climb_cap must be an integer, got 2.5"),
+    (dict(climb_cap="7"), "climb_cap must be an integer, got '7'"),
+    (dict(entry_k=2.0), "entry_k must be an integer, got 2.0"),
+    (dict(entry_k=None), "entry_k must be an integer, got None"),
+    (dict(climb_cap=1), "climb_cap must be >= 2, got 1"),
+    (dict(entry_k=-1), "entry_k must be >= 0, got -1"),
+    (dict(origins=[1500.0]), "origins must be a sequence of integers"),
+    (dict(origins=[[1500]]), "origins must be a sequence of integers"),
+])
+def test_certify_pairs_rejects_a_bad_argument(monkeypatch, kwargs, message):
+    _fails_if_called(monkeypatch)
+    call = {**dict(entry_k=2, energies=[0.3], origins=[1500], climb_cap=2), **kwargs}
+    with pytest.raises(sq.ValidationError, match="^%s$" % re.escape(message)):
+        gd.certify_pairs(SPEC, SPEC.window(1, 3000), **call)
 
 
 def test_sweep_matches_reference_on_edge_traces(monkeypatch):

@@ -445,15 +445,15 @@ def test_lyapunov_scan_overflow_threshold():
 def test_propagate_matches_reference(energy, basis):
     window = SIMPLE3.window(1, 50_000)
     origin = 20_000
-    track = gd.propagate(window, energy, phi_init=basis, origin=origin)
+    phi = gd.propagate(window, energy, phi_init=basis, origin=origin)
     ref = ref_propagate(window, energy, basis, origin, window.start, window.end - 1)
-    assert np.array_equal(track.phi, ref, equal_nan=True)
+    assert np.array_equal(phi, ref, equal_nan=True)
     if energy == 4.0:
-        assert not np.all(np.isfinite(track.phi))  # the tails overflow
+        assert not np.all(np.isfinite(phi))  # the tails overflow
     # the shortest range: no step either way
-    short = gd.propagate(window, energy, phi_init=basis, origin=origin,
-                         lo=origin - 1, hi=origin)
-    assert short.phi.tolist() == list(basis)
+    short = gd.propagate(window.slice(origin - 1, origin + 1), energy, phi_init=basis,
+                         origin=origin)
+    assert short.tolist() == list(basis)
 
 
 def assert_lane_norms_match_reference(window, energies, origins, offsets, got):
