@@ -49,7 +49,7 @@ from .sequences import (
     blocks,
     k_partition,
 )
-from .cocycle import trace_recursion_f64, transfer_run
+from .cocycle import _distinct_rows, trace_recursion_f64, transfer_run
 
 __all__ = [
     "GordonStructureError",
@@ -736,6 +736,39 @@ def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
     return out
 
 
+def _word_classes(window: Window, origins, offsets_of, lane_o, lane_lab):
+    """Per lane, the id of its class of equal (offsets, word), and the
+    number of classes.
+
+    A lane's runs step the codes ``codes[o - bwd : o + fwd]`` of its origin
+    o, fwd and bwd its deepest forward and backward offsets, and read
+    nothing else of the window: lanes whose labels have equal offsets and
+    whose origins carry equal words there, at one energy, step the same
+    floats.  Each distinct (origin, offsets) pair is gathered once, and the
+    words of one offsets tuple are told apart by ``_distinct_rows``.
+    """
+    pairs, pair_of_lane = np.unique(lane_o * len(offsets_of) + lane_lab, return_inverse=True)
+    at, lab = np.divmod(pairs, len(offsets_of))
+    tables = {t: g for g, t in enumerate(dict.fromkeys(offsets_of))}
+    group = np.array([tables[t] for t in offsets_of], dtype=np.int64)[lab]
+    pair_class = np.empty(len(pairs), dtype=np.int64)
+    n_classes = 0
+    for t, g in tables.items():
+        rows = np.flatnonzero(group == g)
+        if not len(rows):
+            continue
+        fwd, bwd = max(max(t, default=0), 0), max(-min(t, default=0), 0)
+        sites, which = np.unique(origins[at[rows]], return_inverse=True)
+        if fwd + bwd:
+            lo = sites - window.start - bwd
+            _, word = _distinct_rows(window.codes[lo[:, None] + np.arange(fwd + bwd)])
+        else:  # no offsets: nothing is stepped
+            word = np.zeros(len(sites), dtype=np.intp)
+        pair_class[rows] = n_classes + word[which.reshape(-1)]
+        n_classes += int(word.max()) + 1
+    return pair_class[pair_of_lane.reshape(-1)], n_classes
+
+
 def _sweep_outcomes(parts: _Partitions, entry_k: int, htab, origins, climb_cap: int):
     """Classify every (energy, origin) pair and re-check each distinct
     (origin, label) pair once, on ``parts``; the re-check reads no energy.
@@ -775,7 +808,8 @@ def certify_pairs(spec: ToeplitzSpec, window: Window, entry_k: int, energies: Se
     origin whose climb would pass level entry_k + climb_cap surfaces as a
     reported candidate, never silently.  Every origin must be an integer
     at least 2 * block_length(entry_k + climb_cap) + 2 sites from both
-    window edges, so its re-check and norms fit.  Anything else raises a
+    window edges, so its re-check and norms fit.  ``energies`` must be a
+    1-D sequence of finite real numbers.  Anything else raises a
     ``ValidationError`` naming the argument (a ``WindowTooShortError`` for
     an origin) before any work is done.
 
@@ -785,12 +819,15 @@ def certify_pairs(spec: ToeplitzSpec, window: Window, entry_k: int, energies: Se
     walks all origins in one array pass and spreads each origin's at most
     three outcomes over the energies by their trace answers, each
     distinct (origin, label) pair is re-checked structurally once
-    (``_sweep_outcomes``), and each classified pair is a lane: norms are
-    stepped per lane by ``_norm_slabs``, each only out to its own
-    label's certificate offsets, and the bounds are evaluated on all
-    lanes as arrays.  A norm the bound needs that was never computed
-    raises ``RuntimeError``.  Lanes, margins and falsifications come in
-    energy-major pair order.
+    (``_sweep_outcomes``), and each classified pair is a lane.  A lane's
+    norms read only its energy, its label's certificate offsets and the
+    codes its runs step (``_word_classes``), so ``_norm_slabs`` steps the
+    first lane of each distinct (energy, offsets, word), only out to its
+    offsets, and the other lanes of that class take its norms; energies
+    are told apart by their index, so repeated energies are stepped
+    apart.  The bounds are evaluated on all lanes as arrays.  A norm the bound
+    needs that was never computed raises ``RuntimeError``.  Lanes,
+    margins and falsifications come in energy-major pair order.
     """
     entry_k, climb_cap = _integer(entry_k, "entry_k"), _integer(climb_cap, "climb_cap")
     for name, value, least in (("entry_k", entry_k, 0), ("climb_cap", climb_cap, 2)):
@@ -799,13 +836,19 @@ def certify_pairs(spec: ToeplitzSpec, window: Window, entry_k: int, energies: Se
     origins = np.asarray(origins)
     if origins.ndim != 1 or origins.size and origins.dtype.kind not in "iu":
         raise ValidationError("origins must be a sequence of integers")
+    e_arr = np.asarray(energies)
+    if e_arr.ndim != 1 or e_arr.size and e_arr.dtype.kind not in "iuf":
+        raise ValidationError("energies must be a 1-D sequence of real numbers")
+    e_arr = e_arr.astype(np.float64)
+    nonfinite = e_arr[~np.isfinite(e_arr)]
+    if len(nonfinite):
+        raise ValidationError("energies must be finite, got %r" % float(nonfinite[0]))
     margin_room = 2 * spec.block_length(entry_k + climb_cap) + 2
     near = (origins < window.start + margin_room) | (origins > window.end - 1 - margin_room)
     if near.any():
         raise WindowTooShortError("origin %d is within %d sites of an edge of the window [%d, %d)"
                                   % (origins[near][0], margin_room, window.start, window.end))
 
-    e_arr = np.asarray(energies, dtype=np.float64)
     htab = trace_recursion_f64(spec, entry_k + climb_cap + 1, e_arr)
     outcomes, outcome_id = _sweep_outcomes(
         _Partitions(window, spec), entry_k, htab, origins, climb_cap
@@ -824,15 +867,21 @@ def certify_pairs(spec: ToeplitzSpec, window: Window, entry_k: int, energies: Se
     lane_lab = outcome_id[lane_e, lane_o]
     sound = np.array([err is None for _, err in outcomes], dtype=bool)[lane_lab]
     offsets_of = [() if x is None else _offsets(x) for x in labels]
-    offsets = list(map(offsets_of.__getitem__, lane_lab.tolist()))
-    norms = _norm_slabs(window, e_arr[lane_e], origins[lane_o], offsets)
+    # lanes of one energy (by index) and one (offsets, word) class step the
+    # same floats: step the first of each, then gather back to every lane
+    word, n_classes = _word_classes(window, origins, offsets_of, lane_o, lane_lab)
+    _, first, back = np.unique(lane_e * n_classes + word, return_index=True,
+                               return_inverse=True)
+    norms = _norm_slabs(window, e_arr[lane_e[first]], origins[lane_o[first]],
+                        [offsets_of[i] for i in lane_lab[first].tolist()])[:, back.reshape(-1)]
     n_read = np.array([len(t) for t in offsets_of], dtype=np.int64)[lane_lab]
     unfilled = (norms < 0) & (np.arange(norms.shape[2]) < n_read[:, None])
     if unfilled.any():
         _, lane, slot = np.argwhere(unfilled)[0]
         raise RuntimeError(
             "norm at offset %d of the pair (energy %r, origin %d) was never computed"
-            % (offsets[lane][slot], float(e_arr[lane_e[lane]]), origins[lane_o[lane]])
+            % (offsets_of[lane_lab[lane]][slot], float(e_arr[lane_e[lane]]),
+               origins[lane_o[lane]])
         )
 
     # a lane's bound scale: 1 for a cube (level -1), |h_n| at its energy for a square

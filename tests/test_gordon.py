@@ -1265,6 +1265,7 @@ def test_sweep_matches_per_pair_reference(monkeypatch, seed):
     simple3 = simple_spec()
     want = ref_gordon_sweep(simple3, 2, 40, 500, seed=seed, grid=2000)
     calls = record_sweep_stages(monkeypatch)
+    lanes = record_norm_lanes(monkeypatch)
     got = gd.gordon_sweep(simple3, 2, 40, 500, seed=seed, grid=2000)
     assert_same_sweep(got, want)
     assert len(got.falsifications) == (44 if seed == 1 else 0)
@@ -1273,6 +1274,8 @@ def test_sweep_matches_per_pair_reference(monkeypatch, seed):
     (_, origins, _), (_, rechecked) = calls
     assert len(origins) == 500
     assert len(rechecked) == len(set(rechecked)) < 40 * 500 // 10
+    # one norm lane per distinct (energy, offsets, word)
+    assert list(map(len, lanes)) == [{1: 4211, 2: 4547, 3: 4371}[seed]]
 
 
 def test_certify_pairs_on_a_contiguous_origin_range(certify_energies):
@@ -1289,6 +1292,117 @@ def test_certify_pairs_on_a_contiguous_origin_range(certify_energies):
     assert {f["stage"] for f in got.falsifications} == {"classify"}
     assert all("no cube found within 7 climb levels" in f["error"]
                for f in got.falsifications)
+
+
+def record_norm_lanes(monkeypatch):
+    """The (energy, origin, offsets) lanes of each ``_norm_slabs`` call."""
+    calls, real = [], gd._norm_slabs
+
+    def recorded(window, energies, origins, offsets):
+        calls.append(list(zip(np.asarray(energies).tolist(), np.asarray(origins).tolist(),
+                              offsets)))
+        return real(window, energies, origins, offsets)
+
+    monkeypatch.setattr(gd, "_norm_slabs", recorded)
+    return calls
+
+
+def lane_word(window, origin, offsets):
+    """The codes a lane's runs step: from its deepest backward offset to
+    its deepest forward one."""
+    fwd, bwd = max(max(offsets), 0), max(-min(offsets), 0)
+    return window.codes[origin - bwd - window.start : origin + fwd - window.start].tobytes()
+
+
+def norm_lane_keys(window, spec, entry_k, energies, origins, climb_cap):
+    """The distinct (energy index, offsets, word) of the pairs that
+    classify, each pair classified by the reference walk, counted by
+    (energy bits, offsets, word)."""
+    htab = gd.trace_recursion_f64(spec, entry_k + climb_cap + 1, np.asarray(energies))
+    store, keys = {}, set()
+    for ie in range(len(energies)):
+        for o in origins:
+            try:
+                lab = ref_classify_case(window, spec, entry_k, list(htab[:, ie]), origin=o,
+                                        partitions=store, max_climb=climb_cap)
+            except sq.ValidationError:
+                continue
+            keys.add((ie, gd._offsets(lab), lane_word(window, o, gd._offsets(lab))))
+    return Counter((float(energies[ie]).hex(), t, w) for ie, t, w in keys)
+
+
+OVERFLOW_LANES = [20.0, 20.0, -40.0, 6.0, 3.5]
+
+
+@pytest.mark.parametrize("energies,lo,n", [
+    ("certify", 200_000, 300),  # equal words at different origins
+    ([0.0, -0.0, "certify", "certify"], 100_000, 100),  # signed zeros, duplicates
+    (OVERFLOW_LANES, 200_000, 200),  # deep norms that overflow to NaN
+], ids=["shared-words", "zeros-and-duplicates", "overflow"])
+def test_norm_lanes_are_the_distinct_energy_offsets_words(monkeypatch, certify_energies,
+                                                           energies, lo, n):
+    """``_norm_slabs`` steps one lane per distinct (energy index, offsets,
+    word), and the report stays == to the reference, which steps one lane
+    per classified pair."""
+    e_cert = certify_energies[17]
+    energies = (certify_energies[::8] if energies == "certify"
+                else [e_cert if e == "certify" else e for e in energies])
+    window, origins = SPEC.window(1, 373_981), list(range(lo, lo + n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = ref_certify_pairs(SPEC, window, 2, energies, origins, 7)
+        lanes = record_norm_lanes(monkeypatch)
+        got = gd.certify_pairs(SPEC, window, 2, energies, origins, 7)
+    assert_same_sweep(got, want)
+    keys = norm_lane_keys(window, SPEC, 2, energies, origins, 7)
+    assert len(lanes) == 1
+    assert Counter((float(e).hex(), t, lane_word(window, o, t)) for e, o, t in lanes[0]) == keys
+    classified = sum(got.case_counts.values())
+    assert len(lanes[0]) == sum(keys.values()) < classified
+    if energies == OVERFLOW_LANES:
+        nan = [f for f in got.falsifications if f["stage"] == "bound"]
+        assert nan and all(math.isnan(f["margin"]) for f in nan)
+    elif 0.0 in energies:
+        # each zero and each copy of a duplicate energy steps its own lanes
+        signs = Counter(math.copysign(1.0, e) for e, _, _ in lanes[0] if e == 0.0)
+        assert signs[1.0] == signs[-1.0] > 0
+        assert sum(e == e_cert for e, _, _ in lanes[0]) == 2 * signs[1.0]
+
+
+def test_word_classes_split_equal_words_by_offsets():
+    """Lanes share a class only with equal offsets and equal words: on a
+    constant potential every word is equal, so the offsets decide."""
+    window = zero_window(400)
+    offsets_of = [(-9, 9, 18), (9, 18), (9, 18), (9, -9, -18), (-9, -18)]
+    lane_o = np.array([0, 1, 0, 0, 0, 1, 0, 2])
+    lane_lab = np.array([0, 0, 1, 2, 3, 3, 4, 4])
+    word, n_classes = gd._word_classes(window, np.array([100, 200, 300]), offsets_of,
+                                       lane_o, lane_lab)
+    assert n_classes == 4
+    # equal words at different origins share; equal offsets under two labels share
+    assert word[0] == word[1] and word[2] == word[3] and word[4] == word[5] \
+        and word[6] == word[7]
+    assert len({word[0], word[2], word[4], word[6]}) == 4
+    # a word that differs inside the reach splits the class, one outside does not
+    codes = window.codes.copy()
+    codes[200 - window.start + 17] = 1  # origin 200 + 17 < 200 + 18
+    codes[100 - window.start - 19] = 1  # origin 100 - 19, past 100 - 18
+    bumped = sq.Window(window.start, codes, window.alphabet)
+    word, n_classes = gd._word_classes(bumped, np.array([100, 200, 300]), offsets_of,
+                                       lane_o, lane_lab)
+    assert n_classes == 5 and word[0] != word[1] and word[6] == word[7]
+
+
+def test_certify_pairs_on_1000_contiguous_origins(monkeypatch, certify_energies):
+    """1000 contiguous origins at the 40 certify energies equal the
+    reference, which steps every classified pair's lane; the core steps
+    one lane per distinct (energy, offsets, word)."""
+    window, origins = SPEC.window(1, 373_981), list(range(200_000, 201_000))
+    want = ref_certify_pairs(SPEC, window, 2, certify_energies, origins, 7)
+    lanes = record_norm_lanes(monkeypatch)
+    got = gd.certify_pairs(SPEC, window, 2, certify_energies, origins, 7)
+    assert_same_sweep(got, want)
+    assert sum(got.case_counts.values()) == 40 * 1000
+    assert list(map(len, lanes)) == [5958]
 
 
 def _fails_if_called(monkeypatch):
@@ -1320,6 +1434,15 @@ def test_certify_pairs_names_an_origin_too_close_to_the_edge(monkeypatch):
     (dict(entry_k=-1), "entry_k must be >= 0, got -1"),
     (dict(origins=[1500.0]), "origins must be a sequence of integers"),
     (dict(origins=[[1500]]), "origins must be a sequence of integers"),
+    (dict(energies=[math.nan]), "energies must be finite, got nan"),
+    (dict(energies=[0.3, math.inf]), "energies must be finite, got inf"),
+    (dict(energies=np.array([-math.inf, 0.3])), "energies must be finite, got -inf"),
+    (dict(energies=[[0.3, 0.4]]), "energies must be a 1-D sequence of real numbers"),
+    (dict(energies=0.3), "energies must be a 1-D sequence of real numbers"),
+    (dict(energies=[0.3 + 1j]), "energies must be a 1-D sequence of real numbers"),
+    (dict(energies=["0.3"]), "energies must be a 1-D sequence of real numbers"),
+    (dict(energies=[0.3, None]), "energies must be a 1-D sequence of real numbers"),
+    (dict(energies=[True]), "energies must be a 1-D sequence of real numbers"),
 ])
 def test_certify_pairs_rejects_a_bad_argument(monkeypatch, kwargs, message):
     _fails_if_called(monkeypatch)

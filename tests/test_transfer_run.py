@@ -486,8 +486,9 @@ def test_norm_slabs_match_reference_on_certify_sweep(monkeypatch):
 
     monkeypatch.setattr(gd, "_norm_slabs", checked)
     report = gd.gordon_sweep(SIMPLE3, 2, 40, 500, grid=2000, seed=1)
-    # one call; the pairs that failed to classify get no lane
-    assert calls == [40 * 500 - 44]
+    # one call, one lane per distinct (energy, offsets, word) among the
+    # 40 * 500 - 44 pairs that classify: the 44 that failed get no lane
+    assert calls == [4211]
     assert len(report.falsifications) == 44
 
 
