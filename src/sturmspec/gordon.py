@@ -10,8 +10,8 @@ origins at once, one level per step, escalating levels when traces
 escape, with the decision tree's tests as array masks, and returns which
 certificate applies at which scale (``_classify``; ``classify_case`` is
 its one-origin call).  The literal re-check of each label's hypothesis
-(``_structural_errors``) precedes every bound, so a classifier defect
-surfaces as an error rather than a wrong margin.
+(``_recheck``) precedes every bound, so a classifier defect surfaces as
+an error rather than a wrong margin.
 
 The four certificates are the rows of ``_CERTIFICATES``, keyed by
 (kind, reflected), in units of m = ``label.m`` around the origin:
@@ -26,6 +26,9 @@ omega_i == omega_{i+m} must hold on the periodic range, and for a square
 the m sites from the rotation anchor must be a cyclic rotation of s_n,
 n = ``trace_level``.  Each certificate bounds max(c N1, N2, ...), N1, N2,
 ... the norms at its offsets in order, with c = 1 for a cube, |h_n| for a square.
+In every row the periodic range and its shift by m, [a*m, (b+1)*m), are
+the sites from the deepest backward offset to the deepest forward one:
+the word a pair's norms step is the word its re-check reads.
 """
 
 from __future__ import annotations
@@ -66,8 +69,7 @@ __all__ = [
 #: absolute slack absorbing float propagation error over <= 1e5 steps
 BOUND_SLACK = 1e-9
 NONDECAY_SLACK = 1e-6
-#: cap on the coefficients (steps x runs) _norm_slabs gathers at once, and
-#: on the symbols the structural re-check gathers at once
+#: cap on the coefficients (steps x runs) _norm_slabs gathers at once
 NORM_CHUNK = 1 << 16
 
 
@@ -438,85 +440,74 @@ _CERTIFICATES = {
 }
 
 
-def _first_mismatch(rows, length: int, pair) -> np.ndarray:
-    """Per row, the first column where the two (rows, length) arrays that
-    ``pair(chunk)`` gathers for a chunk of rows differ, or -1; chunks hold
-    at most ``NORM_CHUNK`` symbols."""
-    first = np.full(len(rows), -1, dtype=np.int64)
-    step = max(NORM_CHUNK // max(length, 1), 1)
-    for i in range(0, len(rows), step):
-        a, b = pair(rows[i : i + step])
-        differ = a != b
-        first[i : i + step] = np.where(differ.any(axis=1), differ.argmax(axis=1), -1)
-    return first
+def _recheck(parts: _Partitions, origins, labels):
+    """Literal symbol re-check of each (origin, label) pair's hypothesis
+    (no norms), and the class of the word the pair's norms step.
 
+    A pair's word is the codes of its periodic range [a*m, b*m) and of that
+    range shifted by m, [a*m, (b+1)*m) around its origin: the sites its
+    norm runs step.  The pairs of one geometry (kind, reflected, m, trace
+    level) gather their words once and number the distinct ones
+    (``_distinct_rows``); omega_i == omega_{i+m} is tested once per
+    distinct word, and a square's rotation of s_n, n the trace level, once
+    per distinct (word, phase), phase = (anchor - residue) mod |s_n|.  A
+    relabelled square whose s_n outruns its word (|s_n| != m, which the
+    classifier never gives) gathers that far past it.
 
-def _periodic_errors(window: Window, lo: np.ndarray, length: int, m: int) -> list:
-    """omega_i == omega_{i+m} for every i in [lo, lo + length), row by row:
-    None where it holds, else the unraised error."""
-    codes, start = window.codes, window.start
-    short = (lo < start) | (lo + length + m > start + len(codes))
-    errors = [WindowTooShortError("window too short to re-check the repetition hypothesis")
-              if x else None for x in short.tolist()]
-    at = lo[~short] - start
-    if len(at) and length > 0:
-        view = np.lib.stride_tricks.sliding_window_view(codes, length)
-        first = _first_mismatch(at, length, lambda r: (view[r], view[r + m]))
-        for r, i in zip(np.flatnonzero(~short)[first >= 0].tolist(),
-                        (at + start + first)[first >= 0].tolist()):
+    Returns per pair None where the hypothesis holds, else the unraised
+    ``ValidationError``; per pair the id of its class of equal (geometry,
+    word), and the number of classes.  A pair whose word leaves the
+    window is a class of its own.
+    """
+    codes, start = parts.window.codes, parts.window.start
+    o = np.asarray(origins, dtype=np.int64)
+    errors, word_class, n_classes = [None] * len(o), np.empty(len(o), dtype=np.int64), 0
+    geometry: dict = {}
+    group = np.fromiter((geometry.setdefault((x.kind, x.reflected, x.m, x.trace_level),
+                                             len(geometry)) for x in labels),
+                        dtype=np.int64, count=len(o))
+    for (kind, reflected, m, level), g in geometry.items():
+        rows = np.flatnonzero(group == g)
+        (a, b), rot, _ = _CERTIFICATES[kind, reflected]
+        width = (b + 1 - a) * m
+        lo = o[rows] + a * m - start
+        fits = (lo >= 0) & (lo + width <= len(codes))
+        for r in rows[~fits].tolist():
+            errors[r] = WindowTooShortError(
+                "window too short to re-check the repetition hypothesis")
+        word_class[rows[~fits]] = n_classes + np.arange((~fits).sum())
+        n_classes += int((~fits).sum())
+        rows, lo = rows[fits], lo[fits]
+        reach, padded = width, codes
+        if rot is not None:
+            s = blocks(parts.spec, level)[0]
+            reach = max(width, (rot - a) * m + len(s))
+            if reach > width:
+                padded = np.append(codes, np.full(reach - width, -1, dtype=codes.dtype))
+        words, word = _distinct_rows(np.lib.stride_tricks.sliding_window_view(padded, reach)[lo])
+        word_class[rows] = n_classes + word
+        n_classes += len(words)
+        differ = words[:, : width - m] != words[:, m:width]
+        first = np.where(differ.any(axis=1), differ.argmax(axis=1), -1)[word]
+        for r, i in zip(rows[first >= 0].tolist(), (lo + start + first)[first >= 0].tolist()):
             errors[r] = GordonStructureError(
                 "repetition hypothesis fails at site %d (period %d)" % (i, m))
-    return errors
-
-
-def _rotation_errors(window: Window, lo: np.ndarray, parts: _Partitions, level: int) -> list:
-    """The m symbols from each lo must be a cyclic rotation of the spec's
-    s_level, by (lo - residue) mod m, row by row: None where they are,
-    else the unraised error."""
-    s = blocks(parts.spec, level)[0]
-    residue = int(parts.at(level).residue)
-    m = len(s)
-    codes, start = window.codes, window.start
-    short = (lo < start) | (lo + m > start + len(codes))
-    errors = [WindowTooShortError("window too short for the rotation check") if x else None
-              for x in short.tolist()]
-    rows = np.flatnonzero(~short)
-    if len(rows):
-        view = np.lib.stride_tricks.sliding_window_view(codes, m)
-        turns = np.lib.stride_tricks.sliding_window_view(np.concatenate([s, s[:-1]]), m)
-        r = (lo - residue) % m
-        first = _first_mismatch(rows, m, lambda x: (view[lo[x] - start], turns[r[x]]))
-        for x in rows[first >= 0].tolist():
-            errors[x] = GordonStructureError(
-                "segment at %d is not the expected rotation (by %d) of the s-block"
-                % (lo[x], r[x]))
-    return errors
-
-
-def _structural_errors(window: Window, parts: _Partitions, origins, labels) -> list:
-    """Literal symbol re-check of each (origin, label) pair's hypothesis
-    (no norms): per pair None where it holds, else the unraised
-    ``ValidationError``.  The periodic ranges are checked in one group per
-    period and range length, then the squares whose range holds in one
-    group per trace level; a group compares its pairs' symbols as arrays.
-    """
-    o = np.asarray(origins, dtype=np.int64)
-    certs = [_CERTIFICATES[x.kind, x.reflected] for x in labels]
-    m = np.array([x.m for x in labels], dtype=np.int64)
-    a, b = np.array([c.periodic for c in certs], dtype=np.int64).reshape(-1, 2).T
-    errors = [None] * len(labels)
-    for period, span in sorted(set(zip(m.tolist(), (b - a).tolist()))):
-        rows = np.flatnonzero((m == period) & (b - a == span))
-        found = _periodic_errors(window, o[rows] + a[rows] * period, span * period, period)
-        for r, error in zip(rows.tolist(), found):
-            errors[r] = error
-    squares = [r for r, c in enumerate(certs) if c.rotation is not None and errors[r] is None]
-    for level in sorted({labels[r].trace_level for r in squares}):
-        rows = [r for r in squares if labels[r].trace_level == level]
-        lo = np.array([o[r] + certs[r].rotation * m[r] for r in rows], dtype=np.int64)
-        for r, error in zip(rows, _rotation_errors(window, lo, parts, level)):
-            errors[r] = error
-    return errors
+        if rot is None:
+            continue
+        holds, at, n = first < 0, (rot - a) * m, len(s)
+        rows, word, anchor = rows[holds], word[holds], lo[holds] + at
+        phase = (anchor + start - int(parts.at(level).residue)) % n
+        _, rep, back = np.unique(word * n + phase, return_index=True, return_inverse=True)
+        turns = np.lib.stride_tricks.sliding_window_view(np.concatenate([s, s[:-1]]), n)
+        wrong = (words[word[rep], at : at + n] != turns[phase[rep]]).any(axis=1)[back.reshape(-1)]
+        for r, x, p in zip(rows[wrong].tolist(), (anchor + start)[wrong].tolist(),
+                           phase[wrong].tolist()):
+            errors[r] = GordonStructureError(
+                "segment at %d is not the expected rotation (by %d) of the s-block" % (x, p))
+        # only a relabelled square's s_n can outrun the window past its word
+        for r in rows[anchor + n > len(codes)].tolist():
+            errors[r] = WindowTooShortError("window too short for the rotation check")
+    return errors, word_class, n_classes
 
 
 def _offsets(label: CaseLabel) -> tuple:
@@ -721,82 +712,21 @@ def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
     codes, values = window.codes, window.alphabet.value_table()
     flat = out.reshape(2, -1)
     done = 0
-    for g, p, lo, hi in zip(groups.tolist(), moving.tolist(), bounds, bounds[1:]):
-        d, side = divmod(g, 2)
-        cur, prev = cur[:, :p], prev[:, :p]
-        rows = max(NORM_CHUNK // p, 1)
-        for k in range(done, d, rows):
-            ks = np.arange(k, min(k + rows, d))[:, None]
-            coeffs = e_r[:p] - values.take(codes.take(site[:p] + stride[:p] * ks))
-            cur, prev = transfer_run(coeffs, cur, prev)
-        done = d
-        # the norm at offset d is |(phi(d), phi(d-1))|, at -d |(phi(-d), phi(-d-1))|
-        at = cur.take(run[lo:hi], axis=1), prev.take(run[lo:hi], axis=1)
-        flat[:, slot[lo:hi]] = np.hypot(*at[::-1] if side else at)
+    # off-spectrum runs may overflow to inf, and past an inf step to NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, p, lo, hi in zip(groups.tolist(), moving.tolist(), bounds, bounds[1:]):
+            d, side = divmod(g, 2)
+            cur, prev = cur[:, :p], prev[:, :p]
+            rows = max(NORM_CHUNK // p, 1)
+            for k in range(done, d, rows):
+                ks = np.arange(k, min(k + rows, d))[:, None]
+                coeffs = e_r[:p] - values.take(codes.take(site[:p] + stride[:p] * ks))
+                cur, prev = transfer_run(coeffs, cur, prev)
+            done = d
+            # the norm at offset d is |(phi(d), phi(d-1))|, at -d |(phi(-d), phi(-d-1))|
+            at = cur.take(run[lo:hi], axis=1), prev.take(run[lo:hi], axis=1)
+            flat[:, slot[lo:hi]] = np.hypot(*at[::-1] if side else at)
     return out
-
-
-def _word_classes(window: Window, origins, offsets_of, lane_o, lane_lab):
-    """Per lane, the id of its class of equal (offsets, word), and the
-    number of classes.
-
-    A lane's runs step the codes ``codes[o - bwd : o + fwd]`` of its origin
-    o, fwd and bwd its deepest forward and backward offsets, and read
-    nothing else of the window: lanes whose labels have equal offsets and
-    whose origins carry equal words there, at one energy, step the same
-    floats.  Each distinct (origin, offsets) pair is gathered once, and the
-    words of one offsets tuple are told apart by ``_distinct_rows``.
-    """
-    pairs, pair_of_lane = np.unique(lane_o * len(offsets_of) + lane_lab, return_inverse=True)
-    at, lab = np.divmod(pairs, len(offsets_of))
-    tables = {t: g for g, t in enumerate(dict.fromkeys(offsets_of))}
-    group = np.array([tables[t] for t in offsets_of], dtype=np.int64)[lab]
-    pair_class = np.empty(len(pairs), dtype=np.int64)
-    n_classes = 0
-    for t, g in tables.items():
-        rows = np.flatnonzero(group == g)
-        if not len(rows):
-            continue
-        fwd, bwd = max(max(t, default=0), 0), max(-min(t, default=0), 0)
-        sites, which = np.unique(origins[at[rows]], return_inverse=True)
-        if fwd + bwd:
-            lo = sites - window.start - bwd
-            _, word = _distinct_rows(window.codes[lo[:, None] + np.arange(fwd + bwd)])
-        else:  # no offsets: nothing is stepped
-            word = np.zeros(len(sites), dtype=np.intp)
-        pair_class[rows] = n_classes + word[which.reshape(-1)]
-        n_classes += int(word.max()) + 1
-    return pair_class[pair_of_lane.reshape(-1)], n_classes
-
-
-def _sweep_outcomes(parts: _Partitions, entry_k: int, htab, origins, climb_cap: int):
-    """Classify every (energy, origin) pair and re-check each distinct
-    (origin, label) pair once, on ``parts``; the re-check reads no energy.
-
-    An outcome is (label or None, error or None), the error being the
-    ``repr`` of the ``ValidationError`` the classifier or the re-check
-    gave (the text only).  Returns the distinct outcomes and an
-    (energies, origins) array of their indices.
-    """
-    found, slot_id, choice = _classify(parts, entry_k, htab, origins, climb_cap)
-    n, reached = len(origins), slot_id >= 0
-    pairs, pair_id = np.unique((np.arange(n)[:, None] * len(found) + slot_id)[reached],
-                               return_inverse=True)
-    at, which = np.divmod(pairs, len(found))
-    is_label = [isinstance(x, CaseLabel) for x in found]
-    labelled = np.array(is_label, dtype=bool)[which]
-    checked = iter(_structural_errors(
-        parts.window, parts, origins[at[labelled]],
-        [found[i] for i in which[labelled].tolist()]))
-    index: dict = {}
-    ids = []
-    for i, has_label in zip(which.tolist(), labelled.tolist()):
-        error = next(checked) if has_label else found[i]
-        ids.append(index.setdefault((i, None if error is None else repr(error)), len(index)))
-    final = np.full(slot_id.shape, -1, dtype=np.int64)
-    final[reached] = np.array(ids, dtype=np.int64)[pair_id.reshape(-1)]
-    outcomes = [(found[i] if is_label[i] else None, error) for i, error in index]
-    return outcomes, final[np.arange(n)[:, None], choice].T
 
 
 def certify_pairs(spec: ToeplitzSpec, window: Window, entry_k: int, energies: Sequence[float],
@@ -817,17 +747,18 @@ def certify_pairs(spec: ToeplitzSpec, window: Window, entry_k: int, energies: Se
     pair that raises ``ValidationError`` is reported as a falsification,
     and any other exception is a defect and propagates.  The classifier
     walks all origins in one array pass and spreads each origin's at most
-    three outcomes over the energies by their trace answers, each
-    distinct (origin, label) pair is re-checked structurally once
-    (``_sweep_outcomes``), and each classified pair is a lane.  A lane's
-    norms read only its energy, its label's certificate offsets and the
-    codes its runs step (``_word_classes``), so ``_norm_slabs`` steps the
-    first lane of each distinct (energy, offsets, word), only out to its
-    offsets, and the other lanes of that class take its norms; energies
+    three outcomes over the energies by their trace answers into one
+    table of distinct (origin, outcome) rows, and each classified pair is
+    a lane.  ``_recheck`` gathers each row's word once: each distinct word
+    is re-checked once, and it numbers the words, since a lane's norms
+    read only its energy, its certificate offsets and its word.  So
+    ``_norm_slabs`` steps the first lane of each distinct (energy, word
+    class), only out to its offsets, the bound is evaluated on those
+    lanes, and the other lanes of a class take their margins; energies
     are told apart by their index, so repeated energies are stepped
-    apart.  The bounds are evaluated on all lanes as arrays.  A norm the bound
-    needs that was never computed raises ``RuntimeError``.  Lanes,
-    margins and falsifications come in energy-major pair order.
+    apart.  A norm the bound needs that was never computed raises
+    ``RuntimeError``.  Lanes, margins and falsifications come in
+    energy-major pair order.
     """
     entry_k, climb_cap = _integer(entry_k, "entry_k"), _integer(climb_cap, "climb_cap")
     for name, value, least in (("entry_k", entry_k, 0), ("climb_cap", climb_cap, 2)):
@@ -850,71 +781,90 @@ def certify_pairs(spec: ToeplitzSpec, window: Window, entry_k: int, energies: Se
                                   % (origins[near][0], margin_room, window.start, window.end))
 
     htab = trace_recursion_f64(spec, entry_k + climb_cap + 1, e_arr)
-    outcomes, outcome_id = _sweep_outcomes(
-        _Partitions(window, spec), entry_k, htab, origins, climb_cap
-    )
+    parts = _Partitions(window, spec)
+    found, slot_id, choice = _classify(parts, entry_k, htab, origins, climb_cap)
+    # the table: one row per distinct (origin, outcome) some energy reaches,
+    # with the row of each (energy, origin) pair
+    n, reached = len(origins), slot_id >= 0
+    rows, row_id = np.unique((np.arange(n)[:, None] * len(found) + slot_id)[reached],
+                             return_inverse=True)
+    at, which = np.divmod(rows, len(found))
+    row = np.full_like(slot_id, -1)
+    row[reached] = row_id.reshape(-1)
+    row = row[np.arange(n)[:, None], choice].T
+    is_label = np.array([isinstance(x, CaseLabel) for x in found], dtype=bool)
+    labelled = np.flatnonzero(is_label[which])
+    errors, word, n_classes = _recheck(parts, origins[at[labelled]],
+                                       [found[i] for i in which[labelled].tolist()])
+    # each row's error, the classifier's or the re-check's, and its word class
+    error_of = {r: found[which[r]] for r in np.flatnonzero(~is_label[which]).tolist()}
+    error_of.update((r, x) for r, x in zip(labelled.tolist(), errors) if x is not None)
+    row_class = np.full(len(rows), -1, dtype=np.int64)
+    row_class[labelled] = word
 
-    labels = [label for label, _ in outcomes]
-    failed = np.array([x is None for x in labels], dtype=bool)
+    classified = row_class[row] >= 0
     falsifications = [
         {"energy": float(e_arr[ie]), "origin": int(origins[io]),
-         "stage": "classify", "error": outcomes[outcome_id[ie, io]][1]}
-        for ie, io in np.argwhere(failed[outcome_id]).tolist()
+         "stage": "classify", "error": repr(error_of[row[ie, io]])}
+        for ie, io in np.argwhere(~classified).tolist()
     ]
-    # one lane per classified pair, energy-major, stepped only to its own
-    # offsets; a pair whose re-check failed stays a lane but gets no margin
-    lane_e, lane_o = np.nonzero(~failed[outcome_id])
-    lane_lab = outcome_id[lane_e, lane_o]
-    sound = np.array([err is None for _, err in outcomes], dtype=bool)[lane_lab]
-    offsets_of = [() if x is None else _offsets(x) for x in labels]
-    # lanes of one energy (by index) and one (offsets, word) class step the
-    # same floats: step the first of each, then gather back to every lane
-    word, n_classes = _word_classes(window, origins, offsets_of, lane_o, lane_lab)
-    _, first, back = np.unique(lane_e * n_classes + word, return_index=True,
+    # one lane per classified pair, energy-major; the lanes of one energy
+    # (by index) and one word class step the same floats with one bound
+    # scale, so the first of each is stepped, only out to its offsets, and
+    # its margins go back to every lane; a pair whose re-check failed stays
+    # a lane but gets no margin
+    lane_e, lane_o = np.nonzero(classified)
+    lane_row = row[lane_e, lane_o]
+    lane_lab = which[lane_row]
+    del row, classified
+    sound = ~np.isin(lane_row, list(error_of))
+    _, first, back = np.unique(lane_e * n_classes + row_class[lane_row], return_index=True,
                                return_inverse=True)
-    norms = _norm_slabs(window, e_arr[lane_e[first]], origins[lane_o[first]],
-                        [offsets_of[i] for i in lane_lab[first].tolist()])[:, back.reshape(-1)]
-    n_read = np.array([len(t) for t in offsets_of], dtype=np.int64)[lane_lab]
+    offsets_of = [_offsets(x) if isinstance(x, CaseLabel) else () for x in found]
+    rep_e, rep_lab = lane_e[first], lane_lab[first]
+    norms = _norm_slabs(window, e_arr[rep_e], origins[lane_o[first]],
+                        [offsets_of[i] for i in rep_lab.tolist()])
+    n_read = np.array([len(t) for t in offsets_of], dtype=np.int64)[rep_lab]
     unfilled = (norms < 0) & (np.arange(norms.shape[2]) < n_read[:, None])
     if unfilled.any():
-        _, lane, slot = np.argwhere(unfilled)[0]
+        _, rep, slot = np.argwhere(unfilled)[0]
         raise RuntimeError(
             "norm at offset %d of the pair (energy %r, origin %d) was never computed"
-            % (offsets_of[lane_lab[lane]][slot], float(e_arr[lane_e[lane]]),
-               origins[lane_o[lane]])
+            % (offsets_of[rep_lab[rep]][slot], float(e_arr[rep_e[rep]]),
+               origins[lane_o[first[rep]]])
         )
 
-    # a lane's bound scale: 1 for a cube (level -1), |h_n| at its energy for a square
-    level = np.array([-1 if x is None or x.kind == "cube" else x.trace_level
-                      for x in labels], dtype=np.int64)[lane_lab]
-    scale = np.where(level < 0, 1.0, np.abs(htab[level, lane_e]))
+    # a class's bound scale: 1 for a cube (level -1), |h_n| at its energy for a square
+    level = np.array([x.trace_level if isinstance(x, CaseLabel) and x.kind == "square" else -1
+                      for x in found], dtype=np.int64)[rep_lab]
+    scale = np.where(level < 0, 1.0, np.abs(htab[level, rep_e]))
     # with no lanes the norms have no slot to take a max over
-    margins = (_bound_value(norms, scale) if len(lane_lab) else np.empty((2, 0))) - 0.5
+    margins = (_bound_value(norms, scale) if len(first) else np.empty((2, 0))) - 0.5
+    margins = margins[:, back.reshape(-1)]
     bad = ~(margins >= -BOUND_SLACK)  # a NaN margin fails
     for lane in np.flatnonzero(~sound | bad.any(axis=0)).tolist():
         e, o = float(e_arr[lane_e[lane]]), int(origins[lane_o[lane]])
         if not sound[lane]:
             falsifications.append({"energy": e, "origin": o, "stage": "structure",
-                                   "error": outcomes[lane_lab[lane]][1]})
+                                   "error": repr(error_of[lane_row[lane]])})
             continue
         for b in np.flatnonzero(bad[:, lane]).tolist():
             falsifications.append(
                 {"energy": e, "origin": o, "stage": "bound", "basis": _BASES[b],
-                 "margin": float(margins[b, lane]),
-                 "label": labels[lane_lab[lane]].case_id}
+                 "margin": float(margins[b, lane]), "label": found[lane_lab[lane]].case_id}
             )
 
     # in order of first appearance among the lanes
     case_counts = {}
     used, first, count = np.unique(lane_lab, return_index=True, return_counts=True)
     for i in np.argsort(first).tolist():
-        case = labels[used[i]].case_id
+        case = found[used[i]].case_id
         case_counts[case] = case_counts.get(case, 0) + int(count[i])
-    kept = margins[:, sound].T.ravel().tolist()
+    kept = margins[:, sound].T.ravel()
     return SweepReport(
         case_counts=case_counts,
-        margins=tuple(kept),
-        min_margin=float(np.min(kept)) if kept else math.nan,
+        margins=tuple(kept.tolist()),
+        min_margin=float(kept.min()) if kept.size else math.nan,
         falsifications=tuple(falsifications),
         energies=tuple(float(x) for x in energies),
         origins=tuple(int(x) for x in origins),

@@ -481,7 +481,7 @@ def lane_reports(window, parts, energy, origins, labels, h):
     ``ref_verify_bound``: per pair and basis the re-check's error as its
     class and message, or the bound value and the norms by offset, with
     ``weak_value``, the bound with |h_n| set to 2, for a square."""
-    errors = gd._structural_errors(window, parts, origins, labels)
+    errors, _, _ = gd._recheck(parts, origins, labels)
     offsets = [gd._offsets(lab) for lab in labels]
     norms = gd._norm_slabs(window, [energy] * len(labels), origins, offsets)
     reports = []
@@ -520,7 +520,7 @@ def test_verify_bound_rejects_wrong_scale():
         case_id=lab.case_id, scale=lab.scale, kind=lab.kind,
         reflected=lab.reflected, m=lab.m - 1, trace_level=None, path=lab.path,
     )
-    error, = gd._structural_errors(WINDOW, parts, [o], [wrong])
+    (error,), _, _ = gd._recheck(parts, [o], [wrong])
     assert isinstance(error, gd.GordonStructureError)
     assert _as_outcome(error) == _outcome(ref_verify_structural, WINDOW, wrong, o, parts)
 
@@ -684,7 +684,7 @@ def test_certificate_table_reproduces_written_out_checks():
         per_family, cases = _table_cases(h)
         families.update(per_family)
         origins, labels = [o for o, _ in cases], [lab for _, lab in cases]
-        rechecked = gd._structural_errors(WINDOW, parts, origins, labels)
+        rechecked, _, _ = gd._recheck(parts, origins, labels)
         for (o, lab), got, error in zip(cases, lane_reports(WINDOW, parts, e, origins,
                                                             labels, h), rechecked):
             part = parts.at(lab.trace_level) if lab.trace_level is not None else None
@@ -703,6 +703,123 @@ def test_certificate_table_reproduces_written_out_checks():
     assert reports >= 96 and failures >= 96
 
 
+@pytest.mark.parametrize("key", list(gd._CERTIFICATES),
+                         ids=lambda key: "%s-%s" % (key[0], "reflected" if key[1] else "direct"))
+def test_certificate_word_is_the_reach_of_its_norms(key):
+    """Each row's periodic range and its shift by m, [a*m, (b+1)*m), are the
+    sites from its deepest backward offset to its deepest forward one, and
+    a square's m rotation sites lie inside them."""
+    (a, b), rot, offsets = gd._CERTIFICATES[key]
+    for m in (1, 9, 27):
+        steps = [t * m for t in offsets]
+        assert (a * m, (b + 1) * m) == (min(min(steps), 0), max(max(steps), 0))
+        if rot is not None:
+            assert a * m <= rot * m and (rot + 1) * m <= (b + 1) * m
+
+
+def assert_recheck_matches_reference(parts, pairs, exact=True):
+    """``_recheck`` on (origin, label) pairs against the written-out
+    re-check, pair by pair, with the same error class and message.  Pairs
+    of one word class have equal geometry and equal codes on the word
+    [a*m, (b+1)*m); with ``exact``, pairs with equal geometry and words
+    also share a class.  A pair whose word leaves the window has a class
+    of its own.  Returns the outcomes."""
+    window = parts.window
+    errors, word, n_classes = gd._recheck(parts, [o for o, _ in pairs], [x for _, x in pairs])
+    assert sorted(set(word.tolist())) == list(range(n_classes))
+    outcomes, keys = [], []
+    for (o, lab), error in zip(pairs, errors):
+        outcomes.append(_as_outcome(error))
+        assert outcomes[-1] == _outcome(ref_verify_structural, window, lab, o, parts), (o, lab)
+        (a, b), _, _ = gd._CERTIFICATES[lab.kind, lab.reflected]
+        lo, hi = o + a * lab.m - window.start, o + (b + 1) * lab.m - window.start
+        inside = 0 <= lo and hi <= len(window.codes)
+        keys.append((lab.kind, lab.reflected, lab.m, lab.trace_level,
+                     window.codes[lo:hi].tobytes() if inside else o))
+    assert len(set(zip(keys, word.tolist()))) == n_classes
+    if exact:
+        assert len(set(keys)) == n_classes
+    return outcomes
+
+
+def test_recheck_matches_reference_on_certify_labels(certify_energies):
+    """Every (origin, label) pair the classifier reaches on origins
+    324,700-324,799 of the certify window, at the 40 certify energies."""
+    window, origins = SPEC.window(1, 373_981), np.arange(324_700, 324_800)
+    parts = gd._Partitions(window, SPEC)
+    htab = gd.trace_recursion_f64(SPEC, 10, np.asarray(certify_energies))
+    pairs = [(o, x) for o, x in reached_outcomes(origins, gd._classify(parts, 2, htab, origins, 7))
+             if isinstance(x, gd.CaseLabel)]
+    assert len(pairs) > 100 and {x.kind for _, x in pairs} == {"cube", "square"}
+    assert all(x.m == SPEC.block_length(x.trace_level) for _, x in pairs if x.kind == "square")
+    assert set(assert_recheck_matches_reference(parts, pairs)) == {None}
+
+
+def test_recheck_matches_reference_on_relabelled_families():
+    """The four families with m, m - 1, m + 1 and 3m: a square's s_n then
+    differs in length from m, and may run past the word.  Each is also
+    re-checked on windows that end or start one site inside or outside
+    its word and its rotation segment."""
+    parts = gd._Partitions(WINDOW, SPEC, {})
+    seen = set()
+    for e in (BAND5.sample_energies()[2], E_IN):
+        h = list(cc.trace_recursion_f64(SPEC, 10, np.array([e]))[:, 0])
+        _, cases = _table_cases(h)
+        seen.update(assert_recheck_matches_reference(parts, cases, exact=False))
+    assert {x and x[0] for x in seen} == {None, gd.GordonStructureError}
+    seen = set()
+    for o, lab in cases[:: len(cases) // 40]:
+        (a, b), rot, _ = gd._CERTIFICATES[lab.kind, lab.reflected]
+        ends = {o + (b + 1) * lab.m}
+        if rot is not None:
+            ends.add(o + rot * lab.m + SPEC.block_length(lab.trace_level))
+        cuts = [(o - 3 * lab.m, end + d) for end in ends for d in (-1, 0, 1)]
+        cuts += [(o + a * lab.m + d, o + 4 * lab.m) for d in (-1, 0, 1)]
+        for lo, hi in cuts:
+            edge = gd._Partitions(WINDOW.slice(lo, hi), SPEC, parts.store)
+            seen.update(x and x[1] for x in
+                        assert_recheck_matches_reference(edge, [(o, lab)], exact=False))
+    assert "window too short to re-check the repetition hypothesis" in seen
+    # a reflected square of m = |s_3| - 1 reads s_3 one site past its word
+    # [o - 2m, o): on windows of period m the repetition holds, and one that
+    # ends at the origin has no room for s_3
+    m, o = SPEC.block_length(3) - 1, 1000
+    lab = gd.CaseLabel("1.2.1.1", 3, "square", True, m, 3, ())
+    parts.at(3)
+    for extra, want in ((0, sq.WindowTooShortError), (1, gd.GordonStructureError)):
+        tiled = sq.Window(o - 3 * m, np.tile(WINDOW.codes[:m], 4)[: 3 * m + extra], AB)
+        (got,) = assert_recheck_matches_reference(gd._Partitions(tiled, SPEC, parts.store),
+                                                  [(o, lab)], exact=False)
+        assert got[0] is want
+
+
+def test_recheck_matches_reference_on_flipped_symbols():
+    """Classifier labels of the four families on windows with symbols
+    flipped inside their words: one symbol at either end or in the middle
+    of the word breaks the period; every symbol of one residue class mod m
+    keeps it, and breaks a square's rotation."""
+    parts = gd._Partitions(WINDOW, SPEC, {})
+    messages = Counter()
+    for e in (BAND5.sample_energies()[2], E_IN):
+        h = list(cc.trace_recursion_f64(SPEC, 10, np.array([e]))[:, 0])
+        per_family, _ = _table_cases(h)
+        for o, lab in (x for found in per_family.values() for x in found[:3]):
+            (a, b), _, _ = gd._CERTIFICATES[lab.kind, lab.reflected]
+            m, lo, hi = lab.m, o + a * lab.m, o + (b + 1) * lab.m
+            parts.at(lab.scale)  # the partition a flipped window keeps
+            for sites in ([lo], [(lo + hi) // 2], [hi - 1], range(lo + m // 2, hi, m)):
+                codes = WINDOW.codes.copy()
+                codes[np.asarray(sites) - WINDOW.start] ^= 1
+                flipped = gd._Partitions(sq.Window(WINDOW.start, codes, AB), SPEC, parts.store)
+                outcome, = assert_recheck_matches_reference(flipped, [(o, lab)])
+                messages[re.sub(r"\d+", "#", outcome[1]) if outcome else None] += 1
+    assert set(messages) == {
+        None,  # a cube's pair of flips keeps its hypothesis
+        "repetition hypothesis fails at site # (period #)",
+        "segment at # is not the expected rotation (by #) of the s-block",
+    }
+
+
 def test_reflection_symmetry_of_norms():
     o = 30_011
     sub = WINDOW.slice(o - 3000, o + 3001)
@@ -719,13 +836,13 @@ def test_reflection_symmetry_of_norms():
 def test_reflection_maps_left_squares_to_right_squares():
     # the reflected hypothesis on the original window is the direct
     # hypothesis on the reflected window, origin by origin
-    m = 9
     origins = np.arange(40_000, 40_160)
-    left = gd._periodic_errors(WINDOW, origins - 2 * m, 2 * m, m)
-    assert {type(e) for e in left} == {type(None), gd.GordonStructureError}
-    for o, left_error in zip(origins.tolist(), left):
-        refl = reflect_about(WINDOW, o)
-        right_error, = gd._periodic_errors(refl, np.array([o - m]), 2 * m, m)
+    left, right = (gd.CaseLabel("1.1", 2, "cube", refl, 9, None, ()) for refl in (True, False))
+    found, _, _ = gd._recheck(gd._Partitions(WINDOW, SPEC), origins, [left] * len(origins))
+    assert {type(e) for e in found} == {type(None), gd.GordonStructureError}
+    for o, left_error in zip(origins.tolist(), found):
+        (right_error,), _, _ = gd._recheck(gd._Partitions(reflect_about(WINDOW, o), SPEC),
+                                           [o], [right])
         assert type(left_error) is type(right_error)
 
 
@@ -968,19 +1085,19 @@ def record_sweep_stages(monkeypatch):
     ("classify", origins, (outcomes, slot_id, choice)) and ("recheck",
     [(origin, label), ...])."""
     calls = []
-    classify, structural = gd._classify, gd._structural_errors
+    classify, real_recheck = gd._classify, gd._recheck
 
     def classify_all(parts, k, htab, origins, max_climb):
         found = classify(parts, k, htab, origins, max_climb)
         calls.append(("classify", origins, found))
         return found
 
-    def recheck(window, parts, origins, labels):
+    def recheck(parts, origins, labels):
         calls.append(("recheck", list(zip(np.asarray(origins).tolist(), labels))))
-        return structural(window, parts, origins, labels)
+        return real_recheck(parts, origins, labels)
 
     monkeypatch.setattr(gd, "_classify", classify_all)
-    monkeypatch.setattr(gd, "_structural_errors", recheck)
+    monkeypatch.setattr(gd, "_recheck", recheck)
     return calls
 
 
@@ -1017,9 +1134,10 @@ def _raising(exc):
 @pytest.mark.parametrize("stage,target,invalid", [
     # a partition the classifier reads fails to build
     ("classify", "k_partition", _raising(sq.ValidationError("no certificate"))),
-    # the re-check's answer for every pair
-    ("structure", "_structural_errors",
-     lambda window, parts, origins, labels: [sq.ValidationError("no certificate")] * len(labels)),
+    # the re-check's answer for every pair, each pair a word class of its own
+    ("structure", "_recheck",
+     lambda parts, origins, labels: ([sq.ValidationError("no certificate")] * len(labels),
+                                     np.arange(len(labels)), len(labels))),
 ], ids=["classify", "structure"])
 def test_sweep_reports_only_validation_errors_as_falsifications(monkeypatch, stage, target,
                                                                  invalid):
@@ -1350,8 +1468,8 @@ def test_norm_lanes_are_the_distinct_energy_offsets_words(monkeypatch, certify_e
     window, origins = SPEC.window(1, 373_981), list(range(lo, lo + n))
     with np.errstate(over="ignore", invalid="ignore"):
         want = ref_certify_pairs(SPEC, window, 2, energies, origins, 7)
-        lanes = record_norm_lanes(monkeypatch)
-        got = gd.certify_pairs(SPEC, window, 2, energies, origins, 7)
+    lanes = record_norm_lanes(monkeypatch)
+    got = gd.certify_pairs(SPEC, window, 2, energies, origins, 7)
     assert_same_sweep(got, want)
     keys = norm_lane_keys(window, SPEC, 2, energies, origins, 7)
     assert len(lanes) == 1
@@ -1369,27 +1487,38 @@ def test_norm_lanes_are_the_distinct_energy_offsets_words(monkeypatch, certify_e
 
 
 def test_word_classes_split_equal_words_by_offsets():
-    """Lanes share a class only with equal offsets and equal words: on a
-    constant potential every word is equal, so the offsets decide."""
-    window = zero_window(400)
-    offsets_of = [(-9, 9, 18), (9, 18), (9, 18), (9, -9, -18), (-9, -18)]
-    lane_o = np.array([0, 1, 0, 0, 0, 1, 0, 2])
-    lane_lab = np.array([0, 0, 1, 2, 3, 3, 4, 4])
-    word, n_classes = gd._word_classes(window, np.array([100, 200, 300]), offsets_of,
-                                       lane_o, lane_lab)
-    assert n_classes == 4
-    # equal words at different origins share; equal offsets under two labels share
-    assert word[0] == word[1] and word[2] == word[3] and word[4] == word[5] \
-        and word[6] == word[7]
-    assert len({word[0], word[2], word[4], word[6]}) == 4
-    # a word that differs inside the reach splits the class, one outside does not
-    codes = window.codes.copy()
-    codes[200 - window.start + 17] = 1  # origin 200 + 17 < 200 + 18
-    codes[100 - window.start - 19] = 1  # origin 100 - 19, past 100 - 18
-    bumped = sq.Window(window.start, codes, window.alphabet)
-    word, n_classes = gd._word_classes(bumped, np.array([100, 200, 300]), offsets_of,
-                                       lane_o, lane_lab)
-    assert n_classes == 5 and word[0] != word[1] and word[6] == word[7]
+    """Pairs share a word class only with equal geometry and equal words:
+    origins 3^8 sites apart carry equal codes over [o - 18, o + 18), so the
+    four geometries at m = 9 decide; two labels of one geometry share.  A
+    code changed inside one pair's word splits its class, one just past
+    every word does not."""
+    m, step = 9, SPEC.block_length(8)
+    origins = (30_004 + step * np.arange(3)).tolist()
+    near = [WINDOW.codes[o - 2 * m - 1 : o + 2 * m - 1] for o in origins]
+    assert all(np.array_equal(near[0], x) for x in near)
+    labels = [gd.CaseLabel("1.1", 2, kind, refl, m, 2 if kind == "square" else None, ())
+              for kind in ("cube", "square") for refl in (False, True)]
+    pairs = [(o, lab) for lab in labels for o in origins]
+    pairs.append((origins[0], gd.CaseLabel("2", 2, "cube", False, m, None, ("2",))))
+    store = {}
+    gd._Partitions(WINDOW, SPEC, store).at(2)  # the partition a bumped window keeps
+
+    def classes(window):
+        _, word, n_classes = gd._recheck(gd._Partitions(window, SPEC, store),
+                                         [o for o, _ in pairs], [lab for _, lab in pairs])
+        return [tuple(word[i : i + 3]) for i in range(0, 12, 3)], word[12], n_classes
+
+    word, extra, n_classes = classes(WINDOW)
+    assert n_classes == 4 and len({x for row in word for x in row}) == 4
+    assert all(len(set(row)) == 1 for row in word) and extra == word[0][0]
+    # inside the direct words [o - 9, o + 18) and [o, o + 18) only; past them all
+    codes = WINDOW.codes.copy()
+    codes[origins[1] + 2 * m - 1 - WINDOW.start] ^= 1
+    codes[origins[2] + 2 * m - WINDOW.start] ^= 1
+    word, extra, n_classes = classes(sq.Window(WINDOW.start, codes, WINDOW.alphabet))
+    assert n_classes == 6 and extra == word[0][0]
+    for (x, y, z), split in zip(word, (True, False, True, False)):
+        assert x == z and (x != y) == split
 
 
 def test_certify_pairs_on_1000_contiguous_origins(monkeypatch, certify_energies):
@@ -1481,22 +1610,22 @@ def test_sweep_matches_reference_on_edge_traces(monkeypatch):
 
 
 def test_sweep_leaves_no_reference_cycles(monkeypatch):
-    real_partition, real_recheck = gd.k_partition, gd._structural_errors
+    real_partition, real_recheck = gd.k_partition, gd._recheck
 
     def shallow(window, spec, k, refine_from=None):
         if k >= 4:  # raised and caught inside the classifier
             raise sq.ValidationError("no level-%d partition" % k)
         return real_partition(window, spec, k, refine_from=refine_from)
 
-    def odd_origins_fail(window, parts, origins, labels):
-        errors = real_recheck(window, parts, origins, labels)
+    def odd_origins_fail(parts, origins, labels):
+        errors, word, n_classes = real_recheck(parts, origins, labels)
         return [sq.ValidationError("no certificate at %d" % o) if o % 2 else error
-                for o, error in zip(np.asarray(origins).tolist(), errors)]
+                for o, error in zip(np.asarray(origins).tolist(), errors)], word, n_classes
 
     sweep = dict(entry_k=2, n_energies=4, n_origins=10, energy_level=3, grid=2000)
     gd.gordon_sweep(SPEC, **sweep)  # warm caches
     monkeypatch.setattr(gd, "k_partition", shallow)
-    monkeypatch.setattr(gd, "_structural_errors", odd_origins_fail)
+    monkeypatch.setattr(gd, "_recheck", odd_origins_fail)
     gc.collect()
     gc.disable()
     try:
@@ -1618,17 +1747,46 @@ def test_norm_slabs_name_the_forward_side_first():
 
 
 def test_rotation_check_reads_the_cached_spec_block():
+    """On a window tiled by s (by t) every m symbols repeat, so a direct
+    square passes its periodic check and reaches the rotation check,
+    which passes for s and fails for t (its last letter)."""
     sq.blocks.cache_clear()
     parts = gd._Partitions(WINDOW, SPEC, {})
     for level in (3, 3, 4, 3):
         part = parts.at(level)
-        s_lo, t_lo = (int(part.starts[part.labels.index(b)]) + 5 for b in "st")
-        s_ok, t_bad = gd._rotation_errors(WINDOW, np.array([s_lo, t_lo]), parts, level)
-        assert s_ok is None
-        assert isinstance(t_bad, gd.GordonStructureError)  # a t-block's last letter
+        m = part.block_len
+        square = gd.CaseLabel("1.2", level, "square", False, m, level, ())
+        outcomes = []
+        for block in "st":
+            lo = int(part.starts[part.labels.index(block)])
+            tiled = sq.Window(lo, np.tile(WINDOW.codes[lo - WINDOW.start :][:m], 4), AB)
+            (error,), _, _ = gd._recheck(gd._Partitions(tiled, SPEC, parts.store),
+                                         [lo + 5], [square])
+            outcomes.append(_as_outcome(error))
+        assert outcomes == [None, (gd.GordonStructureError, "segment at %d is not the expected "
+                                   "rotation (by 5) of the s-block" % (lo + 5))]
     # the partition and the rotation check share one build per level
     assert sq.blocks.cache_info().misses == 2
     assert sq.blocks(SPEC, 3) is sq.blocks(SPEC, 3)
+
+
+def test_rotation_is_checked_per_word_and_phase():
+    """Equal words at two phases: four s-blocks, one more symbol and four
+    s-blocks again repeat the word of origin lo + 5 one site off the block
+    grid, where it is not the expected rotation; the pairs share a word
+    class and still get their own answers."""
+    parts = gd._Partitions(WINDOW, SPEC, {})
+    part = parts.at(3)
+    m = part.block_len
+    lo = int(part.starts[part.labels.index("s")])
+    s = WINDOW.codes[lo - WINDOW.start :][:m]
+    window = sq.Window(lo, np.concatenate([np.tile(s, 4), s[:1], np.tile(s, 4)]), AB)
+    square = gd.CaseLabel("1.2", 3, "square", False, m, 3, ())
+    pairs = [(lo + 5, square), (lo + 4 * m + 6, square)]
+    assert (window.codes[5 : 5 + 2 * m] == window.codes[4 * m + 6 :][: 2 * m]).all()
+    outcomes = assert_recheck_matches_reference(gd._Partitions(window, SPEC, parts.store), pairs)
+    assert outcomes == [None, (gd.GordonStructureError, "segment at %d is not the expected "
+                               "rotation (by 6) of the s-block" % (lo + 4 * m + 6))]
 
 
 def test_small_sweep_has_no_falsifications():
