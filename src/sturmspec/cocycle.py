@@ -431,10 +431,12 @@ def lyapunov_scan(
     site float64 loop near parabolic energies such as E = 2 on a sparse
     window; a word whose max-abs entry exceeds float64 still raises, as the
     site-by-site loop overflowed there.  Energies go in chunks of at most
-    WORD_LANES tree nodes x energies.  ``n_steps`` must be an integer >= 1000
-    and ``samples`` one >= 1.
+    WORD_LANES tree nodes x energies.  ``n_steps`` must be an integer >= 1000,
+    ``samples`` one >= 1 and ``start``, the first sample's first site, an
+    integer.
     """
     n_steps, samples = _integer(n_steps, "n_steps"), _integer(samples, "samples")
+    start = _integer(start, "start")
     if n_steps < 1000:
         raise ValidationError("n_steps must be >= 1000")
     if samples < 1:

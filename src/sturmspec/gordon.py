@@ -52,7 +52,15 @@ from .sequences import (
     blocks,
     k_partition,
 )
-from .cocycle import _distinct_rows, trace_recursion_f64, transfer_run
+from .cocycle import (
+    FOLD_RESCALE,
+    RESCALE_EVERY,
+    _distinct_rows,
+    _rescaled,
+    _word_matrices,
+    trace_recursion_f64,
+    transfer_run,
+)
 
 __all__ = [
     "GordonStructureError",
@@ -69,8 +77,12 @@ __all__ = [
 #: absolute slack absorbing float propagation error over <= 1e5 steps
 BOUND_SLACK = 1e-9
 NONDECAY_SLACK = 1e-6
-#: cap on the coefficients (steps x runs) _norm_slabs gathers at once
+#: cap on the coefficients (steps x runs) a site pass of _norm_slabs
+#: gathers at once; only runs shorter than WORD_REACH step sites
 NORM_CHUNK = 1 << 16
+#: reach, in sites, from which a _norm_slabs run multiplies word matrices
+#: of RESCALE_EVERY sites instead of stepping sites
+WORD_REACH = 512
 
 
 class GordonStructureError(ValidationError):
@@ -556,11 +568,14 @@ def nondecay_scan(spec: ToeplitzSpec, energy: float, n_target: int) -> NondecayR
     reported with diagnostics rather than passed over.  A probe's
     witness is the first |m| >= n at which either side reaches 1/4, the
     + side first; a norm that overflowed to NaN counts as +inf.
+    ``energy`` must be a finite real number (a bool is not one), and
+    ``n_target`` an integer >= 1.
     """
     n_target = _integer(n_target, "n_target")
     if n_target < 1:
         raise ValidationError("n_target must be >= 1, got %r" % n_target)
-    if not isinstance(energy, (int, float, np.integer, np.floating)) or not math.isfinite(energy):
+    if (not isinstance(energy, (int, float, np.integer, np.floating))
+            or isinstance(energy, bool) or not math.isfinite(energy)):
         raise ValidationError("energy must be finite, got %r" % (energy,))
     probes = sorted({1, n_target, *(2**j for j in range(1, n_target.bit_length()))})
     level = 0
@@ -644,16 +659,24 @@ def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
     empty).  Each side of a lane that reads an offset there is a run: the
     forward run steps the sites origin, origin + 1, ... and reads offset
     d after d steps, the backward run steps origin - 1, origin - 2, ...
-    and reads offset -d after d steps.  Each run steps only as far as its
-    own deepest offset: the runs of both sides are ordered by that reach,
-    longest first, so the runs still moving are a prefix, and they step
-    together, the two bases along a leading axis of 2, through
-    ``transfer_run`` on chunks of at most ``NORM_CHUNK`` gathered
-    coefficients.  Returns an array of shape (2, lanes, max offsets per
-    lane) whose entry [b, j, i] is the norm for basis ``_BASES[b]`` at
-    offsets[j][i]; slots past a lane's offsets hold -1, which no norm
-    takes, so they leave a max over the slots, such as ``_bound_value``'s,
-    unchanged: a square's unused third slot gives max(N2, -1) = N2.
+    and reads offset -d after d steps.  A run's reach is its deepest
+    offset, and it steps no further.  A run that reaches fewer than
+    ``WORD_REACH`` sites steps sites (``_site_norms``); a longer one
+    steps words (``_word_norms``): its state after d steps is the product
+    of its d // RESCALE_EVERY whole word matrices, held in
+    ``np.longdouble``, then d % RESCALE_EVERY site steps.  Either way a
+    lane's norms depend only on its own energy, origin and offsets, never
+    on the other lanes of the call.
+
+    Returns an array of shape (2, lanes, max offsets per lane) whose
+    entry [b, j, i] is the norm for basis ``_BASES[b]`` at offsets[j][i];
+    slots past a lane's offsets hold -1, which no norm takes, so they
+    leave a max over the slots, such as ``_bound_value``'s, unchanged: a
+    square's unused third slot gives max(N2, -1) = N2.  Off the spectrum
+    a norm may outgrow float64.  A site run then overflows to inf, and
+    past an inf steps to NaN (inf - inf); a word run reads NaN for a norm
+    that does not fit in float64, and for every norm past a word matrix
+    with an entry that does not.  A NaN norm falsifies its pair.
     """
     e = np.asarray(energies, dtype=np.float64)
     o = np.asarray(origins, dtype=np.int64)
@@ -680,53 +703,173 @@ def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
             "needs site %d" % (window.start, window.end, ("forward", "backward")[side],
                                o[j], float(e[j]), site[side, j])
         )
+    # the runs, longest reach first, and each read as (flat slot, depth, run position)
     reach = reach.ravel()
     order = np.flatnonzero(reach >= 0)
     order = order[np.argsort(-reach[order])]
-    # the reads as (flat slot, run position), grouped by depth, then side
     rank = np.empty(2 * n, dtype=np.int64)
     rank[order] = np.arange(len(order))
     slot = np.flatnonzero(used)
-    key = 2 * depth.flat[slot] + back.flat[slot]
-    by_key = np.argsort(key)
-    slot, key = slot[by_key], key[by_key]
-    run = rank[(key & 1) * n + slot // used.shape[1]]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    groups = key[first]
-    moving = np.searchsorted(-reach[order], -(groups // 2), side="right")
-    bounds = np.append(first, len(slot)).tolist()
+    depth = depth.flat[slot]
+    run = rank[back.flat[slot] * n + slot // used.shape[1]]
     # the per-slot tables go before stepping starts: they would set the peak
-    del used, depth, back, reach, rank, key
+    del used, back, rank
 
+    reach = reach[order]
     backward = order >= n
     lane = order - n * backward
-    e_r = e[lane]
-    # the window index of each run's first site, and its step
-    site = o[lane] - window.start - backward
-    stride = 1 - 2 * backward
+    # each run's energy, the window index of its first site, and its step
+    runs = e[lane], o[lane] - window.start - backward, 1 - 2 * backward
+    del order, lane, backward
+    n_word = int(np.count_nonzero(reach >= WORD_REACH))  # a prefix of the runs
+    by_word = run < n_word
+    flat = out.reshape(2, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n_word:
+            flat[:, slot[by_word]] = _word_norms(
+                window, *(x[:n_word] for x in runs), reach[:n_word],
+                run[by_word], depth[by_word])
+        by_site = ~by_word
+        flat[:, slot[by_site]] = _site_norms(
+            window, *(x[n_word:] for x in runs), reach[n_word:],
+            run[by_site] - n_word, depth[by_site])
+    return out
+
+
+def _site_norms(window: Window, e_r, first, stride, reach, run, depth) -> np.ndarray:
+    """(2, reads) norms of both bases at the reads (run[i], depth[i]).
+
+    Run r steps from window index first[r] by stride[r] (+1 forward, -1
+    backward) at energy e_r[r], and the runs come longest reach first, so
+    the runs still moving are a prefix.  They step together, the two
+    bases along a leading axis of 2, through ``transfer_run`` on chunks of
+    at most ``NORM_CHUNK`` coefficients gathered from the window codes.
+    """
+    backward = stride < 0
+    # the reads grouped by depth, then side
+    key = 2 * depth + backward[run]
+    by_key = np.argsort(key)
+    key, run = key[by_key], run[by_key]
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    groups = key[start]
+    moving = np.searchsorted(-reach, -(groups // 2), side="right")
+    bounds = np.append(start, len(key)).tolist()
+    del key, start
     # forward runs hold (phi(d), phi(d-1)), backward ones (phi(-d-1), phi(-d))
     phi_m1, phi_0 = (np.array(col)[:, None] for col in zip(*_BASES))
     cur = np.where(backward, phi_m1, phi_0)
     prev = np.where(backward, phi_0, phi_m1)
-    del order, lane, backward
     codes, values = window.codes, window.alphabet.value_table()
-    flat = out.reshape(2, -1)
+    norms = np.empty((2, len(run)))
     done = 0
-    # off-spectrum runs may overflow to inf, and past an inf step to NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        for g, p, lo, hi in zip(groups.tolist(), moving.tolist(), bounds, bounds[1:]):
-            d, side = divmod(g, 2)
-            cur, prev = cur[:, :p], prev[:, :p]
-            rows = max(NORM_CHUNK // p, 1)
-            for k in range(done, d, rows):
-                ks = np.arange(k, min(k + rows, d))[:, None]
-                coeffs = e_r[:p] - values.take(codes.take(site[:p] + stride[:p] * ks))
-                cur, prev = transfer_run(coeffs, cur, prev)
-            done = d
-            # the norm at offset d is |(phi(d), phi(d-1))|, at -d |(phi(-d), phi(-d-1))|
-            at = cur.take(run[lo:hi], axis=1), prev.take(run[lo:hi], axis=1)
-            flat[:, slot[lo:hi]] = np.hypot(*at[::-1] if side else at)
-    return out
+    for g, p, lo, hi in zip(groups.tolist(), moving.tolist(), bounds, bounds[1:]):
+        d, side = divmod(g, 2)
+        cur, prev = cur[:, :p], prev[:, :p]
+        rows = max(NORM_CHUNK // p, 1)
+        for k in range(done, d, rows):
+            ks = np.arange(k, min(k + rows, d))[:, None]
+            coeffs = e_r[:p] - values.take(codes.take(first[:p] + stride[:p] * ks))
+            cur, prev = transfer_run(coeffs, cur, prev)
+        done = d
+        # the norm at offset d is |(phi(d), phi(d-1))|, at -d |(phi(-d), phi(-d-1))|
+        at = cur.take(run[lo:hi], axis=1), prev.take(run[lo:hi], axis=1)
+        norms[:, by_key[lo:hi]] = np.hypot(*at[::-1] if side else at)
+    return norms
+
+
+def _word_norms(window: Window, e_r, first, stride, reach, run, depth) -> np.ndarray:
+    """(2, reads) norms of both bases at the reads (run[i], depth[i]).
+
+    The runs are given as for ``_site_norms``.  Each run is cut into
+    RESCALE_EVERY-site words in stepping order, so a backward run reads
+    its words in reverse site order.  The words are keyed once per
+    distinct code run (first site and direction: the lanes of many
+    energies share an origin), and each distinct word's matrix is stepped
+    once per distinct energy by ``_word_matrices``, in ``np.longdouble``;
+    a matrix with an entry past float64 becomes NaN.  Each run multiplies
+    its word matrices in order, divided by a power of two every
+    FOLD_RESCALE products with the exponents summed apart, as
+    ``lyapunov_scan`` does (long double's range holds FOLD_RESCALE word
+    matrices below 2**1024 unscaled).  A read at depth d copies the
+    product after d // RESCALE_EVERY words and steps it d % RESCALE_EVERY
+    sites on through ``transfer_run``.  A norm past float64 reads NaN.
+    """
+    w = RESCALE_EVERY
+    codes = window.codes
+    values = window.alphabet.value_table().astype(np.longdouble)
+    n_words = reach // w
+    # one word sequence per distinct code run, as long as its longest run
+    keys, code_run = np.unique(2 * first + (stride < 0), return_inverse=True)
+    longest = np.zeros(len(keys), dtype=np.int64)
+    np.maximum.at(longest, code_run, n_words)
+    starts, bwds = np.divmod(keys, 2)
+    pieces = [codes[s + 1 - w * q : s + 1][::-1] if bwd else codes[s : s + w * q]
+              for s, bwd, q in zip(starts.tolist(), bwds.tolist(), longest.tolist())]
+    words, word_id = _distinct_rows(np.concatenate(pieces).reshape(-1, w))
+    seq = np.zeros((longest.max(), len(keys)), dtype=np.int64)  # word j of code run u
+    seq[np.arange(len(word_id)) - np.repeat(np.cumsum(longest) - longest, longest),
+        np.repeat(np.arange(len(keys)), longest)] = word_id
+    # distinct energies by their bits, so that 0.0 and -0.0 stay apart
+    e_bits, e_id = np.unique(np.ascontiguousarray(e_r).view(np.uint64), return_inverse=True)
+    e_long = e_bits.view(np.float64).astype(np.longdouble)
+    table = _word_matrices(words, values, e_long)
+    table[~(np.abs(table).max(axis=(2, 3)) <= np.finfo(np.float64).max)] = np.nan
+    table = table.reshape(-1, 2, 2)
+    # step j of run r multiplies table[step_ix[j, r]]
+    step_ix = seq[:, code_run]
+    step_ix *= len(e_long)
+    step_ix += e_id
+    del seq, code_run
+
+    # the runs still multiplying are a prefix; each read copies its run's
+    # product and exponent once d // w words are in
+    q, tail = np.divmod(depth, w)
+    by_q = np.argsort(q, kind="stable")
+    taken = np.searchsorted(q[by_q], np.arange(len(step_ix) + 1), side="right").tolist()
+    moving = np.searchsorted(-n_words, -np.arange(1, len(step_ix) + 1), side="right").tolist()
+    prod = np.tile(np.eye(2, dtype=np.longdouble), (len(reach), 1, 1))
+    spare = np.empty_like(prod)
+    acc = np.zeros(len(reach), dtype=np.int64)
+    snap, snap_x = np.empty((len(run), 2, 2), dtype=np.longdouble), np.empty_like(run)
+    lo = 0
+    for j, hi in enumerate(taken):
+        reads = by_q[lo:hi]
+        snap[reads], snap_x[reads] = prod[run[reads]], acc[run[reads]]
+        lo = hi
+        if j == len(moving):
+            break
+        p = moving[j]
+        np.matmul(table[step_ix[j, :p]], prod[:p], out=spare[:p])
+        prod, spare = spare, prod
+        if (j + 1) % FOLD_RESCALE == 0:
+            prod[:p], x = _rescaled(prod[:p])
+            acc[:p] += x
+    del step_ix, table, prod, spare
+
+    # the tails, longest first, so the reads still stepping are a prefix:
+    # basis b starts as column b of the product on a forward run, as
+    # column 1 - b on a backward one (see _BASES)
+    order = np.argsort(-tail, kind="stable")
+    run, q, tail = run[order], q[order], tail[order]
+    col = np.arange(2)[:, None] ^ (stride[run] < 0)
+    cur, prev = snap[order, 0, col], snap[order, 1, col]
+    # the coefficients of the reads with a tail, each read's last one
+    # repeated past its tail (a read never steps those)
+    k = int(np.count_nonzero(tail))
+    ks = np.minimum(np.arange(tail.max(initial=0))[:, None], tail[:k] - 1)
+    coeffs = e_long[e_id[run[:k]]] - values.take(
+        codes.take(first[run[:k]] + stride[run[:k]] * (w * q[:k] + ks)))
+    norms = np.empty((2, len(run)), dtype=np.longdouble)
+    done = 0
+    for d in np.flatnonzero(np.bincount(tail)).tolist():
+        lo, hi = (int(np.searchsorted(-tail, -d, side=x)) for x in ("left", "right"))
+        cur, prev = transfer_run(coeffs[done:d, :hi], cur[:, :hi], prev[:, :hi])
+        norms[:, order[lo:hi]] = np.ldexp(np.hypot(cur[:, lo:hi], prev[:, lo:hi]),
+                                          snap_x[order[lo:hi]])
+        done = d
+    norms = norms.astype(np.float64)
+    norms[~np.isfinite(norms)] = np.nan
+    return norms
 
 
 def certify_pairs(spec: ToeplitzSpec, window: Window, entry_k: int, energies: Sequence[float],
@@ -756,8 +899,12 @@ def certify_pairs(spec: ToeplitzSpec, window: Window, entry_k: int, energies: Se
     class), only out to its offsets, the bound is evaluated on those
     lanes, and the other lanes of a class take their margins; energies
     are told apart by their index, so repeated energies are stepped
-    apart.  A norm the bound needs that was never computed raises
-    ``RuntimeError``.  Lanes, margins and falsifications come in
+    apart.  A side of a lane that reaches ``WORD_REACH`` sites or more
+    multiplies 32-site word matrices in long double instead of stepping
+    sites, and a norm there that does not fit in float64 reads NaN; a
+    NaN margin falsifies its pair, as the site path's overflow to
+    inf - inf does.  A norm the bound needs that was never computed
+    raises ``RuntimeError``.  Lanes, margins and falsifications come in
     energy-major pair order.
     """
     entry_k, climb_cap = _integer(entry_k, "entry_k"), _integer(climb_cap, "climb_cap")

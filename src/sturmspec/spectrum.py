@@ -503,9 +503,13 @@ def free_power_norm_bound(energy: float) -> float:
 
 
 def sampled_power_sup(energy: float, j_max: int = 10_000) -> float:
-    """max_{j <= j_max} ||F^j|| by literal iteration."""
+    """max_{j <= j_max} ||F^j|| by literal iteration; ``j_max`` must be an
+    integer >= 1."""
     if not abs(energy) < 2.0:
         raise ValidationError("free powers are unbounded unless |E| < 2, got E=%r" % energy)
+    j_max = _integer(j_max, "j_max")
+    if j_max < 1:
+        raise ValidationError("j_max must be >= 1, got %r" % j_max)
     # (a[j], b[j]) is the top row of F^j, and its bottom row is that of F^(j-1)
     coeffs = [float(energy)] * j_max
     a, b = [1.0], [0.0]

@@ -1,6 +1,7 @@
 """Transfer matrices, recurrence polynomials, trace tables, Lyapunov."""
 
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -323,6 +324,18 @@ def test_lyapunov_parameter_validation():
     # numpy integers are integers
     got = cc.lyapunov_scan(spec, [0.3], n_steps=np.int64(2000), samples=np.int32(2))
     want = cc.lyapunov_scan(spec, [0.3], n_steps=2000, samples=2)
+    assert all(map(np.array_equal, got, want))
+
+
+@pytest.mark.parametrize("start", [1.5, "3", None])
+def test_lyapunov_scan_rejects_a_non_integer_start(start):
+    spec = simple_spec()
+    with pytest.raises(sq.ValidationError,
+                       match="^%s$" % re.escape("start must be an integer, got %r" % (start,))):
+        cc.lyapunov_scan(spec, [0.3], n_steps=2000, start=start)
+    # numpy integers are integers, and give the same bytes
+    got = cc.lyapunov_scan(spec, [0.3, 2.9], n_steps=2000, start=np.int64(3))
+    want = cc.lyapunov_scan(spec, [0.3, 2.9], n_steps=2000, start=3)
     assert all(map(np.array_equal, got, want))
 
 

@@ -788,6 +788,17 @@ def test_certificate_requires_interior_energy():
             sp.sampled_power_sup(bad)
 
 
+@pytest.mark.parametrize("j_max,message", [
+    (0, "j_max must be >= 1, got 0"), (-3, "j_max must be >= 1, got -3"),
+    (2.5, "j_max must be an integer, got 2.5"), ("4", "j_max must be an integer, got '4'"),
+])
+def test_sampled_power_sup_rejects_a_j_max_below_one_or_not_an_integer(j_max, message):
+    with pytest.raises(sq.ValidationError, match="^%s$" % re.escape(message)):
+        sp.sampled_power_sup(0.3, j_max)
+    # numpy integers are integers
+    assert sp.sampled_power_sup(0.3, np.int64(2000)) == sp.sampled_power_sup(0.3, 2000)
+
+
 @pytest.mark.parametrize("k_max,message", [
     (0, "k_max must be >= 1, got 0"), (-3, "k_max must be >= 1, got -3"),
     (1.5, "k_max must be an integer, got 1.5"), ("4", "k_max must be an integer, got '4'"),

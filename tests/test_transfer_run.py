@@ -3,11 +3,14 @@
 Each caller of ``cocycle.transfer_run`` is compared against the
 site-by-site loop it replaced, kept below as ``ref_*``.  The references
 write the recurrence out by hand, so none of them shares the kernel.  Most
-callers match with ``==``.  Two associate their products differently:
+callers match with ``==``.  Three associate their products differently:
 the block matrices composed through the substitution match the literal
-mpmath products to a relative 1e-40, and ``lyapunov_scan``, which
+mpmath products to a relative 1e-40; ``lyapunov_scan``, which
 multiplies word matrices, matches ``ref_lyapunov_scan`` to
-1e-12 max(1, |gamma|) and the literal mpmath product near E = +-2.
+1e-12 max(1, |gamma|) and the literal mpmath product near E = +-2; and
+``_norm_slabs``, whose runs past ``WORD_REACH`` multiply word matrices,
+matches the literal mpmath loop to 1e-12 max(1, |N|) there, and
+``ref_norm_slabs`` to ``DEEP_TOL`` (the float64 loop drifts further).
 """
 
 import math
@@ -456,10 +459,23 @@ def test_propagate_matches_reference(energy, basis):
     assert short.tolist() == list(basis)
 
 
+#: |word path - ref_norm_slabs| / max(1, |N|) allowed on runs past WORD_REACH:
+#: ref_norm_slabs itself drifts up to 8e-12 from the mpmath loop at reach 4374
+DEEP_TOL = 1e-10
+
+
+def side_reach(lane, t):
+    """The reach of the run that reads offset t of a lane: offset 0 and
+    positive offsets are read forward, negative ones backward."""
+    return max(abs(x) for x in lane if (x < 0) == (t < 0))
+
+
 def assert_lane_norms_match_reference(window, energies, origins, offsets, got):
-    """Every lane's norms at its own offsets are == to the site-by-site loop,
-    run on the grid of the lanes' distinct energies and origins; slots past
-    a lane's offsets hold -1."""
+    """Every lane's norms at its own offsets against the site-by-site loop,
+    run on the grid of the lanes' distinct energies and origins: == on a
+    run that steps sites, within DEEP_TOL on one that steps words, where a
+    norm the loop overflowed (inf or NaN) is NaN.  Slots past a lane's
+    offsets hold -1."""
     e_grid, ie = np.unique(energies, return_inverse=True)
     o_grid, io = np.unique(origins, return_inverse=True)
     union = {t for lane in offsets for t in lane}
@@ -468,9 +484,15 @@ def assert_lane_norms_match_reference(window, energies, origins, offsets, got):
     for b, basis in enumerate(gd._BASES):
         want = ref_norm_slabs(window, e_grid, o_grid, union, basis)
         for j, lane in enumerate(offsets):
-            expect = [want[t][ie[j], io[j]] for t in lane]
-            assert np.array_equal(got[b, j, : len(lane)], expect, equal_nan=True), \
-                (basis, j, lane)
+            for i, t in enumerate(lane):
+                norm, expect = got[b, j, i], want[t][ie[j], io[j]]
+                if side_reach(lane, t) < gd.WORD_REACH:
+                    assert norm == expect or np.isnan(norm) and np.isnan(expect), \
+                        (basis, j, lane)
+                elif np.isfinite(expect):
+                    assert abs(norm - expect) <= DEEP_TOL * max(1.0, expect), (basis, j, lane)
+                else:
+                    assert np.isnan(norm), (basis, j, lane)
             assert np.all(got[b, j, len(lane):] == -1.0)
 
 
@@ -492,6 +514,99 @@ def test_norm_slabs_match_reference_on_certify_sweep(monkeypatch):
     assert len(report.falsifications) == 44
 
 
+def certify_sweep_lanes(monkeypatch):
+    """(window, energies, origins, offsets) of the seed-1 certify sweep's one
+    ``_norm_slabs`` call."""
+    calls, real = [], gd._norm_slabs
+
+    def recorded(window, energies, origins, offsets):
+        calls.append((window, np.asarray(energies), np.asarray(origins), list(offsets)))
+        return real(window, energies, origins, offsets)
+
+    monkeypatch.setattr(gd, "_norm_slabs", recorded)
+    gd.gordon_sweep(SIMPLE3, 2, 40, 500, grid=2000, seed=1)
+    monkeypatch.setattr(gd, "_norm_slabs", real)
+    (call,) = calls
+    return call
+
+
+def mp_lane_norms(window, energy, origin, offsets):
+    """{(basis, t): ||Phi(t)||} by the literal site loop at 40 digits."""
+    vals = window.values()
+    out = {}
+    with mp.workdps(40):
+        e = mp.mpf(float(energy))
+        for side in (1, -1):
+            reads = sorted(t * side for t in offsets if (t < 0) == (side < 0))
+            if not reads:
+                continue
+            # per basis (cur, prev): (phi(d), phi(d-1)) forward, (phi(-d-1), phi(-d)) backward
+            state = [tuple(mp.mpf(x) for x in (basis[::-1] if side > 0 else basis))
+                     for basis in gd._BASES]
+            d = 0
+            for depth in reads:
+                for k in range(d, depth):
+                    c = e - vals[origin + k - window.start if side > 0
+                                 else origin - 1 - k - window.start]
+                    state = [(c * cur - prev, cur) for cur, prev in state]
+                d = depth
+                for b, (cur, prev) in enumerate(state):
+                    out[b, side * depth] = mp.sqrt(cur * cur + prev * prev)
+    return out
+
+
+def max_mp_error(got, window, energies, origins, offsets):
+    """max |got - N| / max(1, N) over every lane's slots, N from the mpmath loop."""
+    worst = 0.0
+    for j, lane in enumerate(offsets):
+        want = mp_lane_norms(window, energies[j], origins[j], lane)
+        for b in range(2):
+            for i, t in enumerate(lane):
+                n = want[b, t]
+                worst = max(worst, float(abs(mp.mpf(float(got[b, j, i])) - n) / max(1, n)))
+    return worst
+
+
+def test_norm_slabs_deep_reads_match_mp_products(monkeypatch):
+    """12 lanes of the seed-1 certify sweep, sampled among those that reach
+    2187 sites or more: every norm is within 1e-12 max(1, |N|) of the
+    literal 40-digit loop, and the word products are no less accurate than
+    the site-by-site float64 loop (6.6e-14 against 8.0e-12 when measured)."""
+    window, energies, origins, offsets = certify_sweep_lanes(monkeypatch)
+    deep = [j for j, lane in enumerate(offsets) if max(map(abs, lane)) >= 2187]
+    pick = np.random.default_rng(0).choice(deep, 12, replace=False)
+    lanes = energies[pick], origins[pick], [offsets[j] for j in pick]
+    words = max_mp_error(gd._norm_slabs(window, *lanes), window, *lanes)
+    loop = [[ref_norm_slabs(window, [e], [o], lane, basis) for e, o, lane in zip(*lanes)]
+            for basis in gd._BASES]
+    sites = np.array([[[by_t[t][0, 0] for t in lane] for by_t, lane in zip(row, lanes[2])]
+                      for row in loop])
+    assert words <= 1e-12
+    assert words <= max_mp_error(sites, window, *lanes)
+
+
+def test_norm_slabs_one_more_climb_reach(monkeypatch):
+    """Offsets -+39366 = 2 * 3**9 at origin 200000 of the certify window, the
+    reach of one more climb: the norms at two certify energies are within
+    1e-12 max(1, |N|) of the 40-digit loop, both norms at E = 20 outgrow
+    float64 and read NaN, and each lane reads the same bits alone as
+    beside the seed-1 sweep's 4211 lanes."""
+    window, energies, origins, offsets = certify_sweep_lanes(monkeypatch)
+    certify = np.unique(energies)  # the sweep's 40 energies
+    assert len(certify) == 40
+    deep = ([certify[3], certify[27], 20.0], [200_000] * 3, [(-39_366, 39_366)] * 3)
+    alone = gd._norm_slabs(window, *deep)
+    assert max_mp_error(alone[:, :2], window, *(x[:2] for x in deep)) <= 1e-12
+    assert np.isnan(alone[:, 2]).all() and np.isfinite(alone[:, :2]).all()
+    half = len(offsets) // 2
+    beside = gd._norm_slabs(window, np.concatenate([energies[:half], deep[0], energies[half:]]),
+                            np.concatenate([origins[:half], deep[1], origins[half:]]),
+                            offsets[:half] + deep[2] + offsets[half:])
+    assert np.array_equal(beside[:, half : half + 3, :2], alone, equal_nan=True)
+    assert np.array_equal(beside[:, half + 3 :, :], gd._norm_slabs(
+        window, energies[half:], origins[half:], offsets[half:]))
+
+
 def test_norm_slabs_sparse_offsets():
     window = SIMPLE3.window(1, 5000)
     lanes = [
@@ -507,6 +622,9 @@ def test_norm_slabs_sparse_offsets():
         (2.95, 1200, (3, 3)),
         (0.3, 2500, (1700,)),  # alone at the deepest forward offset
         (2.95, 1200, (-1100, 2)),  # alone at the deepest backward offset; overflows
+        # runs that step words, read at no word, at whole words and between
+        (0.3, 3100, (0, 5, 64, 600)),
+        (2.95, 2500, (-512, -33, -1)),
     ]
     order = np.random.default_rng(5).permutation(len(lanes))
     energies = [lanes[j][0] for j in order]
@@ -531,7 +649,7 @@ def test_norm_slabs_without_lanes():
 @pytest.mark.parametrize("energy", [0.0, 0.3, -1.7, 1.99])
 def test_sampled_power_sup_matches_reference(energy):
     assert sp.sampled_power_sup(energy, 10_000) == ref_sampled_power_sup(energy, 10_000)
-    assert sp.sampled_power_sup(energy, 0) == 1.0
+    assert sp.sampled_power_sup(energy, 1) == ref_sampled_power_sup(energy, 1)
 
 
 def test_matrix_norm2_lanes_match_scalar():
