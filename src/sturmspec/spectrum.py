@@ -8,7 +8,9 @@ matrices, whose eigenvalues are where a Sturm count passes their index.
 Both kinds of root come from one bracket engine, :func:`_bisect`: a numpy
 lane per root, each call of the lanes' function covering the next levels
 of the bisection tree of every distinct bracket.  The Sturm count steps
-all lanes through chunks of coefficient rows, two ufuncs per site.
+all lanes through chunks of coefficient rows, two ufuncs per site.  For
+a few top eigenvalues LAPACK predicts each lane's bisection path, and
+one Sturm count call checks every step of it.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def _bracket_groups(los: np.ndarray, his: np.ndarray) -> tuple:
     return order[new], group
 
 
-def _bisect(g, lo, hi, max_steps: int, hit: float, narrow) -> tuple:
+def _bisect(g, lo, hi, max_steps: int, hit: float, narrow, budget: Optional[int] = None) -> tuple:
     """Refine lane brackets with g > 0 at lo and g <= 0 at hi to (x, lo, hi).
 
     ``g(xs, lanes)`` is lane ``lanes[i]``'s g at ``xs[i]``, and x a lane's
@@ -145,18 +147,20 @@ def _bisect(g, lo, hi, max_steps: int, hit: float, narrow) -> tuple:
     its bracket (two adjacent floats), once ``narrow(lo, hi, m)`` holds for
     its new bracket, or after max_steps steps.  Each call of g covers the
     next levels of one bisection tree per distinct bracket, as deep as
-    LANE_BUDGET midpoints in all allow, and the walk down the trees gives
-    the floats of one-step bisection.  Past LANE_BUDGET // 3 live lanes
-    each steps one level per call without grouping.
+    ``budget`` midpoints in all allow (LANE_BUDGET when None), and the walk
+    down the trees gives the floats of one-step bisection.  Past budget // 3
+    live lanes each steps one level per call without grouping, so at
+    budget 1 every call of g is one level, one midpoint per live lane.
     """
+    budget = LANE_BUDGET if budget is None else budget
     a, b = lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
     x, live, steps = 0.5 * (lo + hi), np.arange(lo.size), 0
     while live.size and steps < max_steps:
-        if live.size > LANE_BUDGET // 3:
+        if live.size > budget // 3:
             xs = 0.5 * (a + b)[None]
         else:
             first, group = _bracket_groups(a, b)
-            depth = (LANE_BUDGET // first.size + 1).bit_length() - 1
+            depth = (budget // first.size + 1).bit_length() - 1
             # level l is rows 2^l - 1 .. 2^(l+1) - 2: midpoints of 2^l + 1 sorted ends
             levels, ends = [], np.stack((a[first], b[first]))
             for _ in range(min(depth, max_steps - steps)):
@@ -445,6 +449,16 @@ def _sturm_counts(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     return count
 
 
+def _predicted_eigs(d: np.ndarray, first: int) -> np.ndarray:
+    """LAPACK's eigenvalues first, ..., n - 1 of tridiag(d, offdiag=1),
+    ascending, by bisection (``dstebz``)."""
+    from scipy.linalg import eigh_tridiagonal
+
+    n = d.size
+    return eigh_tridiagonal(d, np.ones(n - 1), eigvals_only=True,
+                            select="i", select_range=(first, n - 1))
+
+
 def halfline_eigs(op: HalfLineOperator, count: Optional[int] = None) -> list:
     """Eigenvalues of the truncated operator by Sturm-count bisection.
 
@@ -453,6 +467,17 @@ def halfline_eigs(op: HalfLineOperator, count: Optional[int] = None) -> list:
     need no squaring of couplings.  Each eigenvalue is a :func:`_bisect`
     lane on [min d - 2, max d + 2], and every lane steps until the widest
     bracket is narrower than 1e-14 of that scale, or MAX_STEPS steps.
+
+    When one count call over every lane's whole path costs less than the
+    bisection trees (count * MAX_STEPS <= 4 * LANE_BUDGET), LAPACK's
+    eigenvalue lam of each lane (:func:`_predicted_eigs`) first steers a
+    one-level-per-call bisection on the sign of lam - x, and one
+    :func:`_sturm_counts` call checks every midpoint it visited.  Where
+    every sign agrees, the brackets are the counted bisection's own.
+    Otherwise the counted bisection resumes from the brackets that every
+    live lane had checked before the first level with a wrong sign.  Either
+    way each step is decided by the counts, and the output is that of the
+    counted bisection, bit for bit.
     """
     d = op.diagonal()
     n = d.size
@@ -471,8 +496,32 @@ def halfline_eigs(op: HalfLineOperator, count: Optional[int] = None) -> list:
         mids, at = np.unique(xs, return_inverse=True)
         return targets[lanes] - _sturm_counts(d, mids)[at]
 
-    _, los, his = _bisect(g, np.full(count, lo), np.full(count, hi), MAX_STEPS, 0.0,
-                          lambda a, b, m: np.max(b - a) < tol)
+    def narrow(a, b, m):
+        return np.max(b - a) < tol
+
+    los, his = np.full(count, lo), np.full(count, hi)
+    steps, live = 0, np.arange(count)
+    if count * MAX_STEPS <= 4 * LANE_BUDGET:
+        lam = _predicted_eigs(d, n - count)
+        visits = []
+
+        def predicted(xs, lanes):
+            visits.append((xs, lanes))
+            return np.where(xs < lam[lanes], 0.5, -0.5)
+
+        _, los, his = _bisect(predicted, los, his, MAX_STEPS, 0.0, narrow, budget=1)
+        xs, lanes = (np.concatenate(v) for v in zip(*visits))
+        level = np.repeat(np.arange(len(visits)), [v[1].size for v in visits])
+        wrong = level[(g(xs, lanes) > 0) != (xs < lam[lanes])]
+        if not wrong.size:
+            return [float(x) for x in 0.5 * (los + his)]
+        # replay the levels checked right, then count on from the first wrong one
+        steps = int(wrong.min())
+        live = visits[steps][1]
+        _, los, his = _bisect(predicted, np.full(count, lo), np.full(count, hi),
+                              steps, 0.0, narrow, budget=1)
+    _, los[live], his[live] = _bisect(lambda xs, lanes: g(xs, live[lanes]),
+                                      los[live], his[live], MAX_STEPS - steps, 0.0, narrow)
     return [float(x) for x in 0.5 * (los + his)]
 
 

@@ -534,6 +534,32 @@ def test_importing_the_cli_leaves_mpmath_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """Only the top eigenvalues need scipy, so starting the CLI does not import it."""
+    src = pathlib.Path(cfgmod.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sturmspec.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("eigs, loaded", [("0", "False"), ("4", "True")])
+def test_sparse_check_imports_scipy_only_for_eigenvalues(eigs, loaded, tmp_path):
+    src = pathlib.Path(cfgmod.__file__).resolve().parents[1]
+    argv = ["sparse-check", "--spec", str(CONFIGS / "sparse3.cfg"), "--energy", "0.3",
+            "--n", "128", "--eigs", eigs, "--out", str(tmp_path / "sc.json")]
+    code = ("import sys; from sturmspec.cli import run; "
+            "code = run(%r); print(code, 'scipy' in sys.modules)" % argv)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", loaded]
+
+
 @pytest.mark.parametrize("energies,bad", [
     ("0.3,,0.5", "''"), ("", "''"), ("0.3,abc", "'abc'"),
 ])

@@ -1,5 +1,6 @@
 """Band sets, half-line truncations, sparse spectral checks."""
 
+import functools
 import math
 import re
 
@@ -664,21 +665,119 @@ def test_halfline_eigs_equal_reference(op, count):
     assert sp.halfline_eigs(op, count=count) == ref_halfline_eigs(op, count=count)
 
 
-def test_halfline_multisection_call_count(monkeypatch):
-    # the 16 lanes share one bracket at first, so the first call covers 9
-    # levels of one tree; about 48 bisection steps take 9 count calls
+def sturm_calls(monkeypatch):
+    """The distinct midpoints of each _sturm_counts call, in call order."""
     calls = []
     counts = sp._sturm_counts
 
     def counted(d, x):
-        calls.append(np.unique(x).size)
+        calls.append(np.unique(x))
         return counts(d, x)
 
     monkeypatch.setattr(sp, "_sturm_counts", counted)
+    return calls
+
+
+def lapack_eigs(op, count):
+    n = op.size
+    return sla.eigh_tridiagonal(op.diagonal(), np.ones(n - 1), eigvals_only=True,
+                                select="i", select_range=(n - count, n - 1))
+
+
+@functools.cache
+def acceptance_reference():
+    """The criterion-8 operator, its top 16 by ref_halfline_eigs, and its levels."""
     op = sp.HalfLineOperator(4096, SPARSE3.window(1, 4200))
-    sp.halfline_eigs(op, count=16)
-    assert len(calls) <= 10
-    assert max(calls) <= sp.LANE_BUDGET
+    return op, ref_halfline_eigs(op, count=16), ref_halfline_levels(op, 16)
+
+
+def test_halfline_multisection_call_count(monkeypatch):
+    # LAPACK predicts every lane's path, and one count call checks all of it:
+    # 408 distinct midpoints for the 16 lanes of about 48 steps at N = 4096
+    golden = sp.HalfLineOperator(2048, SPARSE3.window(1, 2100))
+    cases = [acceptance_reference()[:2], (golden, ref_halfline_eigs(golden, count=8))]
+    calls = sturm_calls(monkeypatch)
+    for op, want in cases:
+        del calls[:]
+        assert sp.halfline_eigs(op, count=len(want)) == want
+        assert len(calls) == 1
+        assert calls[0].size <= 4 * sp.LANE_BUDGET
+
+
+def test_halfline_eigs_are_the_bisection_floats_not_lapack_ones():
+    # dstebz stops at its own tolerance: all 16 of its values differ from
+    # the bisection's midpoints, by up to about 1e-14
+    op, want, _ = acceptance_reference()
+    mine = sp.halfline_eigs(op, count=16)
+    assert mine == want
+    gap = np.abs(np.array(mine) - lapack_eigs(op, 16))
+    assert (gap > 0.0).all() and gap.max() <= 1e-13
+
+
+def ref_halfline_levels(op, count):
+    """ref_halfline_eigs step by step: (los, his, mids, below) of each level."""
+    d = op.diagonal()
+    n = d.size
+    lo = float(d.min() - 2.0)
+    hi = float(d.max() + 2.0)
+    targets = np.arange(n - count, n)
+    los = np.full(count, lo)
+    his = np.full(count, hi)
+    levels = []
+    for _ in range(80):
+        mids = 0.5 * (los + his)
+        below = ref_sturm_counts(d, mids) <= targets
+        levels.append((los, his, mids, below))
+        los = np.where(below, mids, los)
+        his = np.where(below, his, mids)
+        if np.max(his - los) < 1e-14 * max(abs(lo), abs(hi), 1.0):
+            break
+    return levels
+
+
+def shift_lane_across(lam, levels, lane=5, level=40):
+    """lam with one lane's prediction just across its level-40 midpoint."""
+    _, _, mids, below = levels[level]
+    lam = lam.copy()
+    m = mids[lane]
+    lam[lane] = m if below[lane] else np.nextafter(m, np.inf)
+    return lam
+
+
+def swap_top_lanes(lam, levels):
+    """lam with the top two lanes' predictions swapped."""
+    return lam[[*range(lam.size - 2), lam.size - 1, lam.size - 2]]
+
+
+def nan_lanes(lam, levels):
+    return np.full_like(lam, np.nan)
+
+
+@pytest.mark.parametrize("wrong, first", [
+    (shift_lane_across, 40), (swap_top_lanes, 10), (nan_lanes, 0),
+])
+def test_a_wrong_prediction_resumes_at_its_first_wrong_level(wrong, first, monkeypatch):
+    op, want, levels = acceptance_reference()
+    lam = wrong(lapack_eigs(op, 16), levels)
+    # the first level at which some lane's predicted sign is wrong
+    assert first == next(i for i, (_, _, mids, below) in enumerate(levels)
+                         if ((mids < lam) != below).any())
+    counts = sp._sturm_counts
+    monkeypatch.setattr(sp, "_predicted_eigs", lambda d, first: lam)
+    calls = sturm_calls(monkeypatch)
+    assert sp.halfline_eigs(op, count=16) == want
+    # the counted run from the brackets checked before the first wrong level
+    d = op.diagonal()
+    tol = 1e-14 * max(abs(d.min() - 2.0), abs(d.max() + 2.0), 1.0)
+    targets = np.arange(4096 - 16, 4096) + 0.5
+    resumed = []
+    los, his, mids, _ = levels[first]
+    sp._bisect(counting(lambda xs, lanes: targets[lanes] - counts(d, xs), resumed),
+               los, his, sp.MAX_STEPS - first, 0.0, lambda a, b, m: np.max(b - a) < tol)
+    assert len(calls) == 1 + len(resumed)
+    assert np.isin(mids, calls[1]).all()
+    if first:
+        assert not np.isin(levels[first - 1][2], np.concatenate(calls[1:])).any()
 
 
 def test_bracket_groups_match_bit_for_bit():
@@ -695,19 +794,40 @@ def test_bracket_groups_match_bit_for_bit():
         assert his[first[g]].tobytes() == his[lane].tobytes()
 
 
+def bisect_calls(monkeypatch):
+    """One entry per call of g in every _bisect run."""
+    calls = []
+    bisect = sp._bisect
+    monkeypatch.setattr(sp, "_bisect", lambda g, *args: bisect(counting(g, calls), *args))
+    return calls
+
+
 @pytest.mark.parametrize("spec", JOINT_SPECS)
 def test_one_level_per_call_gives_the_same_band_edges(spec, monkeypatch):
     levels = list(range(int(min(8, spec.max_level()))))
+    calls = bisect_calls(monkeypatch)
     want = [b.intervals for b in sp.band_sets(spec, levels, grid=2000)]
+    trees = len(calls)
     monkeypatch.setattr(sp, "LANE_BUDGET", 1)
     assert [b.intervals for b in sp.band_sets(spec, levels, grid=2000)] == want
+    assert len(calls) - trees > trees
 
 
 @pytest.mark.parametrize("op, count", HALFLINE_CASES)
 def test_one_level_per_call_gives_the_same_eigenvalues(op, count, monkeypatch):
+    calls = sturm_calls(monkeypatch)
     want = sp.halfline_eigs(op, count=count)
+    trees, budget = len(calls), sp.LANE_BUDGET
+    # past budget // 3 lanes the default already steps one level per call
+    one_level = (count or op.size) > budget // 3
     monkeypatch.setattr(sp, "LANE_BUDGET", 1)
-    assert sp.halfline_eigs(op, count=count) == want
+    # a prediction wrong from the first level leaves all to the counted tree
+    nan = lambda d, first: np.full(d.size - first, np.nan)
+    for predict in (sp._predicted_eigs, nan):
+        monkeypatch.setattr(sp, "_predicted_eigs", predict)
+        del calls[:]
+        assert sp.halfline_eigs(op, count=count) == want
+        assert len(calls) == trees if one_level else len(calls) > trees
 
 
 def test_one_edge_lane_walks_several_levels_per_call():
