@@ -1,21 +1,23 @@
 """Block complexity p(n) and maximal pattern complexity p*(n) on finite
-windows, plus the complexity-based classification tests.
+windows, plus the two-sided extension complexity test.
 
 Both estimators are lower bounds for the infinite-word quantities: a
 finite window can only miss patterns, never invent them.  The tuple a
 template samples at a position depends only on the length-(t_max+1)
 factor starting there, so counting runs over a table of the window's
-distinct factors, not over positions.  Sampled tuples pack into integer
-keys, sorted per template; when the key range would overflow, rows fall
-back to a byte-view comparison.
+distinct factors, not over positions.  The p* search grows templates one
+offset at a time: a template's rows carry dense ids of its sampled
+patterns, and one kernel counts the distinct (id, symbol) pairs of a batch
+of templates at every column, from per-symbol bit planes OR-reduced over
+each id's rows.  The beam and the exhaustive search run that same pass,
+the exhaustive one depth first at unbounded width.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .sequences import (
     ValidationError,
     Window,
     WindowTooShortError,
+    _integer,
     sparse_window,
 )
 
@@ -34,9 +37,6 @@ __all__ = [
     "block_complexity",
     "max_pattern_complexity",
     "complexity_report",
-    "periodicity_test",
-    "PeriodicityVerdict",
-    "find_period",
     "two_sided_complexity_report",
     "nonrecurrent_extension_test",
 ]
@@ -50,6 +50,8 @@ DEFAULT_BEAM = 64
 PSTAR_MODES = ("auto", "exhaustive", "beam")
 #: barriers the non-recurrent extension window spans
 EXTENSION_BARRIERS = 6
+#: (template x table row) cells one p* counting call or id batch handles
+SLAB_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class PatternTemplate:
     offsets: tuple
 
     def __post_init__(self):
-        offs = tuple(int(t) for t in self.offsets)
+        offs = tuple(_integer(t, "offsets") for t in self.offsets)
         if not offs or offs[0] != 0:
             raise ValidationError("first offset must be 0")
         if any(b <= a for a, b in zip(offs, offs[1:])):
@@ -101,6 +103,7 @@ def _distinct_count(table: np.ndarray, offsets, radix: int) -> np.ndarray:
 
 def block_complexity(window: Window, n: int) -> int:
     """Number of distinct contiguous length-n factors of the window."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValidationError("factor length must be >= 1")
     if n > len(window):
@@ -126,86 +129,160 @@ def _block_counts(table: np.ndarray, n_max: int) -> tuple:
                  for n in range(1, n_max + 1))
 
 
-#: set bits of each byte value
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+def _bit_planes(rows: np.ndarray, radix: int) -> np.ndarray:
+    """The rows' symbols as bit planes, shape (radix * words, rows).
 
-
-def _symbol_planes(rows: np.ndarray, radix: int) -> list:
-    """The rows' symbols as one-bit words, one plane per 64 symbols.
-
-    In plane w, symbols 64w .. 64w + 63 set their own bit and every other
-    symbol reads 0.  Words are the smallest unsigned type that holds the
-    plane's bits, so a small alphabet takes a byte per cell; the rows are
-    padded to a multiple of 8 cells with 0 words, so that each row reads
-    as whole uint64 words.
+    Plane c of a row has bit t set where the row reads symbol c at column
+    t, so a -1 cell sets no bit; columns pack into uint64 words, and word w
+    of plane c is line c * words + w.
     """
-    width = min(radix, 64)
-    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
-                 if np.iinfo(t).bits >= width)
-    codes = np.arange(radix, dtype=np.uint64)
-    one_bit = np.uint64(1) << codes % np.uint64(64)
-    pad = -rows.shape[1] % 8
-    planes = []
-    for w in range((radix + 63) // 64):
-        lut = np.where(codes // 64 == w, one_bit, 0).astype(dtype)
-        planes.append(np.pad(lut[rows.astype(np.intp)], ((0, 0), (0, pad))))
-    return planes
+    n, width = rows.shape
+    words = (width + 63) // 64
+    planes = np.zeros((radix, n, words * 8), dtype=np.uint8)
+    for c in range(radix):
+        planes[c, :, : (width + 7) // 8] = np.packbits(rows == c, axis=1,
+                                                      bitorder="little")
+    planes = planes.view(np.uint64)  # (radix, rows, words)
+    return np.ascontiguousarray(planes.transpose(0, 2, 1)).reshape(radix * words, n)
+
+
+def _extension_counts(planes: np.ndarray, radix: int, ids: np.ndarray,
+                      n_ids: np.ndarray) -> np.ndarray:
+    """Distinct (id, symbol) pairs of each parent at every column.
+
+    ``ids[p, r]`` is parent p's dense pattern id (0 .. n_ids[p] - 1) of
+    table row r, and ``planes`` holds the rows' symbols (:func:`_bit_planes`).
+    The rows of all parents are sorted by global id once; each id's symbol
+    bits are OR-reduced over its rows, and the set bits are summed per
+    parent.  A row whose cell at column t is -1 sets no bit there, so only
+    rows that hold column t count at t.  Returns (parents, 64 * words).
+    """
+    n_rows = ids.shape[1]
+    first = np.cumsum(n_ids) - n_ids  # each parent's first global id
+    gid = (ids + first[:, None]).ravel()
+    # global ids below 2**16 sort by radix
+    order = np.argsort(gid.astype(np.uint16) if n_ids.sum() <= 1 << 16 else gid,
+                       kind="stable")
+    sizes = np.bincount(gid)
+    seen = np.bitwise_or.reduceat(np.take(planes, order % n_rows, axis=1),
+                                  np.cumsum(sizes) - sizes, axis=1)
+    lines, n_seg = seen.shape
+    bits = np.unpackbits(seen.view(np.uint8), axis=1, bitorder="little")
+    # each bit unpacks to a byte, and uint64 words add 8 byte lanes at once,
+    # exactly for up to 255 ids: a parent's ids add in blocks of 255 that
+    # way, then its blocks add in int32
+    blocks = -(-n_ids // 255)
+    block_first = np.cumsum(blocks) - blocks
+    owner = np.repeat(np.arange(len(n_ids)), blocks)
+    starts = first[owner] + 255 * (np.arange(len(owner)) - block_first[owner])
+    lanes = np.add.reduceat(bits.view(np.uint64).reshape(lines, n_seg, 8), starts, axis=1)
+    counts = np.add.reduceat(lanes.view(np.uint8), block_first, axis=1, dtype=np.int32)
+    counts = counts.reshape(radix, -1, len(first), 64).sum(axis=0)
+    return counts.transpose(1, 0, 2).reshape(len(first), -1)
+
+
+def _candidates(planes: np.ndarray, radix: int, t_max: int, offs: np.ndarray,
+                ids: np.ndarray, n_ids: np.ndarray, slab: int):
+    """(parent, offset, count) of every one-offset extension of the templates
+    ``offs``, counted by :func:`_extension_counts` in calls of at most
+    ``slab`` parents.  Parents given in lexicographic order list their
+    extensions in lexicographic order.
+    """
+    counts = np.concatenate([
+        _extension_counts(planes, radix, ids[i:i + slab], n_ids[i:i + slab])
+        for i in range(0, len(ids), slab)])
+    parent, t = np.nonzero(np.arange(t_max + 1) > offs[:, -1:])
+    return parent, t, counts[parent, t]
+
+
+def _child_ids(cols: np.ndarray, radix: int, ids: np.ndarray, n_ids: np.ndarray,
+               t: np.ndarray):
+    """(ids, id counts) of the templates that extend the template of row i of
+    ``ids`` by offset ``t[i]``, in one batched rank.
+
+    A child's ids rank its (parent id, symbol at t) pairs present, in that
+    order.  ``cols`` is the table transposed; a row whose cell at t is -1
+    never counts at t or beyond, so any symbol it is read as (the caller
+    reads 0) leaves the counts unchanged.
+    """
+    width = n_ids * radix
+    base = np.cumsum(width) - width
+    key = ids * radix + cols[t] + base[:, None]
+    present = np.zeros(int(width.sum()), dtype=bool)
+    present[key] = True
+    rank = np.cumsum(present)
+    before = rank[base] - present[base]
+    return rank[key] - 1 - before[:, None], rank[base + width - 1] - before
 
 
 def _beam_profile(table, radix: int, n_max: int, t_max: int, beam_width: int):
     """Best (count, offsets) per pattern length 2..n_max in one growth pass.
 
     Counts run over the table rows that hold the full span t_max.  Partial
-    templates carry dense ids of their sampled patterns.  An extension's
-    count is the number of distinct (id, new symbol) pairs: each parent's
-    rows are sorted by id once, and for all offsets at once the symbol
-    bits of each id segment are OR-reduced into a word per offset whose
-    set bits are counted.  A winner's new ids rank its (id, symbol) pairs
-    present, in that order.  Candidates rank by count, then
-    lexicographically.
+    templates carry dense ids of their sampled patterns.  At each level one
+    :func:`_extension_counts` call counts every extension of every kept
+    template (more on windows wider than ``SLAB_CELLS`` cells), and the kept
+    extensions' ids come from one batched rank (:func:`_child_ids`).
+    Candidates rank by count, then lexicographically.
     """
     rows = table[table[:, t_max] >= 0]
-    planes = _symbol_planes(rows, radix)
-    _, ids0 = np.unique(rows[:, 0], return_inverse=True)
-    beam = [((0,), ids0, int(ids0.max()) + 1)]
+    planes = _bit_planes(rows, radix)
+    cols = np.ascontiguousarray(rows.T)
+    slab = max(1, SLAB_CELLS // len(rows))
+    ids = np.unique(rows[:, 0], return_inverse=True)[1].reshape(1, -1)
+    offs, n_ids = np.zeros((1, 1), dtype=np.intp), ids.max(axis=1) + 1
     best = {}
     for level in range(2, n_max + 1):
-        # candidates are generated in lexicographic order, so a stable sort
-        # by count alone breaks ties lexicographically
-        beam.sort(key=lambda b: b[0])
-        counts, parents, ts = [], [], []
-        for j, (offs, ids, _) in enumerate(beam):
-            if offs[-1] == t_max:
-                continue  # no offset left to extend by
-            order = np.argsort(ids, kind="stable")
-            sizes = np.bincount(ids)
-            starts = np.cumsum(sizes) - sizes  # each id's first row in order
-            # the new offsets' cells, from the word boundary at or before them
-            lo = (offs[-1] + 1) // 8 * 8
-            pairs = 0
-            for plane in planes:
-                cells = plane[order, lo:]
-                seen = np.bitwise_or.reduceat(cells.view(np.uint64), starts)
-                bits = _POPCOUNT8[seen.view(np.uint8)].sum(axis=0, dtype=np.int64)
-                pairs = pairs + bits.reshape(cells.shape[1], -1).sum(axis=1)
-            t = np.arange(offs[-1] + 1, t_max + 1)
-            counts.append(pairs[t - lo])
-            parents.append(np.full(len(t), j))
-            ts.append(t)
-        if not counts:
-            break
-        counts, parents, ts = (np.concatenate(x) for x in (counts, parents, ts))
-        order = np.argsort(-counts, kind="stable")[:beam_width]
-        new_beam = []
-        for c in order:
-            offs, ids, u = beam[parents[c]]
-            key = ids * radix + rows[:, ts[c]]
-            present = np.zeros(u * radix, dtype=bool)
-            present[key] = True
-            new_ids = np.cumsum(present)[key] - 1
-            new_beam.append((offs + (int(ts[c]),), new_ids, int(counts[c])))
-        best[level] = new_beam[0][2], new_beam[0][0]
-        beam = new_beam
+        parent, t, counts = _candidates(planes, radix, t_max, offs, ids, n_ids, slab)
+        if not len(t):
+            break  # no offset left to extend by
+        # candidates come in lexicographic order, so a stable sort by count
+        # alone breaks ties lexicographically; the kept ones, back in that
+        # order, are the next level's parents in lexicographic order
+        top = np.argsort(-counts, kind="stable")[:beam_width]
+        best[level] = int(counts[top[0]]), (*offs[parent[top[0]]].tolist(), int(t[top[0]]))
+        keep = np.sort(top)
+        parent, t = parent[keep], t[keep]
+        # filled in place, so a level's ids are never held twice over
+        new_ids, new_n = np.empty((len(t), len(rows)), dtype=np.intp), np.empty_like(t)
+        for lo in range(0, len(t), slab):
+            p, s = parent[lo:lo + slab], t[lo:lo + slab]
+            new_ids[lo:lo + slab], new_n[lo:lo + slab] = _child_ids(
+                cols, radix, ids[p], n_ids[p], s)
+        offs, ids, n_ids = np.column_stack([offs[parent], t]), new_ids, new_n
+    return best
+
+
+def _exhaustive_profile(table, radix: int, n_max: int, t_max: int):
+    """Best (count, offsets) per pattern length 2..n_max over every template.
+
+    The beam's growth pass at unbounded width over all table rows: each
+    template's extensions are counted over the rows that hold their span.
+    The pass runs depth first in slabs of at most ``SLAB_CELLS``
+    (template x row) cells, so no level's templates are held at once.
+    Slabs, and the extensions within them, come in lexicographic order, so
+    keeping the first maximum breaks ties lexicographically.
+    """
+    planes = _bit_planes(table, radix)
+    cols = np.ascontiguousarray(np.maximum(table, 0).T)
+    slab = max(1, SLAB_CELLS // len(table))
+    best = {}
+
+    def grow(offs, ids, n_ids):
+        level = offs.shape[1] + 1
+        parent, t, counts = _candidates(planes, radix, t_max, offs, ids, n_ids, slab)
+        i = int(np.argmax(counts))
+        if counts[i] > best.get(level, (-1,))[0]:
+            best[level] = int(counts[i]), (*offs[parent[i]].tolist(), int(t[i]))
+        if level < n_max:
+            parent, t = parent[t < t_max], t[t < t_max]  # those with room to grow
+            for lo in range(0, len(t), slab):
+                p, s = parent[lo:lo + slab], t[lo:lo + slab]
+                grow(np.column_stack([offs[p], s]),
+                     *_child_ids(cols, radix, ids[p], n_ids[p], s))
+
+    ids = np.unique(table[:, 0], return_inverse=True)[1].reshape(1, -1)
+    grow(np.zeros((1, 1), dtype=np.intp), ids, ids.max(axis=1) + 1)
     return best
 
 
@@ -228,6 +305,7 @@ def max_pattern_complexity(
     that search, "auto" chooses as above, and any other value raises
     ValidationError.  Returns (count, template).
     """
+    n = _integer(n, "n")
     return pstar_profile(window, n, t_max, beam_width=beam_width, mode=mode)[n - 1]
 
 
@@ -245,6 +323,9 @@ def pstar_profile(
 def _pstar_table_profile(window: Window, n_max: int, t_max: int, beam_width: int,
                          mode: str):
     """(factor table, p* profile) of :func:`pstar_profile`."""
+    n_max = _integer(n_max, "n_max")
+    t_max = _integer(t_max, "t_max")
+    beam_width = _integer(beam_width, "beam_width")
     if n_max < 1:
         raise ValidationError("pattern length must be >= 1")
     if t_max < n_max - 1:
@@ -277,18 +358,9 @@ def _pstar_table_profile(window: Window, n_max: int, t_max: int, beam_width: int
                     "exhaustive search over %d templates exceeds the budget %d; "
                     "use mode='beam'" % (total, TEMPLATE_BUDGET)
                 )
-            # lexicographic order in slabs of ~2**16 table cells; keeping
-            # the first maximum breaks ties lexicographically
-            rests = combinations(range(1, t_max + 1), n - 1)
-            step = max(1, (1 << 16) // len(table))
-            best, best_offs = -1, None
-            while slab := [(0,) + rest for rest in islice(rests, step)]:
-                counts = _distinct_count(table, slab, radix)
-                i = int(np.argmax(counts))
-                if counts[i] > best:
-                    best, best_offs = int(counts[i]), slab[i]
-            out.append((best, PatternTemplate(best_offs)))
-        return table, out
+        found = _exhaustive_profile(table, radix, n_max, t_max)
+        return table, out + [(found[n][0], PatternTemplate(found[n][1]))
+                             for n in range(2, n_max + 1)]
 
     found = _beam_profile(table, radix, n_max, t_max, beam_width)
     for n in range(2, n_max + 1):
@@ -373,55 +445,8 @@ def complexity_report(
 
 
 # ---------------------------------------------------------------------------
-# Classification tests
+# Two-sided extension complexity
 # ---------------------------------------------------------------------------
-
-
-def find_period(window: Window) -> Optional[int]:
-    """Smallest exact period of the window contents, if any below len/2."""
-    codes = window.codes
-    for p in range(1, len(codes) // 2 + 1):
-        if np.array_equal(codes[p:], codes[:-p]):
-            return p
-    return None
-
-
-@dataclass(frozen=True)
-class PeriodicityVerdict:
-    kind: str  # "periodic-evidence" | "aperiodic-evidence"
-    n_witness: Optional[int]
-    p_values: tuple
-    pstar_at_least_2n: bool
-
-    def __str__(self):
-        if self.kind == "periodic-evidence":
-            return "periodic-evidence(%d)" % self.n_witness
-        return "aperiodic-evidence"
-
-
-def periodicity_test(window: Window, n_max: int, t_max: Optional[int] = None) -> PeriodicityVerdict:
-    """Periodicity evidence from p(n) <= n, plus the two-sided p* >= 2n check.
-
-    A word is periodic exactly when p(n) <= n for some n; on a finite
-    window this yields evidence, not proof, in the aperiodic direction.
-    """
-    if len(window) < 4 * n_max:
-        raise WindowTooShortError(
-            "window of length %d is short for n_max=%d" % (len(window), n_max)
-        )
-    t_max = t_max if t_max is not None else min(2 * n_max, len(window) // 4)
-    ps = tuple(block_complexity(window, n) for n in range(1, n_max + 1))
-    witness = next((n for n, p in enumerate(ps, 1) if p <= n), None)
-    # the search "auto" picks per n: exhaustive for n <= EXHAUSTIVE_N when
-    # t_max allows, beam otherwise (beam levels do not depend on n_max)
-    n_ex = min(n_max, EXHAUSTIVE_N) if t_max <= EXHAUSTIVE_TMAX else 0
-    profile = pstar_profile(window, n_ex, t_max, mode="exhaustive") if n_ex else []
-    if n_max > n_ex:
-        profile += pstar_profile(window, n_max, t_max, mode="beam")[n_ex:]
-    cap_ok = all(cnt >= 2 * n for n, (cnt, _) in enumerate(profile, 1))
-    if witness is not None:
-        return PeriodicityVerdict("periodic-evidence", witness, ps, cap_ok)
-    return PeriodicityVerdict("aperiodic-evidence", None, ps, cap_ok)
 
 
 @dataclass(frozen=True)
@@ -435,7 +460,7 @@ class ExtensionComplexityRow:
 def two_sided_complexity_report(window: Window, j: int, probes: Sequence[int]):
     """Block complexity of a two-sided window against the 2n + j threshold."""
     rows = []
-    for n in sorted(set(int(n) for n in probes)):
+    for n in sorted(set(_integer(n, "probes") for n in probes)):
         if n > len(window) - 1:
             raise WindowTooShortError(
                 "probe n=%d too large for window of length %d" % (n, len(window))
@@ -453,6 +478,9 @@ def nonrecurrent_extension_test(spec: SparseSpec, j: int, n_probe: Sequence[int]
     extension, so factors crossing the boundary as well as the rightmost
     barrier context are all visible.
     """
+    n_probe = [_integer(n, "n_probe") for n in n_probe]
+    if not n_probe:
+        raise ValidationError("n_probe must name at least one probe length")
     n_max = max(n_probe)
     hi = spec.position_list(EXTENSION_BARRIERS)[-1] + n_max + 1
     window = sparse_window(spec, -n_max, hi + n_max)

@@ -1,8 +1,11 @@
 """Complexity estimators and the classification tests built on them."""
 
 import pathlib
+import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -146,6 +149,34 @@ def test_pstar_rejects_an_unknown_mode(query):
             cx.pstar_profile(w, 3, 20, mode="exhuastive")
         else:
             cx.max_pattern_complexity(w, 3, 20, mode="exhuastive")
+
+
+@pytest.mark.parametrize("call,name", [
+    pytest.param(lambda w: cx.pstar_profile(w, 3.0, 20), "n_max", id="profile-n_max"),
+    pytest.param(lambda w: cx.pstar_profile(w, 3, 20.0), "t_max", id="profile-t_max"),
+    pytest.param(lambda w: cx.pstar_profile(w, 3, 20, beam_width=2.5, mode="beam"),
+                 "beam_width", id="profile-beam_width"),
+    pytest.param(lambda w: cx.max_pattern_complexity(w, 2.5, 20), "n", id="single-n"),
+    pytest.param(lambda w: cx.max_pattern_complexity(w, 3, 20.5), "t_max",
+                 id="single-t_max"),
+    pytest.param(lambda w: cx.max_pattern_complexity(w, 3, 20, beam_width=2.5),
+                 "beam_width", id="single-beam_width"),
+    pytest.param(lambda w: cx.complexity_report(w, 3.0, 20), "n_max", id="report-n_max"),
+    pytest.param(lambda w: cx.complexity_report(w, 3, "20"), "t_max", id="report-t_max"),
+    pytest.param(lambda w: cx.complexity_report(w, 8, 80, beam_width=2.5), "beam_width",
+                 id="report-beam_width"),
+    pytest.param(lambda w: cx.block_complexity(w, 2.5), "n", id="block-n"),
+    pytest.param(lambda w: cx.PatternTemplate((0, 1.5)), "offsets", id="template-offsets"),
+    pytest.param(lambda w: cx.two_sided_complexity_report(w, 0, [10, 2.5]), "probes",
+                 id="two-sided-probes"),
+    pytest.param(lambda w: cx.nonrecurrent_extension_test(SPARSE3, 0, []), "n_probe",
+                 id="extension-no-probes"),
+    pytest.param(lambda w: cx.nonrecurrent_extension_test(SPARSE3, 0, [25, 40.5]),
+                 "n_probe", id="extension-probes"),
+])
+def test_non_integer_arguments_raise_a_validation_error_naming_them(call, name):
+    with pytest.raises(sq.ValidationError, match="^%s must " % name):
+        call(fib_window(1000))
 
 
 def test_profile_matches_single_queries():
@@ -388,21 +419,136 @@ def test_criterion_one_pstar_values_unchanged():
         assert [t.offsets for _, t in profile] == pins[name], name
 
 
+def random_dense_ids(rng, n_rows, n_ids):
+    """Ids 0 .. n_ids - 1 over n_rows rows, each id on at least one row."""
+    ids = np.concatenate([np.arange(n_ids), rng.integers(0, n_ids, n_rows - n_ids)])
+    return rng.permutation(ids)
+
+
+@pytest.mark.parametrize("radix", [1, 2, 3, 70, 130])
+def test_extension_counts_match_python_set_oracle(radix):
+    rng = np.random.default_rng(radix)
+    n_rows, width = 400, 70  # two uint64 words of columns
+    rows = rng.integers(0, radix, (n_rows, width)).astype(np.int16)
+    # -1 tails of every length short of the row: every row holds column 0
+    # (where radix 1 counts each id, 256 in the third batch) and none the last
+    tail = rng.integers(1, width, n_rows)
+    rows[np.arange(width) >= width - tail[:, None]] = -1
+    rows[0, : width - 1] = 0  # ...but some row holds every other column
+    planes = cx._bit_planes(rows, radix)
+    # one parent; several with uneven id counts (over 255 ids takes more
+    # than one block of byte lanes); every row its own id
+    for n_ids in ([5], [1, 7, 300, 2, 64], [n_rows, 1, 256, 255]):
+        n_ids = np.array(n_ids)
+        ids = np.stack([random_dense_ids(rng, n_rows, n) for n in n_ids])
+        got = cx._extension_counts(planes, radix, ids, n_ids)
+        assert got.shape == (len(n_ids), 128)
+        assert not got[:, width - 1:].any()
+        for p in range(len(n_ids)):
+            oracle = [len({(ids[p, r], rows[r, t]) for r in range(n_rows)
+                           if rows[r, t] >= 0}) for t in range(width)]
+            assert got[p, :width].tolist() == oracle, (radix, n_ids.tolist(), p)
+
+
+RANDOM_PERIOD = "".join(np.random.default_rng(4).choice(list("ab"), 1500))
+
+
+@pytest.mark.parametrize("period,repeats,n_max,t_max", [
+    ("abb", 50, 5, 20), ("aabab", 60, 4, 30), ("ab", 40, 5, 12), ("a", 60, 4, 10),
+    # every template reads all 2**n patterns; ~1500 table rows split each
+    # level of the exhaustive search into several slabs
+    (RANDOM_PERIOD, 2, 4, 20),
+], ids=["abb", "aabab", "ab", "a", "random-period"])
+def test_tied_templates_pick_the_reference_winner(period, repeats, n_max, t_max):
+    # on a periodic word many templates reach the same count, so the winner
+    # is fixed by the tie order alone: the lexicographically first template
+    w = word_window(period * repeats)
+    got = [(c, t.offsets) for c, t in cx.pstar_profile(w, n_max, t_max, mode="exhaustive")]
+    assert got == ref_pstar_profile(w, n_max, t_max, "exhaustive")
+    for beam_width in (1, 3, cx.DEFAULT_BEAM):
+        got = [(c, t.offsets) for c, t in
+               cx.pstar_profile(w, n_max, t_max, beam_width=beam_width, mode="beam")]
+        assert got == ref_pstar_profile(w, n_max, t_max, "beam", beam_width=beam_width)
+
+
+def test_exhaustive_search_memory_stays_slabbed():
+    # 780 three-offset templates over ~5000 table rows: holding a whole level
+    # of templates' ids takes 31 MB, its kernel input three times that; the
+    # search walks them depth first in slabs of SLAB_CELLS cells instead
+    rng = np.random.default_rng(7)
+    ab = sq.Alphabet(("a", "b", "c"), (0.0, 1.0, 2.0))
+    w = sq.Window(0, rng.integers(0, 3, 5000).astype(np.int16), ab)
+    tracemalloc.start()
+    try:
+        profile = cx.pstar_profile(w, 4, 40, mode="exhaustive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c for c, _ in profile] == [3, 9, 27, 81]
+    assert peak < 12 * 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # Periodicity verdicts
 # ---------------------------------------------------------------------------
+# p(n) <= n for some n marks a periodic word; on a finite window this is
+# evidence, plus the two-sided p* >= 2n check.  Nothing outside the tests
+# reads the verdict, so it lives here, beside its per-n reference.
+
+
+def find_period(window):
+    """Smallest exact period of the window contents, if any below len/2."""
+    codes = window.codes
+    for p in range(1, len(codes) // 2 + 1):
+        if np.array_equal(codes[p:], codes[:-p]):
+            return p
+    return None
+
+
+@dataclass(frozen=True)
+class PeriodicityVerdict:
+    kind: str  # "periodic-evidence" | "aperiodic-evidence"
+    n_witness: Optional[int]
+    p_values: tuple
+    pstar_at_least_2n: bool
+
+    def __str__(self):
+        if self.kind == "periodic-evidence":
+            return "periodic-evidence(%d)" % self.n_witness
+        return "aperiodic-evidence"
+
+
+def periodicity_test(window, n_max, t_max=None):
+    """Periodicity evidence from p(n) <= n, plus the two-sided p* >= 2n check."""
+    if len(window) < 4 * n_max:
+        raise sq.WindowTooShortError(
+            "window of length %d is short for n_max=%d" % (len(window), n_max)
+        )
+    t_max = t_max if t_max is not None else min(2 * n_max, len(window) // 4)
+    ps = tuple(cx.block_complexity(window, n) for n in range(1, n_max + 1))
+    witness = next((n for n, p in enumerate(ps, 1) if p <= n), None)
+    # the search "auto" picks per n: exhaustive for n <= EXHAUSTIVE_N when
+    # t_max allows, beam otherwise (beam levels do not depend on n_max)
+    n_ex = min(n_max, cx.EXHAUSTIVE_N) if t_max <= cx.EXHAUSTIVE_TMAX else 0
+    profile = cx.pstar_profile(window, n_ex, t_max, mode="exhaustive") if n_ex else []
+    if n_max > n_ex:
+        profile += cx.pstar_profile(window, n_max, t_max, mode="beam")[n_ex:]
+    cap_ok = all(cnt >= 2 * n for n, (cnt, _) in enumerate(profile, 1))
+    if witness is not None:
+        return PeriodicityVerdict("periodic-evidence", witness, ps, cap_ok)
+    return PeriodicityVerdict("aperiodic-evidence", None, ps, cap_ok)
 
 
 def test_periodicity_detects_period_three():
     w = word_window("abb" * 50)
-    verdict = cx.periodicity_test(w, 8)
+    verdict = periodicity_test(w, 8)
     assert str(verdict) == "periodic-evidence(3)"
     # a genuine period no larger than the witness must exist
-    assert cx.find_period(w) <= verdict.n_witness
+    assert find_period(w) <= verdict.n_witness
 
 
 def test_periodicity_on_aperiodic_words():
-    verdict = cx.periodicity_test(fib_window(2000), 10)
+    verdict = periodicity_test(fib_window(2000), 10)
     assert verdict.kind == "aperiodic-evidence"
     assert verdict.pstar_at_least_2n
     assert all(p == n + 1 for n, p in enumerate(verdict.p_values, start=1))
@@ -420,7 +566,7 @@ def ref_periodicity_test(window, n_max, t_max=None):
         for n in range(1, n_max + 1)
     )
     kind = "periodic-evidence" if witness is not None else "aperiodic-evidence"
-    return cx.PeriodicityVerdict(kind, witness, ps, cap_ok)
+    return PeriodicityVerdict(kind, witness, ps, cap_ok)
 
 
 @pytest.mark.parametrize("name,n_max,t_max", [
@@ -442,14 +588,14 @@ def test_periodicity_matches_per_n_reference(name, n_max, t_max):
         "period17": lambda: word_window("bbbaaaaaabbbbbbbb" * 30),
     }
     w = words[name]()
-    assert cx.periodicity_test(w, n_max, t_max) == ref_periodicity_test(w, n_max, t_max)
+    assert periodicity_test(w, n_max, t_max) == ref_periodicity_test(w, n_max, t_max)
 
 
 def test_periodicity_on_toeplitz_word():
     spec = sq.ToeplitzSpec(
         AB, sq.CodingTriple((), 1, 0), ("a", "b"), (3, 3), (0, 0)
     )
-    verdict = cx.periodicity_test(spec.window(1, 3000), 10)
+    verdict = periodicity_test(spec.window(1, 3000), 10)
     assert verdict.kind == "aperiodic-evidence"
 
 
