@@ -27,23 +27,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .sequences import Alphabet, ToeplitzSpec, ValidationError, Window, _integer, blocks
+from .sequences import ToeplitzSpec, ValidationError, Window, _integer, blocks
 
 __all__ = [
     "transfer_matrix",
-    "word_matrix",
     "matrix_norm2",
     "cheb_eval",
     "TraceTable",
     "trace_table",
     "trace_recursion_f64",
-    "lyapunov",
     "lyapunov_scan",
-    "free_hyperbolic_rate",
 ]
 
 #: saturation bound for float64 trace recursions; values beyond it only
@@ -59,17 +55,6 @@ TRACE_DPS = 50
 def transfer_matrix(value: float, energy: float) -> np.ndarray:
     """Single-site matrix [[E - v, -1], [1, 0]]."""
     return np.array([[energy - value, -1.0], [1.0, 0.0]])
-
-
-def _values_of(word, alphabet: Optional[Alphabet]):
-    if isinstance(word, Window):
-        return word.values()
-    word = list(word)
-    if word and isinstance(word[0], str):
-        if alphabet is None:
-            raise ValidationError("symbol words need an alphabet")
-        return [alphabet.value(sym) for sym in word]
-    return [float(v) for v in word]
 
 
 def transfer_run(coeffs, cur, prev, trail=None):
@@ -90,16 +75,6 @@ def _run_matrix(coeffs):
     a, c = transfer_run(coeffs, 1.0, 0.0)
     b, d = transfer_run(coeffs, 0.0, 1.0)
     return (a, b), (c, d)
-
-
-def word_matrix(word, energy: float, alphabet: Optional[Alphabet] = None) -> np.ndarray:
-    """Product of site matrices over a word, first letter applied first.
-
-    Accepts a Window, a sequence of symbol labels (with an alphabet), or a
-    sequence of coupling values.  The empty word gives the identity.
-    """
-    coeffs = [energy - v for v in _values_of(word, alphabet)]
-    return np.array(_run_matrix(coeffs), dtype=np.float64)
 
 
 def matrix_norm2(m):
@@ -268,14 +243,17 @@ def trace_recursion_f64(spec: ToeplitzSpec, K: int, e_grid: np.ndarray) -> np.nd
     the comparison |h| > 2 matters, and clamping keeps it stable under
     further recursion steps (no inf - inf).  Overflow in the level-0/1
     seeds and the steps is by design and warns nothing.  Returns shape
-    (K+1, len(grid)).
+    (K+1, len(grid)); ``K`` must be an integer >= 0.
     """
+    if _integer(K, "K") < 0:
+        raise ValidationError("K must be >= 0, got %d" % K)
     e = np.atleast_1d(np.asarray(e_grid, dtype=np.float64))
     out = np.empty((K + 1, e.size))
     for i in range(0, e.size, LANE_CHUNK):
         lanes, h = e[i : i + LANE_CHUNK], out[:, i : i + LANE_CHUNK]
         with np.errstate(over="ignore", invalid="ignore"):
-            h[0], h[1] = block_traces(spec, 1, lanes)
+            for k, seed in enumerate(block_traces(spec, min(K, 1), lanes)):
+                h[k] = seed
             for k in range(K - 1):
                 nxt = _recursion_step(
                     h[k], h[k + 1], spec.tail_period(k + 1), spec.tail_period(k + 2)
@@ -483,16 +461,3 @@ def lyapunov_scan(
         gam[i : i + chunk] = ((acc * math.log(2.0) + norm) / n_steps).T
     return gam.mean(axis=1), gam.max(axis=1) - gam.min(axis=1)
 
-
-def lyapunov(window_source, energy: float, n_steps: int = 100_000, samples: int = 4):
-    """(gamma_est, spread) for a single energy; see :func:`lyapunov_scan`."""
-    g, s = lyapunov_scan(window_source, [energy], n_steps=n_steps, samples=samples)
-    return float(g[0]), float(s[0])
-
-
-def free_hyperbolic_rate(energy: float) -> float:
-    """log spectral radius of the zero-potential site matrix, |E| > 2."""
-    a = abs(energy)
-    if a <= 2.0:
-        return 0.0
-    return math.log((a + math.sqrt(a * a - 4.0)) / 2.0)

@@ -35,7 +35,6 @@ __all__ = [
     "PatternTemplate",
     "ComplexityReport",
     "block_complexity",
-    "max_pattern_complexity",
     "complexity_report",
     "two_sided_complexity_report",
     "nonrecurrent_extension_test",
@@ -286,29 +285,6 @@ def _exhaustive_profile(table, radix: int, n_max: int, t_max: int):
     return best
 
 
-def max_pattern_complexity(
-    window: Window,
-    n: int,
-    t_max: int,
-    beam_width: int = DEFAULT_BEAM,
-    mode: str = "auto",
-):
-    """Estimated p*(n): max distinct sampled n-tuples over offset templates.
-
-    Searches templates 0 = tau_0 < ... < tau_{n-1} <= t_max.  Small
-    problems (n <= 5, t_max <= 60) are searched exhaustively; larger ones
-    grow the template one offset at a time, keeping the ``beam_width``
-    best partial templates by distinct-pattern count (ties broken
-    lexicographically, so the result is deterministic).  The contiguous
-    template is always evaluated too, so the estimate never drops below
-    the block-complexity estimate.  ``mode`` "exhaustive" or "beam" forces
-    that search, "auto" chooses as above, and any other value raises
-    ValidationError.  Returns (count, template).
-    """
-    n = _integer(n, "n")
-    return pstar_profile(window, n, t_max, beam_width=beam_width, mode=mode)[n - 1]
-
-
 def pstar_profile(
     window: Window,
     n_max: int,
@@ -316,7 +292,15 @@ def pstar_profile(
     beam_width: int = DEFAULT_BEAM,
     mode: str = "auto",
 ):
-    """(count, template) estimates for every pattern length 1..n_max."""
+    """(count, template) estimates of p*(n) for n = 1..n_max: the most
+    distinct n-tuples that one template 0 = tau_0 < ... < tau_{n-1} <= t_max
+    samples.  Mode "exhaustive" searches every template; "beam" grows them
+    one offset at a time, keeping the ``beam_width`` best partial templates
+    by count (ties to the lexicographically first, so the result is
+    deterministic), and counts the contiguous template too, so no estimate
+    drops below p(n); "auto" is exhaustive for n_max <= 5 and t_max <= 60
+    and beam beyond.  Any other mode raises ValidationError.
+    """
     return _pstar_table_profile(window, n_max, t_max, beam_width, mode)[1]
 
 

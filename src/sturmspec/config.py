@@ -4,14 +4,12 @@ options.
 A config declares exactly one sequence kind; unknown sections and keys
 are rejected, so a misspelt key fails instead of being ignored.
 Fractions are written as "p/q" strings so circle-map parameters stay
-exact.  Configs round-trip: parse -> emit -> parse yields an identical
-RunConfig.
+exact.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +22,7 @@ from .sequences import (
     ValidationError,
 )
 
-__all__ = ["RunConfig", "parse_config", "parse_config_text", "emit_config", "build_spec"]
+__all__ = ["RunConfig", "parse_config", "parse_config_text", "build_spec"]
 
 SPEC_KINDS = ("circle_map", "toeplitz", "sparse")
 
@@ -100,16 +98,6 @@ def parse_config_text(text: str) -> RunConfig:
 def parse_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def emit_config(cfg: RunConfig) -> str:
-    cp = configparser.ConfigParser()
-    cp[cfg.kind] = dict(cfg.spec)
-    if cfg.output:
-        cp["output"] = dict(cfg.output)
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
 
 
 def _alphabet(raw: str) -> Alphabet:

@@ -43,7 +43,6 @@ __all__ = [
     "ToeplitzSpec",
     "toeplitz_window",
     "blocks",
-    "blocks_str",
     "PartitionView",
     "k_partition",
     "SparseSpec",
@@ -170,19 +169,6 @@ class Window:
     def end(self) -> int:
         """One past the last site."""
         return self.start + len(self.codes)
-
-    def index_of(self, site: int) -> int:
-        if not (self.start <= site < self.end):
-            raise ValidationError(
-                "site %d outside window [%d, %d)" % (site, self.start, self.end)
-            )
-        return site - self.start
-
-    def code_at(self, site: int) -> int:
-        return int(self.codes[self.index_of(site)])
-
-    def symbol_at(self, site: int) -> str:
-        return self.alphabet.symbols[self.code_at(site)]
 
     @property
     def symbols(self) -> tuple:
@@ -372,6 +358,7 @@ def circle_map_window(
     sample the periodic convergent word anyway (complexity estimates on
     moderate windows are insensitive to the difference).
     """
+    start, length = _integer(start, "start"), _integer(length, "length")
     if length < 1:
         raise ValidationError("window length must be >= 1")
     needed = length + abs(start)
@@ -512,6 +499,8 @@ class ToeplitzSpec:
         return CodingTriple((a,) * (n - 1), n, l)
 
     def block_length(self, k: int) -> int:
+        if _integer(k, "level") < 0:
+            raise ValidationError("level must be >= 0, got %d" % k)
         ell = self.prefix.period
         for j in range(1, k + 1):
             ell *= self.tail_period(j)
@@ -519,6 +508,8 @@ class ToeplitzSpec:
 
     def hole_position(self, depth: int) -> int:
         """Absolute offset of the undetermined class after `depth` levels."""
+        if _integer(depth, "depth") < 0:
+            raise ValidationError("depth must be >= 0, got %d" % depth)
         pos = self.prefix.offset
         stride = self.prefix.period
         for j in range(1, depth + 1):
@@ -531,7 +522,7 @@ class ToeplitzSpec:
 
     def window(self, start: int, length: int) -> Window:
         """Window at the smallest depth whose period exceeds the length."""
-        depth, period = 0, self.prefix.period
+        depth, period, length = 0, self.prefix.period, _integer(length, "length")
         while period <= length:
             depth += 1
             try:
@@ -603,6 +594,7 @@ def toeplitz_window(spec: ToeplitzSpec, depth: int, start: int, length: int) -> 
     cell then sits on the undetermined class, and it is resolved by
     descending further (or by the extension letter at the limit).
     """
+    start, length = _integer(start, "start"), _integer(length, "length")
     if length < 1:
         raise ValidationError("window length must be >= 1")
     word = spec.composed(depth)
@@ -634,8 +626,6 @@ def blocks(spec: ToeplitzSpec, k: int):
     holds the first tail letter in s_k for even k, the other letter for
     odd k, and the opposite letter in t_k.
     """
-    if k < 0:
-        raise ValidationError("block level must be >= 0")
     if (ell := spec.block_length(k)) > BLOCK_BUDGET:
         raise ValidationError("block length %d exceeds budget %d" % (ell, BLOCK_BUDGET))
     word = spec.composed(k)
@@ -644,12 +634,6 @@ def blocks(spec: ToeplitzSpec, k: int):
     s[-1] = spec.alphabet.code(spec.tail_letter(1)) ^ (k & 1)
     t[-1] = 1 - s[-1]
     return _freeze(s), _freeze(t)
-
-
-def blocks_str(spec: ToeplitzSpec, k: int):
-    s, t = blocks(spec, k)
-    syms = spec.alphabet.symbols
-    return "".join(syms[c] for c in s), "".join(syms[c] for c in t)
 
 
 @dataclass(frozen=True)
@@ -670,24 +654,6 @@ class PartitionView:
 
     def __post_init__(self):
         object.__setattr__(self, "starts", _freeze(np.asarray(self.starts)))
-
-    def block_containing(self, site: int):
-        """(start, label, index) of the full block covering the site.
-
-        :func:`k_partition` lays the starts out as starts[0] + block_len * i,
-        so the index is one floor division.
-        """
-        i = (site - int(self.starts[0])) // self.block_len
-        if not 0 <= i < len(self.labels):
-            raise PartitionError(
-                "site %d not covered by a full level-%d block" % (site, self.level)
-            )
-        return int(self.starts[i]), self.labels[i], i
-
-    def label(self, index: int) -> Optional[str]:
-        if 0 <= index < len(self.labels):
-            return self.labels[index]
-        return None
 
 
 def k_partition(
@@ -878,6 +844,7 @@ class SparseSpec:
 
 def sparse_window(spec: SparseSpec, start: int, length: int) -> Window:
     """Window of the sparse word; sites <= 0 take the two-sided left fill."""
+    start, length = _integer(start, "start"), _integer(length, "length")
     if length < 1:
         raise ValidationError("window length must be >= 1")
     end = start + length

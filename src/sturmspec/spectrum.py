@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .cocycle import matrix_norm2, trace_recursion_f64, transfer_matrix, transfe
 
 __all__ = [
     "BandSet",
-    "band_set_from_trace",
     "band_sets",
     "sigma_n",
     "band_approximant",
@@ -34,7 +33,6 @@ __all__ = [
     "sparse_essential_spectrum",
     "HalfLineOperator",
     "halfline_eigs",
-    "free_halfline_eigs",
     "CertificateReport",
     "free_power_norm_bound",
     "sampled_power_sup",
@@ -78,12 +76,6 @@ class BandSet:
 
     def __len__(self):
         return len(self.intervals)
-
-    def contains(self, e: float, slack: float = 0.0) -> bool:
-        for a, b in self.intervals:
-            if a - slack <= e <= b + slack:
-                return True
-        return False
 
     def union(self, other: "BandSet") -> "BandSet":
         return BandSet(
@@ -194,20 +186,31 @@ def _bisect_edges(g, lo, hi, tol: float) -> np.ndarray:
     return _bisect(g, lo, hi, 200, 10.0 * tol, narrow)[0]
 
 
+def _energy_grid(e_range, grid, least: int) -> np.ndarray:
+    """``grid`` >= ``least`` energies, evenly over a finite, increasing ``e_range``."""
+    if _integer(grid, "grid") < least:
+        raise ValidationError("grid must use at least %d points, got %d" % (least, grid))
+    if np.shape(e_range) != (2,) or not np.isfinite(e_range).all():
+        raise ValidationError("e_range must be finite, as (lo, hi), got %r" % (tuple(e_range),))
+    if not e_range[0] < e_range[1]:
+        raise ValidationError("e_range must increase, got %r" % (tuple(e_range),))
+    return np.linspace(float(e_range[0]), float(e_range[1]), grid)
+
+
 def _band_intervals(table, rows, e_range, grid: int, tol: float) -> list:
     """Intervals of {E : |h(E)| <= 2} for each row in ``rows`` of the trace
     table ``table(xs)``: one grid call scans every row, and the edges of all
     rows are the lanes of one :func:`_bisect_edges` run, each on its row.
+
+    Bands narrower than the grid step can be missed.  There is no search
+    for tangencies of |h| with 2 between runs: when h is the discriminant
+    of a periodic Jacobi operator, as every h_k is, its local maxima are
+    >= 2 and its local minima are <= -2, so |h| - 2 has no local minimum
+    above zero.  ``table`` must act on each energy alone.
     """
-    if _integer(grid, "grid") < 1000:
-        raise ValidationError("grid must use at least 1000 points")
+    es = _energy_grid(e_range, grid, 1000)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValidationError("tol must be finite and >= 0, got %r" % tol)
-    if not np.isfinite(e_range).all():
-        raise ValidationError("e_range must be finite, got %r" % (tuple(e_range),))
-    if not e_range[0] < e_range[1]:
-        raise ValidationError("e_range must increase, got %r" % (tuple(e_range),))
-    es = np.linspace(float(e_range[0]), float(e_range[1]), grid)
     rows = np.asarray(rows)
     g = np.abs(table(es)[rows]) - 2.0
     change = np.diff((g <= 0.0).astype(np.int8), axis=1, prepend=0, append=0)
@@ -226,30 +229,6 @@ def _band_intervals(table, rows, e_range, grid: int, tol: float) -> list:
     left[cut_l], right[cut_r] = np.split(roots, [np.count_nonzero(cut_l)])
     return [_merge(zip(left[row_l == i].tolist(), right[row_r == i].tolist()))
             for i in range(rows.size)]
-
-
-def band_set_from_trace(
-    trace_fn: Callable[[np.ndarray], np.ndarray],
-    e_range,
-    grid: int,
-    tol: float,
-    level: object = None,
-) -> BandSet:
-    """Locate {E : |h(E)| <= 2} by grid scan plus endpoint bisection.
-
-    Runs of grid points with |h| <= 2 give the bands, and their edges,
-    bracketed by the grid points on either side, are the lanes of one
-    :func:`_bisect_edges` run; :func:`band_sets` shares this code with one
-    table row per level.  Bands narrower than the grid step can be missed.
-    There is no search for tangencies of |h| with 2 between runs: when h
-    is the discriminant of a periodic Jacobi operator, as every h_k is, its
-    local maxima are >= 2 and its local minima are <= -2, so |h| - 2 has
-    no local minimum above zero.  ``trace_fn`` must act on each energy alone.
-    """
-    (intervals,) = _band_intervals(
-        lambda xs: np.asarray(trace_fn(xs), dtype=np.float64)[None], [0], e_range, grid, tol
-    )
-    return BandSet(intervals=intervals, level=level, refinement_tol=tol)
 
 
 def _default_e_range(spec: ToeplitzSpec):
@@ -282,7 +261,7 @@ def band_sets(
         raise ValidationError("e_range must cover the spectral hull [%g, %g]"
                               % (min(vals) - 2, max(vals) + 2))
     found = _band_intervals(
-        lambda xs: trace_recursion_f64(spec, max(top, 1), xs), levels, e_range, grid, tol
+        lambda xs: trace_recursion_f64(spec, top, xs), levels, e_range, grid, tol
     )
     return [BandSet(iv, k, tol) for iv, k in zip(found, levels)]
 
@@ -331,9 +310,10 @@ def grid_containment(
     """(violations, checked): grid points of `inner` missing from `outer`.
 
     The slack is one grid step, matching the resolution of the scan that
-    produced the sets.
+    produced the sets.  ``grid`` must be an integer >= 2 and ``e_range``
+    finite and increasing.
     """
-    es = np.linspace(float(e_range[0]), float(e_range[1]), grid)
+    es = _energy_grid(e_range, grid, 2)
     step = (es[-1] - es[0]) / (grid - 1)
     es = es[_held(inner, es, 0.0)]
     missing = es[~_held(outer, es, step)]
@@ -380,6 +360,8 @@ class HalfLineOperator:
             raise ValidationError("truncation size must be >= 64")
         if self.potential.start > 1 or self.potential.end < self.size + 1:
             raise ValidationError("potential window must cover sites 1..size")
+        if not math.isfinite(self.boundary_phi):
+            raise ValidationError("boundary_phi must be finite, got %r" % self.boundary_phi)
         if abs(math.sin(self.boundary_phi)) < 1e-12:
             raise ValidationError(
                 "sin(phi) = 0 pins psi(1) = 0; choose phi in (0, pi)"
@@ -523,12 +505,6 @@ def halfline_eigs(op: HalfLineOperator, count: Optional[int] = None) -> list:
     _, los[live], his[live] = _bisect(lambda xs, lanes: g(xs, live[lanes]),
                                       los[live], his[live], MAX_STEPS - steps, 0.0, narrow)
     return [float(x) for x in 0.5 * (los + his)]
-
-
-def free_halfline_eigs(n: int) -> np.ndarray:
-    """Dirichlet eigenvalues of the zero potential: 2 cos(pi j / (n+1))."""
-    j = np.arange(1, n + 1)
-    return np.sort(2.0 * np.cos(math.pi * j / (n + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Command-line surface: formats, determinism, exit codes, golden output."""
 
+import configparser
 import csv
 import importlib.util
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -29,10 +32,22 @@ def run_cli(args):
 # ---------------------------------------------------------------------------
 
 
+def emit_config(cfg):
+    """The INI text of a parsed config."""
+    cp = configparser.ConfigParser()
+    cp[cfg.kind] = dict(cfg.spec)
+    if cfg.output:
+        cp["output"] = dict(cfg.output)
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
+
+
 def test_config_roundtrip_is_identity():
+    # configs round-trip: parse -> emit -> parse yields an identical RunConfig
     for name in ("simple3.cfg", "fib.cfg", "sparse3.cfg"):
         cfg = cfgmod.parse_config(str(CONFIGS / name))
-        again = cfgmod.parse_config_text(cfgmod.emit_config(cfg))
+        again = cfgmod.parse_config_text(emit_config(cfg))
         assert again == cfg
 
 
@@ -543,6 +558,17 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_readme_library_example_runs():
+    """README's library example runs as written, so every name it reads stays."""
+    src = pathlib.Path(cfgmod.__file__).resolve().parents[1]
+    (example,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    proc = subprocess.run(
+        [sys.executable, "-c", example],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("eigs, loaded", [("0", "False"), ("4", "True")])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sturmspec import cocycle as cc
 from sturmspec import sequences as sq
-from test_transfer_run import ref_recursion_step
+from test_transfer_run import ref_recursion_step, ref_word_matrix
 
 AB = sq.Alphabet(("a", "b"), (0.0, 1.0))
 
@@ -39,33 +39,37 @@ def random_sl2(rng):
 # ---------------------------------------------------------------------------
 
 
+def symbol_values(word):
+    return [AB.value(sym) for sym in word]
+
+
 def test_empty_word_gives_identity():
-    assert np.array_equal(cc.word_matrix([], 1.7), np.eye(2))
+    assert np.array_equal(ref_word_matrix([], 1.7), np.eye(2))
 
 
 def test_word_matrix_worked_example():
-    m = cc.word_matrix(["a", "a", "b"], 0.0, AB)
+    m = ref_word_matrix(symbol_values(["a", "a", "b"]), 0.0)
     assert np.allclose(m, [[1.0, 1.0], [-1.0, 0.0]])
     assert np.trace(m) == 1.0
 
 
 def test_rotation_fourth_power_is_identity():
     # at E = a each site matrix is a quarter turn
-    m = cc.word_matrix([0.0, 0.0, 0.0, 0.0], 0.0)
+    m = ref_word_matrix([0.0, 0.0, 0.0, 0.0], 0.0)
     assert np.allclose(m, np.eye(2))
 
 
 def test_word_matrix_accepts_windows_and_values():
     w = sq.Window(0, np.array([0, 0, 1], dtype=np.int16), AB)
-    m1 = cc.word_matrix(w, 0.5)
-    m2 = cc.word_matrix([0.0, 0.0, 1.0], 0.5)
-    m3 = cc.word_matrix(["a", "a", "b"], 0.5, AB)
+    m1 = ref_word_matrix(w.values(), 0.5)
+    m2 = ref_word_matrix([0.0, 0.0, 1.0], 0.5)
+    m3 = ref_word_matrix(symbol_values(["a", "a", "b"]), 0.5)
     assert np.allclose(m1, m2) and np.allclose(m1, m3)
 
 
 def test_word_matrix_unknown_symbol():
     with pytest.raises(sq.ValidationError):
-        cc.word_matrix(["a", "z"], 0.0, AB)
+        ref_word_matrix(symbol_values(["a", "z"]), 0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -75,8 +79,8 @@ def test_word_matrix_unknown_symbol():
 def test_cocycle_splitting_identity(word, cut, energy):
     cut = min(cut, len(word))
     u, v = word[:cut], word[cut:]
-    full = cc.word_matrix(word, energy, AB)
-    split = cc.word_matrix(v, energy, AB) @ cc.word_matrix(u, energy, AB)
+    full = ref_word_matrix(symbol_values(word), energy)
+    split = ref_word_matrix(symbol_values(v), energy) @ ref_word_matrix(symbol_values(u), energy)
     assert np.allclose(full, split, atol=1e-9)
 
 
@@ -279,6 +283,17 @@ def test_f64_recursion_equals_the_reference_kernel(spec):
         assert np.array_equal(got, ref_trace_recursion_f64(spec, K, e), equal_nan=True)
 
 
+def test_f64_recursion_at_level_0_returns_h0_alone():
+    spec = simple_spec()
+    es = np.linspace(-2.5, 3.5, 101)
+    h = cc.trace_recursion_f64(spec, 0, es)
+    assert h.shape == (1, es.size)
+    assert np.array_equal(h[0], cc.trace_recursion_f64(spec, 3, es)[0])
+    for K, message in ((-1, "K must be >= 0, got -1"), (1.5, "K must be an integer")):
+        with pytest.raises(sq.ValidationError, match=re.escape(message)):
+            cc.trace_recursion_f64(spec, K, es)
+
+
 def test_f64_recursion_saturates_instead_of_nan():
     spec = simple_spec()
     h = cc.trace_recursion_f64(spec, 10, np.array([4.0, -3.0]))
@@ -293,30 +308,36 @@ def test_f64_recursion_saturates_instead_of_nan():
 
 def test_lyapunov_zero_potential_is_flat():
     zero = sq.SparseSpec(v=1.0, positions=(10**9,))
-    g, spread = cc.lyapunov(zero.window(1, 120_000), 0.0, n_steps=10_000)
+    (g,), (spread,) = cc.lyapunov_scan(zero.window(1, 120_000), [0.0], n_steps=10_000)
     assert abs(g) <= 1e-3
     assert spread <= 1e-3
+
+
+def ref_free_hyperbolic_rate(energy):
+    """log spectral radius of the zero-potential site matrix, |E| > 2."""
+    a = abs(energy)
+    return math.log((a + math.sqrt(a * a - 4.0)) / 2.0)
 
 
 def test_lyapunov_matches_free_rate_off_spectrum():
     zero = sq.SparseSpec(v=1.0, positions=(10**9,))
     for e in (3.0, -2.7):
-        g, _ = cc.lyapunov(zero.window(1, 20_000), e, n_steps=10_000)
-        assert abs(g - cc.free_hyperbolic_rate(e)) <= 0.1 * cc.free_hyperbolic_rate(e)
+        (g,), _ = cc.lyapunov_scan(zero.window(1, 20_000), [e], n_steps=10_000)
+        assert abs(g - ref_free_hyperbolic_rate(e)) <= 0.1 * ref_free_hyperbolic_rate(e)
 
 
 def test_lyapunov_positive_outside_spectral_hull():
     spec = simple_spec()
-    g, _ = cc.lyapunov(spec, 4.0, n_steps=10_000)
+    (g,), _ = cc.lyapunov_scan(spec, [4.0], n_steps=10_000)
     assert g > 0.1
 
 
 def test_lyapunov_parameter_validation():
     spec = simple_spec()
     with pytest.raises(sq.ValidationError):
-        cc.lyapunov(spec, 0.0, n_steps=10)
+        cc.lyapunov_scan(spec, [0.0], n_steps=10)
     with pytest.raises(sq.ValidationError):
-        cc.lyapunov(spec, 0.0, n_steps=2000, samples=0)
+        cc.lyapunov_scan(spec, [0.0], n_steps=2000, samples=0)
     for kwargs, name in ((dict(n_steps=2000.5), "n_steps"), (dict(samples=1.5), "samples"),
                          (dict(n_steps="2000"), "n_steps")):
         with pytest.raises(sq.ValidationError, match="%s must be an integer" % name):
@@ -342,7 +363,7 @@ def test_lyapunov_scan_rejects_a_non_integer_start(start):
 def test_lyapunov_overflow_guard():
     spec = simple_spec()
     with pytest.raises(sq.ValidationError):
-        cc.lyapunov(spec, 1e200, n_steps=2000, samples=1)
+        cc.lyapunov_scan(spec, [1e200], n_steps=2000, samples=1)
 
 
 @pytest.mark.parametrize("shape", [(2000, 7), (300, 201), (0, 5)])

@@ -90,24 +90,30 @@ def test_complexity_monotone_in_n_and_window(text):
 # ---------------------------------------------------------------------------
 
 
+def max_pattern_complexity(window, n, t_max, beam_width=cx.DEFAULT_BEAM, mode="auto"):
+    """(count, template) of p*(n) alone: entry n of ``pstar_profile``."""
+    n = sq._integer(n, "n")
+    return cx.pstar_profile(window, n, t_max, beam_width=beam_width, mode=mode)[n - 1]
+
+
 def test_pstar_level_one_counts_symbols():
     w = word_window("abba" * 30)
-    cnt, tpl = cx.max_pattern_complexity(w, 1, 10)
+    cnt, tpl = max_pattern_complexity(w, 1, 10)
     assert cnt == 2 and tpl.offsets == (0,)
 
 
 def test_pstar_exhaustive_circle_pair():
     spec = sq.CircleMapSpec(377, 610, Fraction(2, 5), Fraction(1, 9), 1.0)
     w = spec.window(0, 5000, allow_periodic=True)
-    cnt, _ = cx.max_pattern_complexity(w, 2, 50)
+    cnt, _ = max_pattern_complexity(w, 2, 50)
     assert cnt == 4
 
 
 def test_pstar_sparse_exhaustive_and_beam_agree():
     spec = sq.SparseSpec(v=2.0, rule=("power", 3))
     w = spec.window(1, 2000)
-    exact, tpl = cx.max_pattern_complexity(w, 3, 100, mode="exhaustive")
-    beam, _ = cx.max_pattern_complexity(w, 3, 100, mode="beam")
+    exact, tpl = max_pattern_complexity(w, 3, 100, mode="exhaustive")
+    beam, _ = max_pattern_complexity(w, 3, 100, mode="beam")
     assert exact == 6
     assert beam == exact
     assert tpl.offsets[0] == 0 and len(tpl.offsets) == 3
@@ -116,20 +122,20 @@ def test_pstar_sparse_exhaustive_and_beam_agree():
 def test_pstar_never_below_block_complexity():
     w = fib_window(3000)
     for n in (2, 4, 6):
-        cnt, _ = cx.max_pattern_complexity(w, n, 80)
+        cnt, _ = max_pattern_complexity(w, n, 80)
         assert cnt >= cx.block_complexity(w, n)
 
 
 def test_pstar_template_budget_error():
     w = fib_window(1000)
     with pytest.raises(sq.ValidationError):
-        cx.max_pattern_complexity(w, 6, 200, mode="exhaustive")
+        max_pattern_complexity(w, 6, 200, mode="exhaustive")
 
 
 def test_pstar_window_guard():
     w = word_window("ab" * 30)
     with pytest.raises(sq.WindowTooShortError):
-        cx.max_pattern_complexity(w, 2, 100)
+        max_pattern_complexity(w, 2, 100)
 
 
 @pytest.mark.parametrize("beam_width", [0, -1])
@@ -148,7 +154,7 @@ def test_pstar_rejects_an_unknown_mode(query):
         if query == "profile":
             cx.pstar_profile(w, 3, 20, mode="exhuastive")
         else:
-            cx.max_pattern_complexity(w, 3, 20, mode="exhuastive")
+            max_pattern_complexity(w, 3, 20, mode="exhuastive")
 
 
 @pytest.mark.parametrize("call,name", [
@@ -156,10 +162,10 @@ def test_pstar_rejects_an_unknown_mode(query):
     pytest.param(lambda w: cx.pstar_profile(w, 3, 20.0), "t_max", id="profile-t_max"),
     pytest.param(lambda w: cx.pstar_profile(w, 3, 20, beam_width=2.5, mode="beam"),
                  "beam_width", id="profile-beam_width"),
-    pytest.param(lambda w: cx.max_pattern_complexity(w, 2.5, 20), "n", id="single-n"),
-    pytest.param(lambda w: cx.max_pattern_complexity(w, 3, 20.5), "t_max",
+    pytest.param(lambda w: max_pattern_complexity(w, 2.5, 20), "n", id="single-n"),
+    pytest.param(lambda w: max_pattern_complexity(w, 3, 20.5), "t_max",
                  id="single-t_max"),
-    pytest.param(lambda w: cx.max_pattern_complexity(w, 3, 20, beam_width=2.5),
+    pytest.param(lambda w: max_pattern_complexity(w, 3, 20, beam_width=2.5),
                  "beam_width", id="single-beam_width"),
     pytest.param(lambda w: cx.complexity_report(w, 3.0, 20), "n_max", id="report-n_max"),
     pytest.param(lambda w: cx.complexity_report(w, 3, "20"), "t_max", id="report-t_max"),
@@ -183,7 +189,7 @@ def test_profile_matches_single_queries():
     w = fib_window(1500)
     prof = cx.pstar_profile(w, 4, 40)
     for n in range(1, 5):
-        cnt, tpl = cx.max_pattern_complexity(w, n, 40)
+        cnt, tpl = max_pattern_complexity(w, n, 40)
         assert prof[n - 1][0] == cnt
 
 
@@ -562,7 +568,7 @@ def ref_periodicity_test(window, n_max, t_max=None):
     ps = tuple(cx.block_complexity(window, n) for n in range(1, n_max + 1))
     witness = next((n for n, p in enumerate(ps, 1) if p <= n), None)
     cap_ok = all(
-        cx.max_pattern_complexity(window, n, t_max)[0] >= 2 * n
+        max_pattern_complexity(window, n, t_max)[0] >= 2 * n
         for n in range(1, n_max + 1)
     )
     kind = "periodic-evidence" if witness is not None else "aperiodic-evidence"

@@ -14,7 +14,8 @@ from sturmspec import cocycle as cc
 from sturmspec import gordon as gd
 from sturmspec import sequences as sq
 from sturmspec import spectrum as sp
-from test_transfer_run import DEEP_TOL
+from test_sequences import block_containing
+from test_transfer_run import DEEP_TOL, ref_word_matrix
 
 AB = sq.Alphabet(("a", "b"), (0.0, 1.0))
 
@@ -96,16 +97,8 @@ def test_propagate_growth_matches_lyapunov_off_spectrum():
     phi = gd.propagate(w, e, origin=2)
     n = 500
     slope = math.log(norm_at(phi, w, 2, n)) / n
-    gamma, _ = cc.lyapunov(SPEC, e, n_steps=10_000)
+    (gamma,), _ = cc.lyapunov_scan(SPEC, [e], n_steps=10_000)
     assert abs(slope - gamma) <= 0.1 * gamma
-
-
-def matmul_word_matrix(values, energy):
-    # an oracle that does not share the transfer_run kernel
-    m = np.eye(2)
-    for v in values:
-        m = np.array([[energy - v, -1.0], [1.0, 0.0]]) @ m
-    return m
 
 
 def test_propagate_matches_word_matrix():
@@ -113,7 +106,7 @@ def test_propagate_matches_word_matrix():
     w = WINDOW.slice(1, 400)
     track = gd.propagate(w, e, origin=100, phi_init=(0.0, 1.0))
     for n in (7, 60, 150):
-        m = matmul_word_matrix(WINDOW.slice(100, 100 + n).values(), e)
+        m = ref_word_matrix(WINDOW.slice(100, 100 + n).values(), e)
         phi = m @ np.array([1.0, 0.0])
         assert abs(phi[0] - track[100 + n - w.start]) <= 1e-9 * max(1, abs(phi[0]))
         assert abs(phi[1] - track[100 + n - 1 - w.start]) <= 1e-9 * max(1, abs(phi[1]))
@@ -128,10 +121,15 @@ def test_propagate_matches_word_matrix():
 # array pass; kept as the oracle the array pass must reproduce.
 
 
+def ref_label(part, index):
+    """The label of block ``index`` of a partition, None off its blocks."""
+    return part.labels[index] if 0 <= index < len(part.labels) else None
+
+
 def ref_neighbors(part, site):
-    start, lab, idx = part.block_containing(site)
-    left = part.label(idx - 1)
-    right = part.label(idx + 1)
+    start, lab, idx = block_containing(part, site)
+    left = ref_label(part, idx - 1)
+    right = ref_label(part, idx + 1)
     if left is None or right is None:
         raise sq.WindowTooShortError(
             "origin %d too close to the window edge for level-%d neighbors"
@@ -178,7 +176,7 @@ def ref_classify_case(window, spec, k, trace_table, origin=0, partitions=None,
             if right == "s":
                 path.append("cube@%d" % level)
                 return make_label("1.2.1.2.2", level, "cube", False)
-            leftleft = part.label(idx - 2)
+            leftleft = ref_label(part, idx - 2)
             if leftleft is None:
                 raise sq.WindowTooShortError(
                     "origin too close to the left edge at level %d" % level

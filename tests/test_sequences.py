@@ -26,6 +26,15 @@ def simple_spec(periods=(3, 3), offsets=None, letters=None, **kw):
     )
 
 
+def code_at(window, site):
+    """The code at an absolute site; a ValidationError off the window."""
+    return int(window.slice(site, site + 1).codes[0])
+
+
+def symbol_at(window, site):
+    return window.alphabet.symbols[code_at(window, site)]
+
+
 # ---------------------------------------------------------------------------
 # Alphabet / Window basics
 # ---------------------------------------------------------------------------
@@ -45,11 +54,11 @@ def test_alphabet_rejects_duplicates_and_nonfinite():
 
 def test_window_values_and_indexing():
     w = sq.Window(5, np.array([0, 1, 1], dtype=np.int16), AB)
-    assert w.symbol_at(6) == "b"
+    assert symbol_at(w, 6) == "b"
     assert w.values().tolist() == [0.0, 1.0, 1.0]
     assert w.end == 8
     with pytest.raises(sq.ValidationError):
-        w.code_at(8)
+        code_at(w, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +280,7 @@ def test_toeplitz_window_worked_example():
     assert "".join(w.symbols) == "aabaabaaa"
     oracle = brute_toeplitz_cells(spec, 4)
     for x in range(1, 10):
-        assert w.code_at(x) == oracle.at(x)
+        assert code_at(w, x) == oracle.at(x)
 
 
 def test_toeplitz_window_depth_stability():
@@ -288,6 +297,45 @@ def test_toeplitz_window_depth_guard():
         sq.toeplitz_window(spec, 2, 0, 50)  # period 9 <= 50
 
 
+FIB = build_spec(parse_config(str(CONFIGS / "fib.cfg")))
+SIMPLE3 = build_spec(parse_config(str(CONFIGS / "simple3.cfg")))
+SPARSE3 = build_spec(parse_config(str(CONFIGS / "sparse3.cfg")))
+
+
+@pytest.mark.parametrize("make, named", [
+    pytest.param(lambda: FIB.window(0, 10.5, allow_periodic=True), "length",
+                 id="circle-length"),
+    pytest.param(lambda: FIB.window(0.5, 10, allow_periodic=True), "start",
+                 id="circle-start"),
+    pytest.param(lambda: SIMPLE3.window(1, 10.5), "length", id="toeplitz-length"),
+    pytest.param(lambda: SIMPLE3.window("1", 10), "start", id="toeplitz-start"),
+    pytest.param(lambda: sq.toeplitz_window(SIMPLE3, 4, 1, 10.5), "length",
+                 id="toeplitz-depth-length"),
+    pytest.param(lambda: SPARSE3.window(0.5, 10), "start", id="sparse-start"),
+    pytest.param(lambda: SPARSE3.window(1, 10.5), "length", id="sparse-length"),
+])
+def test_windows_reject_a_non_integer_start_or_length(make, named):
+    with pytest.raises(sq.ValidationError, match="^%s must be an integer" % named):
+        make()
+
+
+def test_windows_take_numpy_integers():
+    for spec in (SIMPLE3, SPARSE3):
+        got = spec.window(np.int64(3), np.int32(40))
+        assert got.start == 3 and np.array_equal(got.codes, spec.window(3, 40).codes)
+    got = FIB.window(np.int64(2), np.int64(40))
+    assert np.array_equal(got.codes, FIB.window(2, 40).codes)
+
+
+@pytest.mark.parametrize("call, named", [
+    pytest.param(lambda: SIMPLE3.block_length(-1), "level", id="block_length"),
+    pytest.param(lambda: SIMPLE3.hole_position(-1), "depth", id="hole_position"),
+])
+def test_a_negative_level_raises(call, named):
+    with pytest.raises(sq.ValidationError, match="^%s must be >= 0, got -1$" % named):
+        call()
+
+
 def test_extension_letter_fills_limit_site():
     bare = simple_spec()
     with pytest.raises(sq.UndeterminedSiteError) as err:
@@ -295,7 +343,7 @@ def test_extension_letter_fills_limit_site():
     assert err.value.site == 0
     ext = simple_spec(extension_letter="a")
     w = sq.toeplitz_window(ext, 4, -3, 8)
-    assert w.symbol_at(0) == "a"
+    assert symbol_at(w, 0) == "a"
     # surrounding cells agree with the bare spec
     wb = sq.toeplitz_window(bare, 4, 1, 4)
     assert np.array_equal(w.codes[4:], wb.codes[:4])
@@ -367,11 +415,16 @@ def test_interior_period2_level_absorbs_leading_run():
 # ---------------------------------------------------------------------------
 
 
+def blocks_str(spec, k):
+    syms = spec.alphabet.symbols
+    return tuple("".join(syms[c] for c in word) for word in sq.blocks(spec, k))
+
+
 def test_blocks_worked_example():
     spec = simple_spec()
-    assert sq.blocks_str(spec, 0) == ("a", "b")
-    assert sq.blocks_str(spec, 1) == ("aab", "aaa")
-    s2, t2 = sq.blocks_str(spec, 2)
+    assert blocks_str(spec, 0) == ("a", "b")
+    assert blocks_str(spec, 1) == ("aab", "aaa")
+    s2, t2 = blocks_str(spec, 2)
     assert s2 == "aabaabaaa" and t2 == "aabaabaab"
 
 
@@ -552,6 +605,17 @@ def test_partition_gap_set_uses_next_period():
             assert set(sq.k_partition(w, spec, k).gaps) == {n - 1, 2 * n - 1}
 
 
+def block_containing(part, site):
+    """(start, label, index) of the full block of a partition covering the
+    site: the starts are starts[0] + block_len * i, so the index is one
+    floor division."""
+    i = (site - int(part.starts[0])) // part.block_len
+    if not 0 <= i < len(part.labels):
+        raise sq.PartitionError(
+            "site %d not covered by a full level-%d block" % (site, part.level))
+    return int(part.starts[i]), part.labels[i], i
+
+
 def test_partition_is_unique_on_shifted_windows():
     spec = simple_spec()
     base = spec.window(1, 3000)
@@ -563,13 +627,13 @@ def test_partition_is_unique_on_shifted_windows():
         first = int(pv.starts[0])
         last = int(pv.starts[-1]) + pv.block_len - 1
         with pytest.raises(sq.PartitionError):
-            pv.block_containing(first - 1)
-        assert pv.block_containing(first) == (first, pv.labels[0], 0)
-        assert pv.block_containing(last) == (
+            block_containing(pv, first - 1)
+        assert block_containing(pv, first) == (first, pv.labels[0], 0)
+        assert block_containing(pv, last) == (
             int(pv.starts[-1]), pv.labels[-1], len(pv.labels) - 1
         )
         with pytest.raises(sq.PartitionError):
-            pv.block_containing(last + 1)
+            block_containing(pv, last + 1)
 
 
 def test_partition_ambiguity_is_an_error():
@@ -812,7 +876,7 @@ def test_partition_rejects_windows_over_other_symbols():
 def test_sparse_window_power_rule():
     spec = sq.SparseSpec(v=2.0, rule=("power", 3))
     w = spec.window(1, 29)
-    hits = [i for i in range(1, 30) if w.code_at(i) == 1]
+    hits = [i for i in range(1, 30) if code_at(w, i) == 1]
     assert hits == [3, 9, 27]
     assert w.values().max() == 2.0
 
@@ -830,12 +894,12 @@ def test_sparse_growth_validation():
 def test_sparse_two_sided_left_fill():
     spec = sq.SparseSpec(v=2.0, rule=("power", 3))
     w = spec.window(-5, 10)
-    assert all(w.code_at(i) == 0 for i in range(-5, 1))
-    assert w.code_at(3) == 1
+    assert all(code_at(w, i) == 0 for i in range(-5, 1))
+    assert code_at(w, 3) == 1
     filled = sq.SparseSpec(v=2.0, rule=("power", 3), left_fill=-1.0)
     w2 = filled.window(-5, 10)
     assert w2.values()[0] == -1.0
-    assert w2.symbol_at(3) == "v"
+    assert symbol_at(w2, 3) == "v"
 
 
 def test_sparse_factorial_gap_rule_is_valid_and_eventually_factorial():

@@ -11,6 +11,7 @@ import scipy.linalg as sla
 from sturmspec import cocycle as cc
 from sturmspec import sequences as sq
 from sturmspec import spectrum as sp
+from test_transfer_run import ref_word_matrix
 
 AB = sq.Alphabet(("a", "b"), (0.0, 1.0))
 
@@ -33,14 +34,23 @@ def zero_window(length):
 # ---------------------------------------------------------------------------
 
 
+def band_set_from_trace(trace_fn, e_range, grid, tol, level=None):
+    """{E : |h(E)| <= 2} of one trace function, as ``band_sets`` finds it
+    for one level: ``trace_fn`` must act on each energy alone."""
+    (intervals,) = sp._band_intervals(
+        lambda xs: np.asarray(trace_fn(xs), dtype=np.float64)[None], [0], e_range, grid, tol
+    )
+    return sp.BandSet(intervals=intervals, level=level, refinement_tol=tol)
+
+
 def test_free_laplacian_band_for_any_power():
     # trace of the m-step free product stays in [-2, 2] exactly on [-2, 2]
     for m in (1, 4, 9):
 
         def fn(es, m=m):
-            return np.array([np.trace(cc.word_matrix([0.0] * m, e)) for e in es])
+            return np.array([np.trace(ref_word_matrix([0.0] * m, e)) for e in es])
 
-        band = sp.band_set_from_trace(fn, (-3.0, 3.0), 4001, 1e-10, level=m)
+        band = band_set_from_trace(fn, (-3.0, 3.0), 4001, 1e-10, level=m)
         assert len(band) >= 1
         assert abs(band.intervals[0][0] + 2.0) < 1e-8
         assert abs(band.intervals[-1][1] - 2.0) < 1e-8
@@ -75,7 +85,7 @@ def test_band_sets_reject_a_negative_or_non_finite_tol(tol):
     for build in (
         lambda: sp.band_sets(spec, (2, 3), grid=2000, tol=tol),
         lambda: sp.sigma_n(spec, 2, grid=2000, tol=tol),
-        lambda: sp.band_set_from_trace(np.cos, (-3.0, 3.0), 2000, tol),
+        lambda: band_set_from_trace(np.cos, (-3.0, 3.0), 2000, tol),
     ):
         with pytest.raises(sq.ValidationError, match="tol"):
             build()
@@ -103,12 +113,12 @@ def test_band_sets_reject_a_non_finite_range_and_a_non_integer_grid():
         with pytest.raises(sq.ValidationError, match="e_range must be finite"):
             sp.sigma_n(spec, 3, e_range=e_range, grid=2000)
         with pytest.raises(sq.ValidationError, match="e_range must be finite"):
-            sp.band_set_from_trace(fn, e_range, 2000, 1e-10)
+            band_set_from_trace(fn, e_range, 2000, 1e-10)
     for grid in (2000.5, "2000"):
         with pytest.raises(sq.ValidationError, match="grid must be an integer"):
             sp.band_sets(spec, (3,), grid=grid)
         with pytest.raises(sq.ValidationError, match="grid must be an integer"):
-            sp.band_set_from_trace(fn, (-2.5, 3.5), grid, 1e-10)
+            band_set_from_trace(fn, (-2.5, 3.5), grid, 1e-10)
     assert sp.sigma_n(spec, 3, grid=np.int64(2000)) == sp.sigma_n(spec, 3, grid=2000)
 
 
@@ -128,7 +138,7 @@ def test_band_set_from_trace_rejects_a_range_that_does_not_increase():
     for e_range in ((3.5, -2.5), (0.5, 0.5)):
         with pytest.raises(sq.ValidationError,
                            match=r"e_range must increase, got \(%r, %r\)" % e_range):
-            sp.band_set_from_trace(fn, e_range, 2000, 1e-10)
+            band_set_from_trace(fn, e_range, 2000, 1e-10)
 
 
 def test_zero_tol_bisects_to_adjacent_floats(monkeypatch):
@@ -157,7 +167,7 @@ def test_large_energy_is_outside_every_level():
     spec = simple_spec()
     for k in range(5):
         band = sp.sigma_n(spec, k, e_range=(-4.5, 10.5), grid=20_000)
-        assert not band.contains(10.0)
+        assert not ref_contains(band, 10.0)
         assert band.intervals[-1][1] <= 3.0 + 1e-6  # norm bound: max V + 2
 
 
@@ -276,6 +286,11 @@ def scalar_band_set(trace_fn, e_range, grid, tol, level=None):
     return sp.BandSet(tuple((a, b) for a, b in merged), level, tol)
 
 
+def ref_contains(bands, e, slack=0.0):
+    """Whether e lies in some interval of bands, widened by slack."""
+    return any(a - slack <= e <= b + slack for a, b in bands.intervals)
+
+
 def loop_containment(inner, outer, e_range, grid):
     """Per-point membership test over every interval."""
     es = np.linspace(float(e_range[0]), float(e_range[1]), grid)
@@ -283,9 +298,9 @@ def loop_containment(inner, outer, e_range, grid):
     checked = 0
     violations = []
     for e in es:
-        if inner.contains(float(e)):
+        if ref_contains(inner, float(e)):
             checked += 1
-            if not outer.contains(float(e), slack=step):
+            if not ref_contains(outer, float(e), slack=step):
                 violations.append(float(e))
     return violations, checked
 
@@ -321,7 +336,7 @@ def test_lane_refinement_matches_scalar_reference(spec, k, grid):
 
     vals = spec.coupling_values()
     e_range = (min(vals) - 2.5, max(vals) + 2.5)
-    lanes = sp.band_set_from_trace(fn, e_range, grid, 1e-10, level=k)
+    lanes = band_set_from_trace(fn, e_range, grid, 1e-10, level=k)
     assert lanes.intervals == sp.sigma_n(spec, k, grid=grid, tol=1e-10).intervals
     # grid scan and at most 200 bisection steps
     assert len(calls) <= 1 + 200
@@ -486,9 +501,9 @@ def test_lane_refinement_matches_scalar_on_free_laplacian():
     for m in (1, 4, 9):
 
         def fn(es, m=m):
-            return np.array([np.trace(cc.word_matrix([0.0] * m, e)) for e in es])
+            return np.array([np.trace(ref_word_matrix([0.0] * m, e)) for e in es])
 
-        lanes = sp.band_set_from_trace(fn, (-3.0, 3.0), 4001, 1e-10, level=m)
+        lanes = band_set_from_trace(fn, (-3.0, 3.0), 4001, 1e-10, level=m)
         ref = scalar_band_set(fn, (-3.0, 3.0), 4001, 1e-10, level=m)
         assert lanes.intervals == ref.intervals
 
@@ -510,6 +525,23 @@ def test_containment_matches_loop_reference():
     assert len(lost[0]) == lost[1] > 0
 
 
+@pytest.mark.parametrize("e_range, grid, named", [
+    pytest.param((-2.5, 3.5), 0, "grid", id="grid-0"),
+    pytest.param((-2.5, 3.5), 1, "grid", id="grid-1"),
+    pytest.param((-2.5, 3.5), 2.5, "grid", id="grid-2.5"),
+    pytest.param((-2.5, 3.5), "2000", "grid", id="grid-str"),
+    pytest.param((3.5, -2.5), 2000, "e_range", id="decreasing"),
+    pytest.param((0.5, 0.5), 2000, "e_range", id="empty"),
+    pytest.param((math.nan, 3.5), 2000, "e_range", id="nan"),
+    pytest.param((-2.5, math.inf), 2000, "e_range", id="inf"),
+    pytest.param((-2.5, 0.0, 3.5), 2000, "e_range", id="three-ends"),
+])
+def test_grid_containment_rejects_a_bad_grid_or_range(e_range, grid, named):
+    bands = sp.BandSet(((-1.0, 1.0),), level=0, refinement_tol=1e-10)
+    with pytest.raises(sq.ValidationError, match="^%s must" % named):
+        sp.grid_containment(bands, bands, e_range, grid)
+
+
 # ---------------------------------------------------------------------------
 # Sparse essential spectrum and truncations
 # ---------------------------------------------------------------------------
@@ -527,10 +559,15 @@ def test_essential_spectrum_formula():
     assert 2.0 < near < 2.0 + 1e-12  # continuous into the band edge
 
 
+def ref_free_halfline_eigs(n):
+    """Dirichlet eigenvalues of the zero potential: 2 cos(pi j / (n+1))."""
+    return np.sort(2.0 * np.cos(math.pi * np.arange(1, n + 1) / (n + 1)))
+
+
 def test_halfline_free_spectrum_closed_form():
     op = sp.HalfLineOperator(512, zero_window(600))
     eigs = np.array(sp.halfline_eigs(op))
-    ref = sp.free_halfline_eigs(512)
+    ref = ref_free_halfline_eigs(512)
     assert np.abs(eigs - ref).max() <= 1e-10
 
 
@@ -581,6 +618,12 @@ def test_halfline_validation():
         sp.HalfLineOperator(64, zero_window(80), boundary_phi=0.0)
     with pytest.raises(sq.ValidationError):
         sp.HalfLineOperator(128, zero_window(100))  # window too short
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_halfline_rejects_a_non_finite_boundary_phi(phi):
+    with pytest.raises(sq.ValidationError, match="boundary_phi must be finite"):
+        sp.HalfLineOperator(64, zero_window(80), boundary_phi=phi)
 
 
 def ref_sturm_counts(d, x):

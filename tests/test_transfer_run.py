@@ -239,12 +239,12 @@ def test_transfer_run_on_lanes_and_mp():
 
 
 def test_word_matrix_matches_matmul_reference():
+    # the two column runs that give the level-0 block matrices
     vals = SIMPLE3.window(1, 300).values()
     for e in (-1.7, 0.3, 2.95):
-        assert np.array_equal(cc.word_matrix(vals, e), ref_word_matrix(vals, e))
-        assert np.array_equal(
-            cc.word_matrix(vals.tolist(), e), ref_word_matrix(vals, e)
-        )
+        for word in (vals, vals.tolist()):
+            m = np.array(cc._run_matrix([e - v for v in word]))
+            assert np.array_equal(m, ref_word_matrix(vals, e))
 
 
 def assert_close_mp(got, want, rel=1e-40):
