@@ -10,9 +10,9 @@ Only the level-0 words are stepped site by site; every higher block matrix
 is composed through the substitution s_k = s_{k-1}^{n_k - 1} t_{k-1},
 t_k = s_{k-1}^{n_k}, so K levels cost O(n_1 + ... + n_K) 2x2 products.
 
-Lyapunov scans multiply words, not sites: each distinct RESCALE_EVERY-site
-word of the samples is stepped once per energy, then the word matrices are
-composed in extended precision (see :func:`lyapunov_scan`).
+Lyapunov scans and deep Gordon norms multiply words, not sites: each
+distinct RESCALE_EVERY-site word is stepped once per energy, then one
+kernel, :func:`_chain`, composes the word matrices in extended precision.
 
 Every recurrence over sites goes through one kernel, :func:`transfer_run`,
 which steps phi(n+1) = c_n phi(n) - phi(n-1) with c_n = E - V(n) on
@@ -205,9 +205,9 @@ def trace_table(
 
     The direct route is :func:`block_traces`, one composition pass whose
     cost grows with K, not with the block length.  The recursion route is
-    seeded by the direct h_0, h_1.
+    seeded by the direct h_0, h_1.  ``K`` must be an integer >= 2.
     """
-    if K < 2:
+    if _integer(K, "K") < 2:
         raise ValidationError("trace tables need K >= 2")
     if not math.isfinite(energy):
         raise ValidationError("energy %r is not finite" % energy)
@@ -277,24 +277,13 @@ SAMPLE_STRIDE = 1013
 #: sites.  Deeper blocks lose accuracy: a product of two long blocks whose
 #: growth cancels keeps only the rounding of their contracting directions.
 TREE_LEVELS = 3
-#: blocks multiplied into a sample's product between its rescalings; the
-#: blocks' entries are below 1 in magnitude, so the product's stay below
-#: 2**FOLD_RESCALE
+#: factors a _chain product takes between its rescalings (one more before
+#: the first); Lyapunov blocks have entries below 1 in magnitude, so their
+#: products' stay below 2**FOLD_RESCALE
 FOLD_RESCALE = 8
 #: cap on tree nodes x energies per pass of lyapunov_scan, so its tables
 #: stay a few hundred KB whatever the number of energies
 WORD_LANES = 1 << 12
-
-
-def _window_codes(source, start: int, length: int):
-    """(codes, value table) of the sites [start, start + length)."""
-    if isinstance(source, Window):
-        if not (source.start <= start and start + length <= source.end):
-            raise ValidationError("window too short for the requested Lyapunov run")
-        lo = start - source.start
-        return source.codes[lo : lo + length], source.alphabet.value_table()
-    window = source.window(start, length)
-    return window.codes, window.alphabet.value_table()
 
 
 def _distinct_rows(rows: np.ndarray):
@@ -383,6 +372,45 @@ def _rescaled(m: np.ndarray):
     return m * np.ldexp(m.dtype.type(1), -x)[..., None, None], x
 
 
+def _chain(table, steps, length, run, q):
+    """Products of ``table`` matrices along runs, read after given factor counts.
+
+    Run r multiplies table[steps[j, r]], j = 0 .. length[r] - 1, onto the
+    identity in order, each factor on the left; ``length`` must not
+    increase, so the runs still multiplying are a prefix.  The axes of
+    ``table`` between its first and its 2x2 ones are lanes (a Lyapunov
+    scan's energies) that every run carries.  After factor j, for j > 0
+    with j % FOLD_RESCALE == 0, the product is divided by a power of two
+    (``_rescaled``) whose exponent adds up apart, so products of factors
+    below 2**1024 stay in long double's range.  Read i is run run[i] after
+    q[i] <= length[run[i]] factors, and no run multiplies past the deepest
+    read.  Returns (mantissa, exponent) of shapes (reads, lanes..., 2, 2)
+    and (reads, lanes...): read i's product is ldexp(mantissa[i], exponent[i]).
+    """
+    prod = np.empty((len(length),) + table.shape[1:], table.dtype)
+    prod[...], spare = np.eye(2, dtype=table.dtype), np.empty_like(prod)
+    acc = np.zeros(prod.shape[:-2], dtype=np.int64)
+    mant, exp = (np.empty((len(run),) + x.shape[1:], x.dtype) for x in (prod, acc))
+    # the depths read, stopped at or rescaled after; the runs moving and reads at each
+    by_q, deepest = np.argsort(q, kind="stable"), q.max(initial=0)
+    cuts = np.union1d(np.concatenate([q, np.minimum(length, deepest)]),
+                      np.arange(FOLD_RESCALE + 1, deepest + 1, FOLD_RESCALE))
+    moving = np.searchsorted(-length, -cuts, side="right")
+    lo, hi = (np.searchsorted(q[by_q], cuts, side=s) for s in ("left", "right"))
+    done = 0
+    for d, p, a, b in zip(*(x.tolist() for x in (cuts, moving, lo, hi))):
+        for factor in table[steps[done:d, :p]]:
+            np.matmul(factor, prod[:p], out=spare[:p])
+            prod, spare = spare, prod
+        if d > FOLD_RESCALE and d % FOLD_RESCALE == 1:
+            prod[:p], x = _rescaled(prod[:p])
+            acc[:p] += x
+        reads, done = by_q[a:b], d
+        if b > a:
+            mant[reads], exp[reads] = prod[run[reads]], acc[run[reads]]
+    return mant, exp
+
+
 def lyapunov_scan(
     window_source,
     energies,
@@ -401,10 +429,10 @@ def lyapunov_scan(
     few dozen distinct ones (p(n) <= 2n).  Each sample is cut into
     RESCALE_EVERY-site words and a short final word.  Each distinct word's
     matrix is stepped once per energy by :func:`transfer_run`, then equal
-    adjacent pairs are multiplied once, TREE_LEVELS times over, and each
-    sample multiplies its blocks in site order.  Every matrix is divided by
-    a power of two after each product, and the exponents add up (the
-    log-scale channel).  The matrices are held in extended precision
+    adjacent pairs are multiplied once, TREE_LEVELS times over, each pair
+    divided by a power of two whose exponent adds up apart (the log-scale
+    channel), and each sample multiplies its blocks in site order through
+    :func:`_chain`.  The matrices are held in extended precision
     (``np.longdouble``), which keeps the products as accurate as a site-by-
     site float64 loop near parabolic energies such as E = 2 on a sparse
     window; a word whose max-abs entry exceeds float64 still raises, as the
@@ -423,11 +451,14 @@ def lyapunov_scan(
     bad = e[~np.isfinite(e)]
     if bad.size:
         raise ValidationError("energy %r is not finite" % float(bad[0]))
-    codes, values = _window_codes(
-        window_source, start, n_steps + (samples - 1) * SAMPLE_STRIDE
-    )
+    length = n_steps + (samples - 1) * SAMPLE_STRIDE
+    window = (window_source if isinstance(window_source, Window)
+              else window_source.window(start, length))
+    if not (window.start <= start and start + length <= window.end):
+        raise ValidationError("window too short for the requested Lyapunov run")
+    codes = window.codes[start - window.start : start - window.start + length]
     words, words_seq, levels, seq = _product_plan(codes, n_steps, samples)
-    values = values.astype(np.longdouble)
+    values = window.alphabet.value_table().astype(np.longdouble)
     widest = max([1 + sum(map(len, words))] + [len(left) for left, _ in levels])
     chunk = max(1, WORD_LANES // widest)
     gam = np.empty((e.size, samples))
@@ -451,12 +482,9 @@ def lyapunov_scan(
         for left, right in levels:
             table, x = _rescaled(table[right] @ table[left])
             exps = exps[left] + exps[right] + x
-        prod, acc = table[seq[:, 0]], exps[seq].sum(axis=1)
-        for j, col in enumerate(seq.T[1:], 1):
-            prod = table[col] @ prod
-            if j % FOLD_RESCALE == 0:
-                prod, x = _rescaled(prod)
-                acc += x
+        ends = np.full(samples, seq.shape[1])
+        prod, acc = _chain(table, seq.T, ends, np.arange(samples), ends)
+        acc += exps[seq].sum(axis=1)
         norm = np.log(matrix_norm2(np.moveaxis(prod, (2, 3), (0, 1)))).astype(np.float64)
         gam[i : i + chunk] = ((acc * math.log(2.0) + norm) / n_steps).T
     return gam.mean(axis=1), gam.max(axis=1) - gam.min(axis=1)

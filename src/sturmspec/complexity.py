@@ -82,22 +82,11 @@ def _factor_table(codes: np.ndarray, t_max: int) -> np.ndarray:
 
 
 def _distinct_count(table: np.ndarray, offsets, radix: int) -> np.ndarray:
-    """Distinct sampled tuples of each template (a row of ``offsets``, all of
-    one length) over the table rows that hold its span."""
-    offsets = np.asarray(offsets)
-    held = table[:, offsets[:, -1]] >= 0  # (rows, templates)
-    if radix ** offsets.shape[1] >= 2**62:
-        return np.array([
-            len(_distinct_rows(
-                np.ascontiguousarray(table[held[:, i]][:, offs], dtype=np.int16))[0])
-            for i, offs in enumerate(offsets)
-        ])
-    key = np.zeros(held.shape, dtype=np.int64)
-    for col in offsets.T:
-        key = key * radix + table[:, col]
-    key[~held] = -1
-    key.sort(axis=0)  # -1 never counts: it is prepended as the first value
-    return (np.diff(key, axis=0, prepend=-1) != 0).sum(axis=0)
+    """Distinct sampled tuples of each template (a row of ``offsets``, its
+    span last) over the table rows that hold its span, counted on the
+    tuples' bytes (``_distinct_rows``) at any length; ``radix`` is not read."""
+    tuples = (table[:, offs] for offs in np.asarray(offsets))
+    return np.array([len(_distinct_rows(t[t[:, -1] >= 0])[0]) for t in tuples])
 
 
 def block_complexity(window: Window, n: int) -> int:

@@ -53,10 +53,9 @@ from .sequences import (
     k_partition,
 )
 from .cocycle import (
-    FOLD_RESCALE,
     RESCALE_EVERY,
+    _chain,
     _distinct_rows,
-    _rescaled,
     _word_matrices,
     trace_recursion_f64,
     transfer_run,
@@ -660,13 +659,12 @@ def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
     forward run steps the sites origin, origin + 1, ... and reads offset
     d after d steps, the backward run steps origin - 1, origin - 2, ...
     and reads offset -d after d steps.  A run's reach is its deepest
-    offset, and it steps no further.  A run that reaches fewer than
-    ``WORD_REACH`` sites steps sites (``_site_norms``); a longer one
-    steps words (``_word_norms``): its state after d steps is the product
-    of its d // RESCALE_EVERY whole word matrices, held in
-    ``np.longdouble``, then d % RESCALE_EVERY site steps.  Either way a
-    lane's norms depend only on its own energy, origin and offsets, never
-    on the other lanes of the call.
+    offset, and it steps no further; the window must hold the sites it
+    steps.  A run that reaches fewer than ``WORD_REACH`` sites steps sites
+    (``_site_norms``), a longer one multiplies RESCALE_EVERY-site word
+    matrices (``_word_norms``).  Either way a lane's norms depend only on
+    its own energy, origin and offsets, never on the other lanes of the
+    call.
 
     Returns an array of shape (2, lanes, max offsets per lane) whose
     entry [b, j, i] is the norm for basis ``_BASES[b]`` at offsets[j][i];
@@ -693,15 +691,19 @@ def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
     np.abs(depth, out=depth)
     reach = np.stack([np.where(used & (back == side), depth, -1).max(axis=1, initial=-1)
                       for side in (False, True)])
-    # forward runs need phi(origin + reach), backward ones phi(origin - reach - 1)
-    site = np.stack([o + reach[0], o - reach[1] - 1])
-    bad = np.argwhere((reach >= 0) & ((site < window.start) | (site >= window.end)))
+    # a run steps reach sites from its first; an offender names the first it lacks
+    stride = np.array([[1], [-1]])
+    first = o - (stride < 0)
+    inside = [(window.start <= x) & (x < window.end)
+              for x in (first, first + stride * (reach - 1))]
+    bad = np.argwhere((reach > 0) & ~(inside[0] & inside[1]))
     if len(bad):
         side, j = bad[0]  # the first in row-major order: forward lanes come first
+        site = (window.end, window.start - 1)[side] if inside[0][side, j] else first[side, j]
         raise WindowTooShortError(
             "window [%d, %d) too short for %s propagation: origin %d at energy %r "
             "needs site %d" % (window.start, window.end, ("forward", "backward")[side],
-                               o[j], float(e[j]), site[side, j])
+                               o[j], float(e[j]), site)
         )
     # the runs, longest reach first, and each read as (flat slot, depth, run position)
     reach = reach.ravel()
@@ -787,12 +789,10 @@ def _word_norms(window: Window, e_r, first, stride, reach, run, depth) -> np.nda
     energies share an origin), and each distinct word's matrix is stepped
     once per distinct energy by ``_word_matrices``, in ``np.longdouble``;
     a matrix with an entry past float64 becomes NaN.  Each run multiplies
-    its word matrices in order, divided by a power of two every
-    FOLD_RESCALE products with the exponents summed apart, as
-    ``lyapunov_scan`` does (long double's range holds FOLD_RESCALE word
-    matrices below 2**1024 unscaled).  A read at depth d copies the
-    product after d // RESCALE_EVERY words and steps it d % RESCALE_EVERY
-    sites on through ``transfer_run``.  A norm past float64 reads NaN.
+    its word matrices in order through ``cocycle._chain``; a read at depth
+    d takes the product after d // RESCALE_EVERY words, steps it
+    d % RESCALE_EVERY sites on through ``transfer_run`` and puts the
+    chain's power of two back by ``ldexp``.  A norm past float64 reads NaN.
     """
     w = RESCALE_EVERY
     codes = window.codes
@@ -821,30 +821,9 @@ def _word_norms(window: Window, e_r, first, stride, reach, run, depth) -> np.nda
     step_ix += e_id
     del seq, code_run
 
-    # the runs still multiplying are a prefix; each read copies its run's
-    # product and exponent once d // w words are in
     q, tail = np.divmod(depth, w)
-    by_q = np.argsort(q, kind="stable")
-    taken = np.searchsorted(q[by_q], np.arange(len(step_ix) + 1), side="right").tolist()
-    moving = np.searchsorted(-n_words, -np.arange(1, len(step_ix) + 1), side="right").tolist()
-    prod = np.tile(np.eye(2, dtype=np.longdouble), (len(reach), 1, 1))
-    spare = np.empty_like(prod)
-    acc = np.zeros(len(reach), dtype=np.int64)
-    snap, snap_x = np.empty((len(run), 2, 2), dtype=np.longdouble), np.empty_like(run)
-    lo = 0
-    for j, hi in enumerate(taken):
-        reads = by_q[lo:hi]
-        snap[reads], snap_x[reads] = prod[run[reads]], acc[run[reads]]
-        lo = hi
-        if j == len(moving):
-            break
-        p = moving[j]
-        np.matmul(table[step_ix[j, :p]], prod[:p], out=spare[:p])
-        prod, spare = spare, prod
-        if (j + 1) % FOLD_RESCALE == 0:
-            prod[:p], x = _rescaled(prod[:p])
-            acc[:p] += x
-    del step_ix, table, prod, spare
+    snap, snap_x = _chain(table, step_ix, n_words, run, q)
+    del step_ix, table
 
     # the tails, longest first, so the reads still stepping are a prefix:
     # basis b starts as column b of the product on a forward run, as

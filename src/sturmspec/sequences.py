@@ -597,14 +597,15 @@ def toeplitz_window(spec: ToeplitzSpec, depth: int, start: int, length: int) -> 
     start, length = _integer(start, "start"), _integer(length, "length")
     if length < 1:
         raise ValidationError("window length must be >= 1")
-    word = spec.composed(depth)
+    word = spec.composed(_integer(depth, "depth"))
     if word.period <= length:
         raise WindowTooShortError(
             "depth %d gives period %d <= window length %d; increase depth"
             % (depth, word.period, length)
         )
-    idx = np.arange(start, start + length) % word.period
-    codes = word.codes[idx].astype(np.int16)
+    lo = start % word.period  # the period exceeds the length: at most one wrap
+    wrap = word.codes[: max(0, lo + length - word.period)]
+    codes = np.concatenate([word.codes[lo : lo + length], wrap], dtype=np.int16)
     for pos in np.flatnonzero(codes < 0):
         codes[pos] = _resolve_site(spec, start + int(pos))
     return Window(start, codes, spec.alphabet)

@@ -216,6 +216,16 @@ def test_trace_table_validation():
                                    letters=("a", "b", "a")), 0.0, 5)
 
 
+@pytest.mark.parametrize("K", [2.5, "3", None])
+def test_trace_table_rejects_a_non_integer_level(K):
+    spec = simple_spec(periods=(3, 3, 3, 3))
+    with pytest.raises(sq.ValidationError,
+                       match="^%s$" % re.escape("K must be an integer, got %r" % (K,))):
+        cc.trace_table(spec, 0.3, K)
+    # numpy integers are integers
+    assert cc.trace_table(spec, 0.3, np.int64(3)) == cc.trace_table(spec, 0.3, 3)
+
+
 def test_unipotent_level_shift_facts():
     # facts used by the scalar reduction: the letter-swap matrix is
     # unipotent (trace 2) and consecutive swaps cancel
@@ -364,6 +374,48 @@ def test_lyapunov_overflow_guard():
     spec = simple_spec()
     with pytest.raises(sq.ValidationError):
         cc.lyapunov_scan(spec, [1e200], n_steps=2000, samples=1)
+
+
+def ref_chain(table, steps, length, lanes):
+    """Each run's unrescaled products after 0 .. length[r] factors, by the
+    2x2 formula on every lane in long double."""
+    out = []
+    for r, n in enumerate(length):
+        prod = [np.eye(2, dtype=np.longdouble) for _ in range(lanes)]
+        out.append([np.array(prod)])
+        for j in range(n):
+            prod = [table[steps[j, r], k] @ prod[k] for k in range(lanes)]
+            out[-1].append(np.array(prod))
+    return out
+
+
+def test_chain_matches_an_unrescaled_product_loop():
+    """Ragged runs of 0..40 factors, longest first, read at every depth
+    from 0 to their length, on random long-double tables with entries up
+    to 1e100 (40 such factors stay inside long double unrescaled)."""
+    rng = np.random.default_rng(11)
+    lanes, n_table = 3, 9
+    table = (rng.uniform(-1, 1, (n_table, lanes, 2, 2))
+             * 10.0 ** rng.uniform(-3, 100, (n_table, lanes, 2, 2))).astype(np.longdouble)
+    length = np.sort(np.concatenate([[0, 40, 40, 1, cc.FOLD_RESCALE + 1],
+                                     rng.integers(0, 41, 7)]))[::-1]
+    steps = rng.integers(0, n_table, (40, len(length)))
+    run = np.repeat(np.arange(len(length)), length + 1)
+    q = np.concatenate([np.arange(n + 1) for n in length])
+    shuffle = rng.permutation(len(run))
+    run, q = run[shuffle], q[shuffle]
+    mant, exp = cc._chain(table, steps, length, run, q)
+    assert mant.shape == (len(run), lanes, 2, 2) and exp.shape == (len(run), lanes)
+    got = np.ldexp(mant, exp[..., None, None])
+    want = ref_chain(table, steps, length, lanes)
+    bound = ref_chain(np.abs(table), steps, length, lanes)
+    eps = np.finfo(np.longdouble).eps
+    for i, (r, d) in enumerate(zip(run.tolist(), q.tolist())):
+        # a product of d factors rounds within about 2 d eps of |A_d|...|A_1|
+        assert (np.abs(got[i] - want[r][d]) <= 4 * d * eps * bound[r][d]).all(), (r, d)
+    assert (got[q == 0] == np.eye(2)).all() and (exp[q == 0] == 0).all()
+    # the first rescaling follows factor FOLD_RESCALE, the (FOLD_RESCALE + 1)-th
+    assert (exp[q <= cc.FOLD_RESCALE] == 0).all() and (exp[q > cc.FOLD_RESCALE] > 0).all()
 
 
 @pytest.mark.parametrize("shape", [(2000, 7), (300, 201), (0, 5)])

@@ -326,7 +326,7 @@ def test_factor_table_counts_match_python_set_oracle():
             # spans near t_max = len - 1 leave only the last few tail rows
             spans = [1, 2, t_max // 2, t_max - 3, t_max - 1, t_max]
             for span in spans:
-                for size in (1, 2, 3, 5, 36):  # 4**36 keys take the wide path
+                for size in (1, 2, 3, 5, 36):  # 4**36 tuples pass int64 keys
                     size = min(size, span + 1)
                     inner = rng.choice(np.arange(1, span), size - 2, replace=False) \
                         if size > 2 else []
@@ -343,7 +343,7 @@ def test_factor_table_counts_match_python_set_oracle():
      42, 60),  # three letters: 3**39 < 2**62 <= 3**40
 ], ids=["fib", "sparse-three-letters"])
 def test_pstar_counts_past_int64_keys_match_bytes_oracle(window, n_max, t_max):
-    """The last three lengths take ``_distinct_count``'s byte-view path."""
+    """The last three lengths have more tuples than int64 keys hold."""
     assert len(window.alphabet) ** (n_max - 2) >= 2**62
     profile = cx.pstar_profile(window, n_max, t_max, beam_width=4)
     for count, template in profile[n_max - 3:]:

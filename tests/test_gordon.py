@@ -1756,34 +1756,34 @@ def test_norm_slabs_name_the_lane_that_leaves_the_window():
     w = SPEC.window(1, 400)  # sites 1 .. 400
     # each lane is checked against its own reach, the first offender named
     lanes = dict(energies=[0.3, 0.7, 0.9, 0.9], origins=[200, 300, 390, 100],
-                 offsets=[(-1, 150), (60, 101), (10,), (1000,)])
+                 offsets=[(-1, 150), (60, 102), (10,), (1000,)])
     with pytest.raises(sq.WindowTooShortError,
                        match=r"forward propagation: origin 300 at energy 0\.7 "
                              r"needs site 401"):
         gd._norm_slabs(w, **lanes)
     lanes["offsets"][3] = (-1,)
-    lanes["offsets"][1] = (60, 100)  # phi(400), the window's last site
+    lanes["offsets"][1] = (60, 101)  # sites 300 .. 400, the window's last
     gd._norm_slabs(w, **lanes)
-    # backward phi(origin + t - 1) must exist: origin 40 at t = -38 reads
-    # phi(1), the first site; origin 50 at t = -49 needs site 0
+    # a backward run at t steps the sites origin - 1 .. origin + t: origin
+    # 40 at t = -39 reads site 1, the first; origin 50 at t = -50 needs site 0
     with pytest.raises(sq.WindowTooShortError,
                        match=r"backward propagation: origin 50 at energy 0\.3 "
                              r"needs site 0"):
-        gd._norm_slabs(w, [0.1, 0.3, 0.3], [40, 50, 60], [(-38, 5), (-49,), (-70,)])
+        gd._norm_slabs(w, [0.1, 0.3, 0.3], [40, 50, 60], [(-39, 5), (-50,), (-70,)])
 
 
 def test_norm_slabs_name_the_forward_side_first():
     w = SPEC.window(1, 400)  # sites 1 .. 400
-    # origin 200 at t = +-250 leaves the window on both sides (sites 450, -51)
+    # origin 200 at t = +-250 leaves the window on both sides (sites 401, 0)
     with pytest.raises(sq.WindowTooShortError,
                        match=r"forward propagation: origin 200 at energy 0\.5 "
-                             r"needs site 450"):
+                             r"needs site 401"):
         gd._norm_slabs(w, [0.5], [200], [(-250, 250)])
     # a later lane's forward offender comes before an earlier lane's backward one
     with pytest.raises(sq.WindowTooShortError,
                        match=r"forward propagation: origin 300 at energy 0\.7 "
                              r"needs site 401"):
-        gd._norm_slabs(w, [0.3, 0.7], [100, 300], [(-150,), (101,)])
+        gd._norm_slabs(w, [0.3, 0.7], [100, 300], [(-150,), (102,)])
 
 
 def test_rotation_check_reads_the_cached_spec_block():

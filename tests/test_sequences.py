@@ -311,6 +311,8 @@ SPARSE3 = build_spec(parse_config(str(CONFIGS / "sparse3.cfg")))
     pytest.param(lambda: SIMPLE3.window("1", 10), "start", id="toeplitz-start"),
     pytest.param(lambda: sq.toeplitz_window(SIMPLE3, 4, 1, 10.5), "length",
                  id="toeplitz-depth-length"),
+    pytest.param(lambda: sq.toeplitz_window(SIMPLE3, 4.5, 1, 10), "depth",
+                 id="toeplitz-depth"),
     pytest.param(lambda: SPARSE3.window(0.5, 10), "start", id="sparse-start"),
     pytest.param(lambda: SPARSE3.window(1, 10.5), "length", id="sparse-length"),
 ])

@@ -635,9 +635,28 @@ def test_norm_slabs_sparse_offsets():
         assert_lane_norms_match_reference(window, energies, origins, offsets, got)
     assert np.isnan(got[:, offsets.index((-1100, 2)), 0]).all()
     # the deepest offsets read the window's first and last sites
-    edge = gd._norm_slabs(window, [0.3, 0.3], [window.end - 5, 6], [(4,), (-4,)])
+    edge = gd._norm_slabs(window, [0.3, 0.3], [window.end - 5, 6], [(5,), (-5,)])
     assert_lane_norms_match_reference(window, [0.3, 0.3], [window.end - 5, 6],
-                                      [(4,), (-4,)], edge)
+                                      [(5,), (-5,)], edge)
+
+
+def test_norm_slabs_reach_each_window_edge_and_no_further():
+    """A forward run at offset t steps the sites origin .. origin + t - 1,
+    a backward one origin - 1 .. origin + t, on the site and word paths."""
+    window = SIMPLE3.window(1, 2000)  # sites 1 .. 2000
+    lanes = [0.3] * 4, [1951, 51, 1001, 1001], [(50,), (-50,), (1000,), (-1000,)]
+    got = gd._norm_slabs(window, *lanes)
+    for i, lane in enumerate(zip(*lanes)):  # the reference steps every origin both ways
+        assert_lane_norms_match_reference(window, *([x] for x in lane), got[:, i : i + 1])
+    for origin, offset, site in ((1951, 51, 2001), (51, -51, 0), (1001, 1001, 2001),
+                                 (1001, -1001, 0), (2001, 1, 2001), (1, -1, 0)):
+        side = "forward" if offset > 0 else "backward"
+        with pytest.raises(sq.WindowTooShortError,
+                           match="%s propagation: origin %d at energy 0.3 needs site %d$"
+                                 % (side, origin, site)):
+            gd._norm_slabs(window, [0.3], [origin], [(offset,)])
+    # offset 0 steps no site
+    assert (gd._norm_slabs(window, [0.3, 0.3], [0, 2001], [(0,), (0,)]) == 1).all()
 
 
 def test_norm_slabs_without_lanes():
