@@ -81,10 +81,10 @@ def _factor_table(codes: np.ndarray, t_max: int) -> np.ndarray:
     return _distinct_rows(np.ascontiguousarray(rows, dtype=np.int16))[0]
 
 
-def _distinct_count(table: np.ndarray, offsets, radix: int) -> np.ndarray:
+def _distinct_count(table: np.ndarray, offsets) -> np.ndarray:
     """Distinct sampled tuples of each template (a row of ``offsets``, its
     span last) over the table rows that hold its span, counted on the
-    tuples' bytes (``_distinct_rows``) at any length; ``radix`` is not read."""
+    tuples' bytes (``_distinct_rows``) at any length."""
     tuples = (table[:, offs] for offs in np.asarray(offsets))
     return np.array([len(_distinct_rows(t[t[:, -1] >= 0])[0]) for t in tuples])
 
@@ -316,7 +316,7 @@ def _pstar_table_profile(window: Window, n_max: int, t_max: int, beam_width: int
         )
     table = _factor_table(window.codes, t_max)
     radix = len(window.alphabet)
-    out = [(int(_distinct_count(table, [(0,)], radix)[0]), PatternTemplate((0,)))]
+    out = [(int(_distinct_count(table, [(0,)])[0]), PatternTemplate((0,)))]
     if n_max == 1:
         return table, out
 
@@ -341,7 +341,7 @@ def _pstar_table_profile(window: Window, n_max: int, t_max: int, beam_width: int
         _, offs = found.get(n, (-1, contiguous))
         # re-count the winner over its own maximal position range, so
         # counts are comparable with the contiguous (block) estimate
-        cnt, cnt_c = _distinct_count(table, [offs, contiguous], radix)
+        cnt, cnt_c = _distinct_count(table, [offs, contiguous])
         if cnt_c > cnt:
             cnt, offs = cnt_c, contiguous
         out.append((int(cnt), PatternTemplate(offs)))

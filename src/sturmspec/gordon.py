@@ -660,9 +660,12 @@ def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
     d after d steps, the backward run steps origin - 1, origin - 2, ...
     and reads offset -d after d steps.  A run's reach is its deepest
     offset, and it steps no further; the window must hold the sites it
-    steps.  A run that reaches fewer than ``WORD_REACH`` sites steps sites
-    (``_site_norms``), a longer one multiplies RESCALE_EVERY-site word
-    matrices (``_word_norms``).  Either way a lane's norms depend only on
+    steps.  One stepper, ``_site_norms``, steps every site a norm reads
+    one at a time: a run that reaches fewer than ``WORD_REACH`` sites
+    steps all its sites there from the identity, and a longer one first
+    multiplies its whole RESCALE_EVERY-site words as matrices
+    (``_word_norms``) and steps there only each read's last sites, from
+    the columns of its product.  Either way a lane's norms depend only on
     its own energy, origin and offsets, never on the other lanes of the
     call.
 
@@ -722,7 +725,7 @@ def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
     lane = order - n * backward
     # each run's energy, the window index of its first site, and its step
     runs = e[lane], o[lane] - window.start - backward, 1 - 2 * backward
-    del order, lane, backward
+    del order, lane
     n_word = int(np.count_nonzero(reach >= WORD_REACH))  # a prefix of the runs
     by_word = run < n_word
     flat = out.reshape(2, -1)
@@ -734,38 +737,32 @@ def _norm_slabs(window: Window, energies, origins, offsets) -> np.ndarray:
         by_site = ~by_word
         flat[:, slot[by_site]] = _site_norms(
             window, *(x[n_word:] for x in runs), reach[n_word:],
-            run[by_site] - n_word, depth[by_site])
+            run[by_site] - n_word, depth[by_site], *_starts(np.eye(2), backward[n_word:]))
     return out
 
 
-def _site_norms(window: Window, e_r, first, stride, reach, run, depth) -> np.ndarray:
+def _site_norms(window: Window, e_r, first, stride, reach, run, depth, cur, prev) -> np.ndarray:
     """(2, reads) norms of both bases at the reads (run[i], depth[i]).
 
     Run r steps from window index first[r] by stride[r] (+1 forward, -1
-    backward) at energy e_r[r], and the runs come longest reach first, so
+    backward) at energy e_r[r], from the states cur[:, r], prev[:, r] of
+    its two bases (``_starts``), and the runs come longest reach first, so
     the runs still moving are a prefix.  They step together, the two
     bases along a leading axis of 2, through ``transfer_run`` on chunks of
-    at most ``NORM_CHUNK`` coefficients gathered from the window codes.
+    at most ``NORM_CHUNK`` coefficients gathered from the window codes, in
+    the dtype of the states and energies.  A read at depth d is
+    |(cur, prev)| after d steps.
     """
-    backward = stride < 0
-    # the reads grouped by depth, then side
-    key = 2 * depth + backward[run]
-    by_key = np.argsort(key)
-    key, run = key[by_key], run[by_key]
-    start = np.flatnonzero(np.diff(key, prepend=-1))
-    groups = key[start]
-    moving = np.searchsorted(-reach, -(groups // 2), side="right")
-    bounds = np.append(start, len(key)).tolist()
-    del key, start
-    # forward runs hold (phi(d), phi(d-1)), backward ones (phi(-d-1), phi(-d))
-    phi_m1, phi_0 = (np.array(col)[:, None] for col in zip(*_BASES))
-    cur = np.where(backward, phi_m1, phi_0)
-    prev = np.where(backward, phi_0, phi_m1)
+    by_depth = np.argsort(depth)
+    depth, run = depth[by_depth], run[by_depth]
+    start = np.flatnonzero(np.diff(depth, prepend=-1))
+    groups = depth[start]
+    moving = np.searchsorted(-reach, -groups, side="right")
+    bounds = np.append(start, len(depth)).tolist()
     codes, values = window.codes, window.alphabet.value_table()
-    norms = np.empty((2, len(run)))
+    norms = np.empty((2, len(run)), dtype=np.result_type(cur, e_r))
     done = 0
-    for g, p, lo, hi in zip(groups.tolist(), moving.tolist(), bounds, bounds[1:]):
-        d, side = divmod(g, 2)
+    for d, p, lo, hi in zip(groups.tolist(), moving.tolist(), bounds, bounds[1:]):
         cur, prev = cur[:, :p], prev[:, :p]
         rows = max(NORM_CHUNK // p, 1)
         for k in range(done, d, rows):
@@ -773,10 +770,21 @@ def _site_norms(window: Window, e_r, first, stride, reach, run, depth) -> np.nda
             coeffs = e_r[:p] - values.take(codes.take(first[:p] + stride[:p] * ks))
             cur, prev = transfer_run(coeffs, cur, prev)
         done = d
-        # the norm at offset d is |(phi(d), phi(d-1))|, at -d |(phi(-d), phi(-d-1))|
-        at = cur.take(run[lo:hi], axis=1), prev.take(run[lo:hi], axis=1)
-        norms[:, by_key[lo:hi]] = np.hypot(*at[::-1] if side else at)
+        norms[:, by_depth[lo:hi]] = np.hypot(cur.take(run[lo:hi], axis=1),
+                                             prev.take(run[lo:hi], axis=1))
     return norms
+
+
+def _starts(prod, backward):
+    """(cur, prev), each (2, runs): the start states of both bases on runs
+    whose prefix products are prod (runs, 2, 2).  Basis b starts as column
+    b ^ backward of its run's product: a forward run holds (phi(d),
+    phi(d-1)), a backward one (phi(-d-1), phi(-d)), and at d = 0 the
+    identity gives ``_BASES[b]``."""
+    col = np.arange(2)[:, None] ^ backward
+    runs = np.arange(len(backward))
+    prod = np.broadcast_to(prod, (len(backward), 2, 2))
+    return prod[runs, 0, col], prod[runs, 1, col]
 
 
 def _word_norms(window: Window, e_r, first, stride, reach, run, depth) -> np.ndarray:
@@ -790,9 +798,10 @@ def _word_norms(window: Window, e_r, first, stride, reach, run, depth) -> np.nda
     once per distinct energy by ``_word_matrices``, in ``np.longdouble``;
     a matrix with an entry past float64 becomes NaN.  Each run multiplies
     its word matrices in order through ``cocycle._chain``; a read at depth
-    d takes the product after d // RESCALE_EVERY words, steps it
-    d % RESCALE_EVERY sites on through ``transfer_run`` and puts the
-    chain's power of two back by ``ldexp``.  A norm past float64 reads NaN.
+    d takes the product after d // RESCALE_EVERY words, and ``_site_norms``
+    steps it the last d % RESCALE_EVERY sites on in long double, each
+    read a run of its own, before the chain's power of two goes back by
+    ``ldexp``.  A norm past float64 reads NaN.
     """
     w = RESCALE_EVERY
     codes = window.codes
@@ -824,29 +833,13 @@ def _word_norms(window: Window, e_r, first, stride, reach, run, depth) -> np.nda
     q, tail = np.divmod(depth, w)
     snap, snap_x = _chain(table, step_ix, n_words, run, q)
     del step_ix, table
-
-    # the tails, longest first, so the reads still stepping are a prefix:
-    # basis b starts as column b of the product on a forward run, as
-    # column 1 - b on a backward one (see _BASES)
+    # the reads as runs of their own, longest tail first
     order = np.argsort(-tail, kind="stable")
     run, q, tail = run[order], q[order], tail[order]
-    col = np.arange(2)[:, None] ^ (stride[run] < 0)
-    cur, prev = snap[order, 0, col], snap[order, 1, col]
-    # the coefficients of the reads with a tail, each read's last one
-    # repeated past its tail (a read never steps those)
-    k = int(np.count_nonzero(tail))
-    ks = np.minimum(np.arange(tail.max(initial=0))[:, None], tail[:k] - 1)
-    coeffs = e_long[e_id[run[:k]]] - values.take(
-        codes.take(first[run[:k]] + stride[run[:k]] * (w * q[:k] + ks)))
-    norms = np.empty((2, len(run)), dtype=np.longdouble)
-    done = 0
-    for d in np.flatnonzero(np.bincount(tail)).tolist():
-        lo, hi = (int(np.searchsorted(-tail, -d, side=x)) for x in ("left", "right"))
-        cur, prev = transfer_run(coeffs[done:d, :hi], cur[:, :hi], prev[:, :hi])
-        norms[:, order[lo:hi]] = np.ldexp(np.hypot(cur[:, lo:hi], prev[:, lo:hi]),
-                                          snap_x[order[lo:hi]])
-        done = d
-    norms = norms.astype(np.float64)
+    norms = _site_norms(
+        window, e_long[e_id[run]], first[run] + stride[run] * w * q, stride[run], tail,
+        np.arange(len(run)), tail, *_starts(snap[order], stride[run] < 0))
+    norms = np.ldexp(norms[:, np.argsort(order)], snap_x).astype(np.float64)
     norms[~np.isfinite(norms)] = np.nan
     return norms
 
@@ -879,9 +872,10 @@ def certify_pairs(spec: ToeplitzSpec, window: Window, entry_k: int, energies: Se
     lanes, and the other lanes of a class take their margins; energies
     are told apart by their index, so repeated energies are stepped
     apart.  A side of a lane that reaches ``WORD_REACH`` sites or more
-    multiplies 32-site word matrices in long double instead of stepping
-    sites, and a norm there that does not fit in float64 reads NaN; a
-    NaN margin falsifies its pair, as the site path's overflow to
+    multiplies its whole 32-site words as matrices in long double, and
+    the site stepper of shorter sides steps each norm's last sites on
+    from that product; a norm there that does not fit in float64 reads
+    NaN.  A NaN margin falsifies its pair, as a short side's overflow to
     inf - inf does.  A norm the bound needs that was never computed
     raises ``RuntimeError``.  Lanes, margins and falsifications come in
     energy-major pair order.

@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .sequences import SparseSpec, ToeplitzSpec, ValidationError, Window, _integer
-from .cocycle import matrix_norm2, trace_recursion_f64, transfer_matrix, transfer_run
+from .cocycle import (_distinct_rows, matrix_norm2, trace_recursion_f64, transfer_matrix,
+                      transfer_run)
 
 __all__ = [
     "BandSet",
@@ -119,18 +120,6 @@ def _merge(intervals) -> tuple:
 LANE_BUDGET = 512
 
 
-def _bracket_groups(los: np.ndarray, his: np.ndarray) -> tuple:
-    """(first, group): one lane per distinct (lo, hi) bracket, equal bit for
-    bit, and each lane's index into those representatives."""
-    bits = np.stack((his, los)).view(np.int64)
-    order = np.lexsort(bits)
-    bits = bits[:, order]
-    new = np.append(True, (bits[:, 1:] != bits[:, :-1]).any(axis=0))
-    group = np.empty(los.size, dtype=np.intp)
-    group[order] = np.cumsum(new) - 1
-    return order[new], group
-
-
 def _bisect(g, lo, hi, max_steps: int, hit: float, narrow, budget: Optional[int] = None) -> tuple:
     """Refine lane brackets with g > 0 at lo and g <= 0 at hi to (x, lo, hi).
 
@@ -151,13 +140,14 @@ def _bisect(g, lo, hi, max_steps: int, hit: float, narrow, budget: Optional[int]
         if live.size > budget // 3:
             xs = 0.5 * (a + b)[None]
         else:
-            first, group = _bracket_groups(a, b)
-            depth = (budget // first.size + 1).bit_length() - 1
+            # one tree per distinct bracket, equal bit for bit
+            brackets, group = _distinct_rows(np.stack((a, b), axis=1))
+            depth = (budget // len(brackets) + 1).bit_length() - 1
             # level l is rows 2^l - 1 .. 2^(l+1) - 2: midpoints of 2^l + 1 sorted ends
-            levels, ends = [], np.stack((a[first], b[first]))
+            levels, ends = [], brackets.T
             for _ in range(min(depth, max_steps - steps)):
                 levels.append(0.5 * (ends[:-1] + ends[1:]))
-                grown = np.empty((2 * len(ends) - 1, first.size))
+                grown = np.empty((2 * len(ends) - 1, len(brackets)))
                 grown[::2], grown[1::2] = ends, levels[-1]
                 ends = grown
             xs = np.concatenate(levels)[:, group]
@@ -190,17 +180,19 @@ def _energy_grid(e_range, grid, least: int) -> np.ndarray:
     """``grid`` >= ``least`` energies, evenly over a finite, increasing ``e_range``."""
     if _integer(grid, "grid") < least:
         raise ValidationError("grid must use at least %d points, got %d" % (least, grid))
-    if np.shape(e_range) != (2,) or not np.isfinite(e_range).all():
-        raise ValidationError("e_range must be finite, as (lo, hi), got %r" % (tuple(e_range),))
+    ends = np.asarray(e_range)
+    if ends.shape != (2,) or ends.dtype.kind not in "iuf" or not np.isfinite(ends).all():
+        raise ValidationError("e_range must be finite, as (lo, hi), got %r" % (e_range,))
     if not e_range[0] < e_range[1]:
         raise ValidationError("e_range must increase, got %r" % (tuple(e_range),))
     return np.linspace(float(e_range[0]), float(e_range[1]), grid)
 
 
-def _band_intervals(table, rows, e_range, grid: int, tol: float) -> list:
+def _band_intervals(table, rows, es: np.ndarray, tol: float) -> list:
     """Intervals of {E : |h(E)| <= 2} for each row in ``rows`` of the trace
-    table ``table(xs)``: one grid call scans every row, and the edges of all
-    rows are the lanes of one :func:`_bisect_edges` run, each on its row.
+    table ``table(xs)``: one call on the grid ``es`` (an ``_energy_grid``)
+    scans every row, and the edges of all rows are the lanes of one
+    :func:`_bisect_edges` run, each on its row.
 
     Bands narrower than the grid step can be missed.  There is no search
     for tangencies of |h| with 2 between runs: when h is the discriminant
@@ -208,7 +200,6 @@ def _band_intervals(table, rows, e_range, grid: int, tol: float) -> list:
     >= 2 and its local minima are <= -2, so |h| - 2 has no local minimum
     above zero.  ``table`` must act on each energy alone.
     """
-    es = _energy_grid(e_range, grid, 1000)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValidationError("tol must be finite and >= 0, got %r" % tol)
     rows = np.asarray(rows)
@@ -217,7 +208,7 @@ def _band_intervals(table, rows, e_range, grid: int, tol: float) -> list:
     row_l, starts = np.nonzero(change == 1)
     row_r, ends = np.nonzero(change[:, 1:] == -1)
     # the grid brackets each edge: g > 0 just outside a run, g <= 0 inside it
-    cut_l, cut_r = starts > 0, ends < grid - 1
+    cut_l, cut_r = starts > 0, ends < es.size - 1
     lane_rows = rows[np.concatenate([row_l[cut_l], row_r[cut_r]])]
     roots = _bisect_edges(
         lambda xs, live: np.abs(table(xs)[lane_rows[live], np.arange(xs.size)]) - 2.0,
@@ -256,13 +247,12 @@ def band_sets(
         raise ValidationError("level %d beyond the declared tail" % top)
     if e_range is None:
         e_range = _default_e_range(spec)
+    es = _energy_grid(e_range, grid, 1000)
     vals = spec.coupling_values()
-    if e_range[0] > min(vals) - 2 or e_range[1] < max(vals) + 2:
+    if es[0] > min(vals) - 2 or es[-1] < max(vals) + 2:
         raise ValidationError("e_range must cover the spectral hull [%g, %g]"
                               % (min(vals) - 2, max(vals) + 2))
-    found = _band_intervals(
-        lambda xs: trace_recursion_f64(spec, top, xs), levels, e_range, grid, tol
-    )
+    found = _band_intervals(lambda xs: trace_recursion_f64(spec, top, xs), levels, es, tol)
     return [BandSet(iv, k, tol) for iv, k in zip(found, levels)]
 
 

@@ -333,7 +333,7 @@ def test_factor_table_counts_match_python_set_oracle():
                     offs = tuple(sorted({0, span, *map(int, inner)}))
                     oracle = {tuple(codes[p + t] for t in offs)
                               for p in range(length - span)}
-                    got = cx._distinct_count(table, [offs], radix)
+                    got = cx._distinct_count(table, [offs])
                     assert got.tolist() == [len(oracle)], (radix, length, offs)
 
 

@@ -1715,7 +1715,8 @@ def test_norm_slabs_step_both_sides_in_one_pass(monkeypatch):
     and backward ones step together: 486 coefficient rows, where one pass
     per side would take 486 + 486.  The 590 longer runs step no site rows
     but their tails: 25 rows, the longest depth mod 32 (25 at depth 729),
-    after the 32 rows that step the word matrices through the kernel in
+    in a second pass of the same site stepper, ``_site_norms``, after the
+    32 rows that step the word matrices through the kernel in
     ``cocycle``; before word products they stepped 4374 rows in all.  The
     call's traced peak stays below 7.6 MB; the pass per side peaked at 7.7
     to 8.8 MB on this sweep (about 5.7 MB with coefficients gathered in

@@ -38,7 +38,8 @@ def band_set_from_trace(trace_fn, e_range, grid, tol, level=None):
     """{E : |h(E)| <= 2} of one trace function, as ``band_sets`` finds it
     for one level: ``trace_fn`` must act on each energy alone."""
     (intervals,) = sp._band_intervals(
-        lambda xs: np.asarray(trace_fn(xs), dtype=np.float64)[None], [0], e_range, grid, tol
+        lambda xs: np.asarray(trace_fn(xs), dtype=np.float64)[None], [0],
+        sp._energy_grid(e_range, grid, 1000), tol
     )
     return sp.BandSet(intervals=intervals, level=level, refinement_tol=tol)
 
@@ -120,6 +121,16 @@ def test_band_sets_reject_a_non_finite_range_and_a_non_integer_grid():
         with pytest.raises(sq.ValidationError, match="grid must be an integer"):
             band_set_from_trace(fn, (-2.5, 3.5), grid, 1e-10)
     assert sp.sigma_n(spec, 3, grid=np.int64(2000)) == sp.sigma_n(spec, 3, grid=2000)
+
+
+def test_band_sets_check_the_range_shape_before_the_hull():
+    # the hull test reads both ends, so the range's own check must come first
+    spec = simple_spec()
+    for e_range in ((-5.0,), "ab", ("a", "b"), 5.0, (-5.0, 6.0, 7.0)):
+        for build in (sp.band_sets, sp.sigma_n, sp.band_approximant):
+            level = (3,) if build is sp.band_sets else 3
+            with pytest.raises(sq.ValidationError, match="e_range must be finite"):
+                build(spec, level, e_range=e_range, grid=2000)
 
 
 def test_band_sets_reject_a_non_integer_level():
@@ -827,14 +838,15 @@ def test_bracket_groups_match_bit_for_bit():
     # -0.0 == 0.0 as values, but the brackets differ in their bits
     los = np.array([0.0, -0.0, 0.0, 1.0, 0.0])
     his = np.array([2.0, 2.0, 2.0, 2.0, 1.0])
-    first, group = sp._bracket_groups(los, his)
+    # _bisect's grouping: the distinct stacked (lo, hi) rows
+    brackets, group = cc._distinct_rows(np.stack((los, his), axis=1))
     assert group.shape == los.shape
-    assert len(first) == 4
+    assert len(brackets) == 4
     assert group[0] == group[2]
     assert len({group[0], group[1], group[3], group[4]}) == 4
     for lane, g in enumerate(group):
-        assert los[first[g]].tobytes() == los[lane].tobytes()
-        assert his[first[g]].tobytes() == his[lane].tobytes()
+        assert brackets[g, 0].tobytes() == los[lane].tobytes()
+        assert brackets[g, 1].tobytes() == his[lane].tobytes()
 
 
 def bisect_calls(monkeypatch):

@@ -665,6 +665,41 @@ def test_norm_slabs_without_lanes():
     assert gd._norm_slabs(window, [0.3], [50], [()]).shape == (2, 1, 0)
 
 
+@pytest.mark.parametrize("chunk", [gd.NORM_CHUNK, 7])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_site_norms_step_any_start_states_like_a_per_read_loop(dtype, chunk, monkeypatch):
+    """``_site_norms`` from arbitrary (cur, prev) states, not the bases: run
+    r steps from window index first[r] by stride[r], and a read at depth d
+    is |(cur, prev)| after d steps, in the states' dtype, on forward and
+    backward runs, at depths from 0 to each run's reach."""
+    monkeypatch.setattr(gd, "NORM_CHUNK", chunk)  # 7 coefficients: one row per chunk
+    rng = np.random.default_rng(11)
+    window = SIMPLE3.window(1, 2000)
+    codes, values = window.codes, window.alphabet.value_table()
+    n = 24
+    reach = np.sort(rng.integers(0, 120, n))[::-1]
+    reach[-3:] = 0  # runs that step no site
+    stride = rng.choice([1, -1], n)
+    first = np.where(stride > 0, rng.integers(0, 800, n), rng.integers(1200, 2000, n))
+    e_r = rng.uniform(-1.5, 3.5, n).astype(dtype)
+    # states of both bases on each run, spread over six decades
+    cur, prev = ((rng.normal(size=(2, n)) * 10.0 ** rng.integers(-3, 4, (2, n))).astype(dtype)
+                 for _ in range(2))
+    run = np.concatenate([np.arange(n), rng.integers(0, n, 3 * n)])
+    depth = np.concatenate([np.zeros(n, dtype=np.int64),
+                            [rng.integers(0, reach[r] + 1) for r in run[n:]]])
+    depth[n : n + n // 2] = reach[run[n : n + n // 2]]  # reads at each run's reach
+    shuffle = rng.permutation(len(run))
+    run, depth = run[shuffle], depth[shuffle]
+    got = gd._site_norms(window, e_r, first, stride, reach, run, depth, cur, prev)
+    assert got.dtype == dtype and got.shape == (2, len(run))
+    for i, (r, d) in enumerate(zip(run.tolist(), depth.tolist())):
+        coeffs = [e_r[r] - values[codes[first[r] + stride[r] * k]] for k in range(d)]
+        for b in range(2):
+            want = np.hypot(*cc.transfer_run(coeffs, cur[b, r], prev[b, r]))
+            assert got[b, i] == want, (dtype, r, d, b)
+
+
 @pytest.mark.parametrize("energy", [0.0, 0.3, -1.7, 1.99])
 def test_sampled_power_sup_matches_reference(energy):
     assert sp.sampled_power_sup(energy, 10_000) == ref_sampled_power_sup(energy, 10_000)
