@@ -1,10 +1,14 @@
 """Command-line entry point.
 
 Subcommands: generate, complexity, spectrum, lyapunov, trace-table,
-gordon-scan, sparse-check.  Every output embeds the tool version and the
-fully resolved configuration: the spec and the analysis parameters the
-run reads.  Only gordon-scan draws random numbers, so only it takes
-``--seed`` (default: the config's ``[output] seed``) and records it.
+gordon-scan, sparse-check.  ``run`` loads the config and builds the spec
+once, calls the subcommand, which only computes, and writes its output.
+Every output embeds the tool version and the fully resolved
+configuration: the spec and the subcommand's own options (all but
+``--spec``, ``--out`` and ``--format``) in parser order.  Only
+gordon-scan draws random numbers, so only it takes ``--seed`` (default:
+the config's ``[output] seed``) and records the seed it used.  A spec of
+the wrong kind is rejected by the library call, naming the kind it needs.
 Floats in JSON are printed at 17 significant digits so identical runs
 produce byte-identical files.
 Outputs are written atomically (temp file + rename).
@@ -28,14 +32,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .sequences import (
-    CircleMapSpec,
-    SparseSpec,
-    ToeplitzSpec,
-    ValidationError,
-    Window,
-)
-from .config import RunConfig, build_spec, parse_config
+from .sequences import CircleMapSpec, ValidationError, Window
+from .config import build_spec, parse_config
 from . import cocycle, complexity, gordon, spectrum
 
 
@@ -97,7 +95,7 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(payload: dict, fmt: str, out: Optional[str], csv_rows=None, csv_header=None):
+def _emit(payload: dict, fmt: str, out: Optional[str], csv_rows, csv_header):
     """Write JSON (default) or CSV with a provenance preamble."""
     if fmt == "json":
         text = render_json(payload) + "\n"
@@ -119,25 +117,6 @@ def _emit(payload: dict, fmt: str, out: Optional[str], csv_rows=None, csv_header
         _atomic_write(out, text)
 
 
-def _resolved_config(cfg: RunConfig, args: argparse.Namespace, keys) -> dict:
-    """Flat provenance record: spec plus the analysis parameters in force."""
-    flat = {"spec_kind": cfg.kind}
-    for k, v in cfg.spec.items():
-        flat["spec.%s" % k] = v
-    for key in keys:
-        flat[key] = getattr(args, key.replace("-", "_"))
-    return flat
-
-
-def _payload(cfg_flat: dict, result: dict) -> dict:
-    return {"version": __version__, "config": cfg_flat, "result": result}
-
-
-def _load(args) -> tuple:
-    cfg = parse_config(args.spec)
-    return cfg, build_spec(cfg)
-
-
 def _make_window(spec, start: int, length: int) -> Window:
     if isinstance(spec, CircleMapSpec):
         return spec.window(start, length, allow_periodic=True)
@@ -145,14 +124,13 @@ def _make_window(spec, start: int, length: int) -> Window:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each computes from (args, spec, cfg) and returns
+# (result, csv_header, csv_rows, exit_code); ``run`` loads and writes
 # ---------------------------------------------------------------------------
 
 
-def _cmd_generate(args) -> int:
-    cfg, spec = _load(args)
+def _cmd_generate(args, spec, cfg):
     window = _make_window(spec, args.start, args.len)
-    flat = _resolved_config(cfg, args, ("start", "len"))
     vals = window.values()
     symbols = window.symbols  # a property that rebuilds the tuple per read
     rows = [
@@ -164,48 +142,28 @@ def _cmd_generate(args) -> int:
         "symbols": list(symbols),
         "values": [float(v) for v in vals],
     }
-    _emit(
-        _payload(flat, result), args.format, args.out,
-        csv_rows=rows, csv_header=("index", "symbol", "value"),
-    )
-    return 0
+    return result, ("index", "symbol", "value"), rows, 0
 
 
-def _cmd_complexity(args) -> int:
-    cfg, spec = _load(args)
+def _cmd_complexity(args, spec, cfg):
     window = _make_window(spec, args.start, args.window)
     report = complexity.complexity_report(
         window, args.n_max, args.t_max, beam_width=args.beam
     )
-    flat = _resolved_config(cfg, args, ("start", "window", "n_max", "t_max", "beam"))
-    rows = report.rows()
-    _emit(
-        _payload(flat, report.as_dict()), args.format, args.out,
-        csv_rows=rows, csv_header=("n", "p", "pstar", "template"),
-    )
-    return 0
+    return report.as_dict(), ("n", "p", "pstar", "template"), report.rows(), 0
 
 
-def _cmd_spectrum(args) -> int:
-    cfg, spec = _load(args)
-    if not isinstance(spec, ToeplitzSpec):
-        raise ValidationError("spectrum approximants need a toeplitz spec")
+def _cmd_spectrum(args, spec, cfg):
     lower, upper = spectrum.band_sets(
         spec, (args.level, args.level + 1), grid=args.grid, tol=args.tol
     )
     approx = lower.union(upper)
-    flat = _resolved_config(cfg, args, ("level", "grid", "tol"))
     result = {
         "sigma_k": lower.as_dict(),
         "sigma_k_plus_1": upper.as_dict(),
         "approximant": approx.as_dict(),
     }
-    rows = [(a, b) for a, b in approx.intervals]
-    _emit(
-        _payload(flat, result), args.format, args.out,
-        csv_rows=rows, csv_header=("band_lo", "band_hi"),
-    )
-    return 0
+    return result, ("band_lo", "band_hi"), [(a, b) for a, b in approx.intervals], 0
 
 
 def _energy_list(text: str) -> list:
@@ -219,8 +177,7 @@ def _energy_list(text: str) -> list:
     return out
 
 
-def _cmd_lyapunov(args) -> int:
-    cfg, spec = _load(args)
+def _cmd_lyapunov(args, spec, cfg):
     energies = _energy_list(args.energies)
     # at least one site, so that lyapunov_scan names a bad --n-steps or --samples
     total = max(1, args.n_steps + (args.samples - 1) * cocycle.SAMPLE_STRIDE)
@@ -228,28 +185,19 @@ def _cmd_lyapunov(args) -> int:
         _make_window(spec, args.start, total), energies, n_steps=args.n_steps,
         samples=args.samples, start=args.start,
     )
-    flat = _resolved_config(cfg, args, ("energies", "n_steps", "samples", "start"))
     rows = list(zip(energies, (float(g) for g in gam), (float(s) for s in spread)))
     result = {
         "energies": energies,
         "gamma": [float(g) for g in gam],
         "spread": [float(s) for s in spread],
     }
-    _emit(
-        _payload(flat, result), args.format, args.out,
-        csv_rows=rows, csv_header=("E", "gamma", "spread"),
-    )
-    return 0
+    return result, ("E", "gamma", "spread"), rows, 0
 
 
-def _cmd_trace_table(args) -> int:
-    cfg, spec = _load(args)
-    if not isinstance(spec, ToeplitzSpec):
-        raise ValidationError("trace tables need a toeplitz spec")
+def _cmd_trace_table(args, spec, cfg):
     import mpmath as mp
 
     table = cocycle.trace_table(spec, args.energy, args.k)
-    flat = _resolved_config(cfg, args, ("energy", "k"))
 
     def digits(x):
         """An mpmath number at 17 significant digits, like the floats."""
@@ -264,39 +212,25 @@ def _cmd_trace_table(args) -> int:
         "h_recursion": [digits(h) for h in table.h_recursion],
         "max_rel_diff": table.max_rel_diff(),
     }
-    _emit(
-        _payload(flat, result), args.format, args.out,
-        csv_rows=rows, csv_header=("k", "h_direct", "h_recursion", "abs_diff"),
-    )
-    return 0
+    return result, ("k", "h_direct", "h_recursion", "abs_diff"), rows, 0
 
 
-def _cmd_gordon_scan(args) -> int:
-    cfg, spec = _load(args)
-    if not isinstance(spec, ToeplitzSpec):
-        raise ValidationError("repetition scans need a toeplitz spec")
-    seed = cfg.seed if args.seed is None else args.seed
+def _cmd_gordon_scan(args, spec, cfg):
+    if args.seed is None:
+        args.seed = cfg.seed  # provenance records the seed in force
     report = gordon.gordon_sweep(
         spec,
         entry_k=args.level,
         n_energies=args.energies,
         n_origins=args.origins,
         energy_level=args.energy_level,
-        seed=seed,
+        seed=args.seed,
         grid=args.grid,
     )
-    flat = _resolved_config(
-        cfg, args, ("level", "energies", "origins", "energy_level", "grid")
-    )
-    flat["seed"] = seed
-    _emit(_payload(flat, report.as_dict()), "json", args.out)
-    return 0 if report.passed else 2
+    return report.as_dict(), None, None, 0 if report.passed else 2
 
 
-def _cmd_sparse_check(args) -> int:
-    cfg, spec = _load(args)
-    if not isinstance(spec, SparseSpec):
-        raise ValidationError("sparse checks need a sparse spec")
+def _cmd_sparse_check(args, spec, cfg):
     band, point = spectrum.sparse_essential_spectrum(spec)
     result = {
         "essential_band": list(band),
@@ -311,9 +245,7 @@ def _cmd_sparse_check(args) -> int:
         window = spec.window(1, args.n + 64)
         op = spectrum.HalfLineOperator(args.n, window)
         result["top_eigenvalues"] = spectrum.halfline_eigs(op, count=args.eigs)
-    flat = _resolved_config(cfg, args, ("energy", "k_max", "n", "eigs"))
-    _emit(_payload(flat, result), "json", args.out)
-    return 0
+    return result, None, None, 0
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="example: sturmspec complexity --spec fib.cfg --n-max 8 --t-max 100 --window 5000",
     )
     common(p)
+    p.add_argument("--start", type=int, default=0)
+    p.add_argument("--window", type=int, default=5000)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--t-max", type=int, required=True)
-    p.add_argument("--window", type=int, default=5000)
-    p.add_argument("--start", type=int, default=0)
     p.add_argument("--beam", type=int, default=complexity.DEFAULT_BEAM)
     p.set_defaults(func=_cmd_complexity)
 
@@ -438,6 +370,11 @@ def _glue_negative_lists(argv: list) -> list:
     return out
 
 
+#: parsed names that are not analysis parameters: the subcommand, its
+#: handler, the input config and where and how the output is written
+_NOT_PROVENANCE = ("command", "func", "spec", "out", "format")
+
+
 def run(argv=None) -> int:
     """Parse arguments and run one subcommand; returns the exit code."""
     parser = _build_parser()
@@ -449,7 +386,15 @@ def run(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 0
         return 0 if code == 0 else 1
     try:
-        return args.func(args)
+        cfg = parse_config(args.spec)
+        result, csv_header, csv_rows, code = args.func(args, build_spec(cfg), cfg)
+        # provenance: the spec, then the subcommand's own options in parser order
+        config = {"spec_kind": cfg.kind}
+        config.update(("spec.%s" % k, v) for k, v in cfg.spec.items())
+        config.update((k, v) for k, v in vars(args).items() if k not in _NOT_PROVENANCE)
+        payload = {"version": __version__, "config": config, "result": result}
+        _emit(payload, getattr(args, "format", "json"), args.out, csv_rows, csv_header)
+        return code
     except (ValidationError, OSError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import ToeplitzSpec, ValidationError, Window, _integer, blocks
+from .sequences import ToeplitzSpec, ValidationError, Window, _integer, _kind, blocks
 
 __all__ = [
     "transfer_matrix",
@@ -207,6 +207,7 @@ def trace_table(
     cost grows with K, not with the block length.  The recursion route is
     seeded by the direct h_0, h_1.  ``K`` must be an integer >= 2.
     """
+    _kind(spec, ToeplitzSpec, "trace_table")
     if _integer(K, "K") < 2:
         raise ValidationError("trace tables need K >= 2")
     if not math.isfinite(energy):
@@ -245,6 +246,7 @@ def trace_recursion_f64(spec: ToeplitzSpec, K: int, e_grid: np.ndarray) -> np.nd
     seeds and the steps is by design and warns nothing.  Returns shape
     (K+1, len(grid)); ``K`` must be an integer >= 0.
     """
+    _kind(spec, ToeplitzSpec, "trace_recursion_f64")
     if _integer(K, "K") < 0:
         raise ValidationError("K must be >= 0, got %d" % K)
     e = np.atleast_1d(np.asarray(e_grid, dtype=np.float64))

@@ -49,6 +49,7 @@ from .sequences import (
     Window,
     WindowTooShortError,
     _integer,
+    _kind,
     blocks,
     k_partition,
 )
@@ -570,6 +571,7 @@ def nondecay_scan(spec: ToeplitzSpec, energy: float, n_target: int) -> NondecayR
     ``energy`` must be a finite real number (a bool is not one), and
     ``n_target`` an integer >= 1.
     """
+    _kind(spec, ToeplitzSpec, "nondecay_scan")
     n_target = _integer(n_target, "n_target")
     if n_target < 1:
         raise ValidationError("n_target must be >= 1, got %r" % n_target)
@@ -880,6 +882,7 @@ def certify_pairs(spec: ToeplitzSpec, window: Window, entry_k: int, energies: Se
     raises ``RuntimeError``.  Lanes, margins and falsifications come in
     energy-major pair order.
     """
+    _kind(spec, ToeplitzSpec, "certify_pairs")
     entry_k, climb_cap = _integer(entry_k, "entry_k"), _integer(climb_cap, "climb_cap")
     for name, value, least in (("entry_k", entry_k, 0), ("climb_cap", climb_cap, 2)):
         if value < least:
@@ -1025,6 +1028,7 @@ def gordon_sweep(
     """
     from .spectrum import band_approximant
 
+    _kind(spec, ToeplitzSpec, "gordon_sweep")
     entry_k = _integer(entry_k, "entry_k")
     energy_level = entry_k + 5 if energy_level is None else _integer(energy_level, "energy_level")
     max_scale = energy_level + 2 if max_scale is None else _integer(max_scale, "max_scale")

@@ -62,6 +62,12 @@ def _integer(value, name: str) -> int:
         raise ValidationError("%s must be an integer, got %r" % (name, value)) from None
 
 
+def _kind(spec, kind: type, caller: str):
+    """A ``ValidationError`` naming the spec kind ``caller`` needs, unless ``spec`` is one."""
+    if not isinstance(spec, kind):
+        raise ValidationError("%s needs a %s, got %s" % (caller, kind.__name__, type(spec).__name__))
+
+
 class WindowTooShortError(ValidationError):
     """Window cannot support the requested operation."""
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .sequences import SparseSpec, ToeplitzSpec, ValidationError, Window, _integer
+from .sequences import SparseSpec, ToeplitzSpec, ValidationError, Window, _integer, _kind
 from .cocycle import (_distinct_rows, matrix_norm2, trace_recursion_f64, transfer_matrix,
                       transfer_run)
 
@@ -237,6 +237,7 @@ def band_sets(
     """The trace band sets {E : |h_k(E)| <= 2}, one for each k in levels,
     from one :func:`trace_recursion_f64` grid pass at the top level and one
     bisection run, each edge on its own level's row of the trace table."""
+    _kind(spec, ToeplitzSpec, "band_sets")
     levels = [_integer(k, "levels") for k in levels]
     if not levels:
         raise ValidationError("band_sets needs at least one level")
@@ -325,6 +326,7 @@ def sparse_essential_spectrum(spec: SparseSpec):
     ``("power", 3)`` with v = 2 the Dirichlet half line has one at
     2.8165074.
     """
+    _kind(spec, SparseSpec, "sparse_essential_spectrum")
     v = spec.v
     point = math.copysign(math.sqrt(4.0 + v * v), v)
     return ((-2.0, 2.0), point)
@@ -623,6 +625,7 @@ def sparse_no_eigenvalue_certificate(
     growing partial sums certify that the energy is not an eigenvalue
     for any boundary condition.  ``k_max`` must be an integer >= 1.
     """
+    _kind(spec, SparseSpec, "sparse_no_eigenvalue_certificate")
     if not abs(energy) < 2.0:
         raise ValidationError(
             "certificate requires |E| < 2 (free powers unbounded otherwise), got E=%r"

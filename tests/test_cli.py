@@ -571,6 +571,25 @@ def test_readme_library_example_runs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_readme_command_line_examples_run(tmp_path, monkeypatch):
+    """README's command-line examples run as written from the repo root."""
+    (block,) = re.findall(r"## Command line\n.*?```\n(.*?)```", (ROOT / "README.md").read_text(),
+                          re.S)
+    examples = [line.split()[1:] for line in block.splitlines()]
+    assert len(examples) == 7 and {argv[0] for argv in examples} == {
+        "generate", "complexity", "spectrum", "lyapunov", "trace-table", "gordon-scan",
+        "sparse-check"}
+    monkeypatch.chdir(ROOT)
+    for i, argv in enumerate(examples):
+        out = str(tmp_path / ("out%d" % i))
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = out
+        else:
+            argv += ["--out", out]
+        assert run(argv) == 0, argv
+        assert pathlib.Path(out).exists()
+
+
 @pytest.mark.parametrize("eigs, loaded", [("0", "False"), ("4", "True")])
 def test_sparse_check_imports_scipy_only_for_eigenvalues(eigs, loaded, tmp_path):
     src = pathlib.Path(cfgmod.__file__).resolve().parents[1]
@@ -602,3 +621,51 @@ def test_lyapunov_overflow_names_the_energy(capsys):
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert "overflowed" in err and "1e+11" in err and "site 1)" in err
+
+
+@pytest.mark.parametrize("argv, needed", [
+    (["spectrum", "--spec", CONFIGS / "fib.cfg", "--level", "2"], "ToeplitzSpec"),
+    (["trace-table", "--spec", CONFIGS / "fib.cfg", "--energy", "0.3", "--k", "5"],
+     "ToeplitzSpec"),
+    (["gordon-scan", "--spec", CONFIGS / "fib.cfg"], "ToeplitzSpec"),
+    (["sparse-check", "--spec", CONFIGS / "simple3.cfg", "--energy", "0.3"], "SparseSpec"),
+], ids=["spectrum", "trace-table", "gordon-scan", "sparse-check"])
+def test_wrong_spec_kind_exits_one_naming_the_kind(argv, needed, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "needs a %s, got " % needed in err
+    assert not out.exists()
+
+
+PROVENANCE_RUNS = [
+    ["generate", "--spec", CONFIGS / "fib.cfg", "--len", "20"],
+    ["complexity", "--spec", CONFIGS / "fib.cfg", "--n-max", "4", "--t-max", "20",
+     "--window", "500"],
+    ["spectrum", "--spec", CONFIGS / "simple3.cfg", "--level", "2", "--grid", "2000"],
+    ["lyapunov", "--spec", CONFIGS / "simple3.cfg", "--energies", "0.3", "--n-steps", "1000"],
+    ["trace-table", "--spec", CONFIGS / "simple3.cfg", "--energy", "0.3", "--k", "4"],
+    ["gordon-scan", "--spec", CONFIGS / "simple3.cfg", "--energies", "2", "--origins", "3",
+     "--grid", "2000"],
+    ["sparse-check", "--spec", CONFIGS / "sparse3.cfg", "--energy", "0.3"],
+]
+
+
+@pytest.mark.parametrize("argv", PROVENANCE_RUNS, ids=[a[0] for a in PROVENANCE_RUNS])
+def test_provenance_is_the_spec_and_the_subcommand_options(argv, tmp_path):
+    from sturmspec import cli
+
+    out = tmp_path / "out.json"
+    fmt = [] if argv[0] in ("gordon-scan", "sparse-check") else ["--format", "json"]
+    assert run_cli(argv + fmt + ["--out", out]) in (0, 2)
+    (subparsers,) = cli._build_parser()._subparsers._group_actions
+    options = [a.dest for a in subparsers.choices[argv[0]]._actions
+               if a.dest not in ("help", "spec", "out", "format")]
+    cfg = cfgmod.parse_config(str(argv[2]))
+    config = json.loads(out.read_text())["config"]
+    assert list(config) == ["spec_kind"] + ["spec." + k for k in cfg.spec] + options
+    assert config["spec_kind"] == cfg.kind
+    assert ("seed" in config) == (argv[0] == "gordon-scan")
+    if "seed" in config:
+        assert config["seed"] == cfg.seed
+

@@ -953,3 +953,37 @@ def test_sparse_positions_match_the_reference(kw):
     for limit in sorted(limits):
         assert spec.positions_upto(limit) == tuple(
             ref_iter_positions(spec, lambda n, k: n > limit)), limit
+
+
+# ---------------------------------------------------------------------------
+# Spec kinds: a library call given the wrong kind names the kind it needs
+# ---------------------------------------------------------------------------
+
+
+def _wrong_kind_calls():
+    from sturmspec import cocycle as cc
+    from sturmspec import gordon as gd
+    from sturmspec import spectrum as sp
+
+    window = FIB.window(0, 200, allow_periodic=True)
+    return {
+        "sigma_n": ("ToeplitzSpec", lambda: sp.sigma_n(FIB, 2)),
+        "band_sets": ("ToeplitzSpec", lambda: sp.band_sets(SPARSE3, (2,))),
+        "trace_table": ("ToeplitzSpec", lambda: cc.trace_table(FIB, 0.3, 5)),
+        "trace_recursion_f64": ("ToeplitzSpec", lambda: cc.trace_recursion_f64(FIB, 3, [0.1])),
+        "gordon_sweep": ("ToeplitzSpec", lambda: gd.gordon_sweep(FIB, 2, 2, 2)),
+        "certify_pairs": ("ToeplitzSpec",
+                          lambda: gd.certify_pairs(FIB, window, 0, [0.3], [100], 2)),
+        "nondecay_scan": ("ToeplitzSpec", lambda: gd.nondecay_scan(FIB, 0.3, 10)),
+        "sparse_essential_spectrum": ("SparseSpec",
+                                      lambda: sp.sparse_essential_spectrum(SIMPLE3)),
+        "sparse_no_eigenvalue_certificate": (
+            "SparseSpec", lambda: sp.sparse_no_eigenvalue_certificate(SIMPLE3, 0.3)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_wrong_kind_calls()))
+def test_wrong_spec_kind_names_the_kind_needed(name):
+    needed, call = _wrong_kind_calls()[name]
+    with pytest.raises(sq.ValidationError, match="needs a %s, got " % needed):
+        call()
